@@ -6,16 +6,15 @@ hyperplane enumeration over n-point subsets, which is entirely adequate at
 the intended scale (dimension <= 4, a few dozen points) and has no numerical
 failure modes.
 
-Lattice point enumeration walks a grid over the first n-1 coordinates and
-solves the last coordinate range per facet with exact integer ceil/floor
-division. The hot path runs on int64 numpy arrays guarded by a computed
-overflow bound; inputs too large for that fall back to a pure Python scan,
-so results are exact either way.
+Lattice point enumeration is one numpy scan: it walks a grid over the
+first n-1 coordinates and solves the last coordinate range per facet with
+exact integer ceil/floor division. A computed overflow bound picks the
+element type of its arrays: int64 when every intermediate fits, otherwise
+object arrays of Python ints, so results are exact for any coordinates.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import json
@@ -31,13 +30,17 @@ LatticePoint = tuple[int, ...]
 
 # int64 is safe while every intermediate stays below this; checked per scan.
 _NP_SAFE_LIMIT = 2**61
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _as_point(obj, n: int | None = None) -> LatticePoint:
     if isinstance(obj, (str, bytes)) or not hasattr(obj, "__iter__"):
         raise InvalidInputError(f"not a lattice point: {obj!r}")
+    coords = tuple(obj)
+    if any(isinstance(x, bool) for x in coords):
+        raise InvalidInputError(f"boolean coordinate in {obj!r}")
     try:
-        pt = tuple(operator.index(x) for x in obj)
+        pt = tuple(operator.index(x) for x in coords)
     except TypeError:
         raise InvalidInputError(f"non-integer coordinate in {obj!r}") from None
     if n is not None and len(pt) != n:
@@ -88,7 +91,7 @@ class Polytope:
     Use build_polytope(); the constructor trusts its arguments.
     """
 
-    __slots__ = ("dim", "vertices", "facets", "_hash", "_np_ok", "_A", "_b", "_lp_cache")
+    __slots__ = ("dim", "vertices", "facets", "_hash", "_lp_cache", "_count_cache")
 
     def __init__(self, dim: int, vertices: tuple[LatticePoint, ...],
                  facets: tuple[HalfSpace, ...]):
@@ -96,18 +99,8 @@ class Polytope:
         self.vertices = vertices
         self.facets = facets
         self._hash = hash((dim, vertices))
-        biggest = max(
-            max(abs(x) for x in h.normal + (h.offset,)) for h in facets
-        )
-        coord = max(max(abs(x) for x in v) for v in vertices)
-        self._np_ok = biggest < _NP_SAFE_LIMIT and coord < _NP_SAFE_LIMIT
-        if self._np_ok:
-            self._A = np.array([h.normal for h in facets], dtype=np.int64)
-            self._b = np.array([h.offset for h in facets], dtype=np.int64)
-        else:
-            self._A = None
-            self._b = None
         self._lp_cache = {}
+        self._count_cache = {}
 
     def __eq__(self, other):
         if not isinstance(other, Polytope):
@@ -218,32 +211,43 @@ def _scan_params(P: Polytope, scale: int, interior: bool):
     return n, lo, hi, rows
 
 
-def _np_scan_safe(P: Polytope, scale: int, interior: bool) -> bool:
-    if not P._np_ok:
-        return False
+def _scan_dtype(P: Polytope, scale: int, interior: bool):
+    """Element type of the scan of scale*P: np.int64 or object (Python ints).
+
+    int64 is chosen when every intermediate fits: facet values over the
+    box, with headroom for the probe offsets of the level-m checker, and
+    point totals, which never exceed the number of points in the box.
+    """
     n, lo, hi, rows = _scan_params(P, scale, interior)
     worst = 0
     for normal, beff in rows:
         reach = sum(abs(a) * max(abs(l), abs(h)) for a, l, h in zip(normal, lo, hi))
         worst = max(worst, reach + abs(beff))
-    return 4 * worst < _NP_SAFE_LIMIT
+    box_points = 1
+    for l, h in zip(lo, hi):
+        box_points *= h - l + 1
+    if 4 * worst < _NP_SAFE_LIMIT and box_points < _NP_SAFE_LIMIT:
+        return np.int64
+    return object
 
 
-def _prefix_grid(lo, hi, start0, stop0):
+def _prefix_grid(lo, hi, start0, stop0, dtype):
     """Lex-ordered integer grid over the box, axis 0 restricted to [start0, stop0)."""
-    axes = [np.arange(start0, stop0, dtype=np.int64)]
-    axes += [np.arange(l, h + 1, dtype=np.int64) for l, h in zip(lo[1:], hi[1:])]
-    if not axes:
-        return np.zeros((1, 0), dtype=np.int64)
+    axes = [np.arange(start0, stop0, dtype=dtype)]
+    axes += [np.arange(l, h + 1, dtype=dtype) for l, h in zip(lo[1:], hi[1:])]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack(mesh, axis=-1).reshape(-1, len(axes))
 
 
 def _np_slabs(P: Polytope, scale: int, interior: bool, chunk_rows: int = 1 << 20):
-    """Yield lex-ordered (prefixes, lo_last, counts) triples, feasible rows only."""
+    """Yield lex-ordered (prefixes, lo_last, counts) triples, feasible rows only.
+
+    All three arrays have the element type _scan_dtype picks for scale*P.
+    """
     n, lo, hi, rows = _scan_params(P, scale, interior)
-    A = np.array([r[0] for r in rows], dtype=np.int64)
-    beff = np.array([r[1] for r in rows], dtype=np.int64)
+    dtype = _scan_dtype(P, scale, interior)
+    A = np.array([r[0] for r in rows], dtype=dtype)
+    beff = np.array([r[1] for r in rows], dtype=dtype)
     a_last = A[:, n - 1]
     A_pre = A[:, : n - 1]
     zero_rows = a_last == 0
@@ -256,30 +260,26 @@ def _np_slabs(P: Polytope, scale: int, interior: bool, chunk_rows: int = 1 << 20
         inner *= h - l + 1
     if n == 1:
         starts = [(0, 1)]
-        plo = [0]
-        phi = [0]
     else:
         step = max(1, chunk_rows // max(inner, 1))
         starts = []
-        a = plo[0] if plo else 0
+        a = plo[0]
         while a <= phi[0]:
             b = min(a + step - 1, phi[0])
             starts.append((a, b + 1))
             a = b + 1
-        if not starts:
-            return
 
     for s0, s1 in starts:
         if n == 1:
-            prefixes = np.zeros((1, 0), dtype=np.int64)
+            prefixes = np.zeros((1, 0), dtype=dtype)
         else:
-            prefixes = _prefix_grid(plo, phi, s0, s1)
+            prefixes = _prefix_grid(plo, phi, s0, s1, dtype)
         r = beff[None, :] - prefixes @ A_pre.T  # required a_last * x >= r
         feas = np.ones(len(prefixes), dtype=bool)
         if zero_rows.any():
             feas &= (r[:, zero_rows] <= 0).all(axis=1)
-        lo_last = np.full(len(prefixes), lo[n - 1], dtype=np.int64)
-        hi_last = np.full(len(prefixes), hi[n - 1], dtype=np.int64)
+        lo_last = np.full(len(prefixes), lo[n - 1], dtype=dtype)
+        hi_last = np.full(len(prefixes), hi[n - 1], dtype=dtype)
         if pos_rows.any():
             a = a_last[pos_rows][None, :]
             cand = (r[:, pos_rows] + a - 1) // a
@@ -295,67 +295,45 @@ def _np_slabs(P: Polytope, scale: int, interior: bool, chunk_rows: int = 1 << 20
         yield prefixes[feas], lo_last[feas], counts[feas]
 
 
-def _py_scan(P: Polytope, scale: int, interior: bool):
-    """Pure Python reference scan; exact for arbitrarily large coordinates."""
-    n, lo, hi, rows = _scan_params(P, scale, interior)
-    prefix_ranges = [range(l, h + 1) for l, h in zip(lo[:-1], hi[:-1])]
-    for prefix in itertools.product(*prefix_ranges):
-        lo_last, hi_last = lo[n - 1], hi[n - 1]
-        ok = True
-        for normal, beff in rows:
-            a = normal[n - 1]
-            r = beff - sum(c * x for c, x in zip(normal[: n - 1], prefix))
-            if a == 0:
-                if r > 0:
-                    ok = False
-                    break
-            elif a > 0:
-                lo_last = max(lo_last, -((-r) // a))  # ceil(r / a)
-            else:
-                hi_last = min(hi_last, r // a)  # floor(r / a)
-        if ok and lo_last <= hi_last:
-            yield prefix, lo_last, hi_last - lo_last + 1
-
-
-@functools.lru_cache(maxsize=65536)
 def scaled_count(P: Polytope, scale: int = 1, interior: bool = False) -> int:
-    """#(scale * P intersect Z^n), or the interior count. Exact."""
+    """#(scale * P intersect Z^n), or the interior count. Exact; memoized on P."""
     if scale < 1:
         raise InvalidInputError(f"scale must be >= 1, got {scale}")
-    if _np_scan_safe(P, scale, interior):
-        total = 0
-        for _, _, counts in _np_slabs(P, scale, interior):
-            total += int(counts.sum())
-        return total
-    return sum(cnt for _, _, cnt in _py_scan(P, scale, interior))
+    key = (scale, bool(interior))
+    if key not in P._count_cache:
+        P._count_cache[key] = sum(
+            int(counts.sum()) for _, _, counts in _np_slabs(P, scale, interior)
+        )
+    return P._count_cache[key]
 
 
 def iter_scaled_slabs(P: Polytope, scale: int = 1, interior: bool = False,
                       chunk_rows: int = 1 << 20):
-    """Yield lex-ordered int64 arrays of lattice points of scale*P in chunks."""
+    """Yield the lattice points of scale*P as lex-ordered (k, n) arrays.
+
+    Each array holds the points over at most chunk_rows prefixes of the
+    first n-1 coordinates. Its element type is int64 when every scan
+    intermediate fits and object (exact Python ints) otherwise. A chunk
+    with more points than int64 can count cannot be materialized and
+    raises InvalidInputError.
+    """
     if scale < 1:
         raise InvalidInputError(f"scale must be >= 1, got {scale}")
     n = P.dim
-    if _np_scan_safe(P, scale, interior):
-        for prefixes, lo_last, counts in _np_slabs(P, scale, interior, chunk_rows):
-            total = int(counts.sum())
-            out = np.empty((total, n), dtype=np.int64)
-            out[:, : n - 1] = np.repeat(prefixes, counts, axis=0)
-            ends = np.cumsum(counts)
-            within = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
-            out[:, n - 1] = np.repeat(lo_last, counts) + within
-            yield out
-        return
-    # Exact fallback; yields small batches to keep a uniform interface.
-    batch = []
-    for prefix, lo_last, cnt in _py_scan(P, scale, interior):
-        for x in range(lo_last, lo_last + cnt):
-            batch.append(prefix + (x,))
-            if len(batch) >= chunk_rows:
-                yield np.array(batch, dtype=object).reshape(len(batch), n)
-                batch = []
-    if batch:
-        yield np.array(batch, dtype=object).reshape(len(batch), n)
+    for prefixes, lo_last, counts in _np_slabs(P, scale, interior, chunk_rows):
+        total = int(counts.sum())
+        if total > _INT64_MAX:
+            raise InvalidInputError(
+                f"too many lattice points to enumerate: one slab of {scale}P "
+                f"holds {total}"
+            )
+        counts = counts.astype(np.int64, copy=False)
+        out = np.empty((total, n), dtype=prefixes.dtype)
+        out[:, : n - 1] = np.repeat(prefixes, counts, axis=0)
+        ends = np.cumsum(counts)
+        within = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
+        out[:, n - 1] = np.repeat(lo_last, counts) + within
+        yield out
 
 
 def scaled_points_array(P: Polytope, scale: int = 1, interior: bool = False):

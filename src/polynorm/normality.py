@@ -24,7 +24,7 @@ from .geometry import (
     LatticePoint,
     Polytope,
     _as_point,
-    _np_scan_safe,
+    _scan_dtype,
     iter_scaled_slabs,
     scaled_points_array,
 )
@@ -116,13 +116,15 @@ def _missing_at_level_np(P: Polytope, m: int, collect_all: bool):
     z decomposes iff some lattice point a of P has z - a in (m-1)P. The
     facet values of z and of z // m are computed once per slab; each probe
     offset then costs only adds and compares. The rare stragglers get an
-    exhaustive scan over all of P cap Z^n.
+    exhaustive scan over all of P cap Z^n. Facet arrays take the element
+    type of the scan of mP, so the arithmetic is exact for any coordinates.
     """
-    A = P._A
-    b = P._b
+    dtype = _scan_dtype(P, m, False)
+    A = np.array([h.normal for h in P.facets], dtype=dtype)
+    b = np.array([h.offset for h in P.facets], dtype=dtype)
     bp = (m - 1) * b
     A_pts = scaled_points_array(P, 1)
-    deltas = np.array(_probe_deltas(P.dim), dtype=np.int64)
+    deltas = np.array(_probe_deltas(P.dim), dtype=dtype)
     dA = deltas @ A.T
     missing: list[LatticePoint] = []
     for Z in iter_scaled_slabs(P, m, chunk_rows=1 << 18):
@@ -156,30 +158,13 @@ def _contains_scaled(P: Polytope, scale: int, pt) -> bool:
 
 
 def _missing_at_level_py(P: Polytope, m: int, prev_set, collect_all: bool):
-    """Pure Python variant; prev_set None means T_{m-1} is complete."""
+    """Missing points of level m given the decomposable set T_{m-1}."""
     A_list = P.lattice_points()
-    deltas = _probe_deltas(P.dim)
-
-    def decomposes(z):
-        if prev_set is None:
-            for delta in deltas:
-                a = tuple(c // m + d for c, d in zip(z, delta))
-                if _contains_scaled(P, 1, a) and _contains_scaled(
-                        P, m - 1, tuple(x - y for x, y in zip(z, a))):
-                    return True
-            return any(
-                _contains_scaled(P, m - 1, tuple(x - y for x, y in zip(z, a)))
-                for a in A_list
-            )
-        return any(
-            tuple(x - y for x, y in zip(z, a)) in prev_set for a in A_list
-        )
-
     missing = []
     for slab in iter_scaled_slabs(P, m):
         for row in slab:
             z = tuple(int(x) for x in row)
-            if not decomposes(z):
+            if not any(tuple(x - y for x, y in zip(z, a)) in prev_set for a in A_list):
                 missing.append(z)
         if missing and not collect_all:
             return missing
@@ -187,7 +172,7 @@ def _missing_at_level_py(P: Polytope, m: int, prev_set, collect_all: bool):
 
 
 def _missing_at_level(P: Polytope, m: int, prev_set=None, collect_all=False):
-    if prev_set is None and _np_scan_safe(P, m, False):
+    if prev_set is None:
         return _missing_at_level_np(P, m, collect_all)
     return _missing_at_level_py(P, m, prev_set, collect_all)
 

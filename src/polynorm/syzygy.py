@@ -167,41 +167,6 @@ class _PairTable:
             self._by_sum = table
         return self._by_sum
 
-    def pairs_with_sum(self, u: LatticePoint, v: LatticePoint):
-        """All point pairs (p <= q) whose sum equals u + v."""
-        pts = self.C.points
-        s = self.enc_by_index[self._index(u)] + self.enc_by_index[self._index(v)]
-        return [(pts[i], pts[j]) for i, j in self.pairs_by_sum().get(s, ())]
-
-    def _index(self, p: LatticePoint) -> int:
-        if not hasattr(self, "_pos"):
-            self._pos = {q: t for t, q in enumerate(self.C.points)}
-        return self._pos[p]
-
-
-def _fiber_connected(fiber: Fiber, table: _PairTable) -> bool:
-    """Breadth-first search over quadratic moves."""
-    elements = fiber.elements
-    if len(elements) <= 1:
-        return True
-    index = {e: t for t, e in enumerate(elements)}
-    seen = {elements[0]}
-    queue = deque([elements[0]])
-    while queue:
-        cur = queue.popleft()
-        d = len(cur)
-        for a in range(d):
-            for b in range(a + 1, d):
-                for u, v in table.pairs_with_sum(cur[a], cur[b]):
-                    if (u, v) == (cur[a], cur[b]) or (u, v) == (cur[b], cur[a]):
-                        continue
-                    rest = cur[:a] + cur[a + 1 : b] + cur[b + 1 :]
-                    nxt = tuple(sorted(rest + (u, v)))
-                    if nxt in index and nxt not in seen:
-                        seen.add(nxt)
-                        queue.append(nxt)
-    return len(seen) == len(elements)
-
 
 def _sinks_connected(sinks: list[tuple[int, ...]], table: _PairTable) -> bool:
     """Grow quadratic-move regions from every descent sink until they merge.

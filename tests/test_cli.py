@@ -1,5 +1,6 @@
 """Command line behavior: formats, determinism, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -126,6 +127,40 @@ def test_degenerate_input_exits_one(capsys, tmp_path):
     path.write_text(json.dumps([[0, 0], [1, 1], [2, 2]]))
     assert main(["analyze", str(path)]) == 1
     assert "dimension" in capsys.readouterr().err
+
+
+def test_boolean_coordinates_exit_one(capsys, tmp_path):
+    path = tmp_path / "bools.json"
+    path.write_text(json.dumps([[True, False], [False, True], [False, False]]))
+    assert main(["analyze", str(path)]) == 1
+    assert "boolean" in capsys.readouterr().err
+
+
+def test_unenumerable_scan_exits_one(tmp_path):
+    # level 2 of this simplex has about 2^65 lattice points; it is refused
+    # with a typed error instead of hanging or overflowing
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 2**65]]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polynorm.cli", "analyze", str(path)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "too many lattice points" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_corpus_report_hash(tmp_path):
+    # the criterion-8 spec; the pin changes only with an intended report change
+    spec = {"seed": 11, "dims": [2, 3], "coord_bound": 3, "count_per_dim": 5,
+            "vertex_candidates": 5}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polynorm.cli", "verify-corpus", str(path),
+         "--format", "json"],
+        capture_output=True, check=True)
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "fd8fd019ef0cfa8c10d160a9094daf9777dff4aaba40aeb330a4cee49823ed12")
 
 
 def test_wrong_shape_exits_one(capsys, tmp_path):

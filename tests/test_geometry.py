@@ -87,6 +87,13 @@ def test_invalid_inputs():
         build_polytope([(0.5, 0), (1, 0), (0, 1)])
 
 
+def test_boolean_coordinates_rejected():
+    with pytest.raises(InvalidInputError):
+        geometry._as_point((True, 0))
+    with pytest.raises(InvalidInputError):
+        build_polytope([[True, False], [False, True], [False, False]])
+
+
 def test_contains(unit_square):
     assert unit_square.contains((0, 0))
     assert unit_square.contains((1, 1))
@@ -118,6 +125,13 @@ def test_scaled_count_against_box_scan(unit_square, t2, delta3):
     for P in (unit_square, t2, delta3):
         for k in (1, 2, 3):
             assert scaled_count(P, k) == len(box_scan(P, k))
+
+
+def test_count_beyond_int64_is_exact():
+    # (2^13 + 1) * (2^50 + 1) points: more than an int64 sum can hold
+    P = build_polytope([(0, 0), (2**13, 0), (0, 2**50), (2**13, 2**50)])
+    assert scaled_count(P) == (2**13 + 1) * (2**50 + 1)
+    assert scaled_count(P, interior=True) == (2**13 - 1) * (2**50 - 1)
 
 
 def test_scaled_count_caches(unit_square):

@@ -7,6 +7,7 @@ exhaustively and BFS its move graph.
 
 import itertools
 import random
+from collections import deque
 
 import pytest
 
@@ -18,9 +19,47 @@ from polynorm import (
     enumerate_fiber,
     n1_probe,
 )
-from polynorm.syzygy import Fiber, _PairTable, _fiber_connected
+from polynorm.syzygy import Fiber, _PairTable
 
 CONNECTED = "quadratically connected up to cap"
+
+
+class PairTable(_PairTable):
+    """The probe's pair table plus the sum lookup the reference BFS needs."""
+
+    def __init__(self, C):
+        super().__init__(C)
+        self._pos = {q: t for t, q in enumerate(C.points)}
+
+    def pairs_with_sum(self, u, v):
+        """All point pairs (p <= q) whose sum equals u + v."""
+        pts = self.C.points
+        s = self.enc_by_index[self._pos[u]] + self.enc_by_index[self._pos[v]]
+        return [(pts[i], pts[j]) for i, j in self.pairs_by_sum().get(s, ())]
+
+
+def fiber_connected(fiber, table):
+    """Breadth-first search over quadratic moves."""
+    elements = fiber.elements
+    if len(elements) <= 1:
+        return True
+    index = {e: t for t, e in enumerate(elements)}
+    seen = {elements[0]}
+    queue = deque([elements[0]])
+    while queue:
+        cur = queue.popleft()
+        d = len(cur)
+        for a in range(d):
+            for b in range(a + 1, d):
+                for u, v in table.pairs_with_sum(cur[a], cur[b]):
+                    if (u, v) == (cur[a], cur[b]) or (u, v) == (cur[b], cur[a]):
+                        continue
+                    rest = cur[:a] + cur[a + 1 : b] + cur[b + 1 :]
+                    nxt = tuple(sorted(rest + (u, v)))
+                    if nxt in index and nxt not in seen:
+                        seen.add(nxt)
+                        queue.append(nxt)
+    return len(seen) == len(elements)
 
 
 def random_polytope(rng, n, spread=2):
@@ -36,7 +75,7 @@ def random_polytope(rng, n, spread=2):
 def brute_probe(P, ell, cap):
     """Reference implementation: exhaustive fibers + BFS, no shortcuts."""
     C = build_configuration(P, ell)
-    table = _PairTable(C)
+    table = PairTable(C)
     per = []
     for d in range(2, cap + 1):
         fibers = {}
@@ -46,7 +85,7 @@ def brute_probe(P, ell, cap):
         bad = None
         for s in sorted(fibers):
             fib = Fiber(target=s, elements=tuple(sorted(fibers[s])))
-            if not _fiber_connected(fib, table):
+            if not fiber_connected(fib, table):
                 bad = s
                 break
         per.append((d, len(fibers), bad is None))
@@ -179,7 +218,7 @@ def test_probe_report_json(unit_square):
 def test_move_soundness(t2):
     # every quadratic exchange offered by the pair table preserves sums
     C = build_configuration(t2, 2)
-    table = _PairTable(C)
+    table = PairTable(C)
     pts = C.points
     for u, v in itertools.combinations_with_replacement(pts[:6], 2):
         s = tuple(a + b for a, b in zip(u, v))
