@@ -87,7 +87,7 @@ def autoregularity_from_definition(P: Polytope) -> int:
     return m
 
 
-def np_bound_from_regularity(P: Polytope, p: int) -> int:
+def np_bound_from_regularity(m: int, p: int) -> int:
     """Dilation level guaranteeing property N_p, from the autoregularity m.
 
     p >= 1 gives max(m+p, 1); p = 0 also rests on the twist m+1, hence
@@ -96,10 +96,10 @@ def np_bound_from_regularity(P: Polytope, p: int) -> int:
     level n-1 exactly when d(P) = 0 or n = 1: for d(P) = 0 that n-1 is
     the classical normality bound, which regularity alone does not reach.
     """
+    m = operator.index(m)
     p = operator.index(p)
     if p < 0:
         raise InvalidInputError(f"p must be >= 0, got {p}")
-    m = autoregularity_from_definition(P)
     if p == 0:
         return max(m + 1, 1)
     return max(m + p, 1)

@@ -26,17 +26,24 @@ from .counting import (
 from .errors import CorpusGenerationError, InvalidInputError, NotFullDimensionalError
 from .geometry import LatticePoint, Polytope, build_polytope
 from .normality import (
+    BoundReport,
     CorollaryRecord,
     NormalityReport,
     default_cap,
     is_normal,
-    normality_bound,
     verify_corollary,
     verify_witness,
 )
 from .syzygy import N1ProbeReport, n1_probe
 
 _RESAMPLE_LIMIT = 1000
+
+
+def _spec_int(value) -> int:
+    """operator.index, except that a JSON boolean is not an integer."""
+    if isinstance(value, bool):
+        raise TypeError("boolean")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -80,11 +87,11 @@ class CorpusSpec:
             raise InvalidInputError(f"corpus spec missing fields: {sorted(missing)}")
         try:
             return cls(
-                seed=operator.index(obj["seed"]),
-                dims=tuple(operator.index(x) for x in obj["dims"]),
-                coord_bound=operator.index(obj["coord_bound"]),
-                count_per_dim=operator.index(obj["count_per_dim"]),
-                vertex_candidates=operator.index(obj["vertex_candidates"]),
+                seed=_spec_int(obj["seed"]),
+                dims=tuple(_spec_int(x) for x in obj["dims"]),
+                coord_bound=_spec_int(obj["coord_bound"]),
+                count_per_dim=_spec_int(obj["count_per_dim"]),
+                vertex_candidates=_spec_int(obj["vertex_candidates"]),
             )
         except TypeError:
             raise InvalidInputError("corpus spec fields must be integers") from None
@@ -185,7 +192,7 @@ class AnalysisRecord:
 def analyze(P: Polytope, cap: int | None = None) -> AnalysisRecord:
     """Run counting, normality, and regularity on P and cross-check them."""
     profile = d_of_p(P)
-    bounds = normality_bound(P)
+    bounds = BoundReport(P.dim, profile.d)
     auto_def = autoregularity_from_definition(P)
     report = is_normal(P, cap)
     checks = {
@@ -207,7 +214,7 @@ def analyze(P: Polytope, cap: int | None = None) -> AnalysisRecord:
         corollary_bound=bounds.corollary_bound,
         classical_n0_bound=bounds.classical_n0_bound,
         autoregularity=auto_def,
-        np_bounds=tuple((p, np_bound_from_regularity(P, p)) for p in range(4)),
+        np_bounds=tuple((p, np_bound_from_regularity(auto_def, p)) for p in range(4)),
         normality=report,
         checks=checks,
     )

@@ -107,11 +107,8 @@ def _probe_deltas(n: int):
     return near + ring
 
 
-def _missing_at_level_np(P: Polytope, m: int, collect_all: bool):
-    """Missing points of level m assuming T_{m-1} = (m-1)P cap Z^n.
-
-    Returns a lex-ordered list; with collect_all=False it stops after the
-    first slab that contains a missing point (enough for the lex-min).
+def _first_missing(P: Polytope, m: int) -> LatticePoint | None:
+    """Lex-first point of mP missing from T_m, given T_{m-1} = (m-1)P cap Z^n.
 
     z decomposes iff some lattice point a of P has z - a in (m-1)P. The
     facet values of z and of z // m are computed once per slab; each probe
@@ -126,7 +123,6 @@ def _missing_at_level_np(P: Polytope, m: int, collect_all: bool):
     A_pts = scaled_points_array(P, 1)
     deltas = np.array(_probe_deltas(P.dim), dtype=dtype)
     dA = deltas @ A.T
-    missing: list[LatticePoint] = []
     for Z in iter_scaled_slabs(P, m, chunk_rows=1 << 18):
         zA = Z @ A.T
         aA = (Z // m) @ A.T
@@ -144,10 +140,8 @@ def _missing_at_level_np(P: Polytope, m: int, collect_all: bool):
         for i in alive:
             diffs = Z[i][None, :] - A_pts
             if not (diffs @ A.T >= bp).all(axis=1).any():
-                missing.append(tuple(int(x) for x in Z[i]))
-        if missing and not collect_all:
-            return missing
-    return missing
+                return tuple(int(x) for x in Z[i])
+    return None
 
 
 def _contains_scaled(P: Polytope, scale: int, pt) -> bool:
@@ -157,65 +151,27 @@ def _contains_scaled(P: Polytope, scale: int, pt) -> bool:
     )
 
 
-def _missing_at_level_py(P: Polytope, m: int, prev_set, collect_all: bool):
-    """Missing points of level m given the decomposable set T_{m-1}."""
-    A_list = P.lattice_points()
-    missing = []
-    for slab in iter_scaled_slabs(P, m):
-        for row in slab:
-            z = tuple(int(x) for x in row)
-            if not any(tuple(x - y for x, y in zip(z, a)) in prev_set for a in A_list):
-                missing.append(z)
-        if missing and not collect_all:
-            return missing
-    return missing
-
-
-def _missing_at_level(P: Polytope, m: int, prev_set=None, collect_all=False):
-    if prev_set is None:
-        return _missing_at_level_np(P, m, collect_all)
-    return _missing_at_level_py(P, m, prev_set, collect_all)
-
-
-def _tset_step(P: Polytope, k: int, prev_complete: bool, prev_set):
-    """Advance the decomposable-set ladder from level k-1 to level k."""
-    missing = _missing_at_level(
-        P, k, None if prev_complete else prev_set, collect_all=True
-    )
-    if not missing:
-        if prev_complete:
-            return True, None
-        # T_k may still be a strict subset only via missing points; none
-        # are missing, so T_k is all of kP.
-        return True, None
-    bad = set(missing)
-    tset = {
-        tuple(int(x) for x in row)
-        for slab in iter_scaled_slabs(P, k)
-        for row in slab
-    } - bad
-    return False, tset
-
-
 def is_normal_at_level(P: Polytope, m: int) -> tuple[bool, LatticePoint | None]:
     """Exact level-m test: lattice_points(mP) inside the m-fold sumset.
 
-    Intermediate level failures are carried through the decomposable-set
-    ladder, so the answer matches the sumset definition even when some
-    level below m already fails.
+    While every level below m passes, T_{m-1} is all of (m-1)P and the
+    level checker decides level m. Past a failing level that premise is
+    lost, so mP is compared with the m-fold sumset itself.
     """
     m = operator.index(m)
     if m < 1:
         raise InvalidInputError(f"level must be >= 1, got {m}")
-    if m == 1:
+    for k in range(2, m + 1):
+        witness = _first_missing(P, k)
+        if witness is not None:
+            break
+    else:
         return True, None
-    complete, tset = True, None
-    for k in range(2, m):
-        complete, tset = _tset_step(P, k, complete, tset)
-    missing = _missing_at_level(P, m, None if complete else tset)
-    if missing:
-        return False, missing[0]
-    return True, None
+    if k < m:
+        points = {tuple(row) for row in scaled_points_array(P, m).tolist()}
+        missing = points - sumset_levels(P.lattice_points(), m)
+        witness = min(missing, default=None)
+    return witness is None, witness
 
 
 def is_normal(P: Polytope, cap: int | None = None) -> NormalityReport:
@@ -232,15 +188,15 @@ def is_normal(P: Polytope, cap: int | None = None) -> NormalityReport:
     checked = []
     for m in range(2, cap + 1):
         checked.append(m)
-        # Levels below m all passed, so the complete-previous fast path applies.
-        missing = _missing_at_level(P, m)
-        if missing:
+        # Levels below m all passed, so T_{m-1} is all of (m-1)P.
+        witness = _first_missing(P, m)
+        if witness is not None:
             return NormalityReport(
                 polytope_id=P.polytope_id,
                 cap_used=cap,
                 levels_checked=tuple(checked),
                 verdict="non-normal",
-                witness=NormalityWitness(m, missing[0]),
+                witness=NormalityWitness(m, witness),
             )
     return NormalityReport(
         polytope_id=P.polytope_id,
@@ -293,8 +249,16 @@ class BoundReport:
 
     n: int
     d: int
-    corollary_bound: int  # max(n - d, 1): every dilate >= this is normal
-    classical_n0_bound: int  # n - 1 for n >= 2, else 1
+
+    @property
+    def corollary_bound(self) -> int:
+        """max(n - d, 1): every dilate at or above it is normal."""
+        return max(self.n - self.d, 1)
+
+    @property
+    def classical_n0_bound(self) -> int:
+        """n - 1 for n >= 2, else 1."""
+        return self.n - 1 if self.n >= 2 else 1
 
     def np_bound(self, p: int) -> int:
         """Dilation level from which property N_p holds: n - 1 + p."""
@@ -313,15 +277,8 @@ class BoundReport:
 
 
 def normality_bound(P: Polytope) -> BoundReport:
-    """Compute d(P) and fill in the dilation bound fields."""
-    n = P.dim
-    d = d_of_p(P).d
-    return BoundReport(
-        n=n,
-        d=d,
-        corollary_bound=max(n - d, 1),
-        classical_n0_bound=n - 1 if n >= 2 else 1,
-    )
+    """Compute d(P) and attach the dilation bounds to it."""
+    return BoundReport(P.dim, d_of_p(P).d)
 
 
 @dataclass(frozen=True)

@@ -168,6 +168,14 @@ class _PairTable:
         return self._by_sum
 
 
+def _find(parent: list[int], x: int) -> int:
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def _sinks_connected(sinks: list[tuple[int, ...]], table: _PairTable) -> bool:
     """Grow quadratic-move regions from every descent sink until they merge.
 
@@ -190,12 +198,6 @@ def _sinks_connected(sinks: list[tuple[int, ...]], table: _PairTable) -> bool:
     enc = table.enc_by_index
     parent = list(range(k))
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     def support(elem: tuple[int, ...]) -> int:
         m = 0
         for i in elem:
@@ -208,7 +210,7 @@ def _sinks_connected(sinks: list[tuple[int, ...]], table: _PairTable) -> bool:
     queue = deque(sinks)
     while queue and ncomp > 1:
         cur = queue.popleft()
-        lab = find(label[cur])
+        lab = _find(parent, label[cur])
         d = len(cur)
         for a in range(d):
             for b in range(a + 1, d):
@@ -220,7 +222,7 @@ def _sinks_connected(sinks: list[tuple[int, ...]], table: _PairTable) -> bool:
                     nxt = tuple(sorted(rest + uv))
                     other = label.get(nxt)
                     if other is not None:
-                        rb = find(other)
+                        rb = _find(parent, other)
                         if lab != rb:
                             parent[lab] = rb
                             coverage[rb] |= coverage.pop(lab)
@@ -330,19 +332,13 @@ def _sinks_point_linked(sinks: list[tuple[int, ...]]) -> bool:
         return True
     parent = list(range(k))
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     ncomp = k
     first_with: dict[int, int] = {}
     for t, idx in enumerate(sinks):
         for i in set(idx):
             o = first_with.setdefault(i, t)
             if o != t:
-                ra, rb = find(t), find(o)
+                ra, rb = _find(parent, t), _find(parent, o)
                 if ra != rb:
                     parent[ra] = rb
                     ncomp -= 1

@@ -33,9 +33,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def np_dominance_failure():
     """Check a regularity level against the paper's N_p level n-1+p.
 
-    np_bound_from_regularity(P, p) stays at or below n-1+p, and strictly
-    below it when d(P) >= 2, with two exceptions that the arithmetic fixes
-    exactly:
+    np_bound_from_regularity(m, p), with m the autoregularity of P, stays
+    at or below n-1+p, and strictly below it when d(P) >= 2, with two
+    exceptions that the arithmetic fixes exactly:
 
     - p = 0 with d(P) = 0 or n = 1: the level is max(n-d, 1) = n, one
       above n-1.  For d = 0 the paper's n-1 is the classical normality

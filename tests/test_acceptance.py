@@ -147,8 +147,9 @@ def test_criterion_6_cap_robustness(corpus, criterion_report):
 
 def test_criterion_7_bound_dominance(corpus, criterion_report,
                                      np_dominance_failure):
-    """np_bound_from_regularity(P, p) <= n-1+p, strictly when d(P) >= 2,
-    except at p = 0 with d(P) = 0, where it equals n exactly.
+    """np_bound_from_regularity(m, p) <= n-1+p for the autoregularity m of
+    P, strictly when d(P) >= 2, except at p = 0 with d(P) = 0, where it
+    equals n exactly.
 
     N_0 is normality of the dilate, and at p = 0 the regularity level is
     the corollary bound max(n-d, 1).  For d = 0 that is n, one above the
@@ -162,7 +163,8 @@ def test_criterion_7_bound_dominance(corpus, criterion_report,
     for P in corpus:
         bounds = normality_bound(P)
         n, d = bounds.n, bounds.d
-        levels = [np_bound_from_regularity(P, p) for p in range(4)]
+        levels = [np_bound_from_regularity(autoregularity_from_definition(P), p)
+                  for p in range(4)]
         for p, level in enumerate(levels):
             why = np_dominance_failure(n, d, p, level)
             if why:

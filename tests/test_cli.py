@@ -136,6 +136,14 @@ def test_boolean_coordinates_exit_one(capsys, tmp_path):
     assert "boolean" in capsys.readouterr().err
 
 
+def test_boolean_spec_fields_exit_one(capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"seed": True, "dims": [True, 2], "coord_bound": 3,
+                                "count_per_dim": 1, "vertex_candidates": 5}))
+    assert main(["verify-corpus", str(path)]) == 1
+    assert "integers" in capsys.readouterr().err
+
+
 def test_unenumerable_scan_exits_one(tmp_path):
     # level 2 of this simplex has about 2^65 lattice points; it is refused
     # with a typed error instead of hanging or overflowing

@@ -103,21 +103,24 @@ def test_minimality_of_autoregularity(t2):
 
 def test_np_bound_from_regularity(t2, unit_square, delta3):
     # T2: m_a = 1, so p=0 gives 2 and p >= 1 gives 1 + p
-    assert [np_bound_from_regularity(t2, p) for p in range(4)] == [2, 2, 3, 4]
+    assert [np_bound_from_regularity(autoregularity_from_definition(t2), p)
+            for p in range(4)] == [2, 2, 3, 4]
     # unit square: m_a = 0, everything clamps to at least 1
-    assert [np_bound_from_regularity(unit_square, p) for p in range(4)] == [1, 1, 2, 3]
+    assert [np_bound_from_regularity(autoregularity_from_definition(unit_square), p)
+            for p in range(4)] == [1, 1, 2, 3]
     # delta3: m_a = -1, the clamp is doing the work at p = 0, 1
-    assert [np_bound_from_regularity(delta3, p) for p in range(4)] == [1, 1, 1, 2]
+    assert [np_bound_from_regularity(autoregularity_from_definition(delta3), p)
+            for p in range(4)] == [1, 1, 1, 2]
 
 
 def test_np_bound_dominance_containment(big_triangle, delta3, t2,
                                         np_dominance_failure):
-    """Exactly where np_bound_from_regularity(P, p) leaves n-1+p.
+    """Exactly where np_bound_from_regularity(m, p) leaves n-1+p.
 
-    The default corpus holds no polytope with n = d = 2 and none of
-    dimension 1, so these fixtures reach the clauses criterion 7 cannot.
-    Each row gives the levels for p = 0..3 and how each compares with
-    n-1+p.
+    m is the autoregularity of P.  The default corpus holds no polytope
+    with n = d = 2 and none of dimension 1, so these fixtures reach the
+    clauses criterion 7 cannot.  Each row gives the levels for p = 0..3
+    and how each compares with n-1+p.
     """
     cases = [
         # n = d = 2: the level clamps at 1 = n-1, so p = 0 is not strict
@@ -134,7 +137,8 @@ def test_np_bound_dominance_containment(big_triangle, delta3, t2,
     for P, expected, relation in cases:
         bounds = normality_bound(P)
         n = bounds.n
-        levels = [np_bound_from_regularity(P, p) for p in range(4)]
+        levels = [np_bound_from_regularity(autoregularity_from_definition(P), p)
+                  for p in range(4)]
         assert levels == expected
         assert "".join("<" if lvl < n - 1 + p else "=" if lvl == n - 1 + p
                        else ">" for p, lvl in enumerate(levels)) == relation
@@ -151,4 +155,4 @@ def test_np_bound_dominance_containment(big_triangle, delta3, t2,
 
 def test_np_bound_rejects_negative_p(t2):
     with pytest.raises(InvalidInputError):
-        np_bound_from_regularity(t2, -1)
+        np_bound_from_regularity(autoregularity_from_definition(t2), -1)

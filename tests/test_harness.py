@@ -1,6 +1,7 @@
 """Corpus generation, single-polytope analysis, batch verification."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -15,7 +16,10 @@ from polynorm import (
     reeve_simplex,
     run_verification,
 )
+import polynorm.cohomology as cohomology
+import polynorm.counting as counting
 import polynorm.harness as harness
+import polynorm.normality as normality
 
 
 def small_spec(**overrides):
@@ -57,6 +61,10 @@ def test_spec_jsonable_round_trip():
         CorpusSpec.from_jsonable({**spec.to_jsonable(), "extra": 1})
     with pytest.raises(InvalidInputError):
         CorpusSpec.from_jsonable({"seed": 1})
+    # JSON booleans are not integers, in scalar fields or in dims
+    for field, value in (("seed", True), ("dims", [True, 2]), ("coord_bound", False)):
+        with pytest.raises(InvalidInputError):
+            CorpusSpec.from_jsonable({**spec.to_jsonable(), field: value})
 
 
 def test_corpus_deterministic():
@@ -133,6 +141,24 @@ def test_analyze_delta3(delta3):
 
 def test_analyze_np_bounds(t2):
     assert analyze(t2).np_bounds == ((0, 2), (1, 2), (2, 3), (3, 4))
+
+
+def test_analyze_computes_each_invariant_once(monkeypatch, t2):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (harness, normality, cohomology, counting):
+        for name in ("d_of_p", "autoregularity_from_definition"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    rec = analyze(t2)
+    assert calls == {"d_of_p": 1, "autoregularity_from_definition": 1}
+    assert rec.np_bounds == ((0, 2), (1, 2), (2, 3), (3, 4))
 
 
 def test_run_verification_structure():

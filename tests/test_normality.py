@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from polynorm import (
     InvalidInputError,
     NotFullDimensionalError,
+    REEVE_RANGE,
     build_polytope,
     d_of_p,
     default_cap,
@@ -87,6 +88,29 @@ def test_is_normal_at_level_t2(t2):
     ok, witness = is_normal_at_level(t2, 2)
     assert not ok
     assert witness == (1, 1, 1)
+
+
+def _fails_at_level_two(rng, count, max_points=12):
+    # dimension 3: lattice polygons are normal, so no dim-2 polytope fails
+    found = []
+    while len(found) < count:
+        P = random_polytope(rng, 3, spread=2)
+        if len(P.lattice_points()) <= max_points and not is_normal_at_level(P, 2)[0]:
+            found.append(P)
+    return found
+
+
+def test_is_normal_at_level_past_a_failing_level():
+    # every polytope here already fails at level 2, so levels 3 and 4 are
+    # decided past a failing level; the oracle is the sumset definition
+    rng = random.Random(31415)
+    cases = [reeve_simplex(q) for q in REEVE_RANGE] + _fails_at_level_two(rng, 6)
+    for P in cases:
+        pts = P.lattice_points()
+        for m in (3, 4):
+            missing = set(P.dilate(m).lattice_points()) - brute_sumset(pts, m)
+            expected = (False, min(missing)) if missing else (True, None)
+            assert is_normal_at_level(P, m) == expected, (P.vertices, m)
 
 
 def test_is_normal_square(unit_square):
