@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import operator
 from dataclasses import dataclass
 
@@ -214,9 +215,11 @@ def _scan_params(P: Polytope, scale: int, interior: bool):
 def _scan_dtype(P: Polytope, scale: int, interior: bool):
     """Element type of the scan of scale*P: np.int64 or object (Python ints).
 
-    int64 is chosen when every intermediate fits: facet values over the
-    box, with headroom for the probe offsets of the level-m checker, and
-    point totals, which never exceed the number of points in the box.
+    int64 is chosen when every intermediate fits. Point totals never exceed
+    the box's point count. Facet values over the box stay 4 times below the
+    2^61 limit, leaving int64 room for 16 times them: enough for the level-m
+    checker's facet values at shifted prefixes (x' // m + delta, x' - a'),
+    below 6 times, and its interval ends, sums of two last-coordinate bounds.
     """
     n, lo, hi, rows = _scan_params(P, scale, interior)
     worst = 0
@@ -239,6 +242,23 @@ def _prefix_grid(lo, hi, start0, stop0, dtype):
     return np.stack(mesh, axis=-1).reshape(-1, len(axes))
 
 
+def _last_range(r, a_last):
+    """Solve a_last[j] * x >= r[j, i] over facets j: a range [lo_i, hi_i] per line i.
+
+    r holds facet offsets minus prefix terms, a row per facet and a column
+    per line. Each row divides exactly by one scalar. A bounded polytope has
+    a_last entries of both signs; lo > hi where the line misses it.
+    """
+    pos, neg = a_last > 0, a_last < 0
+    a = a_last[pos][:, None]
+    lo = ((r[pos] + (a - 1)) // a).max(axis=0)
+    hi = (r[neg] // a_last[neg][:, None]).min(axis=0)
+    zero = ~(pos | neg)
+    if zero.any():
+        hi = np.where((r[zero] <= 0).all(axis=0), hi, lo - 1)
+    return lo, hi
+
+
 def _np_slabs(P: Polytope, scale: int, interior: bool, chunk_rows: int = 1 << 20):
     """Yield lex-ordered (prefixes, lo_last, counts) triples, feasible rows only.
 
@@ -248,51 +268,22 @@ def _np_slabs(P: Polytope, scale: int, interior: bool, chunk_rows: int = 1 << 20
     dtype = _scan_dtype(P, scale, interior)
     A = np.array([r[0] for r in rows], dtype=dtype)
     beff = np.array([r[1] for r in rows], dtype=dtype)
-    a_last = A[:, n - 1]
-    A_pre = A[:, : n - 1]
-    zero_rows = a_last == 0
-    pos_rows = a_last > 0
-    neg_rows = a_last < 0
-
+    A_pre, a_last = A[:, :-1], A[:, -1]
     plo, phi = lo[:-1], hi[:-1]
-    inner = 1
-    for l, h in zip(plo[1:], phi[1:]):
-        inner *= h - l + 1
     if n == 1:
-        starts = [(0, 1)]
+        grids = [np.zeros((1, 0), dtype=dtype)]
     else:
-        step = max(1, chunk_rows // max(inner, 1))
-        starts = []
-        a = plo[0]
-        while a <= phi[0]:
-            b = min(a + step - 1, phi[0])
-            starts.append((a, b + 1))
-            a = b + 1
-
-    for s0, s1 in starts:
-        if n == 1:
-            prefixes = np.zeros((1, 0), dtype=dtype)
-        else:
-            prefixes = _prefix_grid(plo, phi, s0, s1, dtype)
-        r = beff[None, :] - prefixes @ A_pre.T  # required a_last * x >= r
-        feas = np.ones(len(prefixes), dtype=bool)
-        if zero_rows.any():
-            feas &= (r[:, zero_rows] <= 0).all(axis=1)
-        lo_last = np.full(len(prefixes), lo[n - 1], dtype=dtype)
-        hi_last = np.full(len(prefixes), hi[n - 1], dtype=dtype)
-        if pos_rows.any():
-            a = a_last[pos_rows][None, :]
-            cand = (r[:, pos_rows] + a - 1) // a
-            lo_last = np.maximum(lo_last, cand.max(axis=1))
-        if neg_rows.any():
-            a = a_last[neg_rows][None, :]
-            cand = r[:, neg_rows] // a  # floor division, a < 0
-            hi_last = np.minimum(hi_last, cand.min(axis=1))
+        inner = math.prod(h - l + 1 for l, h in zip(plo[1:], phi[1:]))
+        step = max(1, chunk_rows // inner)
+        grids = (_prefix_grid(plo, phi, s, min(s + step, phi[0] + 1), dtype)
+                 for s in range(plo[0], phi[0] + 1, step))
+    for prefixes in grids:
+        r = beff[:, None] - A_pre @ prefixes.T
+        lo_last, hi_last = _last_range(r, a_last)
         counts = hi_last - lo_last + 1
-        feas &= counts > 0
-        if not feas.any():
-            continue
-        yield prefixes[feas], lo_last[feas], counts[feas]
+        feas = counts > 0
+        if feas.any():
+            yield prefixes[feas], lo_last[feas], counts[feas]
 
 
 def scaled_count(P: Polytope, scale: int = 1, interior: bool = False) -> int:

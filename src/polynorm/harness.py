@@ -199,7 +199,7 @@ def analyze(P: Polytope, cap: int | None = None) -> AnalysisRecord:
         "codegree_consistent": profile.codegree == profile.d + 1,
         "autoregularity_consistent": auto_def == P.dim - 1 - profile.d,
         "corollary_bound_consistent":
-            bounds.corollary_bound == max(P.dim - profile.d, 1),
+            bounds.corollary_bound == np_bound_from_regularity(auto_def, 0),
         "witness_verified":
             verify_witness(P, report.witness.level, report.witness.point)
             if report.witness else True,

@@ -5,9 +5,10 @@ m lattice points of P, for every m >= 1. Checking levels in ascending order
 buys a large shortcut: write T_1 = P cap Z^n and T_m = {z in mP cap Z^n :
 z - a in T_{m-1} for some a in P cap Z^n}. By induction T_m is exactly the
 m-fold sumset of P cap Z^n, and whenever levels 2..m-1 all passed, T_{m-1}
-is all of (m-1)P cap Z^n, so the level-m test reduces to facet arithmetic.
-The checks below exploit that identity; semantics match the sumset
-definition exactly.
+is all of (m-1)P cap Z^n, so the level-m test sums intervals: on lines
+(fixed prefixes of the first n-1 coordinates) the lattice points of P and
+of (m-1)P are integer intervals, and so are their sums. The checks below
+exploit that identity; semantics match the sumset definition exactly.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ from .geometry import (
     LatticePoint,
     Polytope,
     _as_point,
+    _as_points,
+    _last_range,
+    _np_slabs,
     _scan_dtype,
-    iter_scaled_slabs,
     scaled_points_array,
 )
 
@@ -45,14 +48,7 @@ def sumset_levels(points, m: int) -> set[LatticePoint]:
     m = operator.index(m)
     if m < 1:
         raise InvalidInputError(f"sumset level must be >= 1, got {m}")
-    pts = [_as_point(p) for p in points]
-    if not pts:
-        raise InvalidInputError("need a nonempty point set")
-    n = len(pts[0])
-    for p in pts:
-        if len(p) != n:
-            raise InvalidInputError("points have mixed dimensions")
-    base = set(pts)
+    base = set(_as_points(points))
     current = set(base)
     for _ in range(m - 1):
         current = {
@@ -97,7 +93,7 @@ class NormalityReport:
 # -- level checks -------------------------------------------------------------
 
 def _probe_deltas(n: int):
-    """Candidate offsets around z // m, nearest first."""
+    """Candidate offsets around x' // m, nearest first."""
     near = list(itertools.product((0, 1), repeat=n))
     ring = sorted(
         (d for d in itertools.product((-1, 0, 1, 2), repeat=n)
@@ -110,38 +106,71 @@ def _probe_deltas(n: int):
 def _first_missing(P: Polytope, m: int) -> LatticePoint | None:
     """Lex-first point of mP missing from T_m, given T_{m-1} = (m-1)P cap Z^n.
 
-    z decomposes iff some lattice point a of P has z - a in (m-1)P. The
-    facet values of z and of z // m are computed once per slab; each probe
-    offset then costs only adds and compares. The rare stragglers get an
-    exhaustive scan over all of P cap Z^n. Facet arrays take the element
-    type of the scan of mP, so the arithmetic is exact for any coordinates.
+    mP is walked by lines: a prefix x' of the first n-1 coordinates with
+    its last-coordinate interval [L, H]. The lattice points of P on line a'
+    plus those of (m-1)P on line x' - a' fill the interval
+    [loP(a') + loM(x'-a'), hiP(a') + hiM(x'-a')], and a point of line x'
+    is in T_m iff one of these covers it. The prefixes a' = x' // m + delta,
+    nearest first, shrink each line's uncovered part from both ends; a line
+    left uncovered gets the union over every line of P (_line_gap). Arrays
+    take the element type of the scan of mP, so the arithmetic is exact.
     """
     dtype = _scan_dtype(P, m, False)
     A = np.array([h.normal for h in P.facets], dtype=dtype)
-    b = np.array([h.offset for h in P.facets], dtype=dtype)
-    bp = (m - 1) * b
-    A_pts = scaled_points_array(P, 1)
-    deltas = np.array(_probe_deltas(P.dim), dtype=dtype)
-    dA = deltas @ A.T
-    for Z in iter_scaled_slabs(P, m, chunk_rows=1 << 18):
-        zA = Z @ A.T
-        aA = (Z // m) @ A.T
-        alive = np.arange(len(Z))
-        for t in range(len(dA)):
-            cand = aA + dA[t]
-            good = ((cand >= b) & (zA - cand >= bp)).all(axis=1)
-            if good.any():
-                keep = ~good
-                alive = alive[keep]
-                aA = aA[keep]
-                zA = zA[keep]
-            if not len(alive):
-                break
-        for i in alive:
-            diffs = Z[i][None, :] - A_pts
-            if not (diffs @ A.T >= bp).all(axis=1).any():
-                return tuple(int(x) for x in Z[i])
+    b = np.array([h.offset for h in P.facets], dtype=dtype)[:, None]
+    A_pre, a_last = A[:, :-1], A[:, -1]
+    dA = (np.array(_probe_deltas(P.dim - 1), dtype=dtype) @ A_pre.T)[:, :, None]
+    pre, lo, c = (np.concatenate(a).astype(dtype) for a in zip(*_np_slabs(P, 1, False)))
+    lines_p = (A_pre @ pre.T, lo, lo + c - 1)
+    for X, L, counts in _np_slabs(P, m, False, chunk_rows=1 << 18):
+        H = L + counts - 1
+        # facet rows, line columns: P at X//m + delta is rP - dA[t] and
+        # (m-1)P at X - X//m - delta is rM + dA[t]
+        XA = A_pre @ X.T
+        QA = A_pre @ (X // m).T
+        rP, rM = b - QA, (m - 1) * b - XA + QA
+        alive = np.arange(len(X))
+        for dA_t in dA:
+            p_lo, p_hi = _last_range(rP - dA_t, a_last)
+            m_lo, m_hi = _last_range(rM + dA_t, a_last)
+            ok = (p_lo <= p_hi) & (m_lo <= m_hi)
+            s_lo, s_hi = p_lo + m_lo, p_hi + m_hi
+            L = np.where(ok & (s_lo <= L) & (L <= s_hi), s_hi + 1, L)
+            H = np.where(ok & (s_lo <= H) & (H <= s_hi), s_lo - 1, H)
+            open_ = L <= H
+            if not open_.all():
+                alive, L, H = alive[open_], L[open_], H[open_]
+                rP, rM = rP[:, open_], rM[:, open_]
+                if not len(alive):
+                    break
+        for i, low, high in zip(alive.tolist(), L.tolist(), H.tolist()):
+            r_line = (m - 1) * b - XA[:, i : i + 1]
+            gap = _line_gap(lines_p, r_line, a_last, low, high)
+            if gap is not None:
+                return tuple(int(x) for x in X[i]) + (gap,)
     return None
+
+
+def _line_gap(lines_p, r_line, a_last, low: int, high: int) -> int | None:
+    """First point of [low, high] (low <= high) on line x' of mP left uncovered.
+
+    lines_p holds, per line a' of P, its prefix terms A_pre a' and bounds
+    loP, hiP; r_line is (m-1)b minus the prefix terms of x'. Swept by start,
+    the intervals [loP + loM(x'-a'), hiP + hiM(x'-a')] cover a run from low
+    to one past the largest end so far; a start beyond the run leaves a gap.
+    """
+    pre, p_lo, p_hi = lines_p
+    m_lo, m_hi = _last_range(r_line + pre, a_last)
+    ok = m_lo <= m_hi
+    if not ok.any():
+        return low
+    starts, ends = (p_lo + m_lo)[ok], (p_hi + m_hi)[ok]
+    order = np.argsort(starts, kind="stable")
+    reach = np.maximum(np.maximum.accumulate(ends[order]) + 1, low)
+    run = np.concatenate(([low], reach[:-1]))
+    gaps = np.flatnonzero(starts[order] > run)
+    gap = run[gaps[0]] if len(gaps) else reach[-1]
+    return int(gap) if gap <= high else None
 
 
 def _contains_scaled(P: Polytope, scale: int, pt) -> bool:
@@ -186,24 +215,20 @@ def is_normal(P: Polytope, cap: int | None = None) -> NormalityReport:
     if cap < 2:
         raise InvalidInputError(f"normality cap must be >= 2, got {cap}")
     checked = []
+    witness = None
     for m in range(2, cap + 1):
         checked.append(m)
         # Levels below m all passed, so T_{m-1} is all of (m-1)P.
-        witness = _first_missing(P, m)
-        if witness is not None:
-            return NormalityReport(
-                polytope_id=P.polytope_id,
-                cap_used=cap,
-                levels_checked=tuple(checked),
-                verdict="non-normal",
-                witness=NormalityWitness(m, witness),
-            )
+        point = _first_missing(P, m)
+        if point is not None:
+            witness = NormalityWitness(m, point)
+            break
     return NormalityReport(
         polytope_id=P.polytope_id,
         cap_used=cap,
         levels_checked=tuple(checked),
-        verdict="normal-up-to-cap",
-        witness=None,
+        verdict="non-normal" if witness else "normal-up-to-cap",
+        witness=witness,
     )
 
 

@@ -1,10 +1,20 @@
 """Shared fixtures: a handful of small polytopes with known invariants."""
 
+import os
+
 import pytest
 
 from polynorm import build_polytope, reeve_simplex
 
 _acceptance_lines: list[str] = []
+
+
+def pytest_configure(config):
+    # pyproject's pythonpath puts src/ on this process's path; the CLI tests
+    # start `python -m polynorm.cli` subprocesses, which need it too
+    src = str(config.rootpath / "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture(scope="session")

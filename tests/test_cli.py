@@ -144,17 +144,34 @@ def test_boolean_spec_fields_exit_one(capsys, tmp_path):
     assert "integers" in capsys.readouterr().err
 
 
+TALL_SIMPLEX = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 2**65]]
+
+
 def test_unenumerable_scan_exits_one(tmp_path):
-    # level 2 of this simplex has about 2^65 lattice points; it is refused
-    # with a typed error instead of hanging or overflowing
+    # the fiber probe lists the points of 2P, about 2^65 of them; it is
+    # refused with a typed error instead of hanging or overflowing
     path = tmp_path / "tall.json"
-    path.write_text(json.dumps([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 2**65]]))
+    path.write_text(json.dumps(TALL_SIMPLEX))
     proc = subprocess.run(
-        [sys.executable, "-m", "polynorm.cli", "analyze", str(path)],
+        [sys.executable, "-m", "polynorm.cli", "np-probe", str(path), "--ell", "2"],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1
     assert "too many lattice points" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_tall_simplex_analyze_decides(tmp_path):
+    # the level checker works on lines of 2P, never on its 2^65 points
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps(TALL_SIMPLEX))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polynorm.cli", "analyze", str(path),
+         "--format", "json"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    normality = json.loads(proc.stdout)["normality"]
+    assert normality["verdict"] == "non-normal"
+    assert normality["witness"] == {"level": 2, "point": [1, 1, 1]}
 
 
 def test_verify_corpus_report_hash(tmp_path):

@@ -161,6 +161,16 @@ def test_analyze_computes_each_invariant_once(monkeypatch, t2):
     assert rec.np_bounds == ((0, 2), (1, 2), (2, 3), (3, 4))
 
 
+def test_corollary_bound_check_compares_the_regularity_path(monkeypatch, t2):
+    # the corollary bound comes from d(P); the check recomputes it from the
+    # autoregularity, so an autoregularity off by one must fail it
+    assert analyze(t2).checks["corollary_bound_consistent"]
+    real = harness.autoregularity_from_definition
+    monkeypatch.setattr(harness, "autoregularity_from_definition",
+                        lambda P: real(P) + 1)
+    assert not analyze(t2).checks["corollary_bound_consistent"]
+
+
 def test_run_verification_structure():
     rep = run_verification(small_spec(), extra_levels=1, n1_cap=3)
     assert sorted(rep) == ["parameters", "polytopes", "spec", "summary"]

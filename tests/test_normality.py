@@ -21,6 +21,7 @@ from polynorm import (
     verify_corollary,
     verify_witness,
 )
+from polynorm.normality import _first_missing
 
 
 def brute_sumset(points, m):
@@ -226,3 +227,51 @@ def test_corollary_holds_on_random_polytopes(n, seed):
     rng = random.Random(seed)
     P = random_polytope(rng, n, spread=2)
     assert verify_corollary(P, extra_levels=1).passed
+
+
+def _sumset_verdict(P, cap):
+    """(first failing level, lex-min witness) by the sumset definition, or None."""
+    pts = P.lattice_points()
+    for m in range(2, cap + 1):
+        missing = set(P.dilate(m).lattice_points()) - brute_sumset(pts, m)
+        if missing:
+            return m, min(missing)
+    return None
+
+
+def _assert_matches_definition(P, cap):
+    rep = is_normal(P, cap)
+    expected = _sumset_verdict(P, cap)
+    if expected is None:
+        assert rep.verdict == "normal-up-to-cap", (P.vertices, cap)
+        assert rep.levels_checked == tuple(range(2, cap + 1))
+        assert rep.witness is None
+    else:
+        level, point = expected
+        assert rep.verdict == "non-normal", (P.vertices, cap)
+        assert rep.levels_checked == tuple(range(2, level + 1))
+        assert (rep.witness.level, rep.witness.point) == (level, point)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 3), st.integers(0, 10**6), st.integers(2, 3))
+def test_is_normal_matches_sumset_definition(n, seed, cap):
+    rng = random.Random(seed)
+    P = random_polytope(rng, n, spread=3 if n == 2 else 2)
+    _assert_matches_definition(P, cap)
+
+
+def test_is_normal_matches_sumset_definition_on_reeve_dilates():
+    for q in REEVE_RANGE:
+        for k in (1, 2, 3):
+            _assert_matches_definition(reeve_simplex(q).dilate(k), 3)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_segments_are_normal(k):
+    P = build_polytope([(0,), (k,)])
+    assert is_normal(P).is_normal
+    assert is_normal_at_level(P, 3) == (True, None)
+    assert verify_corollary(P, 2).passed
+    for m in (2, 3, 4):
+        assert _first_missing(P, m) is None
