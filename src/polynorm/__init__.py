@@ -63,11 +63,9 @@ from .normality import (
     verify_witness,
 )
 from .syzygy import (
-    Fiber,
     N1ProbeReport,
     PointConfiguration,
     build_configuration,
-    enumerate_fiber,
     n1_probe,
 )
 
@@ -76,14 +74,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisRecord", "BoundReport", "CohomologyTable", "CorollaryRecord",
     "CorpusGenerationError", "CorpusSpec", "DEFAULT_CORPUS_SPEC",
-    "DilationProfile", "EhrhartPolynomial", "Fiber", "HalfSpace",
+    "DilationProfile", "EhrhartPolynomial", "HalfSpace",
     "InternalInvariantError", "InvalidInputError", "LatticePoint",
     "N1ProbeReport", "NormalityReport", "NormalityWitness",
     "NotFullDimensionalError", "PointConfiguration", "Polytope",
     "PolynormError", "REEVE_RANGE", "affine_dim", "analyze",
     "autoregularity_formula", "autoregularity_from_definition",
     "build_configuration", "build_polytope", "d_of_p", "default_cap",
-    "ehrhart_polynomial", "enumerate_fiber", "extrapolation_check",
+    "ehrhart_polynomial", "extrapolation_check",
     "generate_corpus", "h_table", "interior_count", "is_normal",
     "is_normal_at_level", "n1_probe", "normality_bound",
     "np_bound_from_regularity", "reciprocity_check", "reeve_simplex",

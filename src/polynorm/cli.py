@@ -23,7 +23,7 @@ from .harness import (
     generate_corpus,
     run_verification,
 )
-from .normality import verify_corollary
+from .normality import normality_bound, verify_corollary
 from .syzygy import n1_probe
 
 
@@ -94,7 +94,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    record = verify_corollary(_load_polytope(args.file), args.extra_levels, args.cap)
+    P = _load_polytope(args.file)
+    record = verify_corollary(P, normality_bound(P), args.extra_levels, args.cap)
     obj = record.to_jsonable()
 
     def render(obj):

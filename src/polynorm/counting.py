@@ -114,11 +114,12 @@ def interior_count(P: Polytope, k: int) -> int:
     return scaled_count(P, k, interior=True)
 
 
-def reciprocity_check(P: Polytope, t_max: int | None = None) -> bool:
+def reciprocity_check(P: Polytope, poly: EhrhartPolynomial,
+                      t_max: int | None = None) -> bool:
     """Verify L_P(-t) == (-1)^dim * #relint(tP) for t = 1..t_max.
 
-    A sharp cross-check of both the interpolation and the two enumeration
-    modes; t_max defaults to dim + 1.
+    poly is P's Ehrhart polynomial. A sharp cross-check of both the
+    interpolation and the two enumeration modes; t_max defaults to dim + 1.
     """
     n = P.dim
     if t_max is None:
@@ -126,7 +127,6 @@ def reciprocity_check(P: Polytope, t_max: int | None = None) -> bool:
     t_max = operator.index(t_max)
     if t_max < 1:
         raise InvalidInputError(f"t_max must be >= 1, got {t_max}")
-    poly = ehrhart_polynomial(P)
     sign = (-1) ** n
     for t in range(1, t_max + 1):
         if poly.evaluate(-t) != sign * scaled_count(P, t, interior=True):
@@ -134,15 +134,15 @@ def reciprocity_check(P: Polytope, t_max: int | None = None) -> bool:
     return True
 
 
-def extrapolation_check(P: Polytope, ks=None) -> bool:
-    """Interpolated values must match direct counts beyond the sample nodes.
+def extrapolation_check(P: Polytope, poly: EhrhartPolynomial, ks=None) -> bool:
+    """Values of P's Ehrhart polynomial must match direct counts beyond the
+    sample nodes.
 
     Defaults to k = dim+1 and dim+2, the first two uninterpolated levels.
     """
     n = P.dim
     if ks is None:
         ks = (n + 1, n + 2)
-    poly = ehrhart_polynomial(P)
     for k in ks:
         k = operator.index(k)
         if k < 1:

@@ -267,8 +267,10 @@ def run_verification(spec: CorpusSpec, extra_levels: int = 2, n1_cap: int = 4,
     def check_one(item):
         kind, label, P = item
         record = analyze(P, cap)
-        sweep = verify_corollary(P, extra_levels, cap)
-        ehrhart_ok = reciprocity_check(P) and extrapolation_check(P)
+        sweep = verify_corollary(P, BoundReport(record.n, record.d),
+                                 extra_levels, cap)
+        ehrhart_ok = (reciprocity_check(P, record.ehrhart)
+                      and extrapolation_check(P, record.ehrhart))
         probe = n1_probe(P, P.dim, n1_cap) if P.dim <= 3 else None
         return kind, label, P, record, sweep, ehrhart_ok, probe
 

@@ -347,13 +347,15 @@ class CorollaryRecord:
         }
 
 
-def verify_corollary(P: Polytope, extra_levels: int = 0,
+def verify_corollary(P: Polytope, bounds: BoundReport, extra_levels: int = 0,
                      cap: int | None = None) -> CorollaryRecord:
-    """Check normality of ell*P for ell = bound .. bound + extra_levels."""
+    """Check normality of ell*P for ell = bound .. bound + extra_levels.
+
+    bounds is P's BoundReport, as `normality_bound(P)` gives it.
+    """
     extra_levels = operator.index(extra_levels)
     if extra_levels < 0:
         raise InvalidInputError(f"extra_levels must be >= 0, got {extra_levels}")
-    bounds = normality_bound(P)
     lo = bounds.corollary_bound
     levels = []
     violations = []

@@ -18,10 +18,19 @@ clique, so clique sums enumerate exactly the nonempty fibers, and a fiber
 whose sum matches a single clique is connected outright (every element
 descends to that unique sink). Only fibers whose sum several cliques share
 need an explicit breadth-first connectivity check.
+
+The cliques grow breadth-wise, one degree at a time, on numpy arrays: one
+`nonzero` over the bit-packed candidate rows of all degree-(d-1) cliques
+extends them at once, in index-lex order. Sums are int64 codes with radix
+cap*span + 1 per axis, first axis most significant (`_Encoding`): injective
+up to the cap, with int order the lex order of sum vectors, so one stable
+sort lists the fibers in lex order, each with its sinks in lex order.
+Configurations whose radix product reaches 2^62 are refused.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import deque
 from dataclasses import dataclass
@@ -29,10 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import LatticePoint, Polytope, _as_point
+from .geometry import LatticePoint, Polytope
 
 _CONNECTED = "quadratically connected up to cap"
 _DISCONNECTED = "disconnected"
+
+# candidate bits unpacked at once while extending cliques (one byte each)
+_UNPACK_BITS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -46,12 +58,6 @@ class PointConfiguration:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class Fiber:
-    target: tuple[int, ...]
-    elements: tuple[tuple[LatticePoint, ...], ...]  # sorted multisets, lex order
-
-
 def build_configuration(P: Polytope, ell: int) -> PointConfiguration:
     """Configuration of the embedding by ell*P."""
     ell = operator.index(ell)
@@ -61,110 +67,86 @@ def build_configuration(P: Polytope, ell: int) -> PointConfiguration:
     return PointConfiguration(points=pts, n_plus_1=P.dim + 1)
 
 
-def enumerate_fiber(C: PointConfiguration, b) -> Fiber:
-    """All size-d multisets of configuration points summing to b (d = b[0]).
+# -- encoded sums --------------------------------------------------------------
 
-    Exhaustive backtracking with per-axis range pruning; an empty fiber is
-    a valid result.
+@dataclass(frozen=True)
+class _Encoding:
+    """Mixed-radix integer codes of the configuration points.
+
+    Digit j of a point is u_j - lo_j, in [0, span_j]; a sum of at most cap
+    points has digits in [0, cap*span_j], so radix cap*span_j + 1 keeps the
+    code of every such sum injective. The first axis is the most
+    significant digit, so int order of codes is lex order of sum vectors
+    of one degree. The probe refuses configurations whose radix product
+    reaches 2^62, where int64 sums could overflow.
     """
-    target = _as_point(b)
-    if len(target) != C.n_plus_1:
-        raise InvalidInputError(
-            f"target has dimension {len(target)}, configuration has {C.n_plus_1}"
-        )
-    d = target[0]
-    if d < 2:
-        raise InvalidInputError(f"fiber degree must be >= 2, got {d}")
-    pts = C.points
-    ncoord = C.n_plus_1
-    mins = tuple(min(p[j] for p in pts) for j in range(ncoord))
-    maxs = tuple(max(p[j] for p in pts) for j in range(ncoord))
-    out: list[tuple[LatticePoint, ...]] = []
-    chosen: list[LatticePoint] = []
 
-    def rec(start: int, k: int, rest: tuple[int, ...]):
-        if k == 0:
-            if all(x == 0 for x in rest):
-                out.append(tuple(chosen))
-            return
-        for j in range(ncoord):
-            if not k * mins[j] <= rest[j] <= k * maxs[j]:
-                return
-        for i in range(start, len(pts)):
-            p = pts[i]
-            chosen.append(p)
-            rec(i, k - 1, tuple(x - y for x, y in zip(rest, p)))
-            chosen.pop()
+    codes: np.ndarray  # int64, one per configuration point
+    lo: tuple[int, ...]
+    radix: tuple[int, ...]
 
-    rec(0, d, target)
-    return Fiber(target=target, elements=tuple(out))
+    def decode(self, code: int, d: int) -> tuple[int, ...]:
+        """The sum vector (d, s_1, ..., s_n) of a degree-d code."""
+        digits = []
+        for r in reversed(self.radix):
+            code, digit = divmod(code, r)
+            digits.append(digit)
+        return (d,) + tuple(x + d * l for x, l in zip(reversed(digits), self.lo))
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Indices where a run of equal values begins in a nonempty sorted array."""
+    return np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+
+
+def _encoding(C: PointConfiguration, cap: int) -> _Encoding:
+    cols = list(zip(*C.points))[1:]
+    lo = tuple(min(c) for c in cols)
+    radix = tuple(cap * (max(c) - l) + 1 for c, l in zip(cols, lo))
+    if math.prod(radix) >= 2**62:
+        raise InvalidInputError("configuration spread too large to probe")
+    codes = []
+    for p in C.points:
+        code = 0
+        for x, l, r in zip(p[1:], lo, radix):
+            code = code * r + (x - l)
+        codes.append(code)
+    return _Encoding(np.array(codes, dtype=np.int64), lo, radix)
 
 
 # -- pair table ----------------------------------------------------------------
 
 class _PairTable:
-    """All unordered point pairs of a configuration, grouped by sum.
+    """All unordered point pairs of a configuration, grouped by encoded sum.
 
     The irreducible pair of a sum is the first in index-lex order, which
-    matches pair-lex order on the (lex sorted) points. Built with numpy on
-    an exact mixed-radix integer encoding of the sum vector.
+    matches pair-lex order on the (lex sorted) points.
     """
 
-    def __init__(self, C: PointConfiguration):
-        self.C = C
-        pts = C.points
-        n1 = C.n_plus_1
-        N = len(pts)
-        lo = [min(p[j] for p in pts) for j in range(1, n1)]
-        hi = [max(p[j] for p in pts) for j in range(1, n1)]
-        # digits of a pair sum along axis j range over [0, 2*span_j]
-        radix = [2 * (h - l) + 1 for l, h in zip(lo, hi)]
-        weights = [1] * len(radix)
-        for j in range(len(radix) - 2, -1, -1):
-            weights[j] = weights[j + 1] * radix[j + 1]
-        total = 1
-        for r in radix:
-            total *= r
-        if total >= 2**62:
-            raise InvalidInputError("configuration spread too large to probe")
-        self._lo = lo
-        enc = np.array(
-            [sum((p[j + 1] - lo[j]) * weights[j] for j in range(len(lo)))
-             for p in pts],
-            dtype=np.int64,
-        )
-        self._enc = enc
-        self.enc_by_index = [int(e) for e in enc]
-        sums = []
-        ii = []
-        jj = []
-        for i in range(N):
-            s = enc[i] + enc[i:]
-            sums.append(s)
-            ii.append(np.full(N - i, i, dtype=np.int32))
-            jj.append(np.arange(i, N, dtype=np.int32))
-        self._sums = np.concatenate(sums) if sums else np.empty(0, np.int64)
-        self._i = np.concatenate(ii) if ii else np.empty(0, np.int32)
-        self._j = np.concatenate(jj) if jj else np.empty(0, np.int32)
-        # first occurrence in generation order = lex-min pair for that sum
-        _, first = np.unique(self._sums, return_index=True)
-        self.irreducible = [(int(self._i[t]), int(self._j[t])) for t in first]
+    def __init__(self, enc: _Encoding):
+        codes = enc.codes
+        self.enc_by_index = codes.tolist()
+        # row-major upper triangle: pairs (i <= j) in index-lex order
+        i, j = np.triu_indices(len(codes))
+        sums = codes[i] + codes[j]
+        order = np.argsort(sums, kind="stable")
+        svals = sums[order]
+        starts = _run_starts(svals)
+        first = order[starts]
+        self.irreducible = (i[first], j[first])
+        self._groups = (svals, i[order], j[order], starts)
         self._by_sum: dict[int, tuple[tuple[int, int], ...]] | None = None
 
     def pairs_by_sum(self) -> dict[int, tuple[tuple[int, int], ...]]:
         """Map from encoded pair sum to every index pair (i <= j) with that sum."""
         if self._by_sum is None:
-            order = np.argsort(self._sums, kind="stable")
-            svals = self._sums[order]
-            si = self._i[order].tolist()
-            sj = self._j[order].tolist()
-            cuts = np.flatnonzero(svals[1:] != svals[:-1]) + 1
-            starts = [0, *cuts.tolist(), len(svals)]
-            table = {}
-            for t in range(len(starts) - 1):
-                a, b = starts[t], starts[t + 1]
-                table[int(svals[a])] = tuple(zip(si[a:b], sj[a:b]))
-            self._by_sum = table
+            svals, si, sj, starts = self._groups
+            pairs = list(zip(si.tolist(), sj.tolist()))
+            bounds = [*starts.tolist(), len(pairs)]
+            self._by_sum = {
+                s: tuple(pairs[a:b])
+                for s, a, b in zip(svals[starts].tolist(), bounds, bounds[1:])
+            }
         return self._by_sum
 
 
@@ -290,112 +272,124 @@ class N1ProbeReport:
         }
 
 
-def _multiset_cliques(adj: list[int], size: int):
-    """All size-`size` multisets {i_1 <= ... <= i_size} with every pair adjacent.
-
-    adj[i] holds bits j >= i for admissible pairs; bit i itself marks an
-    admissible repeat (loop). Yields index tuples.
-    """
-    n = len(adj)
-    full = (1 << n) - 1
-    chosen: list[int] = []
-
-    def rec(cand: int, need: int):
-        if need == 0:
-            yield tuple(chosen)
-            return
-        c = cand
-        while c:
-            low = c & -c
-            c ^= low
-            i = low.bit_length() - 1
-            chosen.append(i)
-            # adj[i] only holds bits >= i, so deeper picks stay sorted
-            yield from rec(cand & adj[i], need - 1)
-            chosen.pop()
-
-    yield from rec(full, size)
+def _candidate_bits(cand: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) of every set bit of the bit-packed rows, row-major."""
+    step = max(1, _UNPACK_BITS // n)
+    rows, cols = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    for r in range(0, len(cand), step):
+        k, j = np.nonzero(np.unpackbits(cand[r : r + step], axis=1, count=n))
+        rows.append(k + r)
+        cols.append(j)
+    return np.concatenate(rows), np.concatenate(cols)
 
 
-def _sinks_point_linked(sinks: list[tuple[int, ...]]) -> bool:
-    """True when the sinks chain together through shared points.
+def _point_linked(sinks: np.ndarray, group: np.ndarray, n: int) -> np.ndarray:
+    """For each group of sink rows: do its sinks chain through shared points?
 
-    Only valid once every lower-degree fiber is known to be connected: two
-    sinks sharing a point p split as {p}+A and {p}+B with A, B same-sum
-    multisets one degree down, and a connecting path down there lifts
-    pointwise by p. Union-find over shared points settles such groups
-    without a graph walk; a False return is inconclusive, not a
+    `sinks` holds one clique per row, `group` its group number, ascending
+    from 0 without gaps. Only valid once every lower-degree fiber is known
+    to be connected: two sinks sharing a point p split as {p}+A and {p}+B
+    with A, B same-sum multisets one degree down, and a connecting path
+    down there lifts pointwise by p. A False entry is inconclusive, not a
     disconnection proof.
-    """
-    k = len(sinks)
-    if k <= 1:
-        return True
-    parent = list(range(k))
 
-    ncomp = k
-    first_with: dict[int, int] = {}
-    for t, idx in enumerate(sinks):
-        for i in set(idx):
-            o = first_with.setdefault(i, t)
-            if o != t:
-                ra, rb = _find(parent, t), _find(parent, o)
-                if ra != rb:
-                    parent[ra] = rb
-                    ncomp -= 1
-                    if ncomp == 1:
-                        return True
-    return ncomp == 1
+    All groups are settled at once by min-label propagation over the
+    (group, point) keys, with pointer jumping: every row starts with its
+    own index as label, and each round gives it the least label among the
+    rows that share a key with it. Labels only fall, each stays the index
+    of a row in the same component, and at the fixed point rows sharing a
+    key share a label, so a group is linked iff its labels agree.
+    """
+    rows, d = sinks.shape
+    if not rows:
+        return np.ones(0, dtype=bool)
+    keys = group.astype(np.int64)[:, None] * n + sinks
+    distinct, key = np.unique(keys, return_inverse=True)
+    key = key.reshape(-1)
+    owner = np.repeat(np.arange(rows), d)
+    label = np.arange(rows)
+    while True:
+        low = np.full(len(distinct), rows)
+        np.minimum.at(low, key, label[owner])
+        new = label.copy()
+        np.minimum.at(new, owner, low[key])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    starts = _run_starts(group)
+    return np.minimum.reduceat(label, starts) == np.maximum.reduceat(label, starts)
 
 
 def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
     """Check fiber connectivity for degrees 2..degree_cap.
 
+    Degree d extends every degree-(d-1) clique k at once: `nonzero` over
+    the candidate rows (the points adjacent to all of k's) pairs k with each
+    candidate j, the new clique appends j, its code is code[k] + code[j]
+    and its candidate row cand[k] & adj[j]. Row-major `nonzero` keeps the
+    cliques in index-lex order, and a stable sort by code lists the fibers
+    in lex order of their sums, each with its sinks in index-lex order.
+    The codes are injective up to degree_cap; a configuration whose radix
+    product reaches 2^62 is refused with InvalidInputError.
+
     A unique descent sink proves a fiber connected without enumerating it,
     and sinks chained through shared points reduce to connectivity one
-    degree down, so only sums whose sinks stay apart under both shortcuts
-    get the breadth-first region merge. Stops at the first disconnected
-    fiber and reports it as the witness.
+    degree down (settled for all fibers of a degree at once), so only the
+    remaining sums get the breadth-first region merge, in sum order. Stops
+    at the first disconnected fiber and reports it as the witness.
     """
     degree_cap = operator.index(degree_cap)
     if degree_cap < 2:
         raise InvalidInputError(f"degree cap must be >= 2, got {degree_cap}")
     C = build_configuration(P, ell)
-    table = _PairTable(C)
-    pts = C.points
-    N = len(pts)
-    adj = [0] * N
-    for i, j in table.irreducible:
-        adj[i] |= 1 << j
+    enc = _encoding(C, degree_cap)
+    table = _PairTable(enc)
+    N = len(C)
+    adj = np.zeros((N, N), dtype=bool)
+    adj[table.irreducible] = True
+    adj = np.packbits(adj, axis=1)
+    cliques = np.arange(N, dtype=np.int32)[:, None]
+    codes = enc.codes
+    cand = adj
     summaries = []
     witness_degree = None
     witness_fiber = None
     for d in range(2, degree_cap + 1):
-        sums: dict[tuple[int, ...], list] = {}
-        for idx in _multiset_cliques(adj, d):
-            s = tuple(sum(pts[i][j] for i in idx) for j in range(C.n_plus_1))
-            sums.setdefault(s, []).append(idx)
-        collide = sorted(s for s, lst in sums.items() if len(lst) > 1)
+        k, j = _candidate_bits(cand, N)
+        cliques = np.column_stack((cliques[k], j.astype(np.int32)))
+        codes = codes[k] + enc.codes[j]
+        if d < degree_cap:
+            cand = cand[k] & adj[j]
+        order = np.argsort(codes, kind="stable")
+        sorted_codes = codes[order]
+        starts = _run_starts(sorted_codes)
+        sizes = np.diff(np.r_[starts, len(codes)])
+        collide = np.flatnonzero(sizes > 1)
+        # the cliques of every colliding sum, in sum order; all fibers of
+        # degree < d are connected at this point, which _point_linked
+        # relies on
+        sinks = cliques[order[np.repeat(sizes > 1, sizes)]]
+        group = np.repeat(np.arange(len(collide)), sizes[collide])
+        linked = _point_linked(sinks, group, N)
+        bounds = np.r_[0, np.cumsum(sizes[collide])]
         bad = None
         bfs_runs = 0
-        for s in collide:
-            sinks = sums[s]
-            # all fibers of degree < d are connected at this point, which
-            # _sinks_point_linked relies on
-            if _sinks_point_linked(sinks):
-                continue
+        for g in np.flatnonzero(~linked).tolist():
             bfs_runs += 1
-            if not _sinks_connected(sinks, table):
-                bad = s
+            group_sinks = [tuple(s) for s in sinks[bounds[g] : bounds[g + 1]].tolist()]
+            if not _sinks_connected(group_sinks, table):
+                bad = int(sorted_codes[starts[collide[g]]])
                 break
         summaries.append(DegreeSummary(
             degree=d,
-            fibers=len(sums),
+            fibers=len(starts),
             bfs_checked=bfs_runs,
             connected=bad is None,
         ))
         if bad is not None:
             witness_degree = d
-            witness_fiber = bad
+            witness_fiber = enc.decode(bad, d)
             break
     verdict = _CONNECTED if witness_fiber is None else _DISCONNECTED
     return N1ProbeReport(

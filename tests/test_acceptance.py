@@ -19,6 +19,7 @@ from polynorm import (
     REEVE_RANGE,
     autoregularity_from_definition,
     d_of_p,
+    ehrhart_polynomial,
     extrapolation_check,
     generate_corpus,
     h_table,
@@ -57,7 +58,7 @@ def test_criterion_1_corollary_sweep(corpus, reeve_fixtures, criterion_report):
     start = time.monotonic()
     violations = []
     for P in corpus + reeve_fixtures:
-        record = verify_corollary(P, extra_levels=2)
+        record = verify_corollary(P, normality_bound(P), extra_levels=2)
         if not record.passed:
             violations.append((record.polytope_id, record.violations))
     elapsed = time.monotonic() - start
@@ -87,8 +88,11 @@ def test_criterion_2_autoregularity(corpus, criterion_report):
 
 def test_criterion_3_ehrhart_reciprocity(corpus, criterion_report):
     """Exact reciprocity for t = 1..n+1 and exact extrapolation at n+1, n+2."""
-    bad = [P.polytope_id for P in corpus
-           if not (reciprocity_check(P) and extrapolation_check(P))]
+    bad = []
+    for P in corpus:
+        poly = ehrhart_polynomial(P)
+        if not (reciprocity_check(P, poly) and extrapolation_check(P, poly)):
+            bad.append(P.polytope_id)
     ok = not bad
     criterion_report(f"CRITERION 3 (Ehrhart reciprocity + extrapolation): "
                      f"{'PASS' if ok else 'FAIL'}")

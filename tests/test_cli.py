@@ -160,6 +160,19 @@ def test_unenumerable_scan_exits_one(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_probe_spread_past_code_range_exits_one(tmp_path):
+    # the probe's sum codes need radix cap*span + 1 per axis: at the
+    # default cap 4 this Reeve simplex needs 5 * 5 * (4 * 2^57 + 1) > 2^62
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 2**57]]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polynorm.cli", "np-probe", str(path), "--ell", "1"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "spread too large to probe" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_tall_simplex_analyze_decides(tmp_path):
     # the level checker works on lines of 2P, never on its 2^65 points
     path = tmp_path / "tall.json"

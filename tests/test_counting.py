@@ -108,8 +108,9 @@ def test_dilation_profile_interior_counts(t2):
 
 def test_reciprocity_and_extrapolation(unit_square, t2, delta3, big_triangle):
     for P in (unit_square, t2, delta3, big_triangle):
-        assert reciprocity_check(P)
-        assert extrapolation_check(P)
+        poly = ehrhart_polynomial(P)
+        assert reciprocity_check(P, poly)
+        assert extrapolation_check(P, poly)
 
 
 @settings(max_examples=20, deadline=None)

@@ -143,7 +143,11 @@ def test_analyze_np_bounds(t2):
     assert analyze(t2).np_bounds == ((0, 2), (1, 2), (2, 3), (3, 4))
 
 
-def test_analyze_computes_each_invariant_once(monkeypatch, t2):
+INVARIANTS = ("d_of_p", "autoregularity_from_definition", "ehrhart_polynomial")
+
+
+def count_invariant_calls(monkeypatch) -> Counter:
+    """Count calls of each invariant, wherever a polynorm module looks it up."""
     calls = Counter()
 
     def counted(name, fn):
@@ -153,12 +157,25 @@ def test_analyze_computes_each_invariant_once(monkeypatch, t2):
         return wrapper
 
     for module in (harness, normality, cohomology, counting):
-        for name in ("d_of_p", "autoregularity_from_definition"):
+        for name in INVARIANTS:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+def test_analyze_computes_each_invariant_once(monkeypatch, t2):
+    calls = count_invariant_calls(monkeypatch)
     rec = analyze(t2)
-    assert calls == {"d_of_p": 1, "autoregularity_from_definition": 1}
+    assert calls == dict.fromkeys(INVARIANTS, 1)
     assert rec.np_bounds == ((0, 2), (1, 2), (2, 3), (3, 4))
+
+
+def test_run_verification_computes_each_invariant_once(monkeypatch):
+    # the Ehrhart checks and the corollary sweep reuse what analyze holds
+    calls = count_invariant_calls(monkeypatch)
+    rep = run_verification(small_spec(count_per_dim=2), extra_levels=1, n1_cap=3)
+    assert rep["summary"]["all_passed"] is True
+    assert calls == dict.fromkeys(INVARIANTS, 2)
 
 
 def test_corollary_bound_check_compares_the_regularity_path(monkeypatch, t2):

@@ -201,7 +201,7 @@ def test_np_bound_rejects_negative_p(t2):
 
 
 def test_verify_corollary_t2(t2):
-    rec = verify_corollary(t2, extra_levels=2)
+    rec = verify_corollary(t2, normality_bound(t2), extra_levels=2)
     assert rec.n == 3 and rec.d == 1
     assert rec.corollary_bound == 2
     levels = [lv for lv, _ in rec.levels]
@@ -211,7 +211,7 @@ def test_verify_corollary_t2(t2):
 
 
 def test_verify_corollary_json_round_trip(unit_square):
-    rec = verify_corollary(unit_square, extra_levels=1)
+    rec = verify_corollary(unit_square, normality_bound(unit_square), extra_levels=1)
     data = rec.to_jsonable()
     assert data["corollary_bound"] == 1
     assert [lv["ell"] for lv in data["levels"]] == [1, 2]
@@ -226,7 +226,7 @@ def test_corollary_holds_on_random_polytopes(n, seed):
     # every dilate from max{n-d(P),1} on is normal up to the default cap
     rng = random.Random(seed)
     P = random_polytope(rng, n, spread=2)
-    assert verify_corollary(P, extra_levels=1).passed
+    assert verify_corollary(P, normality_bound(P), extra_levels=1).passed
 
 
 def _sumset_verdict(P, cap):
@@ -272,6 +272,6 @@ def test_segments_are_normal(k):
     P = build_polytope([(0,), (k,)])
     assert is_normal(P).is_normal
     assert is_normal_at_level(P, 3) == (True, None)
-    assert verify_corollary(P, 2).passed
+    assert verify_corollary(P, normality_bound(P), 2).passed
     for m in (2, 3, 4):
         assert _first_missing(P, m) is None

@@ -1,34 +1,94 @@
 """Fiber enumeration and the degree-capped quadratic-generation probe.
 
 The probe's shortcut machinery (descent sinks, point-share merging) is
-cross-validated here against a plain reference: enumerate every fiber
-exhaustively and BFS its move graph.
+cross-validated here against two references: `brute_probe` enumerates every
+fiber exhaustively and BFSes its move graph, and `reference_probe` is the
+depth-first probe loop (recursive cliques, tuple sums, point-linking one
+sum at a time) that the breadth-wise extension replaced.
 """
 
 import itertools
 import random
 from collections import deque
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polynorm import (
+    REEVE_RANGE,
     InvalidInputError,
+    LatticePoint,
     NotFullDimensionalError,
     build_configuration,
     build_polytope,
-    enumerate_fiber,
     n1_probe,
+    reeve_simplex,
 )
-from polynorm.syzygy import Fiber, _PairTable
+from polynorm.geometry import _as_point
+from polynorm.syzygy import (
+    DegreeSummary,
+    N1ProbeReport,
+    _encoding,
+    _find,
+    _PairTable,
+    _sinks_connected,
+)
 
 CONNECTED = "quadratically connected up to cap"
+
+
+@dataclass(frozen=True)
+class Fiber:
+    target: tuple[int, ...]
+    elements: tuple[tuple[LatticePoint, ...], ...]  # sorted multisets, lex order
+
+
+def enumerate_fiber(C, b) -> Fiber:
+    """All size-d multisets of configuration points summing to b (d = b[0]).
+
+    Exhaustive backtracking with per-axis range pruning; an empty fiber is
+    a valid result.
+    """
+    target = _as_point(b)
+    if len(target) != C.n_plus_1:
+        raise InvalidInputError(
+            f"target has dimension {len(target)}, configuration has {C.n_plus_1}"
+        )
+    d = target[0]
+    if d < 2:
+        raise InvalidInputError(f"fiber degree must be >= 2, got {d}")
+    pts = C.points
+    ncoord = C.n_plus_1
+    mins = tuple(min(p[j] for p in pts) for j in range(ncoord))
+    maxs = tuple(max(p[j] for p in pts) for j in range(ncoord))
+    out = []
+    chosen = []
+
+    def rec(start, k, rest):
+        if k == 0:
+            if all(x == 0 for x in rest):
+                out.append(tuple(chosen))
+            return
+        for j in range(ncoord):
+            if not k * mins[j] <= rest[j] <= k * maxs[j]:
+                return
+        for i in range(start, len(pts)):
+            p = pts[i]
+            chosen.append(p)
+            rec(i, k - 1, tuple(x - y for x, y in zip(rest, p)))
+            chosen.pop()
+
+    rec(0, d, target)
+    return Fiber(target=target, elements=tuple(out))
 
 
 class PairTable(_PairTable):
     """The probe's pair table plus the sum lookup the reference BFS needs."""
 
     def __init__(self, C):
-        super().__init__(C)
+        super().__init__(_encoding(C, 2))
+        self.C = C
         self._pos = {q: t for t, q in enumerate(C.points)}
 
     def pairs_with_sum(self, u, v):
@@ -36,6 +96,86 @@ class PairTable(_PairTable):
         pts = self.C.points
         s = self.enc_by_index[self._pos[u]] + self.enc_by_index[self._pos[v]]
         return [(pts[i], pts[j]) for i, j in self.pairs_by_sum().get(s, ())]
+
+
+def _multiset_cliques(adj, size):
+    """All size-`size` multisets {i_1 <= ... <= i_size} with every pair adjacent.
+
+    adj[i] holds bits j >= i for admissible pairs; bit i itself marks an
+    admissible repeat (loop). Yields index tuples in lex order.
+    """
+    chosen = []
+
+    def rec(cand, need):
+        if need == 0:
+            yield tuple(chosen)
+            return
+        c = cand
+        while c:
+            low = c & -c
+            c ^= low
+            i = low.bit_length() - 1
+            chosen.append(i)
+            # adj[i] only holds bits >= i, so deeper picks stay sorted
+            yield from rec(cand & adj[i], need - 1)
+            chosen.pop()
+
+    yield from rec((1 << len(adj)) - 1, size)
+
+
+def _sinks_point_linked(sinks):
+    """True when the sinks chain together through shared points (one sum)."""
+    parent = list(range(len(sinks)))
+    ncomp = len(sinks)
+    first_with = {}
+    for t, idx in enumerate(sinks):
+        for i in set(idx):
+            o = first_with.setdefault(i, t)
+            if o != t:
+                ra, rb = _find(parent, t), _find(parent, o)
+                if ra != rb:
+                    parent[ra] = rb
+                    ncomp -= 1
+    return ncomp == 1
+
+
+def reference_probe(P, ell, cap):
+    """The depth-first probe: each degree re-enumerates its cliques
+    recursively, sums them point by point into tuples, and point-links the
+    colliding sums one at a time before the region merge."""
+    C = build_configuration(P, ell)
+    table = _PairTable(_encoding(C, cap))
+    pts = C.points
+    adj = [0] * len(pts)
+    for i, j in zip(*(a.tolist() for a in table.irreducible)):
+        adj[i] |= 1 << j
+    summaries = []
+    witness = None
+    for d in range(2, cap + 1):
+        sums = {}
+        for idx in _multiset_cliques(adj, d):
+            s = tuple(sum(pts[i][j] for i in idx) for j in range(C.n_plus_1))
+            sums.setdefault(s, []).append(idx)
+        bfs_runs = 0
+        for s in sorted(s for s, lst in sums.items() if len(lst) > 1):
+            if _sinks_point_linked(sums[s]):
+                continue
+            bfs_runs += 1
+            if not _sinks_connected(sums[s], table):
+                witness = s
+                break
+        summaries.append(DegreeSummary(d, len(sums), bfs_runs, witness is None))
+        if witness is not None:
+            break
+    return N1ProbeReport(
+        polytope_id=P.polytope_id,
+        ell=ell,
+        degree_cap=cap,
+        verdict=CONNECTED if witness is None else "disconnected",
+        witness_degree=None if witness is None else witness[0],
+        witness_fiber=witness,
+        per_degree=tuple(summaries),
+    )
 
 
 def fiber_connected(fiber, table):
@@ -206,6 +346,16 @@ def test_probe_rejects_bad_cap(unit_square):
         n1_probe(unit_square, 1, 1)
 
 
+def test_probe_refuses_codes_past_2_62():
+    # conv{0, e1, e2, (1,1,q)} at ell 1 spans 1, 1 and q, so its cap-3
+    # radix product is 4 * 4 * (3q + 1): exactly 2^62 at q = (2^58 - 1) / 3
+    q = (2**58 - 1) // 3
+    with pytest.raises(InvalidInputError, match="spread too large"):
+        n1_probe(reeve_simplex(q), 1, 3)
+    assert n1_probe(reeve_simplex(q - 1), 1, 3).connected
+    assert n1_probe(reeve_simplex(q), 1, 2).connected
+
+
 def test_probe_report_json(unit_square):
     data = n1_probe(unit_square, 2, 3).to_jsonable()
     assert data["ell"] == 2
@@ -244,3 +394,34 @@ def test_probe_matches_brute_force():
             checked += 1
     # the sample is seeded to include genuine disconnections
     assert disconnections >= 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 3), st.integers(0, 10**6), st.integers(1, 3), st.integers(2, 4))
+def test_probe_matches_reference(n, seed, ell, cap):
+    # the whole report, bfs_checked and the witness included; dim-3
+    # dilates stay small enough for the recursive reference
+    spread = 2 if n == 2 or ell == 1 else 1
+    P = random_polytope(random.Random(seed), n, spread=spread)
+    assert n1_probe(P, ell, cap).to_jsonable() == reference_probe(P, ell, cap).to_jsonable()
+
+
+def test_probe_matches_reference_on_disconnections():
+    # bfs_checked and the witness depend on the order in which colliding
+    # sums are searched only when a fiber is disconnected; at ell = 1 a
+    # seeded dim-3 sample has many, several after other searched sums
+    rng = random.Random(20261018)
+    ordered = 0
+    for _ in range(40):
+        P = random_polytope(rng, 3)
+        rep = n1_probe(P, 1, 4)
+        assert rep.to_jsonable() == reference_probe(P, 1, 4).to_jsonable()
+        ordered += rep.witness_fiber is not None and rep.per_degree[-1].bfs_checked > 1
+    assert ordered >= 5
+
+
+@pytest.mark.parametrize("q", REEVE_RANGE)
+def test_probe_matches_reference_on_reeve(q):
+    P = reeve_simplex(q)
+    for ell in (1, 2, 3):
+        assert n1_probe(P, ell, 4).to_jsonable() == reference_probe(P, ell, 4).to_jsonable()
