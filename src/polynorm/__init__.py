@@ -20,7 +20,6 @@ from .counting import (
     d_of_p,
     ehrhart_polynomial,
     extrapolation_check,
-    interior_count,
     reciprocity_check,
 )
 from .errors import (
@@ -53,12 +52,9 @@ from .normality import (
     CorollaryRecord,
     NormalityReport,
     NormalityWitness,
-    autoregularity_formula,
     default_cap,
     is_normal,
-    is_normal_at_level,
     normality_bound,
-    sumset_levels,
     verify_corollary,
     verify_witness,
 )
@@ -79,12 +75,11 @@ __all__ = [
     "N1ProbeReport", "NormalityReport", "NormalityWitness",
     "NotFullDimensionalError", "PointConfiguration", "Polytope",
     "PolynormError", "REEVE_RANGE", "affine_dim", "analyze",
-    "autoregularity_formula", "autoregularity_from_definition",
+    "autoregularity_from_definition",
     "build_configuration", "build_polytope", "d_of_p", "default_cap",
     "ehrhart_polynomial", "extrapolation_check",
-    "generate_corpus", "h_table", "interior_count", "is_normal",
-    "is_normal_at_level", "n1_probe", "normality_bound",
+    "generate_corpus", "h_table", "is_normal", "n1_probe", "normality_bound",
     "np_bound_from_regularity", "reciprocity_check", "reeve_simplex",
-    "run_verification", "scaled_count", "sumset_levels", "verify_corollary",
+    "run_verification", "scaled_count", "verify_corollary",
     "verify_witness",
 ]

@@ -106,14 +106,6 @@ def d_of_p(P: Polytope) -> DilationProfile:
     )
 
 
-def interior_count(P: Polytope, k: int) -> int:
-    """#(relint(kP) cap Z^n) for k >= 1."""
-    k = operator.index(k)
-    if k < 1:
-        raise InvalidInputError(f"dilation factor must be >= 1, got {k}")
-    return scaled_count(P, k, interior=True)
-
-
 def reciprocity_check(P: Polytope, poly: EhrhartPolynomial,
                       t_max: int | None = None) -> bool:
     """Verify L_P(-t) == (-1)^dim * #relint(tP) for t = 1..t_max.

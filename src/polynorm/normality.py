@@ -25,36 +25,16 @@ from .geometry import (
     LatticePoint,
     Polytope,
     _as_point,
-    _as_points,
     _last_range,
     _np_slabs,
     _scan_dtype,
-    scaled_points_array,
+    scaled_points_array,  # unused here; bench/tracing.py traces this name
 )
 
 
 def default_cap(n: int) -> int:
     """Default highest sumset level checked: n-1, but never below 2."""
     return max(n - 1, 2)
-
-
-def sumset_levels(points, m: int) -> set[LatticePoint]:
-    """The m-fold sumset {p_1 + ... + p_m : p_i in points}.
-
-    Direct iterative computation; size grows quickly, intended for small
-    inputs and cross-checks. The level checks in is_normal use an
-    equivalent formulation that never materializes the sumset.
-    """
-    m = operator.index(m)
-    if m < 1:
-        raise InvalidInputError(f"sumset level must be >= 1, got {m}")
-    base = set(_as_points(points))
-    current = set(base)
-    for _ in range(m - 1):
-        current = {
-            tuple(x + y for x, y in zip(p, q)) for p in current for q in base
-        }
-    return current
 
 
 @dataclass(frozen=True)
@@ -180,29 +160,6 @@ def _contains_scaled(P: Polytope, scale: int, pt) -> bool:
     )
 
 
-def is_normal_at_level(P: Polytope, m: int) -> tuple[bool, LatticePoint | None]:
-    """Exact level-m test: lattice_points(mP) inside the m-fold sumset.
-
-    While every level below m passes, T_{m-1} is all of (m-1)P and the
-    level checker decides level m. Past a failing level that premise is
-    lost, so mP is compared with the m-fold sumset itself.
-    """
-    m = operator.index(m)
-    if m < 1:
-        raise InvalidInputError(f"level must be >= 1, got {m}")
-    for k in range(2, m + 1):
-        witness = _first_missing(P, k)
-        if witness is not None:
-            break
-    else:
-        return True, None
-    if k < m:
-        points = {tuple(row) for row in scaled_points_array(P, m).tolist()}
-        missing = points - sumset_levels(P.lattice_points(), m)
-        witness = min(missing, default=None)
-    return witness is None, witness
-
-
 def is_normal(P: Polytope, cap: int | None = None) -> NormalityReport:
     """Check levels m = 2..cap in order; stop at the first failure.
 
@@ -285,13 +242,6 @@ class BoundReport:
         """n - 1 for n >= 2, else 1."""
         return self.n - 1 if self.n >= 2 else 1
 
-    def np_bound(self, p: int) -> int:
-        """Dilation level from which property N_p holds: n - 1 + p."""
-        p = operator.index(p)
-        if p < 0:
-            raise InvalidInputError(f"p must be >= 0, got {p}")
-        return self.n - 1 + p
-
     def to_jsonable(self) -> dict:
         return {
             "n": self.n,
@@ -373,8 +323,3 @@ def verify_corollary(P: Polytope, bounds: BoundReport, extra_levels: int = 0,
         levels=tuple(levels),
         violations=tuple(violations),
     )
-
-
-def autoregularity_formula(P: Polytope) -> int:
-    """n - 1 - d(P); may be negative and is returned unclamped."""
-    return P.dim - 1 - d_of_p(P).d

