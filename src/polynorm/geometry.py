@@ -288,6 +288,7 @@ def _np_slabs(P: Polytope, scale: int, interior: bool, chunk_rows: int = 1 << 20
 
 def scaled_count(P: Polytope, scale: int = 1, interior: bool = False) -> int:
     """#(scale * P intersect Z^n), or the interior count. Exact; memoized on P."""
+    scale = operator.index(scale)
     if scale < 1:
         raise InvalidInputError(f"scale must be >= 1, got {scale}")
     key = (scale, bool(interior))
@@ -298,20 +299,19 @@ def scaled_count(P: Polytope, scale: int = 1, interior: bool = False) -> int:
     return P._count_cache[key]
 
 
-def iter_scaled_slabs(P: Polytope, scale: int = 1, interior: bool = False,
-                      chunk_rows: int = 1 << 20):
-    """Yield the lattice points of scale*P as lex-ordered (k, n) arrays.
+def scaled_points_array(P: Polytope, scale: int = 1, interior: bool = False):
+    """All lattice points of scale*P as one lex-ordered (k, n) array.
 
-    Each array holds the points over at most chunk_rows prefixes of the
-    first n-1 coordinates. Its element type is int64 when every scan
-    intermediate fits and object (exact Python ints) otherwise. A chunk
-    with more points than int64 can count cannot be materialized and
-    raises InvalidInputError.
+    Its element type is int64 when every scan intermediate fits and object
+    (exact Python ints) otherwise. A slab of the scan with more points than
+    int64 can count cannot be materialized and raises InvalidInputError.
     """
+    scale = operator.index(scale)
     if scale < 1:
         raise InvalidInputError(f"scale must be >= 1, got {scale}")
     n = P.dim
-    for prefixes, lo_last, counts in _np_slabs(P, scale, interior, chunk_rows):
+    slabs = []
+    for prefixes, lo_last, counts in _np_slabs(P, scale, interior):
         total = int(counts.sum())
         if total > _INT64_MAX:
             raise InvalidInputError(
@@ -324,12 +324,7 @@ def iter_scaled_slabs(P: Polytope, scale: int = 1, interior: bool = False,
         ends = np.cumsum(counts)
         within = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
         out[:, n - 1] = np.repeat(lo_last, counts) + within
-        yield out
-
-
-def scaled_points_array(P: Polytope, scale: int = 1, interior: bool = False):
-    """All lattice points of scale*P as one lex-ordered array."""
-    slabs = list(iter_scaled_slabs(P, scale, interior))
+        slabs.append(out)
     if not slabs:
-        return np.empty((0, P.dim), dtype=np.int64)
+        return np.empty((0, n), dtype=np.int64)
     return np.concatenate(slabs, axis=0)

@@ -18,22 +18,26 @@ clique, so clique sums enumerate exactly the nonempty fibers, and a fiber
 whose sum matches a single clique is connected outright (every element
 descends to that unique sink).
 
-A fiber of degree d whose sum b several sinks share is settled in three
-stages, cheapest first. The first two rely on every fiber of degree d-1
-being connected, which holds because the probe stops at the first
-disconnected fiber and goes degree by degree.
-- Point-linked: sinks {p}+A and {p}+B sharing a point p are joined by a
-  path from A to B in their degree-(d-1) fiber, lifted by p.
-- Bridged: when p in sink s and q in sink t leave b - p - q a sum R of
-  d-2 points, the element {p, q} + R of b's fiber shares p with s and q
-  with t, and each shared point lifts a path as above.
-- The breadth-first region merge (`_sinks_connected`) decides the rest
-  exactly; it alone proves a fiber disconnected.
+A fiber of degree d >= 3 whose sum b several sinks share is decided on
+points. Suppose every fiber of degree d-1 is connected; this holds because
+the probe goes degree by degree and stops at the first disconnected fiber.
+Let G_b join points p and q when b - p - q is a sum R of d-2 points, that
+is, when some element {p, q} + R of the fiber holds both. Then the fiber
+of b is connected iff G_b connects the points of its sinks: elements
+{p}+A and {p}+B that share a point p are joined by a path from A to B in
+their degree-(d-1) fiber, lifted by p; conversely a quadratic move keeps
+d-2 >= 1 points, and the points of any one element form a clique of G_b.
+Three stages test this, cheapest first:
+- Point-linked: the sinks chain through shared points.
+- Bridged: they chain through shared points and edges of G_b between the
+  points of two sinks.
+- The breadth-first search on G_b (`_point_graph_connected`) decides the
+  rest exactly; it alone proves a fiber disconnected.
 
 Sums are int64 codes in one mixed radix (`_Encoding`), so one stable sort
-lists the fibers in lex order, each with its sinks in lex order. The
-bridge test looks b - p - q up by code(b) - code(p) - code(q) among the
-codes of (d-2)-point sums, with no digit check: on each axis the digit of
+lists the fibers in lex order, each with its sinks in lex order. An edge
+of G_b is looked up by code(b) - code(p) - code(q) among the codes of
+(d-2)-point sums, with no digit check: on each axis the digit of
 b - p - q lies in [-2*span, d*span] and that of a (d-2)-sum in
 [0, (d-2)*span], so the two differ by at most d*span < radix = cap*span + 1,
 and equal codes mean equal vectors. The cliques grow breadth-wise, one
@@ -45,7 +49,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import deque
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -129,113 +132,17 @@ def _encoding(C: PointConfiguration, cap: int) -> _Encoding:
     return _Encoding(np.array(codes, dtype=np.int64), lo, radix)
 
 
-# -- pair table ----------------------------------------------------------------
+def _irreducible_pairs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The irreducible pair (i <= j) of every pair sum of the point codes.
 
-class _PairTable:
-    """All unordered point pairs of a configuration, grouped by encoded sum.
-
-    The irreducible pair of a sum is the first in index-lex order, which
-    matches pair-lex order on the (lex sorted) points.
+    It is the first pair with its sum in index-lex order, which matches
+    pair-lex order on the (lex sorted) points.
     """
-
-    def __init__(self, enc: _Encoding):
-        codes = enc.codes
-        self.enc_by_index = codes.tolist()
-        # row-major upper triangle: pairs (i <= j) in index-lex order
-        i, j = np.triu_indices(len(codes))
-        sums = codes[i] + codes[j]
-        order = np.argsort(sums, kind="stable")
-        svals = sums[order]
-        starts = _run_starts(svals)
-        first = order[starts]
-        self.irreducible = (i[first], j[first])
-        self._groups = (svals, i[order], j[order], starts)
-        self._by_sum: dict[int, tuple[tuple[int, int], ...]] | None = None
-
-    def pairs_by_sum(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """Map from encoded pair sum to every index pair (i <= j) with that sum."""
-        if self._by_sum is None:
-            svals, si, sj, starts = self._groups
-            pairs = list(zip(si.tolist(), sj.tolist()))
-            bounds = [*starts.tolist(), len(pairs)]
-            self._by_sum = {
-                s: tuple(pairs[a:b])
-                for s, a, b in zip(svals[starts].tolist(), bounds, bounds[1:])
-            }
-        return self._by_sum
-
-
-def _find(parent: list[int], x: int) -> int:
-    """Union-find root of x, halving the path on the way."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _sinks_connected(sinks: list[tuple[int, ...]], table: _PairTable) -> bool:
-    """Grow quadratic-move regions from every descent sink until they merge.
-
-    Every fiber element reaches a sink by lex-min pair replacement, so the
-    fiber is connected iff its sinks share one component. Elements are
-    sorted index tuples; neighbors come from the precomputed pair table
-    instead of a fiber enumeration. Regions grow from all sinks at once
-    and unite when they touch, or as soon as an element shares a point
-    with another region, which lifts a path from one degree down as in
-    point-linking; `owner` maps each point to a region holding it, so a
-    shared point costs one lookup. The walk stops once a single region
-    remains; exhausting the regions without a full merge proves
-    disconnection (the move closure of every sink was then explored in full).
-    """
-    k = len(sinks)
-    by_sum = table.pairs_by_sum()
-    enc = table.enc_by_index
-    parent = list(range(k))
-    owner: dict[int, int] = {}
-    ncomp = k
-
-    def join(lab: int, other: int) -> int:
-        """Unite root lab with the region of other; the united root."""
-        nonlocal ncomp
-        other = _find(parent, other)
-        if other != lab:
-            parent[lab] = other
-            ncomp -= 1
-        return other
-
-    def claim(elem: tuple[int, ...], lab: int) -> int:
-        for i in elem:
-            other = owner.setdefault(i, lab)
-            if other != lab:
-                lab = owner[i] = join(lab, other)
-        return lab
-
-    for t, s in enumerate(sinks):
-        claim(s, t)
-    label = {s: t for t, s in enumerate(sinks)}
-    queue = deque(sinks)
-    while queue and ncomp > 1:
-        cur = queue.popleft()
-        lab = _find(parent, label[cur])
-        d = len(cur)
-        for a in range(d):
-            for b in range(a + 1, d):
-                rest = cur[:a] + cur[a + 1 : b] + cur[b + 1 :]
-                pair = (cur[a], cur[b])
-                for uv in by_sum[enc[cur[a]] + enc[cur[b]]]:
-                    if uv == pair:
-                        continue
-                    nxt = tuple(sorted(rest + uv))
-                    other = label.get(nxt)
-                    if other is None:
-                        label[nxt] = lab
-                        queue.append(nxt)
-                        lab = claim(nxt, lab)
-                    else:
-                        lab = join(lab, other)
-                    if ncomp == 1:
-                        return True
-    return ncomp <= 1
+    i, j = np.triu_indices(len(codes))
+    sums = codes[i] + codes[j]
+    order = np.argsort(sums, kind="stable")
+    first = order[_run_starts(sums[order])]
+    return i[first], j[first]
 
 
 # -- the probe -----------------------------------------------------------------
@@ -338,17 +245,19 @@ def _bridged(sinks: np.ndarray, group: np.ndarray, sums: np.ndarray,
     of group g's sum b, `codes` the point codes and `lower` the sorted
     distinct codes of the (d-2)-point sums. Only valid once every fiber of
     degree d-1 is known to be connected. Two sinks s and t are bridged
-    when they share a point, or when some p in s and q in t leave
-    b - p - q a sum R of d-2 points: the element {p, q} + R of b's fiber
-    shares p with s and q with t, and each shared point lifts a path from
-    degree d-1 as in `_point_linked`. A False entry is inconclusive.
+    when they share a point, or when some p in s and q in t are adjacent
+    in the point graph G_b, that is, leave b - p - q a sum R of d-2 points:
+    the element {p, q} + R of b's fiber shares p with s and q with t, and
+    each shared point lifts a path from degree d-1 (the lemma in the module
+    docstring). A False entry is inconclusive.
 
     b - p - q is looked up by code(b) - code(p) - code(q), which cannot
     alias: its digits lie in [-2*span, d*span] and those of a (d-2)-sum in
     [0, (d-2)*span], so they differ by at most d*span < radix (d <= cap).
     All row pairs of a group and all d*d point pairs are tried at once, in
     batches of consecutive groups with fewer than 2 * _BRIDGE_PAIRS row
-    pairs; a group with more than _BRIDGE_PAIRS is left to the region merge.
+    pairs; a group with more than _BRIDGE_PAIRS is left to the point-graph
+    search.
     """
     rows, d = sinks.shape
     if not rows:
@@ -381,6 +290,39 @@ def _bridged(sinks: np.ndarray, group: np.ndarray, sums: np.ndarray,
     return out
 
 
+def _point_graph_connected(sinks: np.ndarray, b: int, codes: np.ndarray,
+                           lower: np.ndarray) -> bool:
+    """Is the fiber of b connected? Exact once every fiber of one degree
+    lower is known to be connected.
+
+    `sinks` holds the fiber's sinks, one row of point indices each, `codes`
+    the point codes and `lower` the sorted distinct codes of the (d-2)-point
+    sums. By the lemma in the module docstring the fiber is connected iff
+    the point graph G_b joins the points of all its sinks. A breadth-first
+    search on G_b starts from the first sink's points and stops once every
+    sink holds a reached point; each layer tries the unreached sinks' points
+    first, then every unseen point. An edge p ~ q is looked up by the code
+    code(b) - code(p) - code(q) in `lower`, which cannot alias, as in
+    `_bridged`. At d = 2 every sum has a single sink, its irreducible pair,
+    so this is never reached there.
+    """
+    seen = np.zeros(len(codes), dtype=bool)
+    seen[sinks[0]] = True
+    frontier = np.flatnonzero(seen)
+    while len(frontier):
+        layer = []
+        for pool in (np.unique(sinks[~seen[sinks].any(axis=1)]), np.arange(len(codes))):
+            if seen[sinks].any(axis=1).all():
+                return True
+            cand = pool[~seen[pool]]
+            rest = b - codes[frontier][:, None] - codes[cand]
+            at = np.minimum(np.searchsorted(lower, rest), len(lower) - 1)
+            layer.append(cand[(lower[at] == rest).any(axis=0)])
+            seen[layer[-1]] = True
+        frontier = np.concatenate(layer)
+    return False
+
+
 def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
     """Check fiber connectivity for degrees 2..degree_cap.
 
@@ -395,19 +337,21 @@ def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
 
     A unique descent sink proves a fiber connected without enumerating it.
     Point-linking and then bridging settle the other sums of a degree all
-    at once, and what they leave gets the breadth-first region merge, in
-    sum order. Stops at the first disconnected fiber and reports it as the
-    witness.
+    at once, and what they leave gets the breadth-first search on its
+    point graph, in sum order. Stops at the first disconnected fiber and
+    reports it as the witness.
     """
+    if isinstance(ell, bool):
+        raise InvalidInputError(f"ell must be an integer, got {ell!r}")
+    ell = operator.index(ell)
     degree_cap = operator.index(degree_cap)
     if degree_cap < 2:
         raise InvalidInputError(f"degree cap must be >= 2, got {degree_cap}")
     C = build_configuration(P, ell)
     enc = _encoding(C, degree_cap)
-    table = _PairTable(enc)
     N = len(C)
     adj = np.zeros((N, N), dtype=bool)
-    adj[table.irreducible] = True
+    adj[_irreducible_pairs(enc.codes)] = True
     adj = np.packbits(adj, axis=1)
     cliques = np.arange(N, dtype=np.int32)[:, None]
     codes = enc.codes
@@ -437,15 +381,15 @@ def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
         linked = _point_linked(sinks, group, N)
         sinks, collide = sinks[~linked[group]], collide[~linked]
         group = np.repeat(np.arange(len(collide)), sizes[collide])
-        bridged = _bridged(sinks, group, sorted_codes[starts[collide]], enc.codes,
-                           distinct[d - 2])
+        sums = sorted_codes[starts[collide]]
+        bridged = _bridged(sinks, group, sums, enc.codes, distinct[d - 2])
         bounds = np.r_[0, np.cumsum(sizes[collide])]
         bad = None
         bfs_runs = len(collide)  # every sum point-linking left open
         for g in np.flatnonzero(~bridged).tolist():
-            group_sinks = [tuple(s) for s in sinks[bounds[g] : bounds[g + 1]].tolist()]
-            if not _sinks_connected(group_sinks, table):
-                bad = int(sorted_codes[starts[collide[g]]])
+            if not _point_graph_connected(sinks[bounds[g] : bounds[g + 1]], int(sums[g]),
+                                          enc.codes, distinct[d - 2]):
+                bad = int(sums[g])
                 bfs_runs = g + 1
                 break
         summaries.append(DegreeSummary(

@@ -7,6 +7,7 @@ bounding box and keep points satisfying every facet inequality.
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -191,11 +192,19 @@ def test_pure_python_scan_matches_numpy(monkeypatch, t2, unit_square):
         assert scaled_count(fresh, 7) == ref_counts[P]
 
 
-def test_iter_scaled_slabs_covers_dilate(t2):
-    total = 0
-    seen = []
-    for arr in geometry.iter_scaled_slabs(t2, 2):
-        total += len(arr)
-        seen.extend(tuple(int(x) for x in row) for row in arr)
-    assert total == scaled_count(t2, 2)
+def test_scaled_points_array_covers_dilate(t2):
+    arr = geometry.scaled_points_array(t2, 2)
+    seen = [tuple(int(x) for x in row) for row in arr]
+    assert len(arr) == scaled_count(t2, 2)
     assert sorted(seen) == t2.dilate(2).lattice_points()
+
+
+def test_scaled_count_takes_integer_scales_only(unit_square):
+    # a float scale neither counts inexactly nor enters the memo
+    segment = build_polytope([(0,), (1,)])
+    with pytest.raises(TypeError):
+        scaled_count(segment, 2.0**60)
+    assert scaled_count(segment, 2**60) == 2**60 + 1
+    assert scaled_count(segment, np.int64(3)) == 4
+    with pytest.raises(TypeError):
+        scaled_count(unit_square, 2.0)

@@ -1,14 +1,15 @@
 """Fiber enumeration and the degree-capped quadratic-generation probe.
 
 The probe's shortcut machinery (descent sinks, point-share merging,
-bridges) is cross-validated here against two references: `brute_probe`
-enumerates every fiber exhaustively and BFSes its move graph, and
-`reference_probe` is the depth-first probe loop (recursive cliques, tuple
-sums, point-linking one sum at a time, the coverage-scan region merge) that
-the breadth-wise extension replaced.
+bridges, the point-graph search) is cross-validated here against two
+references: `brute_probe` enumerates every fiber exhaustively and BFSes its
+move graph, and `reference_probe` is the depth-first probe loop (recursive
+cliques, tuple sums, point-linking one sum at a time, the breadth-first
+region merge over quadratic moves) that the breadth-wise extension replaced.
 """
 
 import itertools
+import json
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -29,14 +30,7 @@ from polynorm import (
 )
 from polynorm import syzygy
 from polynorm.geometry import _as_point
-from polynorm.syzygy import (
-    DegreeSummary,
-    N1ProbeReport,
-    _encoding,
-    _find,
-    _PairTable,
-    _sinks_connected,
-)
+from polynorm.syzygy import DegreeSummary, N1ProbeReport, _encoding
 
 CONNECTED = "quadratically connected up to cap"
 
@@ -86,19 +80,38 @@ def enumerate_fiber(C, b) -> Fiber:
     return Fiber(target=target, elements=tuple(out))
 
 
-class PairTable(_PairTable):
-    """The probe's pair table plus the sum lookup the reference BFS needs."""
+def _find(parent, x):
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+class PairTable:
+    """Every unordered point pair (i <= j) of a configuration, grouped by
+    the encoded pair sum, each group in index-lex order: the quadratic
+    moves the reference searches walk. The first pair of a sum is its
+    irreducible pair."""
 
     def __init__(self, C):
-        super().__init__(_encoding(C, 2))
         self.C = C
+        self.enc_by_index = _encoding(C, 2).codes.tolist()
         self._pos = {q: t for t, q in enumerate(C.points)}
+        self.by_sum = {}
+        for i, j in itertools.combinations_with_replacement(range(len(C)), 2):
+            s = self.enc_by_index[i] + self.enc_by_index[j]
+            self.by_sum.setdefault(s, []).append((i, j))
+
+    @property
+    def irreducible(self):
+        return [pairs[0] for pairs in self.by_sum.values()]
 
     def pairs_with_sum(self, u, v):
         """All point pairs (p <= q) whose sum equals u + v."""
         pts = self.C.points
         s = self.enc_by_index[self._pos[u]] + self.enc_by_index[self._pos[v]]
-        return [(pts[i], pts[j]) for i, j in self.pairs_by_sum().get(s, ())]
+        return [(pts[i], pts[j]) for i, j in self.by_sum.get(s, ())]
 
 
 def _multiset_cliques(adj, size):
@@ -143,13 +156,14 @@ def _sinks_point_linked(sinks):
 
 
 def reference_sinks_connected(sinks, table):
-    """The region merge as first written: each new element's point bitset
-    is tested against every region's coverage. Exact under the premise of
-    `_sinks_connected`: every lower-degree fiber is connected."""
+    """The breadth-first region merge over quadratic moves: regions grow
+    from every sink and unite when they meet, or when a new element's point
+    bitset meets a region's coverage (a shared point lifts a path from one
+    degree down). Exact once every lower-degree fiber is connected."""
     k = len(sinks)
     if k <= 1:
         return True
-    by_sum = table.pairs_by_sum()
+    by_sum = table.by_sum
     enc = table.enc_by_index
     parent = list(range(k))
 
@@ -206,10 +220,10 @@ def reference_probe(P, ell, cap):
     recursively, sums them point by point into tuples, and point-links the
     colliding sums one at a time before the region merge; no bridges."""
     C = build_configuration(P, ell)
-    table = _PairTable(_encoding(C, cap))
+    table = PairTable(C)
     pts = C.points
     adj = [0] * len(pts)
-    for i, j in zip(*(a.tolist() for a in table.irreducible)):
+    for i, j in table.irreducible:
         adj[i] |= 1 << j
     summaries = []
     witness = None
@@ -427,6 +441,14 @@ def test_probe_report_json(unit_square):
     assert [row["degree"] for row in data["per_degree"]] == [2, 3]
 
 
+def test_probe_reports_ell_as_int(unit_square):
+    data = n1_probe(unit_square, np.int64(2), 3).to_jsonable()
+    assert type(data["ell"]) is int and data["ell"] == 2
+    assert json.loads(json.dumps(data)) == data
+    with pytest.raises(InvalidInputError, match="ell"):
+        n1_probe(unit_square, True, 3)
+
+
 def test_move_soundness(t2):
     # every quadratic exchange offered by the pair table preserves sums
     C = build_configuration(t2, 2)
@@ -489,23 +511,22 @@ def test_probe_matches_reference_on_reeve(q):
         assert n1_probe(P, ell, 4).to_jsonable() == reference_probe(P, ell, 4).to_jsonable()
 
 
-def _bridged_groups(monkeypatch, cases):
-    """Run n1_probe(P, ell, cap) for each case and collect, per case, the
-    sink groups the bridge certificate settled."""
-    settled = []
-    bridged = syzygy._bridged
+def _spied(monkeypatch, name, cases):
+    """Run n1_probe(P, ell, cap) for each case with syzygy.<name> spied on;
+    per case, the (arguments, result) of every call."""
+    calls = []
+    real = getattr(syzygy, name)
 
-    def spy(sinks, group, *args):
-        out = bridged(sinks, group, *args)
-        for g in np.flatnonzero(out).tolist():
-            settled[-1].append([tuple(s) for s in sinks[group == g].tolist()])
+    def spy(*args):
+        out = real(*args)
+        calls[-1].append((args, out))
         return out
 
-    monkeypatch.setattr(syzygy, "_bridged", spy)
+    monkeypatch.setattr(syzygy, name, spy)
     for P, ell, cap in cases:
-        settled.append([])
+        calls.append([])
         n1_probe(P, ell, cap)
-    return settled
+    return calls
 
 
 def test_bridged_groups_are_connected(monkeypatch):
@@ -517,18 +538,48 @@ def test_bridged_groups_are_connected(monkeypatch):
     cases = [(random_polytope(rng, 3), ell, 4) for ell in (1, 3) for _ in range(10)]
     cases += [(reeve_simplex(q), ell, 4) for q in REEVE_RANGE for ell in (1, 2, 3)]
     total = 0
-    for (P, ell, cap), groups in zip(cases, _bridged_groups(monkeypatch, cases)):
-        table = _PairTable(_encoding(build_configuration(P, ell), cap))
-        for sinks in groups:
-            assert _sinks_connected(sinks, table), (P.vertices, ell, sinks)
-        total += len(groups)
+    for (P, ell, cap), calls in zip(cases, _spied(monkeypatch, "_bridged", cases)):
+        table = PairTable(build_configuration(P, ell))
+        for (sinks, group, *_), out in calls:
+            for g in np.flatnonzero(out).tolist():
+                group_sinks = [tuple(s) for s in sinks[group == g].tolist()]
+                assert reference_sinks_connected(group_sinks, table), (P.vertices, ell)
+                total += 1
     assert total >= 1000
+
+
+@pytest.mark.parametrize("batch", [None, 1])
+def test_point_graph_search_matches_region_merge(monkeypatch, batch):
+    # every verdict of the point-graph search, connected or not, is the
+    # region merge's; at batch 1 the search also gets every group with
+    # three or more sinks, which bridging would otherwise settle
+    if batch is not None:
+        monkeypatch.setattr(syzygy, "_BRIDGE_PAIRS", batch)
+    rng = random.Random(20261018)
+    cases = [(random_polytope(rng, 3), 1, 4) for _ in range(40)]
+    rng = random.Random(9001)
+    cases += [(random_polytope(rng, 3), 3, 4) for _ in range(10)]
+    cases += [(reeve_simplex(q), ell, 4) for q in REEVE_RANGE for ell in (1, 2, 3)]
+    # its disconnected fiber has three sinks, and the first reaches the second
+    # but not the third
+    split = build_polytope([(-1, 1, -1), (0, -2, -1), (0, 0, 0), (2, -1, -1), (2, 1, -2)])
+    cases.append((split, 1, 4))
+    verdicts = set()
+    for (P, ell, cap), calls in zip(cases, _spied(monkeypatch, "_point_graph_connected",
+                                                  cases)):
+        table = PairTable(build_configuration(P, ell))
+        for (sinks, *_), verdict in calls:
+            group_sinks = [tuple(s) for s in sinks.tolist()]
+            assert verdict == reference_sinks_connected(group_sinks, table), (
+                P.vertices, ell, group_sinks)
+            verdicts.add((verdict, len(sinks) > 2))
+    assert {(True, False), (False, False), (False, True)} <= verdicts
 
 
 @pytest.mark.parametrize("batch", [1, 4])
 def test_bridge_batches_do_not_change_reports(monkeypatch, batch):
     # at 1 every group with two sinks is its own batch and larger groups
-    # go to the region merge; at 4 batches hold several groups
+    # go to the point-graph search; at 4 batches hold several groups
     rng = random.Random(20261018)
     polytopes = [random_polytope(rng, 3) for _ in range(40)]
     default = [n1_probe(P, 1, 4).to_jsonable() for P in polytopes]
