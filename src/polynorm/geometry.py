@@ -6,11 +6,13 @@ hyperplane enumeration over n-point subsets, which is entirely adequate at
 the intended scale (dimension <= 4, a few dozen points) and has no numerical
 failure modes.
 
-Lattice point enumeration is one numpy scan: it walks a grid over the
-first n-1 coordinates and solves the last coordinate range per facet with
-exact integer ceil/floor division. A computed overflow bound picks the
-element type of its arrays: int64 when every intermediate fits, otherwise
-object arrays of Python ints, so results are exact for any coordinates.
+Lattice point enumeration is one numpy scan: it walks the lattice points
+of P's projection onto the first n-1 coordinates, axis by axis, and solves
+each coordinate's range per facet with exact integer ceil/floor division.
+A computed overflow bound picks the narrowest of three element types:
+int32 or int64 while 4 times every facet value stays below 2^29 or 2^61,
+which leaves room for 16 times them, else object arrays of Python ints, so
+results are exact for any coordinates.
 """
 
 from __future__ import annotations
@@ -29,9 +31,7 @@ from .linalg import hyperplane_normal, rank
 
 LatticePoint = tuple[int, ...]
 
-# int64 is safe while every intermediate stays below this; checked per scan.
-_NP_SAFE_LIMIT = 2**61
-_INT64_MAX = int(np.iinfo(np.int64).max)
+_NP32_SAFE_LIMIT, _NP_SAFE_LIMIT = 2**29, 2**61  # see _scan_dtype
 
 
 def _as_point(obj, n: int | None = None) -> LatticePoint:
@@ -92,7 +92,8 @@ class Polytope:
     Use build_polytope(); the constructor trusts its arguments.
     """
 
-    __slots__ = ("dim", "vertices", "facets", "_hash", "_lp_cache", "_count_cache")
+    __slots__ = ("dim", "vertices", "facets", "_hash", "_lp_cache", "_count_cache",
+                 "_frame")
 
     def __init__(self, dim: int, vertices: tuple[LatticePoint, ...],
                  facets: tuple[HalfSpace, ...]):
@@ -102,6 +103,7 @@ class Polytope:
         self._hash = hash((dim, vertices))
         self._lp_cache = {}
         self._count_cache = {}
+        self._frame = None
 
     def __eq__(self, other):
         if not isinstance(other, Polytope):
@@ -134,23 +136,24 @@ class Polytope:
         return all(h.evaluate(pt) >= 0 for h in self.facets)
 
     def dilate(self, k: int) -> "Polytope":
-        """The dilate kP. Facet normals carry over; offsets scale by k."""
-        k = operator.index(k)
-        if k < 1:
-            raise InvalidInputError(f"dilation factor must be >= 1, got {k}")
+        """The dilate kP, and its scan frame: normals carry over, offsets scale by k."""
+        k = _as_scale(k, "dilation factor")
         if k == 1:
             return self
         verts = tuple(tuple(k * x for x in v) for v in self.vertices)
         facets = tuple(HalfSpace(h.normal, k * h.offset) for h in self.facets)
-        return Polytope(self.dim, verts, facets)
+        kP = Polytope(self.dim, verts, facets)
+        groups, reach, _, _ = _scan_frame(self)
+        kP._frame = (tuple(np.hstack((M[:, :-1], k * M[:, -1:])) for M in groups),
+                     k * reach, *kP.bounding_box())
+        return kP
 
     def lattice_points(self, interior: bool = False) -> list[LatticePoint]:
         """All lattice points of the polytope (or its interior), lex sorted."""
         key = bool(interior)
         if key not in self._lp_cache:
-            pts = [tuple(int(x) for x in row)
-                   for row in scaled_points_array(self, 1, interior)]
-            self._lp_cache[key] = tuple(pts)
+            rows = scaled_points_array(self, 1, interior).tolist()  # Python ints
+            self._lp_cache[key] = tuple(map(tuple, rows))
         return list(self._lp_cache[key])
 
 
@@ -202,44 +205,50 @@ def build_polytope(points) -> Polytope:
 
 # -- lattice point enumeration ------------------------------------------------
 
-def _scan_params(P: Polytope, scale: int, interior: bool):
-    """Shared setup: box, facet rows, and effective offsets (strict via +1)."""
-    n = P.dim
-    lo, hi = P.bounding_box()
-    lo = [scale * x for x in lo]
-    hi = [scale * x for x in hi]
-    rows = [(h.normal, scale * h.offset + (1 if interior else 0)) for h in P.facets]
-    return n, lo, hi, rows
+def _as_scale(value, what: str) -> int:
+    """operator.index of a factor >= 1; a boolean is not a count."""
+    if isinstance(value, bool) or operator.index(value) < 1:
+        raise InvalidInputError(f"{what} must be an integer >= 1, got {value!r}")
+    return operator.index(value)
 
 
-def _scan_dtype(P: Polytope, scale: int, interior: bool):
-    """Element type of the scan of scale*P: np.int64 or object (Python ints).
+def _scan_frame(P: Polytope):
+    """Facet rows (normal, offset) bounding coordinate k > 0, and P's box.
 
-    int64 is chosen when every intermediate fits. Point totals never exceed
-    the box's point count. Facet values over the box stay 4 times below the
-    2^61 limit, leaving int64 room for 16 times them: enough for the level-m
-    checker's facet values at shifted prefixes (x' // m + delta, x' - a'),
-    below 6 times, and its interval ends, sums of two last-coordinate bounds.
+    Group k - 1 holds the facets of pi_{k+1}(P), the projection onto the
+    first k + 1 coordinates (pi_n(P) = P); the box bounds coordinate 0. reach
+    bounds |<a, x>| + |b| over rows (a, b), x in the box. Built at P's first
+    scan or dilate; kP inherits it, offsets and reach times k (pi(kP) = k pi(P)).
     """
-    n, lo, hi, rows = _scan_params(P, scale, interior)
-    worst = 0
-    for normal, beff in rows:
-        reach = sum(abs(a) * max(abs(l), abs(h)) for a, l, h in zip(normal, lo, hi))
-        worst = max(worst, reach + abs(beff))
-    box_points = 1
-    for l, h in zip(lo, hi):
-        box_points *= h - l + 1
-    if 4 * worst < _NP_SAFE_LIMIT and box_points < _NP_SAFE_LIMIT:
-        return np.int64
+    if P._frame is None:
+        facets = [build_polytope([v[:k] for v in P.vertices]).facets
+                  for k in range(2, P.dim)] + [P.facets]
+        lo, hi = P.bounding_box()
+        far = [max(abs(l), abs(h)) for l, h in zip(lo, hi)]
+        reach = max(sum(abs(a) * x for a, x in zip(h.normal, far)) + abs(h.offset)
+                    for group in facets for h in group)
+        P._frame = (tuple(np.array([h.normal + (h.offset,) for h in g], dtype=object)
+                          for g in facets), reach, lo, hi)
+    return P._frame
+
+
+def _scan_dtype(P: Polytope, scale: int):
+    """Element type of the scans of scale*P: np.int32, np.int64 or object.
+
+    The narrowest rung where facet values of P and its projections over the
+    box, even at strict offsets, stay 4 times below the limit, 2^29 or 2^61,
+    and so does the box's point count; else exact Python ints. Sums of int32
+    counts run in int64. 16 times the facet values fit: enough for the
+    level-m checker's, at shifted prefixes (x' // m + delta, x' - a') below
+    6 times, and its interval ends, sums of two last-coordinate bounds.
+    """
+    _, reach, lo, hi = _scan_frame(P)
+    worst = 4 * (scale * reach + 1)
+    box_points = math.prod(scale * (h - l) + 1 for l, h in zip(lo, hi))
+    for dtype, limit in ((np.int32, _NP32_SAFE_LIMIT), (np.int64, _NP_SAFE_LIMIT)):
+        if worst < limit and box_points < limit:
+            return dtype
     return object
-
-
-def _prefix_grid(lo, hi, start0, stop0, dtype):
-    """Lex-ordered integer grid over the box, axis 0 restricted to [start0, stop0)."""
-    axes = [np.arange(start0, stop0, dtype=dtype)]
-    axes += [np.arange(l, h + 1, dtype=dtype) for l, h in zip(lo[1:], hi[1:])]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(-1, len(axes))
 
 
 def _last_range(r, a_last):
@@ -259,38 +268,60 @@ def _last_range(r, a_last):
     return lo, hi
 
 
+def _expand(prefixes, lo, counts):
+    """Rows prefixes[i] + (lo[i] + j,) for 0 <= j < counts[i], in lex order."""
+    counts = counts.astype(np.int64, copy=False)
+    within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    last = (np.repeat(lo, counts) + within)[:, None]
+    return np.concatenate((np.repeat(prefixes, counts, axis=0), last), axis=1,
+                          dtype=prefixes.dtype)
+
+
 def _np_slabs(P: Polytope, scale: int, interior: bool, chunk_rows: int = 1 << 20):
     """Yield lex-ordered (prefixes, lo_last, counts) triples, feasible rows only.
 
-    All three arrays have the element type _scan_dtype picks for scale*P.
+    The prefixes are the lattice points of scale*pi_{n-1}(P), built axis by
+    axis: coordinate 0 spans the box, and for a prefix of k > 0 coordinates
+    _last_range solves the facets of scale*pi_{k+1}(P) for coordinate k. A
+    stack holds the ranges not yet expanded, deepest on top, so prefixes come
+    out in lex order; an expansion takes at most chunk_rows of them,
+    splitting a long range. All arrays have the _scan_dtype element type.
     """
-    n, lo, hi, rows = _scan_params(P, scale, interior)
-    dtype = _scan_dtype(P, scale, interior)
-    A = np.array([r[0] for r in rows], dtype=dtype)
-    beff = np.array([r[1] for r in rows], dtype=dtype)
-    A_pre, a_last = A[:, :-1], A[:, -1]
-    plo, phi = lo[:-1], hi[:-1]
-    if n == 1:
-        grids = [np.zeros((1, 0), dtype=dtype)]
-    else:
-        inner = math.prod(h - l + 1 for l, h in zip(plo[1:], phi[1:]))
-        step = max(1, chunk_rows // inner)
-        grids = (_prefix_grid(plo, phi, s, min(s + step, phi[0] + 1), dtype)
-                 for s in range(plo[0], phi[0] + 1, step))
-    for prefixes in grids:
-        r = beff[:, None] - A_pre @ prefixes.T
-        lo_last, hi_last = _last_range(r, a_last)
-        counts = hi_last - lo_last + 1
-        feas = counts > 0
-        if feas.any():
-            yield prefixes[feas], lo_last[feas], counts[feas]
+    dtype = _scan_dtype(P, scale)
+    frame, _, box_lo, box_hi = _scan_frame(P)
+    groups = [(M[:, :-1].astype(dtype), scale * M[:, -1:].astype(dtype)) for M in frame]
+    groups[-1][1][:] += 1 if interior else 0  # strict inequalities of P's facets
+    X = np.zeros((1, 0), dtype=dtype)
+    if P.dim == 1:
+        lo, hi = _last_range(groups[0][1], groups[0][0][:, 0])
+        if lo[0] <= hi[0]:
+            yield X, lo, hi - lo + 1
+        return
+    stack = [(X, *np.array([[scale * box_lo[0]], [scale * box_hi[0]]], dtype))]
+    while stack:
+        X, lo, hi = stack.pop()
+        ends = np.cumsum(hi - lo + 1)
+        t = len(X) if ends[-1] <= chunk_rows else int((ends <= chunk_rows).sum())
+        if t == 0:  # the first range alone is longer than a chunk: split it
+            rest = lo.copy()
+            rest[0] += chunk_rows
+            stack.append((X, rest, hi))
+            t, hi = 1, lo + (chunk_rows - 1)
+        elif t < len(X):
+            stack.append((X[t:], lo[t:], hi[t:]))
+        X = _expand(X[:t], lo[:t], (hi - lo + 1)[:t])
+        A, b = groups[X.shape[1] - 1]
+        lo, hi = _last_range(b - A[:, :-1] @ X.T, A[:, -1])
+        keep = lo <= hi
+        if keep.any() and X.shape[1] == P.dim - 1:
+            yield X[keep], lo[keep], (hi - lo + 1)[keep]
+        elif keep.any():
+            stack.append((X[keep], lo[keep], hi[keep]))
 
 
 def scaled_count(P: Polytope, scale: int = 1, interior: bool = False) -> int:
     """#(scale * P intersect Z^n), or the interior count. Exact; memoized on P."""
-    scale = operator.index(scale)
-    if scale < 1:
-        raise InvalidInputError(f"scale must be >= 1, got {scale}")
+    scale = _as_scale(scale, "scale")
     key = (scale, bool(interior))
     if key not in P._count_cache:
         P._count_cache[key] = sum(
@@ -302,29 +333,20 @@ def scaled_count(P: Polytope, scale: int = 1, interior: bool = False) -> int:
 def scaled_points_array(P: Polytope, scale: int = 1, interior: bool = False):
     """All lattice points of scale*P as one lex-ordered (k, n) array.
 
-    Its element type is int64 when every scan intermediate fits and object
-    (exact Python ints) otherwise. A slab of the scan with more points than
-    int64 can count cannot be materialized and raises InvalidInputError.
+    Its element type is the scan's: int32, int64 or object (exact Python
+    ints). A slab of the scan with more points than int64 can count cannot
+    be materialized and raises InvalidInputError.
     """
-    scale = operator.index(scale)
-    if scale < 1:
-        raise InvalidInputError(f"scale must be >= 1, got {scale}")
-    n = P.dim
+    scale = _as_scale(scale, "scale")
     slabs = []
     for prefixes, lo_last, counts in _np_slabs(P, scale, interior):
         total = int(counts.sum())
-        if total > _INT64_MAX:
+        if total > np.iinfo(np.int64).max:
             raise InvalidInputError(
                 f"too many lattice points to enumerate: one slab of {scale}P "
                 f"holds {total}"
             )
-        counts = counts.astype(np.int64, copy=False)
-        out = np.empty((total, n), dtype=prefixes.dtype)
-        out[:, : n - 1] = np.repeat(prefixes, counts, axis=0)
-        ends = np.cumsum(counts)
-        within = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
-        out[:, n - 1] = np.repeat(lo_last, counts) + within
-        slabs.append(out)
+        slabs.append(_expand(prefixes, lo_last, counts))
     if not slabs:
-        return np.empty((0, n), dtype=np.int64)
+        return np.empty((0, P.dim), dtype=np.int64)
     return np.concatenate(slabs, axis=0)

@@ -93,9 +93,11 @@ def _first_missing(P: Polytope, m: int) -> LatticePoint | None:
     is in T_m iff one of these covers it. The prefixes a' = x' // m + delta,
     nearest first, shrink each line's uncovered part from both ends; a line
     left uncovered gets the union over every line of P (_line_gap). Arrays
-    take the element type of the scan of mP, so the arithmetic is exact.
+    take the element type of the scan of mP, int32 whenever it fits: that
+    leaves room for 16 times the scan's facet values, and the values here
+    stay below 6 times them, so the arithmetic is exact.
     """
-    dtype = _scan_dtype(P, m, False)
+    dtype = _scan_dtype(P, m)
     A = np.array([h.normal for h in P.facets], dtype=dtype)
     b = np.array([h.offset for h in P.facets], dtype=dtype)[:, None]
     A_pre, a_last = A[:, :-1], A[:, -1]

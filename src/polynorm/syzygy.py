@@ -54,7 +54,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import LatticePoint, Polytope
+from .geometry import LatticePoint, Polytope, _as_scale
 
 _CONNECTED = "quadratically connected up to cap"
 _DISCONNECTED = "disconnected"
@@ -78,9 +78,7 @@ class PointConfiguration:
 
 def build_configuration(P: Polytope, ell: int) -> PointConfiguration:
     """Configuration of the embedding by ell*P."""
-    ell = operator.index(ell)
-    if ell < 1:
-        raise InvalidInputError(f"ell must be >= 1, got {ell}")
+    ell = _as_scale(ell, "ell")
     pts = tuple((1,) + u for u in P.dilate(ell).lattice_points())
     return PointConfiguration(points=pts, n_plus_1=P.dim + 1)
 
@@ -341,9 +339,7 @@ def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
     point graph, in sum order. Stops at the first disconnected fiber and
     reports it as the witness.
     """
-    if isinstance(ell, bool):
-        raise InvalidInputError(f"ell must be an integer, got {ell!r}")
-    ell = operator.index(ell)
+    ell = _as_scale(ell, "ell")
     degree_cap = operator.index(degree_cap)
     if degree_cap < 2:
         raise InvalidInputError(f"degree cap must be >= 2, got {degree_cap}")

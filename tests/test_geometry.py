@@ -1,11 +1,14 @@
 """Polytope construction and exact lattice-point enumeration.
 
-The enumeration oracle here is an independent box scan: walk the integer
-bounding box and keep points satisfying every facet inequality.
+The enumeration oracles here are independent box scans: walk the integer
+bounding box and keep points satisfying every facet inequality, or walk
+every prefix of the box and keep the feasible range of its line.
 """
 
+import inspect
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -32,6 +35,48 @@ def box_scan(P, k=1, strict=False):
         if all(v > 0 for v in vals) if strict else all(v >= 0 for v in vals):
             out.append(p)
     return out
+
+
+def _prefix_grid(lo, hi, start0, stop0):
+    """Lex-ordered integer grid over the box, axis 0 restricted to [start0, stop0)."""
+    axes = [np.arange(start0, stop0, dtype=np.int64)]
+    axes += [np.arange(l, h + 1, dtype=np.int64) for l, h in zip(lo[1:], hi[1:])]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack(mesh, axis=-1).reshape(-1, len(axes))
+
+
+def box_slabs(P, k=1, strict=False, chunk_rows=1 << 20):
+    """Reference slab rows (prefix..., lo_last, count) of k*P, lex ordered.
+
+    Walks every prefix of the box of the first n-1 coordinates, a chunk of
+    axis-0 values at a time, and keeps the lines that meet k*P.
+    """
+    n = P.dim
+    lo, hi = ([k * x for x in c[:-1]] for c in P.bounding_box())
+    A = np.array([h.normal for h in P.facets], dtype=np.int64)
+    beff = np.array([k * h.offset + strict for h in P.facets], dtype=np.int64)
+    A_pre, a_last = A[:, :-1], A[:, -1]
+    if n == 1:
+        grids = [np.zeros((1, 0), dtype=np.int64)]
+    else:
+        inner = int(np.prod([h - l + 1 for l, h in zip(lo[1:], hi[1:])]))
+        step = max(1, chunk_rows // inner)
+        grids = (_prefix_grid(lo, hi, s, min(s + step, hi[0] + 1))
+                 for s in range(lo[0], hi[0] + 1, step))
+    rows = []
+    for prefixes in grids:
+        r = beff[:, None] - A_pre @ prefixes.T
+        lo_last, hi_last = geometry._last_range(r, a_last)
+        for x, a, b in zip(prefixes.tolist(), lo_last.tolist(), hi_last.tolist()):
+            if a <= b:
+                rows.append((*x, a, b - a + 1))
+    return rows
+
+
+def slab_rows(P, k=1, strict=False, **kw):
+    """The rows geometry._np_slabs yields, concatenated."""
+    return [(*x, a, c) for X, lo, counts in geometry._np_slabs(P, k, strict, **kw)
+            for x, a, c in zip(X.tolist(), lo.tolist(), counts.tolist())]
 
 
 def random_polytope(rng, n, spread=3):
@@ -208,3 +253,62 @@ def test_scaled_count_takes_integer_scales_only(unit_square):
     assert scaled_count(segment, np.int64(3)) == 4
     with pytest.raises(TypeError):
         scaled_count(unit_square, 2.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda P: P.dilate(True),
+    lambda P: scaled_count(P, True),
+    lambda P: geometry.scaled_points_array(P, True),
+], ids=["dilate", "scaled_count", "scaled_points_array"])
+def test_boolean_scale_refused(unit_square, call):
+    # True is not the integer 1 here, as in n1_probe and corpus specs
+    with pytest.raises(InvalidInputError, match="integer"):
+        call(unit_square)
+
+
+# spreads keep box_scan's walk small at scale 3 in every dimension
+SPREAD = {1: 4, 2: 3, 3: 2, 4: 1}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 10**6), st.integers(1, 3), st.booleans())
+def test_scan_matches_box_scan(n, seed, k, strict):
+    P = random_polytope(random.Random(seed), n, SPREAD[n])
+    pts = [tuple(row) for row in geometry.scaled_points_array(P, k, strict).tolist()]
+    assert pts == box_scan(P, k, strict)
+    assert scaled_count(P, k, strict) == len(pts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 10**6), st.integers(1, 3), st.booleans(),
+       st.sampled_from([1, 2, 7, 1 << 20]))
+def test_slabs_match_box_walk(n, seed, k, strict, chunk_rows):
+    P = random_polytope(random.Random(seed), n, SPREAD[n])
+    assert slab_rows(P, k, strict, chunk_rows=chunk_rows) == box_slabs(P, k, strict)
+
+
+def test_slabs_match_box_walk_through_oblique_shadow(t2):
+    # pi(t2) is the unit square; no facet of t2 is vertical, so none of the
+    # square's edges comes from a facet of t2
+    shadow = build_polytope([v[:2] for v in t2.vertices])
+    vertical = {h.normal[:2] for h in t2.facets if h.normal[2] == 0}
+    assert any(h.normal not in vertical for h in shadow.facets)
+    P = build_polytope([(x + 2 * y, y - z, z) for x, y, z in t2.vertices])
+    for Q in (t2, P):
+        for k in (1, 2, 3, 5):
+            for strict in (False, True):
+                expected = box_slabs(Q, k, strict)
+                assert slab_rows(Q, k, strict) == expected
+                assert slab_rows(Q, k, strict, chunk_rows=2) == expected
+
+
+def test_first_slab_streams_from_a_long_range():
+    # 2^40 + 1 prefixes: the first chunk comes back at once
+    P = build_polytope([(0, 0), (2**40, 0), (0, 1)])
+    chunk_rows = inspect.signature(geometry._np_slabs).parameters["chunk_rows"].default
+    start = time.perf_counter()
+    X, lo, counts = next(geometry._np_slabs(P, 1, False))
+    assert time.perf_counter() - start < 1.0
+    assert 0 < len(X) <= chunk_rows
+    assert X[:3, 0].tolist() == [0, 1, 2]
+    assert lo[:3].tolist() == [0, 0, 0] and counts[:3].tolist() == [2, 1, 1]

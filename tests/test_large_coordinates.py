@@ -1,11 +1,12 @@
-"""Inputs whose scan arithmetic does not fit int64.
+"""Inputs whose scan arithmetic does not fit int32 or int64.
 
 Each large polytope is the image of a small one under a unimodular affine
 map, so every invariant must equal that of its small twin and lattice
-points must correspond through the map. The small twins run the int64
-scan; the large ones need exact Python ints throughout.
+points must correspond through the map. The small twins run the int32
+scan; the large ones need int64 or exact Python ints throughout.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -58,8 +59,8 @@ def twins(request):
 
 def test_large_inputs_scan_with_exact_ints(twins):
     big, small, _ = twins
-    assert geometry._scan_dtype(big, 1, False) is object
-    assert geometry._scan_dtype(small, 1, False) is np.int64
+    assert geometry._scan_dtype(big, 1) is object
+    assert geometry._scan_dtype(small, 1) is np.int32
 
 
 def test_large_counts_match_small_twin(twins):
@@ -101,3 +102,73 @@ def test_needle_ehrhart_closed_form():
     assert ehrhart_polynomial(P).coefficients == (
         Fraction(1), Fraction(half + 1), Fraction(half))
     assert scaled_count(P, 7) == half * 49 + (half + 1) * 7 + 1
+
+
+def shifted(P, t):
+    """P translated by t along the first axis."""
+    return build_polytope([(v[0] + t,) + v[1:] for v in P.vertices])
+
+
+def assert_twins_agree(big, small, t, cap):
+    """Counts, Ehrhart, d(P) and the level-m verdict of P + t e1 match P's."""
+    for k in (1, 2, 3):
+        assert scaled_count(big, k) == scaled_count(small, k)
+        assert scaled_count(big, k, interior=True) == scaled_count(small, k, interior=True)
+    assert ehrhart_polynomial(big) == ehrhart_polynomial(small)
+    assert d_of_p(big) == d_of_p(small)
+    rep_big, rep_small = is_normal(big, cap), is_normal(small, cap)
+    assert rep_big.verdict == rep_small.verdict
+    assert rep_big.levels_checked == rep_small.levels_checked
+    if rep_small.witness is not None:
+        # the witness lies in mP, so it moves by m times the translation
+        m, (x, *rest) = rep_small.witness.level, rep_small.witness.point
+        assert rep_big.witness.point == (x + m * t, *rest)
+        assert verify_witness(big, m, rep_big.witness.point)
+
+
+def test_int64_twin_matches_small_twin():
+    small = reeve_simplex(2)
+    big = shifted(small, 2**40)
+    assert [geometry._scan_dtype(big, k) for k in (1, 2, 3)] == [np.int64] * 3
+    assert is_normal(small).verdict == "non-normal"
+    assert_twins_agree(big, small, 2**40, None)
+
+
+def scan_terms(P, scale):
+    """Largest |<a, x>| + |scale * b|: (a, b) a facet of P, x a corner of scale*P's box."""
+    lo, hi = P.bounding_box()
+    corners = list(itertools.product(*((scale * l, scale * h) for l, h in zip(lo, hi))))
+    return max(abs(sum(a * x for a, x in zip(h.normal, c))) + abs(scale * h.offset)
+               for h in P.facets for c in corners)
+
+
+def int32_edge(P, scale):
+    """Largest t >= 0 for which the scan of scale*(P + t e1) runs in int32."""
+    lo, hi = 0, 2**31
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if geometry._scan_dtype(shifted(P, mid), scale) is np.int32:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("small, cap", [
+    (reeve_simplex(2), 2),
+    (build_polytope([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]), 3),
+    (build_polytope([(0, 0), (3, 1), (1, 3)]), 3),
+], ids=["reeve", "cube", "triangle"])
+def test_int32_edge_matches_small_twin(small, cap):
+    # at the top level checked, the twin just under the int32 limit scans in
+    # int32, its facet values bounded just under 2^27 (16 times below 2^31)
+    # and its coordinates past 2^24; the twin just over scans in int64
+    t = int32_edge(small, cap)
+    under, over = shifted(small, t), shifted(small, t + 1)
+    assert geometry._scan_dtype(under, cap) is np.int32
+    assert geometry._scan_dtype(over, cap) is np.int64
+    assert t * cap > 2**24
+    # 16 times the terms of the scan fit int32, with less than 2x to spare
+    assert 2**30 < 16 * scan_terms(under, cap) < 2**31
+    for big, shift in ((under, t), (over, t + 1)):
+        assert_twins_agree(big, small, shift, cap)

@@ -329,6 +329,12 @@ def test_build_configuration_rejects_bad_ell(unit_square):
         build_configuration(unit_square, 0)
 
 
+def test_build_configuration_refuses_boolean_ell(unit_square):
+    # True is not the integer 1 here, as in n1_probe
+    with pytest.raises(InvalidInputError, match="ell"):
+        build_configuration(unit_square, True)
+
+
 def test_enumerate_fiber_square(unit_square):
     C = build_configuration(unit_square, 1)
     fib = enumerate_fiber(C, (2, 1, 1))
