@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NotFullDimensionalError
-from .linalg import hyperplane_normal, rank
+from .linalg import hyperplane_normal, lll_reduce, rank
 
 LatticePoint = tuple[int, ...]
 
@@ -143,9 +143,9 @@ class Polytope:
         verts = tuple(tuple(k * x for x in v) for v in self.vertices)
         facets = tuple(HalfSpace(h.normal, k * h.offset) for h in self.facets)
         kP = Polytope(self.dim, verts, facets)
-        groups, reach, _, _ = _scan_frame(self)
+        groups, reach, U, _, _ = _scan_frame(self)
         kP._frame = (tuple(np.hstack((M[:, :-1], k * M[:, -1:])) for M in groups),
-                     k * reach, *kP.bounding_box())
+                     k * reach, U, *kP.bounding_box())
         return kP
 
     def lattice_points(self, interior: bool = False) -> list[LatticePoint]:
@@ -213,12 +213,16 @@ def _as_scale(value, what: str) -> int:
 
 
 def _scan_frame(P: Polytope):
-    """Facet rows (normal, offset) bounding coordinate k > 0, and P's box.
+    """Facet rows (normal, offset) bounding coordinate k > 0, a line frame, P's box.
 
     Group k - 1 holds the facets of pi_{k+1}(P), the projection onto the
     first k + 1 coordinates (pi_n(P) = P); the box bounds coordinate 0. reach
-    bounds |<a, x>| + |b| over rows (a, b), x in the box. Built at P's first
-    scan or dilate; kP inherits it, offsets and reach times k (pi(kP) = k pi(P)).
+    bounds |<a, x>| + |b| over rows (a, b), x in the box. The line frame U,
+    rows of Python ints, is unimodular on the prefixes Z^{n-1}: its rows are
+    the functionals LLL-reduced under the covariance of pi_{n-1}(P)'s
+    vertices, so pi_{n-1}(P) has a small box in z = U x' (see
+    normality._LineTable). Built at P's first scan or dilate; kP inherits
+    it, offsets and reach times k (pi(kP) = k pi(P)) and U as it is.
     """
     if P._frame is None:
         facets = [build_polytope([v[:k] for v in P.vertices]).facets
@@ -227,8 +231,12 @@ def _scan_frame(P: Polytope):
         far = [max(abs(l), abs(h)) for l, h in zip(lo, hi)]
         reach = max(sum(abs(a) * x for a, x in zip(h.normal, far)) + abs(h.offset)
                     for group in facets for h in group)
+        prefixes = [v[:-1] for v in P.vertices]
+        sums = [sum(col) for col in zip(*prefixes)]
+        gram = [[len(prefixes) * sum(x[i] * x[j] for x in prefixes) - sums[i] * sums[j]
+                 for j in range(P.dim - 1)] for i in range(P.dim - 1)]
         P._frame = (tuple(np.array([h.normal + (h.offset,) for h in g], dtype=object)
-                          for g in facets), reach, lo, hi)
+                          for g in facets), reach, lll_reduce(gram), lo, hi)
     return P._frame
 
 
@@ -238,15 +246,18 @@ def _scan_dtype(P: Polytope, scale: int):
     The narrowest rung where facet values of P and its projections over the
     box, even at strict offsets, stay 4 times below the limit, 2^29 or 2^61,
     and so does the box's point count; else exact Python ints. Sums of int32
-    counts run in int64. 16 times the facet values fit: enough for the
-    level-m checker's, at shifted prefixes (x' // m + delta, x' - a') below
-    6 times, and its interval ends, sums of two last-coordinate bounds.
+    counts run in int64. 16 times the facet values fit, and so do the
+    level-m checker's interval ends, sums of two last-coordinate bounds.
     """
-    _, reach, lo, hi = _scan_frame(P)
-    worst = 4 * (scale * reach + 1)
+    _, reach, _, lo, hi = _scan_frame(P)
     box_points = math.prod(scale * (h - l) + 1 for l, h in zip(lo, hi))
+    return _narrowest(max(4 * (scale * reach + 1), box_points))
+
+
+def _narrowest(bound: int):
+    """np.int32 or np.int64 when bound is below its limit, 2^29 or 2^61, else object."""
     for dtype, limit in ((np.int32, _NP32_SAFE_LIMIT), (np.int64, _NP_SAFE_LIMIT)):
-        if worst < limit and box_points < limit:
+        if bound < limit:
             return dtype
     return object
 
@@ -288,7 +299,7 @@ def _np_slabs(P: Polytope, scale: int, interior: bool, chunk_rows: int = 1 << 20
     splitting a long range. All arrays have the _scan_dtype element type.
     """
     dtype = _scan_dtype(P, scale)
-    frame, _, box_lo, box_hi = _scan_frame(P)
+    frame, _, _, box_lo, box_hi = _scan_frame(P)
     groups = [(M[:, :-1].astype(dtype), scale * M[:, -1:].astype(dtype)) for M in frame]
     groups[-1][1][:] += 1 if interior else 0  # strict inequalities of P's facets
     X = np.zeros((1, 0), dtype=dtype)

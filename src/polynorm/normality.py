@@ -9,6 +9,12 @@ is all of (m-1)P cap Z^n, so the level-m test sums intervals: on lines
 (fixed prefixes of the first n-1 coordinates) the lattice points of P and
 of (m-1)P are integer intervals, and so are their sums. The checks below
 exploit that identity; semantics match the sumset definition exactly.
+
+The intervals of P and (m-1)P are read from line tables: dense arrays of
+each line's last-coordinate range, filled once per level from the scans of
+P and (m-1)P and keyed by line coordinates in a unimodular, LLL-reduced
+frame of the prefixes, so a thin or sheared P gets a small table. mP is
+walked in the input frame, which keeps lex order and the witnesses.
 """
 
 from __future__ import annotations
@@ -25,9 +31,9 @@ from .geometry import (
     LatticePoint,
     Polytope,
     _as_point,
-    _last_range,
+    _narrowest,
     _np_slabs,
-    _scan_dtype,
+    _scan_frame,
     scaled_points_array,  # unused here; bench/tracing.py traces this name
 )
 
@@ -72,15 +78,113 @@ class NormalityReport:
 
 # -- level checks -------------------------------------------------------------
 
-def _probe_deltas(n: int):
-    """Candidate offsets around x' // m, nearest first."""
-    near = list(itertools.product((0, 1), repeat=n))
+def _probe_deltas(k: int) -> np.ndarray:
+    """Candidate offsets in Z^k around z // m, nearest first: a (4^k, k) array."""
+    near = list(itertools.product((0, 1), repeat=k))
     ring = sorted(
-        (d for d in itertools.product((-1, 0, 1, 2), repeat=n)
+        (d for d in itertools.product((-1, 0, 1, 2), repeat=k)
          if not all(x in (0, 1) for x in d)),
         key=lambda d: (max(abs(x) for x in d), sum(abs(x) for x in d), d),
     )
-    return near + ring
+    return np.array(near + ring, dtype=np.int64)
+
+
+# the offsets of every prefix dimension k = n - 1 for n <= 4
+_PROBE_DELTAS = tuple(_probe_deltas(k) for k in range(4))
+
+
+def _line_coords(P: Polytope, s: int, X) -> np.ndarray:
+    """z = U (x' - s o) for the prefix rows X of s*P, as int64 rows.
+
+    U is the line frame of P's scan (geometry._scan_frame) and o the prefix
+    of P's first vertex. The products run in int64 when X fits it and n - 1
+    times |U| times s*P's box stays below 2^63, else in Python ints; z itself
+    lies in the box of a _LineTable, so it fits.
+    """
+    _, _, U, lo, hi = _scan_frame(P)
+    k = P.dim - 1
+    size = (k * s * max((h - l for l, h in zip(lo[:k], hi[:k])), default=0)
+            * max((abs(u) for row in U for u in row), default=0))
+    dtype = np.int64 if X.dtype != object and size < 2**63 else object
+    U = np.array(U, dtype=dtype).reshape(k, k)
+    origin = np.array([s * x for x in P.vertices[0][:k]], dtype=dtype)
+    return ((X.astype(dtype) - origin) @ U.T).astype(np.int64)
+
+
+class _LineTable:
+    """[lo, hi] of every line of s*P, dense over a padded box of line coordinates.
+
+    The line at prefix x' sits at z = _line_coords(P, s, x'). U is
+    unimodular, so z runs over Z^{n-1} as x' does, and its rows are short
+    under the covariance of pi_{n-1}(P)'s vertices, so the box of z over
+    s*P is small even where P is thin and sheared in the input frame.
+    rows holds (lo, hi) per point of that box, widened by pad = (below,
+    above) on every axis, in C order; (empty, -empty) where s*P has no line.
+    lines holds the z, lo and hi of the lines of s*P in scan order.
+    """
+
+    def __init__(self, P: Polytope, s: int, pad: tuple[int, int], dtype, empty: int):
+        _, _, U, _, _ = _scan_frame(P)
+        origin = P.vertices[0][:-1]
+        corners = [[sum(u * (x - y) for u, x, y in zip(row, v, origin)) for row in U]
+                   for v in P.vertices]
+        self.corner = np.array([s * min(c) - pad[0] for c in zip(*corners)], dtype=np.int64)
+        self.shape = np.array([s * max(c) + pad[1] for c in zip(*corners)],
+                              dtype=np.int64) - self.corner + 1
+        self.strides = np.array([self.shape[i + 1:].prod() for i in range(len(U))],
+                                dtype=np.int64)
+        self.rows = np.empty((int(np.prod(self.shape)), 2), dtype=dtype)
+        self.rows[:] = (empty, -empty)
+        lines = []
+        for X, lo, counts in _np_slabs(P, s, False, chunk_rows=1 << 18):
+            Z = _line_coords(P, s, X)
+            lines.append((Z, lo.astype(dtype), (lo + counts - 1).astype(dtype)))
+            self.rows[self.index(Z)] = np.stack(lines[-1][1:], axis=1)
+        self.lines = tuple(np.concatenate(a) for a in zip(*lines))
+
+    def index(self, Z):
+        """Flat row index of each row of Z, all inside the box."""
+        flat = np.zeros(len(Z), dtype=np.int64)
+        for j, stride in enumerate(self.strides.tolist()):
+            flat += Z[:, j] * stride  # column by column: integer @ is slow
+        return flat - int(self.corner @ self.strides)
+
+    def ranges(self, Z):
+        """(lo, hi) at each row of Z; (empty, -empty) outside the box.
+
+        Row 0 lies on the pad below s*P on every axis, so it is empty and
+        stands in for each z outside the box.
+        """
+        inside = ((Z >= self.corner) & (Z < self.corner + self.shape)).all(axis=1)
+        return self.rows.take(np.where(inside, self.index(Z), 0), axis=0).T
+
+
+def _level_tables(P: Polytope, m: int):
+    """The line tables of P and (m-1)P that the level-m check reads.
+
+    The vertices of P have integer z, so every z of mP lies in m times P's
+    box [K0, K1] of z, and per axis z // m lies in [K0, K1] and z - z // m
+    in (m-1)[K0, K1]. The probes z // m + delta, delta in {-1..2}^(n-1),
+    thus stay in P's box padded by (1, 2), and z - z // m - delta in
+    (m-1)P's padded by (2, 1); at m = 2 one table of P padded by (2, 2)
+    serves both. A smaller pad would read another line's row.
+
+    Row values are last coordinates of sP, s < m, at most far = m times
+    P's largest in absolute value. A missing line reads (2 far + 1,
+    -2 far - 1): added to any row, it gives a range that starts above and
+    ends below every last coordinate of mP, so it covers nothing. The rows
+    take the narrowest type that holds 4 (far + 1): int32 even where the
+    scan of mP needs int64 for its facet values or point count, as on thin
+    simplices.
+    """
+    _, _, _, lo, hi = _scan_frame(P)
+    far = m * max(abs(lo[-1]), abs(hi[-1]))
+    dtype, empty = _narrowest(4 * (far + 1)), 2 * far + 1
+    if m == 2:
+        table = _LineTable(P, 1, (2, 2), dtype, empty)
+        return table, table
+    return (_LineTable(P, 1, (1, 2), dtype, empty),
+            _LineTable(P, m - 1, (2, 1), dtype, empty))
 
 
 def _first_missing(P: Polytope, m: int) -> LatticePoint | None:
@@ -90,59 +194,57 @@ def _first_missing(P: Polytope, m: int) -> LatticePoint | None:
     its last-coordinate interval [L, H]. The lattice points of P on line a'
     plus those of (m-1)P on line x' - a' fill the interval
     [loP(a') + loM(x'-a'), hiP(a') + hiM(x'-a')], and a point of line x'
-    is in T_m iff one of these covers it. The prefixes a' = x' // m + delta,
-    nearest first, shrink each line's uncovered part from both ends; a line
-    left uncovered gets the union over every line of P (_line_gap). Arrays
-    take the element type of the scan of mP, int32 whenever it fits: that
-    leaves room for 16 times the scan's facet values, and the values here
-    stay below 6 times them, so the arithmetic is exact.
+    is in T_m iff one of these covers it. loP, hiP, loM and hiM are read
+    from the line tables of P and (m-1)P, keyed by line coordinates z (see
+    _LineTable). With z the coordinates of x', the lines z // m + delta of P,
+    nearest first, and z - z // m - delta of (m-1)P shrink each line's
+    uncovered part from both ends; each probe is one row gather per table
+    at a fixed offset from the line's base rows. A line left uncovered gets
+    the union over every line of P (_line_gap). mP itself is scanned in the
+    input frame, so lines come in lex order. L and H keep the element type
+    of that scan; the tables take their own (see _level_tables).
     """
-    dtype = _scan_dtype(P, m)
-    A = np.array([h.normal for h in P.facets], dtype=dtype)
-    b = np.array([h.offset for h in P.facets], dtype=dtype)[:, None]
-    A_pre, a_last = A[:, :-1], A[:, -1]
-    dA = (np.array(_probe_deltas(P.dim - 1), dtype=dtype) @ A_pre.T)[:, :, None]
-    pre, lo, c = (np.concatenate(a).astype(dtype) for a in zip(*_np_slabs(P, 1, False)))
-    lines_p = (A_pre @ pre.T, lo, lo + c - 1)
+    table_p, table_m = _level_tables(P, m)
+    k = P.dim - 1
+    deltas = _PROBE_DELTAS[k] if k < len(_PROBE_DELTAS) else _probe_deltas(k)
+    steps = list(zip((deltas @ table_p.strides).tolist(),
+                     (-(deltas @ table_m.strides)).tolist()))
     for X, L, counts in _np_slabs(P, m, False, chunk_rows=1 << 18):
         H = L + counts - 1
-        # facet rows, line columns: P at X//m + delta is rP - dA[t] and
-        # (m-1)P at X - X//m - delta is rM + dA[t]
-        XA = A_pre @ X.T
-        QA = A_pre @ (X // m).T
-        rP, rM = b - QA, (m - 1) * b - XA + QA
+        Z = _line_coords(P, m, X)
+        Q = Z // m
+        at_p, at_m = table_p.index(Q), table_m.index(Z - Q)
         alive = np.arange(len(X))
-        for dA_t in dA:
-            p_lo, p_hi = _last_range(rP - dA_t, a_last)
-            m_lo, m_hi = _last_range(rM + dA_t, a_last)
-            ok = (p_lo <= p_hi) & (m_lo <= m_hi)
+        for step_p, step_m in steps:
+            p_lo, p_hi = table_p.rows.take(at_p + step_p, axis=0).T
+            m_lo, m_hi = table_m.rows.take(at_m + step_m, axis=0).T
             s_lo, s_hi = p_lo + m_lo, p_hi + m_hi
-            L = np.where(ok & (s_lo <= L) & (L <= s_hi), s_hi + 1, L)
-            H = np.where(ok & (s_lo <= H) & (H <= s_hi), s_lo - 1, H)
+            L = np.where((s_lo <= L) & (L <= s_hi), s_hi + 1, L)
+            H = np.where((s_lo <= H) & (H <= s_hi), s_lo - 1, H)
             open_ = L <= H
             if not open_.all():
                 alive, L, H = alive[open_], L[open_], H[open_]
-                rP, rM = rP[:, open_], rM[:, open_]
+                at_p, at_m = at_p[open_], at_m[open_]
                 if not len(alive):
                     break
         for i, low, high in zip(alive.tolist(), L.tolist(), H.tolist()):
-            r_line = (m - 1) * b - XA[:, i : i + 1]
-            gap = _line_gap(lines_p, r_line, a_last, low, high)
+            gap = _line_gap(table_p, table_m, Z[i], low, high)
             if gap is not None:
                 return tuple(int(x) for x in X[i]) + (gap,)
     return None
 
 
-def _line_gap(lines_p, r_line, a_last, low: int, high: int) -> int | None:
-    """First point of [low, high] (low <= high) on line x' of mP left uncovered.
+def _line_gap(table_p: _LineTable, table_m: _LineTable, z, low: int,
+              high: int) -> int | None:
+    """First point of [low, high] (low <= high) on the line at z of mP left uncovered.
 
-    lines_p holds, per line a' of P, its prefix terms A_pre a' and bounds
-    loP, hiP; r_line is (m-1)b minus the prefix terms of x'. Swept by start,
-    the intervals [loP + loM(x'-a'), hiP + hiM(x'-a')] cover a run from low
-    to one past the largest end so far; a start beyond the run leaves a gap.
+    Each line of P, at z_a in table_p.lines, pairs with the line at z - z_a
+    of (m-1)P, read from table_m. Swept by start, the intervals
+    [loP + loM, hiP + hiM] cover a run from low to one past the largest end
+    so far; a start beyond the run leaves a gap.
     """
-    pre, p_lo, p_hi = lines_p
-    m_lo, m_hi = _last_range(r_line + pre, a_last)
+    z_p, p_lo, p_hi = table_p.lines
+    m_lo, m_hi = table_m.ranges(z - z_p)
     ok = m_lo <= m_hi
     if not ok.any():
         return low

@@ -222,3 +222,18 @@ def test_installed_entry_point(square_file):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 2
+
+
+def test_python_dash_m_package(square_file, tmp_path):
+    # `python -m polynorm` runs the CLI from a checkout (src/ on the path,
+    # nothing installed) and prints what `python -m polynorm.cli` prints
+    runs = [subprocess.run([sys.executable, "-m", module, "analyze", square_file,
+                            "--format", "json"],
+                           capture_output=True, text=True, cwd=tmp_path)
+            for module in ("polynorm", "polynorm.cli")]
+    assert runs[0].returncode == 0, runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert json.loads(runs[0].stdout)["n"] == 2
+    bad = subprocess.run([sys.executable, "-m", "polynorm", "frobnicate"],
+                         capture_output=True, text=True, cwd=tmp_path)
+    assert bad.returncode == 1

@@ -5,9 +5,9 @@ import math
 import random
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from polynorm.linalg import det, hyperplane_normal, primitive, rank
+from polynorm.linalg import det, hyperplane_normal, lll_reduce, primitive, rank
 
 
 def det_by_permutations(rows):
@@ -95,3 +95,56 @@ def test_hyperplane_normal_orthogonality():
 def test_hyperplane_normal_degenerate():
     # affinely dependent points span no hyperplane
     assert hyperplane_normal([(0, 0, 0), (1, 1, 1), (2, 2, 2)]) is None
+
+
+def gram_schmidt(vectors):
+    """mu and squared lengths of the Gram-Schmidt vectors, in Fractions."""
+    stars, norms, mu = [], [], {}
+    for i, v in enumerate(vectors):
+        star = [Fraction(x) for x in v]
+        for j in range(i):
+            mu[i, j] = sum(Fraction(a) * b for a, b in zip(v, stars[j])) / norms[j]
+            star = [a - mu[i, j] * b for a, b in zip(star, stars[j])]
+        stars.append(star)
+        norms.append(sum(a * a for a in star))
+    return mu, norms
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 10**6), st.sampled_from([5, 2**70]))
+def test_lll_reduce_is_unimodular_and_reduced(k, seed, big):
+    # the form is |S u|^2 with S = D T: T unimodular, sheared by up to `big`,
+    # D a small diagonal, so the lattice S Z^k is D Z^k, whose successive
+    # minima are the sorted diagonal
+    rng = random.Random(seed)
+    T = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(2 * k):
+        i, j = rng.randrange(k), rng.randrange(k)
+        f = rng.randint(-big, big)
+        if i != j:
+            T[i] = [a + f * b for a, b in zip(T[i], T[j])]
+    D = [rng.randint(1, 6) for _ in range(k)]
+    S = [[d * x for x in row] for d, row in zip(D, T)]
+    gram = [[sum(S[r][i] * S[r][j] for r in range(k)) for j in range(k)] for i in range(k)]
+    U = lll_reduce(gram)
+    assert det(U) in (1, -1)
+    vectors = [[sum(a * b for a, b in zip(row, u)) for row in S] for u in U]
+    mu, norms = gram_schmidt(vectors)
+    assert all(abs(x) <= Fraction(1, 2) for x in mu.values())
+    assert all(norms[i] >= (Fraction(3, 4) - mu[i, i - 1] ** 2) * norms[i - 1]
+               for i in range(1, k))
+    for v, minimum in zip(vectors, sorted(D)):
+        assert sum(x * x for x in v) <= 2 ** (k - 1) * minimum**2
+
+
+def test_lll_reduce_edge_cases():
+    assert lll_reduce([]) == []
+    assert lll_reduce([[7]]) == [[1]]
+    # the unit square's covariance is already reduced; a needle's is not
+    assert lll_reduce([[2, 0], [0, 2]]) == [[1, 0], [0, 1]]
+    # S^T S for S = [[2^70, 1], [1, 0]], a basis of Z^2: reduced, both have length 1
+    needle = [[1 + 2**140, 2**70], [2**70, 1]]
+    U = lll_reduce(needle)
+    assert det(U) in (1, -1)
+    assert sorted(sum(u[i] * needle[i][j] * u[j] for i in range(2) for j in range(2))
+                  for u in U) == [1, 1]

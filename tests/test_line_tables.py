@@ -1,0 +1,191 @@
+"""The level checker's line tables, against the facet solver.
+
+A line table holds the last-coordinate range of every line of sP, keyed by
+the line coordinates z = U (x' - s o) of P's LLL-reduced prefix frame (U
+from the scan frame, o the prefix of P's first vertex). The oracle maps each
+z back to its prefix x' = s o + U^-1 z and solves the facets of sP there
+with geometry._last_range, in exact Python ints.
+"""
+
+import itertools
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import polynorm.geometry as geometry
+import polynorm.normality as normality
+from polynorm import (
+    InvalidInputError,
+    NotFullDimensionalError,
+    build_polytope,
+    is_normal,
+    reeve_simplex,
+    scaled_count,
+)
+from polynorm.linalg import det
+from test_large_coordinates import CASES as LARGE_CASES
+
+
+def inverse(U):
+    """Integer inverse of a unimodular matrix, by cofactors."""
+    d = det(U)
+    assert d in (1, -1)
+
+    def minor(i, j):
+        return [row[:j] + row[j + 1:] for r, row in enumerate(U) if r != i]
+
+    return [[(-1) ** (i + j) * d * det(minor(j, i)) for j in range(len(U))]
+            for i in range(len(U))]
+
+
+def oracle_ranges(P, s, Z):
+    """(lo, hi) of the line of sP at each row of Z, by its facets; lo > hi off sP."""
+    k = P.dim - 1
+    V = inverse(geometry._scan_frame(P)[2])
+    o = P.vertices[0][:-1]
+    X = np.array([[s * o[i] + sum(V[i][j] * z[j] for j in range(k)) for i in range(k)]
+                  for z in Z.tolist()], dtype=object).reshape(len(Z), k)
+    A = np.array([h.normal for h in P.facets], dtype=object)
+    b = np.array([s * h.offset for h in P.facets], dtype=object)
+    r = b[:, None] - (A[:, :-1] @ X.T if k else np.zeros((len(A), len(Z)), dtype=object))
+    return geometry._last_range(r, A[:, -1])
+
+
+def box_grid(lo, hi):
+    """Every integer point of the box [lo, hi], as int64 rows."""
+    rows = list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(lo))
+
+
+def assert_table_matches(P, s, table):
+    """Rows in the box, on its pad and one step outside it match the oracle."""
+    corner, top = table.corner.tolist(), (table.corner + table.shape - 1).tolist()
+    Z = box_grid([c - 1 for c in corner], [t + 1 for t in top])
+    lo, hi = oracle_ranges(P, s, Z)
+    t_lo, t_hi = table.ranges(Z)
+    feasible = (lo <= hi).astype(bool)
+    assert (t_lo <= t_hi).tolist() == feasible.tolist(), (P.vertices, s)
+    assert t_lo[feasible].tolist() == lo[feasible].tolist()
+    assert t_hi[feasible].tolist() == hi[feasible].tolist()
+    # every row of the scan of sP lands at its z, and nothing else is a line
+    rows = [(tuple(z), a, b) for z, a, b in zip(*(a.tolist() for a in table.lines))]
+    expected = [(tuple(z), a, b) for z, a, b, f
+                in zip(Z.tolist(), lo.tolist(), hi.tolist(), feasible) if f]
+    assert sorted(rows) == sorted(expected)
+
+
+def random_polytope(rng, n, spread):
+    while True:
+        pts = [tuple(rng.randrange(-spread, spread + 1) for _ in range(n))
+               for _ in range(n + 2)]
+        try:
+            return build_polytope(pts)
+        except (InvalidInputError, NotFullDimensionalError):
+            continue
+
+
+def twins(P, rng):
+    """P translated, and P under a map that sends lines to lines: a unimodular
+    shear of the prefix and the last coordinate plus a multiple of it."""
+    n = P.dim
+    t = [rng.randrange(-50, 51) for _ in range(n)]
+    S = [[int(i == j) for j in range(n - 1)] for i in range(n - 1)]
+    for _ in range(3 * (n - 1)):
+        i, j = rng.sample(range(n - 1), 2) if n > 2 else (0, 0)
+        f = rng.choice((-3, -2, 2, 3))
+        if i != j:
+            S[i] = [a + f * b for a, b in zip(S[i], S[j])]
+    c = [rng.randrange(-4, 5) for _ in range(n - 1)]
+
+    def shear(v):
+        x = v[:-1]
+        return tuple(sum(a * y for a, y in zip(row, x)) for row in S) + (
+            v[-1] + sum(a * y for a, y in zip(c, x)),)
+
+    return (build_polytope([tuple(a + b for a, b in zip(v, t)) for v in P.vertices]),
+            build_polytope([shear(v) for v in P.vertices]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 10**6), st.integers(1, 3))
+def test_tables_match_facet_solver(n, seed, s):
+    rng = random.Random(seed)
+    P = random_polytope(rng, n, spread=2 if n == 4 else 3)
+    for Q in (P, *twins(P, rng)):
+        # at level m = s + 1 the tables hold P and sP
+        table_p, table_s = normality._level_tables(Q, s + 1)
+        assert_table_matches(Q, 1, table_p)
+        assert_table_matches(Q, s, table_s)
+
+
+def pad_cases():
+    rng = random.Random(2718)
+    # dim 5 takes the offsets that are built per call
+    cases = [reeve_simplex(3), build_polytope([(0,), (5,)]),
+             build_polytope([(0,) * 5, *((0,) * i + (1,) + (0,) * (4 - i) for i in range(4)),
+                             (1, 1, 1, 1, 3)])]
+    for n in (2, 3, 4):
+        P = random_polytope(rng, n, spread=2)
+        cases += [P, *twins(P, rng)]
+    return cases
+
+
+@pytest.mark.parametrize("P", pad_cases(), ids=repr)
+def test_probes_stay_inside_their_tables(P):
+    # every probe the checker makes reads a row inside its table's box: a
+    # flat index past a pad would silently read another line's range. The
+    # extremes are reached at the vertices of mP, so every pad is tight.
+    for m in (2, 3, 4):
+        table_p, table_m = normality._level_tables(P, m)
+        deltas = normality._probe_deltas(P.dim - 1)
+        if P.dim <= len(normality._PROBE_DELTAS):
+            assert (normality._PROBE_DELTAS[P.dim - 1] == deltas).all()
+        Z = np.concatenate([normality._line_coords(P, m, X)
+                            for X, _, _ in geometry._np_slabs(P, m, False)])
+        Q = Z // m
+        reads = {}  # at m = 2 one table serves both sides
+        for table, probes in ((table_p, Q[:, None, :] + deltas),
+                              (table_m, (Z - Q)[:, None, :] - deltas)):
+            assert (probes >= table.corner).all(), (P.vertices, m)
+            assert (probes < table.corner + table.shape).all(), (P.vertices, m)
+            reads.setdefault(id(table), (table, []))[1].append(
+                probes.reshape(len(Z) * len(deltas), P.dim - 1))
+        for table, probes in reads.values():
+            probes = np.concatenate(probes)
+            assert probes.min(axis=0).tolist() == table.corner.tolist()
+            assert probes.max(axis=0).tolist() == (table.corner + table.shape - 1).tolist()
+
+
+THIN_N = 10**5
+
+
+@pytest.mark.parametrize("apex", [(THIN_N, THIN_N, THIN_N, 1),
+                                  (THIN_N, 2 * THIN_N + 1, 3 * THIN_N - 1, 1)],
+                         ids=["thin", "skewed"])
+def test_thin_simplex_tables_stay_small(apex):
+    # conv{0, e1, e2, e3, apex}: pi_3(P) is a needle of about N lattice
+    # points in a box of N^3, so tables over the input-frame box would need
+    # petabytes. In the reduced frame every table holds at most 64 rows per
+    # lattice point of pi_3(sP) (the prefix lines of sP, with or without
+    # lattice points): two axes of width 2, each padded by 4 rows, give
+    # (2 + 4 + 1)^2 = 49 rows per point of the long axis.
+    P = build_polytope([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), apex])
+    rep = is_normal(P, 3)
+    assert (rep.verdict, rep.levels_checked) == ("normal-up-to-cap", (2, 3))
+    shadow = build_polytope([v[:-1] for v in P.vertices])
+    for m in (2, 3):
+        for s, table in zip((1, m - 1), normality._level_tables(P, m)):
+            assert len(table.rows) <= 64 * scaled_count(shadow, s), (m, s)
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_CASES))
+def test_tables_of_large_twins_match_facet_solver(name):
+    # coordinates past int64: line coordinates and, where the last
+    # coordinate is large, the rows themselves run in Python ints
+    P = build_polytope(LARGE_CASES[name][0])
+    for s in (1, 2):
+        table_p, table_s = normality._level_tables(P, s + 1)
+        assert_table_matches(P, 1, table_p)
+        assert_table_matches(P, s, table_s)
