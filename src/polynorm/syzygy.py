@@ -27,12 +27,11 @@ of b is connected iff G_b connects the points of its sinks: elements
 {p}+A and {p}+B that share a point p are joined by a path from A to B in
 their degree-(d-1) fiber, lifted by p; conversely a quadratic move keeps
 d-2 >= 1 points, and the points of any one element form a clique of G_b.
-Three stages test this, cheapest first:
+Two stages test this, each on all sums of a degree at once:
 - Point-linked: the sinks chain through shared points.
-- Bridged: they chain through shared points and edges of G_b between the
-  points of two sinks.
-- The breadth-first search on G_b (`_point_graph_connected`) decides the
-  rest exactly; it alone proves a fiber disconnected.
+- The rest get one layered breadth-first search on their graphs G_b
+  (`_sinks_connected`), which is exact and alone proves a fiber
+  disconnected.
 
 Sums are int64 codes in one mixed radix (`_Encoding`), so one stable sort
 lists the fibers in lex order, each with its sinks in lex order. An edge
@@ -59,10 +58,10 @@ from .geometry import LatticePoint, Polytope, _as_scale
 _CONNECTED = "quadratically connected up to cap"
 _DISCONNECTED = "disconnected"
 
-# candidate bits unpacked at once while extending cliques (one byte each)
-_UNPACK_BITS = 1 << 22
-# row pairs per batch of the bridge certificate (d*d int64 lookups each)
-_BRIDGE_PAIRS = 1 << 12
+# bytes of one chunk of array work: the candidate bits unpacked at once (one
+# byte each), the keys of a batch of searched fibers' points (8 bytes each)
+# and the edge lookups tried at once (about 64 bytes each)
+_CHUNK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -149,7 +148,7 @@ def _irreducible_pairs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class DegreeSummary:
     degree: int
     fibers: int           # nonempty fibers at this degree
-    bfs_checked: int      # fibers that needed the explicit connectivity check
+    bfs_checked: int      # sums left open by point-linking, to the first disconnected one
     connected: bool
 
 
@@ -181,7 +180,7 @@ class N1ProbeReport:
 
 def _candidate_bits(cand: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(row, column) of every set bit of the bit-packed rows, row-major."""
-    step = max(1, _UNPACK_BITS // n)
+    step = max(1, _CHUNK_BYTES // n)
     rows, cols = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     for r in range(0, len(cand), step):
         k, j = np.nonzero(np.unpackbits(cand[r : r + step], axis=1, count=n))
@@ -190,22 +189,31 @@ def _candidate_bits(cand: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(rows), np.concatenate(cols)
 
 
-def _components_agree(owner: np.ndarray, key: np.ndarray, nkeys: int,
-                      group: np.ndarray) -> np.ndarray:
-    """For each group of rows: is it one component when rows sharing a key join?
+def _point_linked(sinks: np.ndarray, group: np.ndarray, n: int) -> np.ndarray:
+    """For each group of sink rows: do its sinks chain through shared points?
 
-    Incidence i ties row owner[i] to key key[i], a key number below nkeys;
-    `group` gives each row's group number, ascending from 0 without gaps.
-    Min-label propagation with pointer jumping: every row starts with its
-    own index as label, and each round gives it the least label among the
-    rows that share a key with it. Labels only fall, each stays the index
-    of a row in the same component, and at the fixed point rows sharing a
-    key share a label, so a group is one component iff its labels agree.
+    `sinks` holds one clique per row, `group` its group number, ascending
+    from 0 without gaps. Only valid once every lower-degree fiber is known
+    to be connected (see the module docstring). A False entry is
+    inconclusive, not a disconnection proof.
+
+    Rows that share a key, a (group, point) pair, join. Min-label
+    propagation with pointer jumping: every row starts with its own index
+    as label, and each round gives it the least label among the rows that
+    share a key with it. Labels only fall, each stays the index of a row in
+    the same component, and at the fixed point rows sharing a key share a
+    label, so a group is one component iff its labels agree.
     """
-    rows = len(group)
+    rows, d = sinks.shape
+    if not rows:
+        return np.ones(0, dtype=bool)
+    keys = group.astype(np.int64)[:, None] * n + sinks
+    distinct, key = np.unique(keys, return_inverse=True)
+    key = key.reshape(-1)
+    owner = np.repeat(np.arange(rows), d)
     label = np.arange(rows)
     while True:
-        low = np.full(nkeys, rows)
+        low = np.full(len(distinct), rows)
         np.minimum.at(low, key, label[owner])
         new = label.copy()
         np.minimum.at(new, owner, low[key])
@@ -217,108 +225,70 @@ def _components_agree(owner: np.ndarray, key: np.ndarray, nkeys: int,
     return np.minimum.reduceat(label, starts) == np.maximum.reduceat(label, starts)
 
 
-def _point_linked(sinks: np.ndarray, group: np.ndarray, n: int) -> np.ndarray:
-    """For each group of sink rows: do its sinks chain through shared points?
+def _sinks_connected(sinks: np.ndarray, group: np.ndarray, sums: np.ndarray,
+                     codes: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """For each group of degree-d sink rows: is the fiber of its sum b connected?
 
-    `sinks` holds one clique per row, `group` its group number, ascending
-    from 0 without gaps. Only valid once every lower-degree fiber is known
-    to be connected (see the module docstring). A False entry is
-    inconclusive, not a disconnection proof. The keys are the (group,
-    point) pairs.
+    `sinks` and `group` are as for `_point_linked`, `sums` the groups' codes
+    b, `codes` the point codes and `lower` the sorted distinct codes of the
+    (d-2)-point sums. Exact once every fiber of degree d-1 is connected: by
+    the lemma in the module docstring, the fiber is connected iff G_b joins
+    the points of all its sinks.
+
+    One layered breadth-first search runs on every G_b at once, from each
+    group's first sink, over keys group * N + point in batches of groups
+    whose keys (8 bytes each) fit _CHUNK_BYTES. A layer tries the frontier,
+    the points the layer before reached, against the unseen points of the
+    unreached sinks, then, where a sink is still unreached, against every
+    unseen point, _CHUNK_BYTES // 64 lookups at a time. A group's search
+    ends when every sink holds a reached point or its frontier is empty.
     """
-    rows, d = sinks.shape
-    if not rows:
-        return np.ones(0, dtype=bool)
-    keys = group.astype(np.int64)[:, None] * n + sinks
-    distinct, key = np.unique(keys, return_inverse=True)
-    return _components_agree(np.repeat(np.arange(rows), d), key.reshape(-1),
-                             len(distinct), group)
-
-
-def _bridged(sinks: np.ndarray, group: np.ndarray, sums: np.ndarray,
-             codes: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """For each group of degree-d sink rows: do its sinks chain through bridges?
-
-    `sinks` and `group` are as for `_point_linked`, `sums[g]` is the code
-    of group g's sum b, `codes` the point codes and `lower` the sorted
-    distinct codes of the (d-2)-point sums. Only valid once every fiber of
-    degree d-1 is known to be connected. Two sinks s and t are bridged
-    when they share a point, or when some p in s and q in t are adjacent
-    in the point graph G_b, that is, leave b - p - q a sum R of d-2 points:
-    the element {p, q} + R of b's fiber shares p with s and q with t, and
-    each shared point lifts a path from degree d-1 (the lemma in the module
-    docstring). A False entry is inconclusive.
-
-    b - p - q is looked up by code(b) - code(p) - code(q), which cannot
-    alias: its digits lie in [-2*span, d*span] and those of a (d-2)-sum in
-    [0, (d-2)*span], so they differ by at most d*span < radix (d <= cap).
-    All row pairs of a group and all d*d point pairs are tried at once, in
-    batches of consecutive groups with fewer than 2 * _BRIDGE_PAIRS row
-    pairs; a group with more than _BRIDGE_PAIRS is left to the point-graph
-    search.
-    """
-    rows, d = sinks.shape
-    if not rows:
-        return np.zeros(0, dtype=bool)
-    sizes = np.bincount(group, minlength=len(sums))
-    start = np.r_[0, np.cumsum(sizes)]
-    pairs = sizes * (sizes - 1) // 2
-    pairs[pairs > _BRIDGE_PAIRS] = 0
-    # row r pairs with the after[r] rows that follow it in its group
-    after = np.where(pairs[group] > 0, start[group + 1] - np.arange(rows) - 1, 0)
-    batch = (np.cumsum(pairs) - 1) // _BRIDGE_PAIRS
-    pcodes = codes[sinks]
+    n = len(codes)
+    bounds = np.searchsorted(group, np.arange(len(sums) + 1))
     out = np.zeros(len(sums), dtype=bool)
-    bounds = np.r_[_run_starts(batch), len(sums)]
-    for g0, g1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        r0, r1 = start[g0], start[g1]
-        count = after[r0:r1]
-        first = np.repeat(np.arange(r0, r1), count)
-        offset = np.arange(len(first)) - np.repeat(np.cumsum(count) - count, count)
-        second = first + 1 + offset
-        pc = pcodes[first][:, :, None]
-        qc = pcodes[second][:, None, :]
-        rest = sums[group[first]][:, None, None] - pc - qc
-        at = np.minimum(np.searchsorted(lower, rest), len(lower) - 1)
-        hit = ((lower[at] == rest) | (pc == qc)).reshape(len(first), d * d).any(axis=1)
-        edges = int(hit.sum())
-        out[g0:g1] = _components_agree(np.r_[first[hit], second[hit]] - r0,
-                                       np.tile(np.arange(edges), 2), edges,
-                                       group[r0:r1] - g0)
+    batch = max(1, _CHUNK_BYTES // (8 * n))
+    step = max(1, _CHUNK_BYTES // 64)
+    for g0 in range(0, len(sums), batch):
+        g1 = min(g0 + batch, len(sums))
+        rows = slice(bounds[g0], bounds[g1])
+        local = group[rows] - g0
+        keys = local.astype(np.int64)[:, None] * n + sinks[rows]
+        first = bounds[g0:g1] - bounds[g0]
+        seen = np.zeros((g1 - g0) * n, dtype=bool)
+        seen[keys[first]] = True
+        frontier = np.flatnonzero(seen)
+        while len(frontier):
+            layer = []
+            for wide in (False, True):
+                reached = seen[keys].any(axis=1)
+                live = np.bincount(frontier // n, minlength=g1 - g0) > 0
+                live &= ~np.logical_and.reduceat(reached, first)
+                frontier = frontier[live[frontier // n]]
+                if wide:
+                    pool = ~seen.reshape(-1, n) & live[:, None]
+                else:
+                    pool = np.zeros(len(seen), dtype=bool)
+                    pool[keys[~reached & live[local]]] = True
+                pool = np.flatnonzero(pool)
+                # group g's pool keys are pool[start[g]:start[g + 1]]; pair t
+                # joins frontier key i to pool key stop[i] + t - ends[i]
+                start = np.searchsorted(pool, np.arange(g1 - g0 + 1) * n)
+                g = frontier // n
+                stop = start[g + 1]
+                count = stop - start[g]
+                ends = np.cumsum(count)
+                base = sums[g0 + g] - codes[frontier % n]
+                for t0 in range(0, int(count.sum()), step):
+                    t = np.arange(t0, min(t0 + step, ends[-1]))
+                    i = np.searchsorted(ends, t, side="right")
+                    j = stop[i] + t - ends[i]
+                    rest = base[i] - codes[pool[j] % n]
+                    at = np.minimum(np.searchsorted(lower, rest), len(lower) - 1)
+                    seen[pool[j[lower[at] == rest]]] = True
+                layer.append(pool[seen[pool]])
+            frontier = np.concatenate(layer)
+        out[g0:g1] = np.logical_and.reduceat(seen[keys].any(axis=1), first)
     return out
-
-
-def _point_graph_connected(sinks: np.ndarray, b: int, codes: np.ndarray,
-                           lower: np.ndarray) -> bool:
-    """Is the fiber of b connected? Exact once every fiber of one degree
-    lower is known to be connected.
-
-    `sinks` holds the fiber's sinks, one row of point indices each, `codes`
-    the point codes and `lower` the sorted distinct codes of the (d-2)-point
-    sums. By the lemma in the module docstring the fiber is connected iff
-    the point graph G_b joins the points of all its sinks. A breadth-first
-    search on G_b starts from the first sink's points and stops once every
-    sink holds a reached point; each layer tries the unreached sinks' points
-    first, then every unseen point. An edge p ~ q is looked up by the code
-    code(b) - code(p) - code(q) in `lower`, which cannot alias, as in
-    `_bridged`. At d = 2 every sum has a single sink, its irreducible pair,
-    so this is never reached there.
-    """
-    seen = np.zeros(len(codes), dtype=bool)
-    seen[sinks[0]] = True
-    frontier = np.flatnonzero(seen)
-    while len(frontier):
-        layer = []
-        for pool in (np.unique(sinks[~seen[sinks].any(axis=1)]), np.arange(len(codes))):
-            if seen[sinks].any(axis=1).all():
-                return True
-            cand = pool[~seen[pool]]
-            rest = b - codes[frontier][:, None] - codes[cand]
-            at = np.minimum(np.searchsorted(lower, rest), len(lower) - 1)
-            layer.append(cand[(lower[at] == rest).any(axis=0)])
-            seen[layer[-1]] = True
-        frontier = np.concatenate(layer)
-    return False
 
 
 def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
@@ -334,10 +304,10 @@ def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
     product reaches 2^62 is refused with InvalidInputError.
 
     A unique descent sink proves a fiber connected without enumerating it.
-    Point-linking and then bridging settle the other sums of a degree all
-    at once, and what they leave gets the breadth-first search on its
-    point graph, in sum order. Stops at the first disconnected fiber and
-    reports it as the witness.
+    Point-linking settles the other sums of a degree all at once, and one
+    batched breadth-first search on their point graphs decides the rest.
+    Stops at the first disconnected fiber in sum order and reports it as
+    the witness.
     """
     ell = _as_scale(ell, "ell")
     degree_cap = operator.index(degree_cap)
@@ -355,7 +325,6 @@ def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
     distinct = [np.zeros(1, np.int64), enc.codes]
     cand = adj
     summaries = []
-    witness_degree = None
     witness_fiber = None
     for d in range(2, degree_cap + 1):
         k, j = _candidate_bits(cand, N)
@@ -371,32 +340,23 @@ def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
         collide = np.flatnonzero(sizes > 1)
         # the cliques of every colliding sum, in sum order; all fibers of
         # degree < d are connected at this point, which _point_linked
-        # and _bridged rely on
+        # and _sinks_connected rely on
         sinks = cliques[order[np.repeat(sizes > 1, sizes)]]
         group = np.repeat(np.arange(len(collide)), sizes[collide])
         linked = _point_linked(sinks, group, N)
         sinks, collide = sinks[~linked[group]], collide[~linked]
         group = np.repeat(np.arange(len(collide)), sizes[collide])
         sums = sorted_codes[starts[collide]]
-        bridged = _bridged(sinks, group, sums, enc.codes, distinct[d - 2])
-        bounds = np.r_[0, np.cumsum(sizes[collide])]
-        bad = None
-        bfs_runs = len(collide)  # every sum point-linking left open
-        for g in np.flatnonzero(~bridged).tolist():
-            if not _point_graph_connected(sinks[bounds[g] : bounds[g + 1]], int(sums[g]),
-                                          enc.codes, distinct[d - 2]):
-                bad = int(sums[g])
-                bfs_runs = g + 1
-                break
+        bad = np.flatnonzero(~_sinks_connected(sinks, group, sums, enc.codes,
+                                               distinct[d - 2]))[:1].tolist()
         summaries.append(DegreeSummary(
             degree=d,
             fibers=len(starts),
-            bfs_checked=bfs_runs,
-            connected=bad is None,
+            bfs_checked=bad[0] + 1 if bad else len(collide),
+            connected=not bad,
         ))
-        if bad is not None:
-            witness_degree = d
-            witness_fiber = enc.decode(bad, d)
+        if bad:
+            witness_fiber = enc.decode(int(sums[bad[0]]), d)
             break
     verdict = _CONNECTED if witness_fiber is None else _DISCONNECTED
     return N1ProbeReport(
@@ -404,7 +364,7 @@ def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
         ell=ell,
         degree_cap=degree_cap,
         verdict=verdict,
-        witness_degree=witness_degree,
+        witness_degree=witness_fiber[0] if witness_fiber else None,
         witness_fiber=witness_fiber,
         per_degree=tuple(summaries),
     )

@@ -1,7 +1,7 @@
 """Fiber enumeration and the degree-capped quadratic-generation probe.
 
-The probe's shortcut machinery (descent sinks, point-share merging,
-bridges, the point-graph search) is cross-validated here against two
+The probe's shortcut machinery (descent sinks, point-linking, and the
+batched search on the point graphs) is cross-validated here against two
 references: `brute_probe` enumerates every fiber exhaustively and BFSes its
 move graph, and `reference_probe` is the depth-first probe loop (recursive
 cliques, tuple sums, point-linking one sum at a time, the breadth-first
@@ -218,7 +218,7 @@ def reference_sinks_connected(sinks, table):
 def reference_probe(P, ell, cap):
     """The depth-first probe: each degree re-enumerates its cliques
     recursively, sums them point by point into tuples, and point-links the
-    colliding sums one at a time before the region merge; no bridges."""
+    colliding sums one at a time before the region merge."""
     C = build_configuration(P, ell)
     table = PairTable(C)
     pts = C.points
@@ -535,59 +535,46 @@ def _spied(monkeypatch, name, cases):
     return calls
 
 
-def test_bridged_groups_are_connected(monkeypatch):
-    # the region merge must confirm every fiber the certificate settles;
-    # every fiber of lower degree passed, which both of them assume. At
-    # ell = 1 many dim-3 fibers are disconnected, so a certificate that
-    # settles too much shows here
-    rng = random.Random(9001)
-    cases = [(random_polytope(rng, 3), ell, 4) for ell in (1, 3) for _ in range(10)]
-    cases += [(reeve_simplex(q), ell, 4) for q in REEVE_RANGE for ell in (1, 2, 3)]
-    total = 0
-    for (P, ell, cap), calls in zip(cases, _spied(monkeypatch, "_bridged", cases)):
-        table = PairTable(build_configuration(P, ell))
-        for (sinks, group, *_), out in calls:
-            for g in np.flatnonzero(out).tolist():
-                group_sinks = [tuple(s) for s in sinks[group == g].tolist()]
-                assert reference_sinks_connected(group_sinks, table), (P.vertices, ell)
-                total += 1
-    assert total >= 1000
-
-
-@pytest.mark.parametrize("batch", [None, 1])
-def test_point_graph_search_matches_region_merge(monkeypatch, batch):
-    # every verdict of the point-graph search, connected or not, is the
-    # region merge's; at batch 1 the search also gets every group with
-    # three or more sinks, which bridging would otherwise settle
-    if batch is not None:
-        monkeypatch.setattr(syzygy, "_BRIDGE_PAIRS", batch)
+@pytest.mark.parametrize("chunk", [None, 1 << 10])
+def test_point_graph_search_matches_region_merge(monkeypatch, chunk):
+    # every verdict of the batched search, connected or not, is the region
+    # merge's; every fiber of lower degree passed, which both of them assume.
+    # At ell = 1 many dim-3 fibers are disconnected, so a search that
+    # settles too much or too little shows here. At chunk 2^10 the groups
+    # are split into many batches and their lookups into chunks of 16
+    if chunk is not None:
+        monkeypatch.setattr(syzygy, "_CHUNK_BYTES", chunk)
     rng = random.Random(20261018)
     cases = [(random_polytope(rng, 3), 1, 4) for _ in range(40)]
     rng = random.Random(9001)
-    cases += [(random_polytope(rng, 3), 3, 4) for _ in range(10)]
+    sample = [random_polytope(rng, 3) for _ in range(20)]
+    cases += [(P, 1, 4) for P in sample[:10]] + [(P, 3, 4) for P in sample]
     cases += [(reeve_simplex(q), ell, 4) for q in REEVE_RANGE for ell in (1, 2, 3)]
     # its disconnected fiber has three sinks, and the first reaches the second
     # but not the third
     split = build_polytope([(-1, 1, -1), (0, -2, -1), (0, 0, 0), (2, -1, -1), (2, 1, -2)])
     cases.append((split, 1, 4))
     verdicts = set()
-    for (P, ell, cap), calls in zip(cases, _spied(monkeypatch, "_point_graph_connected",
-                                                  cases)):
+    spied = _spied(monkeypatch, "_sinks_connected", cases)
+    for (P, ell, cap), calls in zip(cases, spied):
         table = PairTable(build_configuration(P, ell))
-        for (sinks, *_), verdict in calls:
-            group_sinks = [tuple(s) for s in sinks.tolist()]
-            assert verdict == reference_sinks_connected(group_sinks, table), (
-                P.vertices, ell, group_sinks)
-            verdicts.add((verdict, len(sinks) > 2))
+        for (sinks, group, *_), out in calls:
+            for g, verdict in enumerate(out.tolist()):
+                group_sinks = [tuple(s) for s in sinks[group == g].tolist()]
+                assert verdict == reference_sinks_connected(group_sinks, table), (
+                    P.vertices, ell, group_sinks)
+                verdicts.add((verdict, len(group_sinks) > 2))
     assert {(True, False), (False, False), (False, True)} <= verdicts
+    assert sum(len(out) for calls in spied for _, out in calls) >= 1000
 
 
-@pytest.mark.parametrize("batch", [1, 4])
-def test_bridge_batches_do_not_change_reports(monkeypatch, batch):
-    # at 1 every group with two sinks is its own batch and larger groups
-    # go to the point-graph search; at 4 batches hold several groups
+@pytest.mark.parametrize("chunk", [1, 1 << 10])
+def test_chunk_bytes_do_not_change_reports(monkeypatch, chunk):
+    # at 1 every batch of the search is one group and every chunk one
+    # lookup; at 2^10 a batch holds several groups and a chunk 16 lookups
     rng = random.Random(20261018)
-    polytopes = [random_polytope(rng, 3) for _ in range(40)]
-    default = [n1_probe(P, 1, 4).to_jsonable() for P in polytopes]
-    monkeypatch.setattr(syzygy, "_BRIDGE_PAIRS", batch)
-    assert [n1_probe(P, 1, 4).to_jsonable() for P in polytopes] == default
+    cases = [(random_polytope(rng, 3), 1) for _ in range(40)]
+    cases += [(reeve_simplex(q), ell) for q in REEVE_RANGE for ell in (1, 2, 3)]
+    default = [n1_probe(P, ell, 4).to_jsonable() for P, ell in cases]
+    monkeypatch.setattr(syzygy, "_CHUNK_BYTES", chunk)
+    assert [n1_probe(P, ell, 4).to_jsonable() for P, ell in cases] == default
