@@ -535,20 +535,36 @@ def _spied(monkeypatch, name, cases):
     return calls
 
 
+def test_bridged_groups_are_connected(monkeypatch):
+    # the region merge must confirm every group the batched search settles
+    # as connected; every fiber of lower degree passed, which both of them
+    # assume. At ell = 1 many dim-3 fibers are disconnected, so a search
+    # that settles too much shows here
+    rng = random.Random(9001)
+    cases = [(random_polytope(rng, 3), ell, 4) for ell in (1, 3) for _ in range(10)]
+    cases += [(reeve_simplex(q), ell, 4) for q in REEVE_RANGE for ell in (1, 2, 3)]
+    total = 0
+    for (P, ell, cap), calls in zip(cases, _spied(monkeypatch, "_sinks_connected", cases)):
+        table = PairTable(build_configuration(P, ell))
+        for (sinks, group, *_), out in calls:
+            for g in np.flatnonzero(out).tolist():
+                group_sinks = [tuple(s) for s in sinks[group == g].tolist()]
+                assert reference_sinks_connected(group_sinks, table), (P.vertices, ell)
+                total += 1
+    assert total >= 1000
+
+
 @pytest.mark.parametrize("chunk", [None, 1 << 10])
 def test_point_graph_search_matches_region_merge(monkeypatch, chunk):
     # every verdict of the batched search, connected or not, is the region
-    # merge's; every fiber of lower degree passed, which both of them assume.
-    # At ell = 1 many dim-3 fibers are disconnected, so a search that
-    # settles too much or too little shows here. At chunk 2^10 the groups
-    # are split into many batches and their lookups into chunks of 16
+    # merge's. At chunk 2^10 the groups are split into many batches and
+    # their lookups into chunks of 16
     if chunk is not None:
         monkeypatch.setattr(syzygy, "_CHUNK_BYTES", chunk)
     rng = random.Random(20261018)
     cases = [(random_polytope(rng, 3), 1, 4) for _ in range(40)]
     rng = random.Random(9001)
-    sample = [random_polytope(rng, 3) for _ in range(20)]
-    cases += [(P, 1, 4) for P in sample[:10]] + [(P, 3, 4) for P in sample]
+    cases += [(random_polytope(rng, 3), 3, 4) for _ in range(10)]
     cases += [(reeve_simplex(q), ell, 4) for q in REEVE_RANGE for ell in (1, 2, 3)]
     # its disconnected fiber has three sinks, and the first reaches the second
     # but not the third
@@ -565,7 +581,6 @@ def test_point_graph_search_matches_region_merge(monkeypatch, chunk):
                     P.vertices, ell, group_sinks)
                 verdicts.add((verdict, len(group_sinks) > 2))
     assert {(True, False), (False, False), (False, True)} <= verdicts
-    assert sum(len(out) for calls in spied for _, out in calls) >= 1000
 
 
 @pytest.mark.parametrize("chunk", [1, 1 << 10])
