@@ -27,11 +27,10 @@ of b is connected iff G_b connects the points of its sinks: elements
 {p}+A and {p}+B that share a point p are joined by a path from A to B in
 their degree-(d-1) fiber, lifted by p; conversely a quadratic move keeps
 d-2 >= 1 points, and the points of any one element form a clique of G_b.
-Two stages test this, each on all sums of a degree at once:
-- Point-linked: the sinks chain through shared points.
-- The rest get one layered breadth-first search on their graphs G_b
-  (`_sinks_connected`), which is exact and alone proves a fiber
-  disconnected.
+Point-linking (the sinks chain through shared points) settles most sums
+of a degree at once. A layered breadth-first search on the graphs G_b of
+the rest (`_sinks_connected`) is exact and alone proves a fiber
+disconnected; it stops after the first batch of sums that holds one.
 
 Sums are int64 codes in one mixed radix (`_Encoding`), so one stable sort
 lists the fibers in lex order, each with its sinks in lex order. An edge
@@ -40,8 +39,8 @@ of G_b is looked up by code(b) - code(p) - code(q) among the codes of
 b - p - q lies in [-2*span, d*span] and that of a (d-2)-sum in
 [0, (d-2)*span], so the two differ by at most d*span < radix = cap*span + 1,
 and equal codes mean equal vectors. The cliques grow breadth-wise, one
-degree at a time: one `nonzero` over the bit-packed candidate rows of all
-degree-(d-1) cliques extends them at once, in index-lex order.
+degree at a time: the set bits of the packed candidate rows, nonzero bytes
+first and then their bits, extend all degree-(d-1) cliques at once.
 """
 
 from __future__ import annotations
@@ -58,9 +57,9 @@ from .geometry import LatticePoint, Polytope, _as_scale
 _CONNECTED = "quadratically connected up to cap"
 _DISCONNECTED = "disconnected"
 
-# bytes of one chunk of array work: the candidate bits unpacked at once (one
-# byte each), the keys of a batch of searched fibers' points (8 bytes each)
-# and the edge lookups tried at once (about 64 bytes each)
+# bytes of one chunk of array work: the packed candidate rows scanned for
+# nonzero bytes at once, the keys of a batch of searched fibers' points (8
+# bytes each) and the edge lookups tried at once (about 64 bytes each)
 _CHUNK_BYTES = 1 << 22
 
 
@@ -178,14 +177,17 @@ class N1ProbeReport:
         }
 
 
-def _candidate_bits(cand: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(row, column) of every set bit of the bit-packed rows, row-major."""
-    step = max(1, _CHUNK_BYTES // n)
+def _candidate_bits(cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) of every set bit of the bit-packed rows, row-major: per
+    chunk of rows, only the nonzero bytes are unpacked, to bits in column order."""
+    step = max(1, _CHUNK_BYTES // cand.shape[1])
     rows, cols = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     for r in range(0, len(cand), step):
-        k, j = np.nonzero(np.unpackbits(cand[r : r + step], axis=1, count=n))
-        rows.append(k + r)
-        cols.append(j)
+        nz = np.flatnonzero(cand[r : r + step]) + r * cand.shape[1]
+        bit = np.flatnonzero(np.unpackbits(cand.reshape(-1)[nz]))
+        k, b = np.divmod(nz[bit >> 3], cand.shape[1])
+        rows.append(k)
+        cols.append(8 * b + (bit & 7))
     return np.concatenate(rows), np.concatenate(cols)
 
 
@@ -225,6 +227,20 @@ def _point_linked(sinks: np.ndarray, group: np.ndarray, n: int) -> np.ndarray:
     return np.minimum.reduceat(label, starts) == np.maximum.reduceat(label, starts)
 
 
+def _first_disconnected(sinks: np.ndarray, group: np.ndarray, sums: np.ndarray,
+                        codes: np.ndarray, lower: np.ndarray) -> int | None:
+    """The first group `_sinks_connected` (same arguments) finds disconnected,
+    or None, searched in batches whose keys (8 bytes each) fit _CHUNK_BYTES."""
+    batch = max(1, _CHUNK_BYTES // (8 * len(codes)))
+    for g0 in range(0, len(sums), batch):
+        rows = slice(*np.searchsorted(group, [g0, g0 + batch]))
+        ok = _sinks_connected(sinks[rows], group[rows] - g0, sums[g0 : g0 + batch],
+                              codes, lower)
+        if not ok.all():
+            return g0 + int(np.argmin(ok))
+    return None
+
+
 def _sinks_connected(sinks: np.ndarray, group: np.ndarray, sums: np.ndarray,
                      codes: np.ndarray, lower: np.ndarray) -> np.ndarray:
     """For each group of degree-d sink rows: is the fiber of its sum b connected?
@@ -236,78 +252,68 @@ def _sinks_connected(sinks: np.ndarray, group: np.ndarray, sums: np.ndarray,
     the points of all its sinks.
 
     One layered breadth-first search runs on every G_b at once, from each
-    group's first sink, over keys group * N + point in batches of groups
-    whose keys (8 bytes each) fit _CHUNK_BYTES. A layer tries the frontier,
-    the points the layer before reached, against the unseen points of the
-    unreached sinks, then, where a sink is still unreached, against every
-    unseen point, _CHUNK_BYTES // 64 lookups at a time. A group's search
-    ends when every sink holds a reached point or its frontier is empty.
+    group's first sink, over keys group * N + point. A layer tries the
+    frontier, the points the layer before reached, against the unseen points of
+    the unreached sinks, then, where a sink is still unreached, against every
+    unseen point, _CHUNK_BYTES // 64 lookups at a time. A group's search ends
+    when every sink holds a reached point or its frontier is empty.
     """
-    n = len(codes)
-    bounds = np.searchsorted(group, np.arange(len(sums) + 1))
-    out = np.zeros(len(sums), dtype=bool)
-    batch = max(1, _CHUNK_BYTES // (8 * n))
+    n, m = len(codes), len(sums)
+    keys = group.astype(np.int64)[:, None] * n + sinks
+    first = _run_starts(group)
     step = max(1, _CHUNK_BYTES // 64)
-    for g0 in range(0, len(sums), batch):
-        g1 = min(g0 + batch, len(sums))
-        rows = slice(bounds[g0], bounds[g1])
-        local = group[rows] - g0
-        keys = local.astype(np.int64)[:, None] * n + sinks[rows]
-        first = bounds[g0:g1] - bounds[g0]
-        seen = np.zeros((g1 - g0) * n, dtype=bool)
-        seen[keys[first]] = True
-        frontier = np.flatnonzero(seen)
-        while len(frontier):
-            layer = []
-            for wide in (False, True):
-                reached = seen[keys].any(axis=1)
-                live = np.bincount(frontier // n, minlength=g1 - g0) > 0
-                live &= ~np.logical_and.reduceat(reached, first)
-                frontier = frontier[live[frontier // n]]
-                if wide:
-                    pool = ~seen.reshape(-1, n) & live[:, None]
-                else:
-                    pool = np.zeros(len(seen), dtype=bool)
-                    pool[keys[~reached & live[local]]] = True
-                pool = np.flatnonzero(pool)
-                # group g's pool keys are pool[start[g]:start[g + 1]]; pair t
-                # joins frontier key i to pool key stop[i] + t - ends[i]
-                start = np.searchsorted(pool, np.arange(g1 - g0 + 1) * n)
-                g = frontier // n
-                stop = start[g + 1]
-                count = stop - start[g]
-                ends = np.cumsum(count)
-                base = sums[g0 + g] - codes[frontier % n]
-                for t0 in range(0, int(count.sum()), step):
-                    t = np.arange(t0, min(t0 + step, ends[-1]))
-                    i = np.searchsorted(ends, t, side="right")
-                    j = stop[i] + t - ends[i]
-                    rest = base[i] - codes[pool[j] % n]
-                    at = np.minimum(np.searchsorted(lower, rest), len(lower) - 1)
-                    seen[pool[j[lower[at] == rest]]] = True
-                layer.append(pool[seen[pool]])
-            frontier = np.concatenate(layer)
-        out[g0:g1] = np.logical_and.reduceat(seen[keys].any(axis=1), first)
-    return out
+    seen = np.zeros(m * n, dtype=bool)
+    seen[keys[first]] = True
+    frontier = np.flatnonzero(seen)
+    while len(frontier):
+        layer = []
+        for wide in (False, True):
+            reached = seen[keys].any(axis=1)
+            live = np.bincount(frontier // n, minlength=m) > 0
+            live &= ~np.logical_and.reduceat(reached, first)
+            frontier = frontier[live[frontier // n]]
+            if wide:
+                pool = ~seen.reshape(-1, n) & live[:, None]
+            else:
+                pool = np.zeros(len(seen), dtype=bool)
+                pool[keys[~reached & live[group]]] = True
+            pool = np.flatnonzero(pool)
+            # group g's pool keys are pool[start[g]:start[g + 1]]; pair t
+            # joins frontier key i to pool key stop[i] + t - ends[i]
+            start = np.searchsorted(pool, np.arange(m + 1) * n)
+            g = frontier // n
+            stop = start[g + 1]
+            count = stop - start[g]
+            ends = np.cumsum(count)
+            base = sums[g] - codes[frontier % n]
+            for t0 in range(0, int(count.sum()), step):
+                t = np.arange(t0, min(t0 + step, ends[-1]))
+                i = np.searchsorted(ends, t, side="right")
+                j = stop[i] + t - ends[i]
+                rest = base[i] - codes[pool[j] % n]
+                at = np.minimum(np.searchsorted(lower, rest), len(lower) - 1)
+                seen[pool[j[lower[at] == rest]]] = True
+            layer.append(pool[seen[pool]])
+        frontier = np.concatenate(layer)
+    return np.logical_and.reduceat(seen[keys].any(axis=1), first)
 
 
 def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
     """Check fiber connectivity for degrees 2..degree_cap.
 
-    Degree d extends every degree-(d-1) clique k at once: `nonzero` over
-    the candidate rows (the points adjacent to all of k's) pairs k with each
-    candidate j, the new clique appends j, its code is code[k] + code[j]
-    and its candidate row cand[k] & adj[j]. Row-major `nonzero` keeps the
-    cliques in index-lex order, and a stable sort by code lists the fibers
-    in lex order of their sums, each with its sinks in index-lex order.
-    The codes are injective up to degree_cap; a configuration whose radix
-    product reaches 2^62 is refused with InvalidInputError.
+    Degree d extends every degree-(d-1) clique k at once: the set bits of
+    the packed candidate rows (the points adjacent to all of k's), found
+    as the nonzero bytes and then their bits, pair k with each candidate
+    j; the new clique appends j, its code is code[k] + code[j] and its
+    candidate row cand[k] & adj[j]. The bits come out row-major, which
+    keeps the cliques in index-lex order, and a stable sort by code lists
+    the fibers in lex order of their sums, each with its sinks in
+    index-lex order. The codes are injective up to degree_cap; a
+    configuration whose radix product reaches 2^62 is refused with
+    InvalidInputError.
 
-    A unique descent sink proves a fiber connected without enumerating it.
-    Point-linking settles the other sums of a degree all at once, and one
-    batched breadth-first search on their point graphs decides the rest.
-    Stops at the first disconnected fiber in sum order and reports it as
-    the witness.
+    Stops at the first disconnected fiber in sum order, decided as the
+    module docstring describes, and reports it as the witness.
     """
     ell = _as_scale(ell, "ell")
     degree_cap = operator.index(degree_cap)
@@ -327,7 +333,7 @@ def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
     summaries = []
     witness_fiber = None
     for d in range(2, degree_cap + 1):
-        k, j = _candidate_bits(cand, N)
+        k, j = _candidate_bits(cand)
         cliques = np.column_stack((cliques[k], j.astype(np.int32)))
         codes = codes[k] + enc.codes[j]
         if d < degree_cap:
@@ -338,25 +344,19 @@ def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
         distinct.append(sorted_codes[starts])
         sizes = np.diff(np.r_[starts, len(codes)])
         collide = np.flatnonzero(sizes > 1)
-        # the cliques of every colliding sum, in sum order; all fibers of
-        # degree < d are connected at this point, which _point_linked
-        # and _sinks_connected rely on
+        # the cliques of every colliding sum, in sum order; all fibers of degree
+        # < d are connected here, which _point_linked and _sinks_connected need
         sinks = cliques[order[np.repeat(sizes > 1, sizes)]]
         group = np.repeat(np.arange(len(collide)), sizes[collide])
         linked = _point_linked(sinks, group, N)
         sinks, collide = sinks[~linked[group]], collide[~linked]
         group = np.repeat(np.arange(len(collide)), sizes[collide])
         sums = sorted_codes[starts[collide]]
-        bad = np.flatnonzero(~_sinks_connected(sinks, group, sums, enc.codes,
-                                               distinct[d - 2]))[:1].tolist()
-        summaries.append(DegreeSummary(
-            degree=d,
-            fibers=len(starts),
-            bfs_checked=bad[0] + 1 if bad else len(collide),
-            connected=not bad,
-        ))
-        if bad:
-            witness_fiber = enc.decode(int(sums[bad[0]]), d)
+        bad = _first_disconnected(sinks, group, sums, enc.codes, distinct[d - 2])
+        checked = len(collide) if bad is None else bad + 1
+        summaries.append(DegreeSummary(d, len(starts), checked, bad is None))
+        if bad is not None:
+            witness_fiber = enc.decode(int(sums[bad]), d)
             break
     verdict = _CONNECTED if witness_fiber is None else _DISCONNECTED
     return N1ProbeReport(

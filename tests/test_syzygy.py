@@ -6,6 +6,8 @@ references: `brute_probe` enumerates every fiber exhaustively and BFSes its
 move graph, and `reference_probe` is the depth-first probe loop (recursive
 cliques, tuple sums, point-linking one sum at a time, the breadth-first
 region merge over quadratic moves) that the breadth-wise extension replaced.
+The candidate bits are checked against `reference_candidate_bits`, which
+unpacks every packed row to one byte per column before `nonzero`.
 """
 
 import itertools
@@ -310,6 +312,12 @@ def brute_probe(P, ell, cap):
     return per, None
 
 
+def reference_candidate_bits(cand, n):
+    """(row, column) of every set bit of the n-column bit-packed rows:
+    every row unpacked to one byte per column before `nonzero`."""
+    return np.nonzero(np.unpackbits(cand, axis=1, count=n))
+
+
 def test_build_configuration_sizes(unit_square):
     assert len(build_configuration(unit_square, 1)) == 4
     assert len(build_configuration(unit_square, 2)) == 9
@@ -557,8 +565,10 @@ def test_bridged_groups_are_connected(monkeypatch):
 @pytest.mark.parametrize("chunk", [None, 1 << 10])
 def test_point_graph_search_matches_region_merge(monkeypatch, chunk):
     # every verdict of the batched search, connected or not, is the region
-    # merge's. At chunk 2^10 the groups are split into many batches and
-    # their lookups into chunks of 16
+    # merge's. The spy sees the batches that were searched, so it compares
+    # the groups up to the end of the first batch holding a disconnected
+    # one; the groups after it are never searched. At chunk 2^10 the groups
+    # are split into many batches and their lookups into chunks of 16
     if chunk is not None:
         monkeypatch.setattr(syzygy, "_CHUNK_BYTES", chunk)
     rng = random.Random(20261018)
@@ -583,13 +593,85 @@ def test_point_graph_search_matches_region_merge(monkeypatch, chunk):
     assert {(True, False), (False, False), (False, True)} <= verdicts
 
 
-@pytest.mark.parametrize("chunk", [1, 1 << 10])
+def test_search_stops_after_first_disconnected_batch(monkeypatch):
+    # at chunk 2^8 a batch of the point-graph search holds a few groups of
+    # an ell = 1 dim-3 probe. Only the first disconnected group reaches the
+    # report, so no batch after the one that holds it may be searched
+    monkeypatch.setattr(syzygy, "_CHUNK_BYTES", 1 << 8)
+    real_first, real_search = syzygy._first_disconnected, syzygy._sinks_connected
+    degrees = []  # per degree searched: (open groups, verdicts of each batch)
+
+    def first(sinks, group, sums, *rest):
+        degrees.append((len(sums), []))
+        return real_first(sinks, group, sums, *rest)
+
+    def search(*args):
+        out = real_search(*args)
+        degrees[-1][1].append(out)
+        return out
+
+    monkeypatch.setattr(syzygy, "_first_disconnected", first)
+    monkeypatch.setattr(syzygy, "_sinks_connected", search)
+    rng = random.Random(20261018)
+    skipped = split = 0
+    for _ in range(40):
+        P = random_polytope(rng, 3)
+        degrees.clear()
+        rep = n1_probe(P, 1, 4)
+        batches = [out for _, outs in degrees for out in outs]
+        assert all(out.all() for out in batches[:-1]), P.vertices
+        assert rep.connected == all(out.all() for out in batches[-1:])
+        open_groups, outs = degrees[-1]
+        searched = sum(len(out) for out in outs)
+        assert searched == open_groups or not rep.connected
+        skipped += open_groups - searched
+        split += max(len(outs) for _, outs in degrees) > 1
+    assert skipped >= 50 and split >= 5
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 10, 1 << 13])
 def test_chunk_bytes_do_not_change_reports(monkeypatch, chunk):
-    # at 1 every batch of the search is one group and every chunk one
-    # lookup; at 2^10 a batch holds several groups and a chunk 16 lookups
+    # at 1 every batch of the search is one group, every chunk one lookup
+    # and every chunk of candidate rows one row; at 2^10 a batch holds
+    # several groups and a chunk 16 lookups. The dim-3 polytopes at ell = 3
+    # have 82 to 253 configuration points, so at 2^10 and 2^13 their packed
+    # candidate rows span many chunks while a search batch holds one group
+    # (2^10) or several (2^13); at 1 they would take seconds, and one-row
+    # chunks of candidate rows are checked against the oracle below
     rng = random.Random(20261018)
     cases = [(random_polytope(rng, 3), 1) for _ in range(40)]
     cases += [(reeve_simplex(q), ell) for q in REEVE_RANGE for ell in (1, 2, 3)]
+    if chunk > 1:
+        rng = random.Random(31415)
+        cases += [(random_polytope(rng, 3), 3) for _ in range(4)]
     default = [n1_probe(P, ell, 4).to_jsonable() for P, ell in cases]
     monkeypatch.setattr(syzygy, "_CHUNK_BYTES", chunk)
+    split = []
+    real = syzygy._candidate_bits
+
+    def spy(cand):
+        split.append(cand.size > chunk)
+        return real(cand)
+
+    monkeypatch.setattr(syzygy, "_candidate_bits", spy)
     assert [n1_probe(P, ell, 4).to_jsonable() for P, ell in cases] == default
+    assert sum(split) >= 5
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 70), st.integers(0, 12),
+       st.sampled_from([0.0, 0.03, 0.5, 1.0]), st.integers(0, 2**32 - 1))
+def test_candidate_bits_match_unpacking_every_row(n, rows, density, seed):
+    # n % 8 != 0 leaves padding bits in the last byte of a row; density 0
+    # and 1 give no bits and all bits, and about a third of the rows are zero
+    rng = np.random.default_rng(seed)
+    bits = rng.random((rows, n)) < density
+    bits[rng.random(rows) < 1 / 3] = False
+    cand = np.packbits(bits, axis=1)
+    want = reference_candidate_bits(cand, n)
+    for chunk in (syzygy._CHUNK_BYTES, 1, 5):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(syzygy, "_CHUNK_BYTES", chunk)
+            got = syzygy._candidate_bits(cand)
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == np.intp and np.array_equal(g, w)
