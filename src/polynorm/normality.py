@@ -11,10 +11,11 @@ of (m-1)P are integer intervals, and so are their sums. The checks below
 exploit that identity; semantics match the sumset definition exactly.
 
 The intervals of P and (m-1)P are read from line tables: dense arrays of
-each line's last-coordinate range, filled once per level from the scans of
-P and (m-1)P and keyed by line coordinates in a unimodular, LLL-reduced
-frame of the prefixes, so a thin or sheared P gets a small table. mP is
-walked in the input frame, which keeps lex order and the witnesses.
+each line's last-coordinate range, keyed by line coordinates in a
+unimodular, LLL-reduced frame of the prefixes, so a thin or sheared P gets
+a small table. One scan per scale fills them: P's scan fills P's table, and
+the scan of mP at level m fills mP's, which level m + 1 reads. mP is walked
+in the input frame, which keeps lex order and the witnesses.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .geometry import (
     _narrowest,
     _np_slabs,
     _scan_frame,
-    scaled_points_array,  # unused here; bench/tracing.py traces this name
 )
 
 
@@ -89,10 +89,6 @@ def _probe_deltas(k: int) -> np.ndarray:
     return np.array(near + ring, dtype=np.int64)
 
 
-# the offsets of every prefix dimension k = n - 1 for n <= 4
-_PROBE_DELTAS = tuple(_probe_deltas(k) for k in range(4))
-
-
 def _line_coords(P: Polytope, s: int, X) -> np.ndarray:
     """z = U (x' - s o) for the prefix rows X of s*P, as int64 rows.
 
@@ -117,10 +113,27 @@ class _LineTable:
     The line at prefix x' sits at z = _line_coords(P, s, x'). U is
     unimodular, so z runs over Z^{n-1} as x' does, and its rows are short
     under the covariance of pi_{n-1}(P)'s vertices, so the box of z over
-    s*P is small even where P is thin and sheared in the input frame.
-    rows holds (lo, hi) per point of that box, widened by pad = (below,
-    above) on every axis, in C order; (empty, -empty) where s*P has no line.
-    lines holds the z, lo and hi of the lines of s*P in scan order.
+    s*P is small even where P is thin and sheared in the input frame. The
+    box comes from the vertices, so rows, (lo, hi) per point of the box
+    widened by pad = (below, above) on every axis in C order, starts as
+    (empty, -empty) and fill writes the lines of a scan of s*P. P's table
+    also keeps lines: the z, lo and hi of P's lines in scan order.
+
+    Every z of mP lies in m times P's box [K0, K1] of z (P's vertices have
+    integer z), so per axis z // m lies in [K0, K1] and z - z // m in
+    (m-1)[K0, K1]. The probes z // m + delta, delta in {-1..2}^(n-1), thus
+    stay in P's box padded by (1, 2), and z - z // m - delta in (m-1)P's
+    padded by (2, 1); at m = 2 P's table serves both, so it is padded by
+    (2, 2). A smaller pad would read another line's row.
+
+    Row values are last coordinates of sP, s < cap, at most far = cap times
+    P's largest in absolute value: from the cap, not from m, because a
+    table filled at level m is read at level m + 1. A missing line reads
+    (2 far + 1, -2 far - 1): added to any row, it gives a range that starts
+    above and ends below every last coordinate of mP, so it covers nothing.
+    The rows take the narrowest type that holds 4 (far + 1): int32 even
+    where the scan of mP needs int64 for its facet values or point count,
+    as on thin simplices.
     """
 
     def __init__(self, P: Polytope, s: int, pad: tuple[int, int], dtype, empty: int):
@@ -135,12 +148,12 @@ class _LineTable:
                                 dtype=np.int64)
         self.rows = np.empty((int(np.prod(self.shape)), 2), dtype=dtype)
         self.rows[:] = (empty, -empty)
-        lines = []
-        for X, lo, counts in _np_slabs(P, s, False, chunk_rows=1 << 18):
-            Z = _line_coords(P, s, X)
-            lines.append((Z, lo.astype(dtype), (lo + counts - 1).astype(dtype)))
-            self.rows[self.index(Z)] = np.stack(lines[-1][1:], axis=1)
-        self.lines = tuple(np.concatenate(a) for a in zip(*lines))
+
+    def fill(self, Z, lo, hi):
+        """Write [lo, hi] at the lines at Z; return lo and hi in the row type."""
+        lo, hi = lo.astype(self.rows.dtype), hi.astype(self.rows.dtype)
+        self.rows[self.index(Z)] = np.stack((lo, hi), axis=1)
+        return lo, hi
 
     def index(self, Z):
         """Flat row index of each row of Z, all inside the box."""
@@ -159,35 +172,8 @@ class _LineTable:
         return self.rows.take(np.where(inside, self.index(Z), 0), axis=0).T
 
 
-def _level_tables(P: Polytope, m: int):
-    """The line tables of P and (m-1)P that the level-m check reads.
-
-    The vertices of P have integer z, so every z of mP lies in m times P's
-    box [K0, K1] of z, and per axis z // m lies in [K0, K1] and z - z // m
-    in (m-1)[K0, K1]. The probes z // m + delta, delta in {-1..2}^(n-1),
-    thus stay in P's box padded by (1, 2), and z - z // m - delta in
-    (m-1)P's padded by (2, 1); at m = 2 one table of P padded by (2, 2)
-    serves both. A smaller pad would read another line's row.
-
-    Row values are last coordinates of sP, s < m, at most far = m times
-    P's largest in absolute value. A missing line reads (2 far + 1,
-    -2 far - 1): added to any row, it gives a range that starts above and
-    ends below every last coordinate of mP, so it covers nothing. The rows
-    take the narrowest type that holds 4 (far + 1): int32 even where the
-    scan of mP needs int64 for its facet values or point count, as on thin
-    simplices.
-    """
-    _, _, _, lo, hi = _scan_frame(P)
-    far = m * max(abs(lo[-1]), abs(hi[-1]))
-    dtype, empty = _narrowest(4 * (far + 1)), 2 * far + 1
-    if m == 2:
-        table = _LineTable(P, 1, (2, 2), dtype, empty)
-        return table, table
-    return (_LineTable(P, 1, (1, 2), dtype, empty),
-            _LineTable(P, m - 1, (2, 1), dtype, empty))
-
-
-def _first_missing(P: Polytope, m: int) -> LatticePoint | None:
+def _first_missing(P: Polytope, m: int, table_p: _LineTable, table_m: _LineTable,
+                   deltas: np.ndarray, table_next: _LineTable | None) -> LatticePoint | None:
     """Lex-first point of mP missing from T_m, given T_{m-1} = (m-1)P cap Z^n.
 
     mP is walked by lines: a prefix x' of the first n-1 coordinates with
@@ -195,23 +181,24 @@ def _first_missing(P: Polytope, m: int) -> LatticePoint | None:
     plus those of (m-1)P on line x' - a' fill the interval
     [loP(a') + loM(x'-a'), hiP(a') + hiM(x'-a')], and a point of line x'
     is in T_m iff one of these covers it. loP, hiP, loM and hiM are read
-    from the line tables of P and (m-1)P, keyed by line coordinates z (see
-    _LineTable). With z the coordinates of x', the lines z // m + delta of P,
-    nearest first, and z - z // m - delta of (m-1)P shrink each line's
-    uncovered part from both ends; each probe is one row gather per table
-    at a fixed offset from the line's base rows. A line left uncovered gets
-    the union over every line of P (_line_gap). mP itself is scanned in the
-    input frame, so lines come in lex order. L and H keep the element type
-    of that scan; the tables take their own (see _level_tables).
+    from table_p and table_m, the line tables of P and (m-1)P, keyed by
+    line coordinates z (see _LineTable). With z the coordinates of x', the
+    lines z // m + delta of P, delta a row of deltas, nearest first, and
+    z - z // m - delta of (m-1)P shrink each line's uncovered part from
+    both ends; each probe is one row gather per table at a fixed offset
+    from the line's base rows. A line left uncovered gets the union over
+    every line of P (_line_gap). Before a chunk of lines is probed, its
+    rows go into table_next, mP's table for level m + 1, unless it is None.
+    mP itself is scanned in the input frame, so lines come in lex order. L
+    and H keep the element type of that scan; the tables take their own.
     """
-    table_p, table_m = _level_tables(P, m)
-    k = P.dim - 1
-    deltas = _PROBE_DELTAS[k] if k < len(_PROBE_DELTAS) else _probe_deltas(k)
     steps = list(zip((deltas @ table_p.strides).tolist(),
                      (-(deltas @ table_m.strides)).tolist()))
     for X, L, counts in _np_slabs(P, m, False, chunk_rows=1 << 18):
         H = L + counts - 1
         Z = _line_coords(P, m, X)
+        if table_next is not None:
+            table_next.fill(Z, L, H)
         Q = Z // m
         at_p, at_m = table_p.index(Q), table_m.index(Z - Q)
         alive = np.arange(len(X))
@@ -275,15 +262,27 @@ def is_normal(P: Polytope, cap: int | None = None) -> NormalityReport:
     cap = operator.index(cap)
     if cap < 2:
         raise InvalidInputError(f"normality cap must be >= 2, got {cap}")
-    checked = []
-    witness = None
+    # the pads, row type and sentinel of the line tables: see _LineTable
+    _, _, _, box_lo, box_hi = _scan_frame(P)
+    far = cap * max(abs(box_lo[-1]), abs(box_hi[-1]))
+    dtype, empty = _narrowest(4 * (far + 1)), 2 * far + 1
+    table_p = table_m = _LineTable(P, 1, (2, 2), dtype, empty)
+    lines = []
+    for X, lo, counts in _np_slabs(P, 1, False, chunk_rows=1 << 18):
+        Z = _line_coords(P, 1, X)
+        lines.append((Z, *table_p.fill(Z, lo, lo + counts - 1)))
+    table_p.lines = tuple(np.concatenate(a) for a in zip(*lines))
+    deltas = _probe_deltas(P.dim - 1)
+    checked, witness = [], None
     for m in range(2, cap + 1):
         checked.append(m)
         # Levels below m all passed, so T_{m-1} is all of (m-1)P.
-        point = _first_missing(P, m)
+        table_next = _LineTable(P, m, (2, 1), dtype, empty) if m < cap else None
+        point = _first_missing(P, m, table_p, table_m, deltas, table_next)
         if point is not None:
             witness = NormalityWitness(m, point)
             break
+        table_m = table_next
     return NormalityReport(
         polytope_id=P.polytope_id,
         cap_used=cap,

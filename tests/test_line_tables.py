@@ -4,11 +4,14 @@ A line table holds the last-coordinate range of every line of sP, keyed by
 the line coordinates z = U (x' - s o) of P's LLL-reduced prefix frame (U
 from the scan frame, o the prefix of P's first vertex). The oracle maps each
 z back to its prefix x' = s o + U^-1 z and solves the facets of sP there
-with geometry._last_range, in exact Python ints.
+with geometry._last_range, in exact Python ints. The tables checked are the
+ones the ladder of is_normal fills: P's from its own scan, and sP's during
+the scan at level s, for level s + 1 to read.
 """
 
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -60,7 +63,11 @@ def box_grid(lo, hi):
 
 
 def assert_table_matches(P, s, table):
-    """Rows in the box, on its pad and one step outside it match the oracle."""
+    """Rows in the box, on its pad and one step outside it match the oracle.
+
+    Only P's table keeps its lines; for the tables of sP, s > 1, the row
+    check over the box and past it stands in for the check of the lines.
+    """
     corner, top = table.corner.tolist(), (table.corner + table.shape - 1).tolist()
     Z = box_grid([c - 1 for c in corner], [t + 1 for t in top])
     lo, hi = oracle_ranges(P, s, Z)
@@ -69,11 +76,37 @@ def assert_table_matches(P, s, table):
     assert (t_lo <= t_hi).tolist() == feasible.tolist(), (P.vertices, s)
     assert t_lo[feasible].tolist() == lo[feasible].tolist()
     assert t_hi[feasible].tolist() == hi[feasible].tolist()
-    # every row of the scan of sP lands at its z, and nothing else is a line
-    rows = [(tuple(z), a, b) for z, a, b in zip(*(a.tolist() for a in table.lines))]
-    expected = [(tuple(z), a, b) for z, a, b, f
-                in zip(Z.tolist(), lo.tolist(), hi.tolist(), feasible) if f]
-    assert sorted(rows) == sorted(expected)
+    if s == 1:
+        # every row of the scan of P lands at its z, and nothing else is a line
+        rows = [(tuple(z), a, b) for z, a, b in zip(*(a.tolist() for a in table.lines))]
+        expected = [(tuple(z), a, b) for z, a, b, f
+                    in zip(Z.tolist(), lo.tolist(), hi.tolist(), feasible) if f]
+        assert sorted(rows) == sorted(expected)
+
+
+def ladder_tables(P, cap):
+    """(m, table_p, table_m, deltas) for each level m = 2..cap of is_normal(P, cap).
+
+    These are the arguments the checker passes to _first_missing: P's
+    table, the table of (m-1)P filled during the scan at level m - 1, and
+    the probe offsets. _line_gap is stubbed to cover every line, so the
+    ladder climbs to the cap even where P fails a level, and every table
+    it fills is complete. The tables stay alive in the returned list.
+    """
+    with mock.patch.object(normality, "_line_gap", return_value=None), \
+            mock.patch.object(normality, "_first_missing",
+                              wraps=normality._first_missing) as spy:
+        rep = is_normal(P, cap)
+    assert rep.levels_checked == tuple(range(2, cap + 1))
+    return [call.args[1:5] for call in spy.call_args_list]
+
+
+def scanned_table(P, s, pad, dtype, empty, chunk_rows):
+    """The table of sP filled by a scan of sP alone, in chunks of chunk_rows prefixes."""
+    table = normality._LineTable(P, s, pad, dtype, empty)
+    for X, lo, counts in geometry._np_slabs(P, s, False, chunk_rows=chunk_rows):
+        table.fill(normality._line_coords(P, s, X), lo, lo + counts - 1)
+    return table
 
 
 def random_polytope(rng, n, spread):
@@ -114,15 +147,37 @@ def test_tables_match_facet_solver(n, seed, s):
     rng = random.Random(seed)
     P = random_polytope(rng, n, spread=2 if n == 4 else 3)
     for Q in (P, *twins(P, rng)):
-        # at level m = s + 1 the tables hold P and sP
-        table_p, table_s = normality._level_tables(Q, s + 1)
+        # at level m = s + 1 the ladder reads the tables of P and sP
+        _, table_p, table_s, _ = ladder_tables(Q, s + 1)[-1]
         assert_table_matches(Q, 1, table_p)
         assert_table_matches(Q, s, table_s)
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 10**6), st.integers(2, 4))
+def test_filled_tables_match_tables_scanned_alone(n, seed, cap):
+    # the table of sP that the ladder fills during the level-s scan, in that
+    # scan's chunks, equals the table built by a scan of sP alone in chunks
+    # of 7 prefixes; every table takes its row type and sentinel from the cap
+    rng = random.Random(seed)
+    P = random_polytope(rng, n, spread=2 if n == 4 else 3)
+    for Q in (P, *twins(P, rng)):
+        _, _, _, lo, hi = geometry._scan_frame(Q)
+        far = cap * max(abs(lo[-1]), abs(hi[-1]))
+        dtype, empty = geometry._narrowest(4 * (far + 1)), 2 * far + 1
+        for m, table_p, table_m, _ in ladder_tables(Q, cap):
+            s = m - 1
+            alone = scanned_table(Q, s, (2, 2) if s == 1 else (2, 1), dtype, empty, 7)
+            assert (table_m is table_p) == (s == 1)
+            assert table_m.rows.dtype == alone.rows.dtype == np.dtype(dtype)
+            assert table_m.corner.tolist() == alone.corner.tolist()
+            assert table_m.shape.tolist() == alone.shape.tolist()
+            assert np.array_equal(table_m.rows, alone.rows), (Q.vertices, cap, s)
+
+
 def pad_cases():
     rng = random.Random(2718)
-    # dim 5 takes the offsets that are built per call
+    # dim 5 has four prefix coordinates
     cases = [reeve_simplex(3), build_polytope([(0,), (5,)]),
              build_polytope([(0,) * 5, *((0,) * i + (1,) + (0,) * (4 - i) for i in range(4)),
                              (1, 1, 1, 1, 3)])]
@@ -136,26 +191,25 @@ def pad_cases():
 def test_probes_stay_inside_their_tables(P):
     # every probe the checker makes reads a row inside its table's box: a
     # flat index past a pad would silently read another line's range. The
-    # extremes are reached at the vertices of mP, so every pad is tight.
-    for m in (2, 3, 4):
-        table_p, table_m = normality._level_tables(P, m)
-        deltas = normality._probe_deltas(P.dim - 1)
-        if P.dim <= len(normality._PROBE_DELTAS):
-            assert (normality._PROBE_DELTAS[P.dim - 1] == deltas).all()
+    # extremes are reached at the vertices of mP, so every pad is tight over
+    # all the reads of its table across levels: P's table is read at every
+    # level, and its pad (2, 2) is reached at -2 only by the reads at m = 2.
+    reads = {}
+    for m, table_p, table_m, deltas in ladder_tables(P, 4):
         Z = np.concatenate([normality._line_coords(P, m, X)
                             for X, _, _ in geometry._np_slabs(P, m, False)])
         Q = Z // m
-        reads = {}  # at m = 2 one table serves both sides
         for table, probes in ((table_p, Q[:, None, :] + deltas),
                               (table_m, (Z - Q)[:, None, :] - deltas)):
             assert (probes >= table.corner).all(), (P.vertices, m)
             assert (probes < table.corner + table.shape).all(), (P.vertices, m)
             reads.setdefault(id(table), (table, []))[1].append(
                 probes.reshape(len(Z) * len(deltas), P.dim - 1))
-        for table, probes in reads.values():
-            probes = np.concatenate(probes)
-            assert probes.min(axis=0).tolist() == table.corner.tolist()
-            assert probes.max(axis=0).tolist() == (table.corner + table.shape - 1).tolist()
+    assert len(reads) == 3  # the tables of P, 2P and 3P
+    for table, probes in reads.values():
+        probes = np.concatenate(probes)
+        assert probes.min(axis=0).tolist() == table.corner.tolist()
+        assert probes.max(axis=0).tolist() == (table.corner + table.shape - 1).tolist()
 
 
 THIN_N = 10**5
@@ -172,12 +226,16 @@ def test_thin_simplex_tables_stay_small(apex):
     # lattice points): two axes of width 2, each padded by 4 rows, give
     # (2 + 4 + 1)^2 = 49 rows per point of the long axis.
     P = build_polytope([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), apex])
-    rep = is_normal(P, 3)
+    with mock.patch.object(normality, "_first_missing",
+                           wraps=normality._first_missing) as spy:
+        rep = is_normal(P, 3)
     assert (rep.verdict, rep.levels_checked) == ("normal-up-to-cap", (2, 3))
     shadow = build_polytope([v[:-1] for v in P.vertices])
-    for m in (2, 3):
-        for s, table in zip((1, m - 1), normality._level_tables(P, m)):
+    for call in spy.call_args_list:
+        _, m, table_p, table_m = call.args[:4]
+        for s, table in ((1, table_p), (m - 1, table_m)):
             assert len(table.rows) <= 64 * scaled_count(shadow, s), (m, s)
+    assert [call.args[1] for call in spy.call_args_list] == [2, 3]
 
 
 @pytest.mark.parametrize("name", sorted(LARGE_CASES))
@@ -185,7 +243,6 @@ def test_tables_of_large_twins_match_facet_solver(name):
     # coordinates past int64: line coordinates and, where the last
     # coordinate is large, the rows themselves run in Python ints
     P = build_polytope(LARGE_CASES[name][0])
-    for s in (1, 2):
-        table_p, table_s = normality._level_tables(P, s + 1)
-        assert_table_matches(P, 1, table_p)
-        assert_table_matches(P, s, table_s)
+    (_, table_p, _, _), (_, _, table_2p, _) = ladder_tables(P, 3)
+    assert_table_matches(P, 1, table_p)
+    assert_table_matches(P, 2, table_2p)

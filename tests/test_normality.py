@@ -3,6 +3,7 @@
 import itertools
 import operator
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,8 +21,8 @@ from polynorm import (
     verify_corollary,
     verify_witness,
 )
+import polynorm.normality as normality
 from polynorm.geometry import _as_points, scaled_points_array
-from polynorm.normality import _first_missing
 
 
 def sumset_levels(points, m):
@@ -47,22 +48,21 @@ def is_normal_at_level(P, m):
     """Exact level-m test: lattice_points(mP) inside the m-fold sumset.
 
     While every level below m passes, T_{m-1} is all of (m-1)P and the
-    level checker decides level m. Past a failing level that premise is
-    lost, so mP is compared with the m-fold sumset itself.
+    level checker decides level m: is_normal(P, m) climbs to it. Past a
+    failing level that premise is lost, so mP is compared with the m-fold
+    sumset itself.
     """
     m = operator.index(m)
     if m < 1:
         raise InvalidInputError(f"level must be >= 1, got {m}")
-    for k in range(2, m + 1):
-        witness = _first_missing(P, k)
-        if witness is not None:
-            break
-    else:
+    witness = is_normal(P, m).witness if m > 1 else None
+    if witness is None:
         return True, None
-    if k < m:
-        points = {tuple(row) for row in scaled_points_array(P, m).tolist()}
-        missing = points - sumset_levels(P.lattice_points(), m)
-        witness = min(missing, default=None)
+    if witness.level == m:
+        return False, witness.point
+    points = {tuple(row) for row in scaled_points_array(P, m).tolist()}
+    missing = points - sumset_levels(P.lattice_points(), m)
+    witness = min(missing, default=None)
     return witness is None, witness
 
 
@@ -317,11 +317,21 @@ def test_is_normal_matches_sumset_definition_on_reeve_dilates():
             _assert_matches_definition(reeve_simplex(q).dilate(k), 3)
 
 
+@pytest.mark.parametrize("N", [10, 100])
+def test_thin_triangles_match_sumset_definition(N):
+    # conv{(0,0),(N,0),(0,2)}: half its lines are left open by the probes
+    # and reach _line_gap, which reads the lines kept on P's table
+    P = build_polytope([(0, 0), (N, 0), (0, 2)])
+    with mock.patch.object(normality, "_line_gap", wraps=normality._line_gap) as gap:
+        _assert_matches_definition(P, 3)
+    assert gap.call_count > 0
+
+
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_segments_are_normal(k):
     P = build_polytope([(0,), (k,)])
     assert is_normal(P).is_normal
     assert is_normal_at_level(P, 3) == (True, None)
     assert verify_corollary(P, normality_bound(P), 2).passed
-    for m in (2, 3, 4):
-        assert _first_missing(P, m) is None
+    rep = is_normal(P, 4)
+    assert (rep.verdict, rep.levels_checked) == ("normal-up-to-cap", (2, 3, 4))
