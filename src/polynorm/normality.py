@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .counting import d_of_p
 from .errors import InvalidInputError
 from .geometry import (
+    HalfSpace,
     LatticePoint,
     Polytope,
     _as_point,
@@ -400,21 +401,59 @@ class CorollaryRecord:
         }
 
 
+def _fewest_lines_frame(P: Polytope) -> Polytope:
+    """P with its axes permuted so that 2P has the fewest lines along the last.
+
+    Lines along axis i < n - 1 are keyed by the other coordinates, so
+    grouping an input-frame scan of 2P by its prefix rows with column i
+    dropped bounds their count by the sum of max hi - min lo + 1 over the
+    groups; ranked columns group object scans exactly. The axis with the
+    fewest moves last, a tie keeps P. A permutation maps facets to facets
+    and keeps normals primitive, so no hull is needed.
+    """
+    X, lo, counts = (np.concatenate(a) for a in zip(*_np_slabs(P, 2, False)))
+    hi = lo + counts - 1
+    ranks = np.empty(X.shape, dtype=np.int64)
+    for j, column in enumerate(X.T):
+        ranks[:, j] = np.unique(column, return_inverse=True)[1]
+    lines = [len(X)]
+    for i in range(P.dim - 1):
+        _, first, group = np.unique(np.delete(ranks, i, axis=1), axis=0,
+                                    return_index=True, return_inverse=True)
+        top, bottom = hi[first], lo[first]
+        np.maximum.at(top, group, hi)
+        np.minimum.at(bottom, group, lo)
+        lines.append(int((top - bottom + 1).sum()))
+    axis = lines.index(min(lines)) - 1
+    if axis < 0:
+        return P
+    move = operator.itemgetter(*[j for j in range(P.dim) if j != axis], axis)
+    return Polytope(P.dim, tuple(sorted(map(move, P.vertices))),
+                    tuple(sorted(HalfSpace(move(h.normal), h.offset) for h in P.facets)))
+
+
 def verify_corollary(P: Polytope, bounds: BoundReport, extra_levels: int = 0,
                      cap: int | None = None) -> CorollaryRecord:
     """Check normality of ell*P for ell = bound .. bound + extra_levels.
 
-    bounds is P's BoundReport, as `normality_bound(P)` gives it.
+    bounds is P's BoundReport, as `normality_bound(P)` gives it. Normality
+    does not see a permutation of coordinates, so ell*P is checked in the
+    frame of _fewest_lines_frame(P), under ell*P's id. A non-normal dilate,
+    which breaks the theorem, is checked again in the input frame, so its
+    witness is the input frame's lex-first.
     """
     extra_levels = operator.index(extra_levels)
     if extra_levels < 0:
         raise InvalidInputError(f"extra_levels must be >= 0, got {extra_levels}")
     lo = bounds.corollary_bound
+    R = _fewest_lines_frame(P)
     levels = []
     violations = []
     for ell in range(lo, lo + extra_levels + 1):
-        rep = is_normal(P.dilate(ell), cap)
-        levels.append((ell, rep))
+        rep = is_normal(R.dilate(ell), cap)
+        if not rep.is_normal:
+            rep = is_normal(P.dilate(ell), cap)
+        levels.append((ell, replace(rep, polytope_id=P.dilate(ell).polytope_id)))
         if not rep.is_normal:
             violations.append(ell)
     return CorollaryRecord(

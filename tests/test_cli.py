@@ -7,7 +7,10 @@ import sys
 
 import pytest
 
+import polynorm.normality as normality
+from polynorm import normality_bound
 from polynorm.cli import main
+from test_corollary import reference_verify_corollary, rotated_reeve
 
 SQUARE = [[0, 0], [1, 0], [0, 1], [1, 1]]
 T2 = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 2]]
@@ -237,3 +240,15 @@ def test_python_dash_m_package(square_file, tmp_path):
     bad = subprocess.run([sys.executable, "-m", "polynorm", "frobnicate"],
                          capture_output=True, text=True, cwd=tmp_path)
     assert bad.returncode == 1
+
+
+def test_verify_json_matches_input_frame_sweep(capsys, tmp_path):
+    # the dilates of this simplex are checked with its axis 0 last
+    P = rotated_reeve(5)
+    assert normality._fewest_lines_frame(P) is not P
+    path = tmp_path / "reeve.json"
+    path.write_text(json.dumps([list(v) for v in P.vertices]))
+    assert main(["verify", str(path), "--extra-levels", "2", "--format", "json"]) == 0
+    expected = reference_verify_corollary(P, normality_bound(P), 2).to_jsonable()
+    out = capsys.readouterr().out.encode()
+    assert out == (json.dumps(expected, indent=2, sort_keys=True) + "\n").encode()

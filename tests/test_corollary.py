@@ -1,0 +1,146 @@
+"""The corollary sweep, which checks each dilate in a frame with permuted axes.
+
+Lattice point counts, normality verdicts and witnesses do not see a
+permutation of coordinates, so verify_corollary checks ell*P along the axis
+where 2P has the fewest lines. The oracles are that invariance, tried over
+every permutation, and the sweep as it runs in the input frame,
+reference_verify_corollary.
+"""
+
+import itertools
+import random
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from polynorm import (
+    REEVE_RANGE,
+    BoundReport,
+    CorollaryRecord,
+    build_polytope,
+    is_normal,
+    normality_bound,
+    reeve_simplex,
+    scaled_count,
+    verify_corollary,
+    verify_witness,
+)
+import polynorm.normality as normality
+from test_normality import _sumset_verdict, random_polytope
+
+
+def reference_verify_corollary(P, bounds, extra_levels=0, cap=None):
+    """The sweep in the input frame: is_normal on each dilate ell*P of P itself."""
+    lo = bounds.corollary_bound
+    levels = tuple((ell, is_normal(P.dilate(ell), cap))
+                   for ell in range(lo, lo + extra_levels + 1))
+    return CorollaryRecord(
+        polytope_id=P.polytope_id, n=bounds.n, d=bounds.d, corollary_bound=lo,
+        extra_levels=extra_levels, levels=levels,
+        violations=tuple(ell for ell, rep in levels if not rep.is_normal))
+
+
+def permuted(P, perm):
+    """The hull of P's vertices with coordinate perm[k] moved to place k."""
+    return build_polytope([tuple(v[j] for j in perm) for v in P.vertices])
+
+
+def rotated_reeve(q):
+    """conv{0, e2, e3, (q,1,1)}: for q >= 5, 2P has the fewest lines along axis 0."""
+    return build_polytope([(0, 0, 0), (0, 1, 0), (0, 0, 1), (q, 1, 1)])
+
+
+def frame_is_permuted(P):
+    """Whether _fewest_lines_frame(P) is not P; if not, check it is P permuted.
+
+    A permuted frame must equal the hull of P's vertices under some
+    permutation of coordinates, facets included.
+    """
+    R = normality._fewest_lines_frame(P)
+    if R is P:
+        return False
+    assert any(R.vertices == Q.vertices and R.facets == Q.facets
+               for Q in (permuted(P, perm)
+                         for perm in itertools.permutations(range(P.dim))))
+    return True
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 10**6),
+       st.sampled_from([None] + list(REEVE_RANGE)))
+def test_permutations_keep_counts_verdicts_and_witnesses(n, seed, q):
+    P = reeve_simplex(q) if q else random_polytope(random.Random(seed), n, spread=2)
+    rep = is_normal(P)
+    for perm in itertools.permutations(range(P.dim)):
+        Q = permuted(P, perm)
+        assert [scaled_count(Q, k) for k in (1, 2, 3)] == [
+            scaled_count(P, k) for k in (1, 2, 3)]
+        rep_q = is_normal(Q)
+        assert (rep_q.verdict, rep_q.levels_checked) == (rep.verdict, rep.levels_checked)
+        if rep_q.witness is not None:
+            # map the witness back: place k of Q holds coordinate perm[k] of P
+            point = [None] * P.dim
+            for k, j in enumerate(perm):
+                point[j] = rep_q.witness.point[k]
+            assert verify_witness(P, rep_q.witness.level, point)
+
+
+def test_sweep_matches_input_frame_sweep():
+    rng = random.Random(1618)
+    taken = 0
+    for n in (2, 3, 4):
+        for _ in range(5):
+            P = random_polytope(rng, n, spread=2)
+            bounds = normality_bound(P)
+            rec = verify_corollary(P, bounds, 2)
+            ref = reference_verify_corollary(P, bounds, 2)
+            assert rec.to_jsonable() == ref.to_jsonable()
+            assert [r.polytope_id for _, r in rec.levels] == [
+                r.polytope_id for _, r in ref.levels]
+            assert rec == ref
+            taken += frame_is_permuted(P)
+    assert taken > 0  # some dilates were checked in a permuted frame
+
+
+@pytest.mark.parametrize("q", [5, 6])
+def test_violation_reports_the_input_frames_witness(q):
+    # a forged bound of 1 puts the non-normal P itself into the sweep
+    P = rotated_reeve(q)
+    assert frame_is_permuted(P)
+    bounds = BoundReport(3, 2)
+    with mock.patch.object(normality, "is_normal", wraps=normality.is_normal) as spy:
+        rec = verify_corollary(P, bounds, 1)
+    checked = [call.args[0] for call in spy.call_args_list]
+    # ell = 1 in the permuted frame, again in the input frame; then ell = 2
+    assert checked[0] != P and checked[1] == P and len(checked) == 3
+    assert rec == reference_verify_corollary(P, bounds, 1)
+    assert rec.violations == (1,)
+    witness = rec.levels[0][1].witness
+    assert (witness.level, witness.point) == _sumset_verdict(P, 2)
+    assert verify_witness(P, witness.level, witness.point)
+
+
+def test_thin_triangle_matches_input_frame_sweep():
+    P = build_polytope([(0, 0), (100, 0), (0, 2)])
+    assert frame_is_permuted(P)
+    bounds = normality_bound(P)
+    assert verify_corollary(P, bounds, 2) == reference_verify_corollary(P, bounds, 2)
+
+
+def test_long_thin_triangle_scans_few_prefixes():
+    # the input frame would scan about 27 N prefix rows and spend most of
+    # its time in _line_gap; the frame choice itself scans 2P's 2 N + 1
+    N = 10**4
+    P = build_polytope([(0, 0), (N, 0), (0, 2)])
+    rows = []
+    scan = normality._np_slabs
+
+    def counted(*args, **kwargs):
+        for X, lo, counts in scan(*args, **kwargs):
+            rows.append(len(X))
+            yield X, lo, counts
+
+    with mock.patch.object(normality, "_np_slabs", counted):
+        assert verify_corollary(P, normality_bound(P), 2).passed
+    assert sum(rows) <= 2 * N + 100

@@ -8,18 +8,23 @@ scan; the large ones need int64 or exact Python ints throughout.
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import polynorm.geometry as geometry
+import polynorm.normality as normality
 from polynorm import (
+    BoundReport,
     build_polytope,
     d_of_p,
     ehrhart_polynomial,
     is_normal,
+    normality_bound,
     reeve_simplex,
     scaled_count,
+    verify_corollary,
     verify_witness,
 )
 
@@ -82,6 +87,46 @@ def test_large_normality_matches_small_twin(twins):
     rep_big, rep_small = is_normal(big), is_normal(small)
     assert rep_big.verdict == rep_small.verdict
     assert rep_big.levels_checked == rep_small.levels_checked
+
+
+def test_large_corollary_sweep_matches_small_twin(twins):
+    big, small, _ = twins
+
+    def short_prefixes(Q, scale):
+        lo, hi = Q.bounding_box()
+        return all(scale * (h - l) < 2**10 for l, h in zip(lo[:-1], hi[:-1]))
+
+    # the long triangle's 2^71-point axis stays the line axis: a wrapped
+    # estimate would make it a prefix axis, whose scan does not end
+    assert short_prefixes(normality._fewest_lines_frame(big), 2)
+    with mock.patch.object(normality, "_np_slabs", wraps=normality._np_slabs) as scans:
+        rec_big = verify_corollary(big, normality_bound(big), 2)
+    rec_small = verify_corollary(small, normality_bound(small), 2)
+    assert rec_big.passed and rec_small.passed
+    assert [(ell, rep.verdict, rep.levels_checked) for ell, rep in rec_big.levels] == [
+        (ell, rep.verdict, rep.levels_checked) for ell, rep in rec_small.levels]
+    # every scan, the frame choice's scan of 2P too, runs on exact ints
+    for call in scans.call_args_list:
+        Q, scale = call.args[:2]
+        assert geometry._scan_dtype(Q, scale) is object
+        assert short_prefixes(Q, scale)
+
+
+def test_far_rotated_reeve_sweep_matches_small_twin():
+    # conv{0, e2, e3, (5,1,1)} is checked with axis 0 last, here in exact
+    # ints; a forged bound of 1 puts the non-normal P itself into the sweep
+    small = build_polytope([(0, 0, 0), (0, 1, 0), (0, 0, 1), (5, 1, 1)])
+    big = shifted(small, 2**63)
+    assert normality._fewest_lines_frame(big) is not big
+    assert geometry._scan_dtype(big, 1) is object
+    rec_big, rec_small = (verify_corollary(P, BoundReport(3, 2), 1) for P in (big, small))
+    assert rec_big.violations == rec_small.violations == (1,)
+    assert [(ell, rep.verdict, rep.levels_checked) for ell, rep in rec_big.levels] == [
+        (ell, rep.verdict, rep.levels_checked) for ell, rep in rec_small.levels]
+    # the witness lies in mP, so it moves by m times the translation
+    witness = rec_small.levels[0][1].witness
+    x, *rest = witness.point
+    assert rec_big.levels[0][1].witness.point == (x + witness.level * 2**63, *rest)
 
 
 def test_far_reeve_witness_is_translated():
