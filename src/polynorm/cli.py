@@ -66,16 +66,12 @@ def _cmd_analyze(args) -> int:
     obj = record.to_jsonable()
 
     def render(obj):
-        poly = " + ".join(
-            f"{c} t^{i}" if i else str(c)
-            for i, c in enumerate(obj["ehrhart"]) if c != "0"
-        )
         wit = obj["normality"]["witness"]
         pairs = [
             ("polytope", obj["polytope_id"]),
             ("dim", obj["n"]),
             ("vertices", " ".join(str(tuple(v)) for v in obj["vertices"])),
-            ("ehrhart", poly),
+            ("ehrhart", str(record.ehrhart)),
             ("d", obj["d"]),
             ("codegree", obj["codegree"]),
             ("corollary bound", obj["corollary_bound"]),

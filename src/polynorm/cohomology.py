@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError, InvalidInputError
-from .geometry import Polytope, scaled_count
+from .geometry import Polytope, _as_int, scaled_count
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,7 @@ def np_bound_from_regularity(m: int, p: int) -> int:
     the classical normality bound, which regularity alone does not reach.
     """
     m = operator.index(m)
-    p = operator.index(p)
-    if p < 0:
-        raise InvalidInputError(f"p must be >= 0, got {p}")
+    p = _as_int(p, "p", 0)
     if p == 0:
         return max(m + 1, 1)
     return max(m + p, 1)

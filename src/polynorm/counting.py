@@ -7,12 +7,11 @@ over Fraction arithmetic, so coefficients are exact rationals.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalInvariantError, InvalidInputError
-from .geometry import Polytope, scaled_count
+from .errors import InternalInvariantError
+from .geometry import Polytope, _as_int, scaled_count
 
 
 @dataclass(frozen=True)
@@ -116,9 +115,7 @@ def reciprocity_check(P: Polytope, poly: EhrhartPolynomial,
     n = P.dim
     if t_max is None:
         t_max = n + 1
-    t_max = operator.index(t_max)
-    if t_max < 1:
-        raise InvalidInputError(f"t_max must be >= 1, got {t_max}")
+    t_max = _as_int(t_max, "t_max", 1)
     sign = (-1) ** n
     for t in range(1, t_max + 1):
         if poly.evaluate(-t) != sign * scaled_count(P, t, interior=True):
@@ -136,9 +133,7 @@ def extrapolation_check(P: Polytope, poly: EhrhartPolynomial, ks=None) -> bool:
     if ks is None:
         ks = (n + 1, n + 2)
     for k in ks:
-        k = operator.index(k)
-        if k < 1:
-            raise InvalidInputError(f"extrapolation level must be >= 1, got {k}")
+        k = _as_int(k, "extrapolation level", 1)
         if poly.evaluate(k) != scaled_count(P, k):
             return False
     return True

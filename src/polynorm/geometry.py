@@ -51,6 +51,13 @@ def _as_point(obj, n: int | None = None) -> LatticePoint:
     return pt
 
 
+def _as_int(value, what: str, least: int) -> int:
+    """operator.index of an integer argument >= least; a boolean is not one."""
+    if isinstance(value, bool) or operator.index(value) < least:
+        raise InvalidInputError(f"{what} must be an integer >= {least}, got {value!r}")
+    return operator.index(value)
+
+
 def _as_points(objs) -> list[LatticePoint]:
     pts = [_as_point(p) for p in objs]
     if not pts:
@@ -137,7 +144,7 @@ class Polytope:
 
     def dilate(self, k: int) -> "Polytope":
         """The dilate kP, and its scan frame: normals carry over, offsets scale by k."""
-        k = _as_scale(k, "dilation factor")
+        k = _as_int(k, "dilation factor", 1)
         if k == 1:
             return self
         verts = tuple(tuple(k * x for x in v) for v in self.vertices)
@@ -204,13 +211,6 @@ def build_polytope(points) -> Polytope:
 
 
 # -- lattice point enumeration ------------------------------------------------
-
-def _as_scale(value, what: str) -> int:
-    """operator.index of a factor >= 1; a boolean is not a count."""
-    if isinstance(value, bool) or operator.index(value) < 1:
-        raise InvalidInputError(f"{what} must be an integer >= 1, got {value!r}")
-    return operator.index(value)
-
 
 def _scan_frame(P: Polytope):
     """Facet rows (normal, offset) bounding coordinate k > 0, a line frame, P's box.
@@ -332,7 +332,7 @@ def _np_slabs(P: Polytope, scale: int, interior: bool, chunk_rows: int = 1 << 20
 
 def scaled_count(P: Polytope, scale: int = 1, interior: bool = False) -> int:
     """#(scale * P intersect Z^n), or the interior count. Exact; memoized on P."""
-    scale = _as_scale(scale, "scale")
+    scale = _as_int(scale, "scale", 1)
     key = (scale, bool(interior))
     if key not in P._count_cache:
         P._count_cache[key] = sum(
@@ -348,7 +348,7 @@ def scaled_points_array(P: Polytope, scale: int = 1, interior: bool = False):
     ints). A slab of the scan with more points than int64 can count cannot
     be materialized and raises InvalidInputError.
     """
-    scale = _as_scale(scale, "scale")
+    scale = _as_int(scale, "scale", 1)
     slabs = []
     for prefixes, lo_last, counts in _np_slabs(P, scale, interior):
         total = int(counts.sum())

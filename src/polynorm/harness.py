@@ -24,17 +24,15 @@ from .counting import (
     reciprocity_check,
 )
 from .errors import CorpusGenerationError, InvalidInputError, NotFullDimensionalError
-from .geometry import LatticePoint, Polytope, build_polytope
+from .geometry import LatticePoint, Polytope, _as_int, build_polytope
 from .normality import (
     BoundReport,
-    CorollaryRecord,
     NormalityReport,
-    default_cap,
     is_normal,
     verify_corollary,
     verify_witness,
 )
-from .syzygy import N1ProbeReport, n1_probe
+from .syzygy import n1_probe
 
 _RESAMPLE_LIMIT = 1000
 
@@ -145,9 +143,7 @@ REEVE_RANGE = (2, 3, 4, 5)
 
 def reeve_simplex(q: int) -> Polytope:
     """conv{0, e1, e2, (1,1,q)}; non-normal for every q >= 2."""
-    q = operator.index(q)
-    if q < 1:
-        raise InvalidInputError(f"Reeve parameter must be >= 1, got {q}")
+    q = _as_int(q, "Reeve parameter q", 1)
     return build_polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, q)])
 
 
@@ -253,9 +249,7 @@ def run_verification(spec: CorpusSpec, extra_levels: int = 2, n1_cap: int = 4,
     simplices ride along as fixtures whenever dimension 3 is requested.
     Violations are report content, never exceptions.
     """
-    extra_levels = operator.index(extra_levels)
-    if extra_levels < 0:
-        raise InvalidInputError(f"extra_levels must be >= 0, got {extra_levels}")
+    extra_levels = _as_int(extra_levels, "extra_levels", 0)
     corpus = generate_corpus(spec)
     items: list[tuple[str, str | None, Polytope]] = [
         ("corpus", None, P) for P in corpus

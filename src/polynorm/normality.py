@@ -20,18 +20,17 @@ in the input frame, which keeps lex order and the witnesses.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .counting import d_of_p
-from .errors import InvalidInputError
 from .geometry import (
     HalfSpace,
     LatticePoint,
     Polytope,
+    _as_int,
     _as_point,
     _narrowest,
     _np_slabs,
@@ -80,14 +79,16 @@ class NormalityReport:
 # -- level checks -------------------------------------------------------------
 
 def _probe_deltas(k: int) -> np.ndarray:
-    """Candidate offsets in Z^k around z // m, nearest first: a (4^k, k) array."""
-    near = list(itertools.product((0, 1), repeat=k))
-    ring = sorted(
-        (d for d in itertools.product((-1, 0, 1, 2), repeat=k)
-         if not all(x in (0, 1) for x in d)),
-        key=lambda d: (max(abs(x) for x in d), sum(abs(x) for x in d), d),
-    )
-    return np.array(near + ring, dtype=np.int64)
+    """Candidate offsets in Z^k around z // m, nearest first: a (4^k, k) array.
+
+    {0, 1}^k comes first, then the rest of {-1..2}^k by max |x|, then by
+    sum |x|; ties go in lex order.
+    """
+    d = np.indices((4,) * k, dtype=np.int64).reshape(k, 4**k).T - 1
+    ring = ((d < 0) | (d > 1)).any(axis=1)
+    size = np.abs(d)
+    return d[np.lexsort((*d.T[::-1], ring * size.sum(axis=1),
+                         ring * size.max(axis=1, initial=0), ring))]
 
 
 def _line_coords(P: Polytope, s: int, X) -> np.ndarray:
@@ -115,10 +116,11 @@ class _LineTable:
     unimodular, so z runs over Z^{n-1} as x' does, and its rows are short
     under the covariance of pi_{n-1}(P)'s vertices, so the box of z over
     s*P is small even where P is thin and sheared in the input frame. The
-    box comes from the vertices, so rows, (lo, hi) per point of the box
-    widened by pad = (below, above) on every axis in C order, starts as
-    (empty, -empty) and fill writes the lines of a scan of s*P. P's table
-    also keeps lines: the z, lo and hi of P's lines in scan order.
+    box is s times that of the z of P's vertices, so rows, (lo, hi) per
+    point of the box widened by pad = (below, above) on every axis in C
+    order, starts as (empty, -empty) and fill writes the lines of a scan
+    of s*P. P's table also keeps lines: the z, lo and hi of P's lines in
+    scan order.
 
     Every z of mP lies in m times P's box [K0, K1] of z (P's vertices have
     integer z), so per axis z // m lies in [K0, K1] and z - z // m in
@@ -138,14 +140,10 @@ class _LineTable:
     """
 
     def __init__(self, P: Polytope, s: int, pad: tuple[int, int], dtype, empty: int):
-        _, _, U, _, _ = _scan_frame(P)
-        origin = P.vertices[0][:-1]
-        corners = [[sum(u * (x - y) for u, x, y in zip(row, v, origin)) for row in U]
-                   for v in P.vertices]
-        self.corner = np.array([s * min(c) - pad[0] for c in zip(*corners)], dtype=np.int64)
-        self.shape = np.array([s * max(c) + pad[1] for c in zip(*corners)],
-                              dtype=np.int64) - self.corner + 1
-        self.strides = np.array([self.shape[i + 1:].prod() for i in range(len(U))],
+        corners = _line_coords(P, 1, np.array([v[:-1] for v in P.vertices], dtype=object))
+        self.corner = s * corners.min(axis=0) - pad[0]
+        self.shape = s * corners.max(axis=0) + pad[1] - self.corner + 1
+        self.strides = np.array([self.shape[i + 1:].prod() for i in range(P.dim - 1)],
                                 dtype=np.int64)
         self.rows = np.empty((int(np.prod(self.shape)), 2), dtype=dtype)
         self.rows[:] = (empty, -empty)
@@ -260,9 +258,7 @@ def is_normal(P: Polytope, cap: int | None = None) -> NormalityReport:
     """
     if cap is None:
         cap = default_cap(P.dim)
-    cap = operator.index(cap)
-    if cap < 2:
-        raise InvalidInputError(f"normality cap must be >= 2, got {cap}")
+    cap = _as_int(cap, "normality cap", 2)
     # the pads, row type and sentinel of the line tables: see _LineTable
     _, _, _, box_lo, box_hi = _scan_frame(P)
     far = cap * max(abs(box_lo[-1]), abs(box_hi[-1]))
@@ -299,9 +295,7 @@ def verify_witness(P: Polytope, level: int, point) -> bool:
     True iff point lies in level*P and is not a sum of `level` lattice
     points of P, decided by exhaustive search with memoization.
     """
-    level = operator.index(level)
-    if level < 2:
-        raise InvalidInputError(f"witness level must be >= 2, got {level}")
+    level = _as_int(level, "witness level", 2)
     z = _as_point(point, P.dim)
     if not _contains_scaled(P, level, z):
         return False
@@ -442,18 +436,17 @@ def verify_corollary(P: Polytope, bounds: BoundReport, extra_levels: int = 0,
     which breaks the theorem, is checked again in the input frame, so its
     witness is the input frame's lex-first.
     """
-    extra_levels = operator.index(extra_levels)
-    if extra_levels < 0:
-        raise InvalidInputError(f"extra_levels must be >= 0, got {extra_levels}")
+    extra_levels = _as_int(extra_levels, "extra_levels", 0)
     lo = bounds.corollary_bound
     R = _fewest_lines_frame(P)
     levels = []
     violations = []
     for ell in range(lo, lo + extra_levels + 1):
+        D = P.dilate(ell)
         rep = is_normal(R.dilate(ell), cap)
         if not rep.is_normal:
-            rep = is_normal(P.dilate(ell), cap)
-        levels.append((ell, replace(rep, polytope_id=P.dilate(ell).polytope_id)))
+            rep = is_normal(D, cap)
+        levels.append((ell, replace(rep, polytope_id=D.polytope_id)))
         if not rep.is_normal:
             violations.append(ell)
     return CorollaryRecord(

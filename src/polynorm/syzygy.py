@@ -46,13 +46,12 @@ first and then their bits, extend all degree-(d-1) cliques at once.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import LatticePoint, Polytope, _as_scale
+from .geometry import LatticePoint, Polytope, _as_int
 
 _CONNECTED = "quadratically connected up to cap"
 _DISCONNECTED = "disconnected"
@@ -76,7 +75,7 @@ class PointConfiguration:
 
 def build_configuration(P: Polytope, ell: int) -> PointConfiguration:
     """Configuration of the embedding by ell*P."""
-    ell = _as_scale(ell, "ell")
+    ell = _as_int(ell, "ell", 1)
     pts = tuple((1,) + u for u in P.dilate(ell).lattice_points())
     return PointConfiguration(points=pts, n_plus_1=P.dim + 1)
 
@@ -315,10 +314,8 @@ def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
     Stops at the first disconnected fiber in sum order, decided as the
     module docstring describes, and reports it as the witness.
     """
-    ell = _as_scale(ell, "ell")
-    degree_cap = operator.index(degree_cap)
-    if degree_cap < 2:
-        raise InvalidInputError(f"degree cap must be >= 2, got {degree_cap}")
+    ell = _as_int(ell, "ell", 1)
+    degree_cap = _as_int(degree_cap, "degree cap", 2)
     C = build_configuration(P, ell)
     enc = _encoding(C, degree_cap)
     N = len(C)

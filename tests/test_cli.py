@@ -252,3 +252,62 @@ def test_verify_json_matches_input_frame_sweep(capsys, tmp_path):
     expected = reference_verify_corollary(P, normality_bound(P), 2).to_jsonable()
     out = capsys.readouterr().out.encode()
     assert out == (json.dumps(expected, indent=2, sort_keys=True) + "\n").encode()
+
+
+# `polynorm analyze` text output, byte for byte: reeve_simplex(2) (the
+# README's reeve2.json), reeve_simplex(12), whose Ehrhart polynomial has a
+# zero t coefficient, and default-corpus polytope 200 (dim 4), whose Ehrhart
+# coefficients are fractional
+ANALYZE_TEXT = {
+    "reeve2": (
+        [[0, 0, 0], [0, 1, 0], [1, 0, 0], [1, 1, 2]],
+        'polytope         812cec011c61bf78\n'
+        'dim              3\n'
+        'vertices         (0, 0, 0) (0, 1, 0) (1, 0, 0) (1, 1, 2)\n'
+        'ehrhart          1 + 5/3 t^1 + 1 t^2 + 1/3 t^3\n'
+        'd                1\n'
+        'codegree         2\n'
+        'corollary bound  2\n'
+        'autoregularity   1\n'
+        'np bounds        p=0:2 p=1:2 p=2:3 p=3:4\n'
+        'normality        non-normal witness (1, 1, 1) at level 2 (cap 2)\n'
+        'checks           ok\n'
+    ),
+    "reeve12": (
+        [[0, 0, 0], [0, 1, 0], [1, 0, 0], [1, 1, 12]],
+        'polytope         49fbdcc29a70d41a\n'
+        'dim              3\n'
+        'vertices         (0, 0, 0) (0, 1, 0) (1, 0, 0) (1, 1, 12)\n'
+        'ehrhart          1 + 1 t^2 + 2 t^3\n'
+        'd                1\n'
+        'codegree         2\n'
+        'corollary bound  2\n'
+        'autoregularity   1\n'
+        'np bounds        p=0:2 p=1:2 p=2:3 p=3:4\n'
+        'normality        non-normal witness (1, 1, 1) at level 2 (cap 2)\n'
+        'checks           ok\n'
+    ),
+    "dim4-fractional": (
+        [[1, 0, 0, 3], [1, 4, 4, 1], [1, 4, 4, 4], [2, 2, 0, 4], [2, 2, 3, 2]],
+        'polytope         1f98c20e5a3d06e4\n'
+        'dim              4\n'
+        'vertices         (1, 0, 0, 3) (1, 4, 4, 1) (1, 4, 4, 4) (2, 2, 0, 4) (2, 2, 3, 2)\n'
+        'ehrhart          1 + 3 t^1 + 7/2 t^2 + 3 t^3 + 3/2 t^4\n'
+        'd                1\n'
+        'codegree         2\n'
+        'corollary bound  3\n'
+        'autoregularity   2\n'
+        'np bounds        p=0:3 p=1:3 p=2:4 p=3:5\n'
+        'normality        non-normal witness (3, 3, 2, 6) at level 2 (cap 3)\n'
+        'checks           ok\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ANALYZE_TEXT)
+def test_analyze_text_bytes(capsys, tmp_path, name):
+    vertices, expected = ANALYZE_TEXT[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(vertices))
+    assert main(["analyze", str(path)]) == 0
+    assert capsys.readouterr().out == expected

@@ -1,0 +1,36 @@
+"""Every module of the package, except its __init__, uses each name it imports.
+
+Read from the source with ast: a name bound by an import statement (other
+than `from __future__`) must also appear as a name in an expression of the
+same module. A use as the root of an attribute, such as `np` in `np.int64`,
+counts. The package __init__ imports names to re-export them, so it is left
+out.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "polynorm"
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+
+
+def test_modules_are_found():
+    assert {"geometry.py", "normality.py", "syzygy.py", "cli.py"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_uses_every_import(module):
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(set(imported_names(tree)) - used)
+    assert not unused, f"{module} imports names it never uses: {unused}"

@@ -5,6 +5,7 @@ import operator
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -335,3 +336,23 @@ def test_segments_are_normal(k):
     assert verify_corollary(P, normality_bound(P), 2).passed
     rep = is_normal(P, 4)
     assert (rep.verdict, rep.levels_checked) == ("normal-up-to-cap", (2, 3, 4))
+
+
+def reference_probe_deltas(k):
+    """The probe offsets built by sorting tuples: {0, 1}^k in lex order, then
+    the rest of {-1..2}^k by (max |x|, sum |x|, lex)."""
+    near = list(itertools.product((0, 1), repeat=k))
+    ring = sorted(
+        (d for d in itertools.product((-1, 0, 1, 2), repeat=k)
+         if not all(x in (0, 1) for x in d)),
+        key=lambda d: (max(abs(x) for x in d), sum(abs(x) for x in d), d),
+    )
+    return np.array(near + ring, dtype=np.int64)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_probe_deltas_match_sorted_tuples(k):
+    deltas, expected = normality._probe_deltas(k), reference_probe_deltas(k)
+    assert deltas.shape == expected.shape == (4**k, k)
+    assert deltas.dtype == np.int64
+    assert deltas.tolist() == expected.tolist()
