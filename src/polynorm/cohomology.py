@@ -15,7 +15,6 @@ condition, so the downward scan below terminates.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError, InvalidInputError
@@ -48,8 +47,8 @@ def _h_row(P: Polytope, k: int) -> tuple[int, ...]:
 
 def h_table(P: Polytope, k_min: int, k_max: int) -> CohomologyTable:
     """One row of h^0..h^n per twist k in [k_min, k_max]."""
-    k_min = operator.index(k_min)
-    k_max = operator.index(k_max)
+    k_min = _as_int(k_min, "k_min")
+    k_max = _as_int(k_max, "k_max")
     if k_min > k_max:
         raise InvalidInputError(f"empty twist range [{k_min}, {k_max}]")
     rows = tuple((k, _h_row(P, k)) for k in range(k_min, k_max + 1))
@@ -96,7 +95,7 @@ def np_bound_from_regularity(m: int, p: int) -> int:
     level n-1 exactly when d(P) = 0 or n = 1: for d(P) = 0 that n-1 is
     the classical normality bound, which regularity alone does not reach.
     """
-    m = operator.index(m)
+    m = _as_int(m, "m")
     p = _as_int(p, "p", 0)
     if p == 0:
         return max(m + 1, 1)

@@ -51,10 +51,12 @@ def _as_point(obj, n: int | None = None) -> LatticePoint:
     return pt
 
 
-def _as_int(value, what: str, least: int) -> int:
-    """operator.index of an integer argument >= least; a boolean is not one."""
-    if isinstance(value, bool) or operator.index(value) < least:
-        raise InvalidInputError(f"{what} must be an integer >= {least}, got {value!r}")
+def _as_int(value, what: str, least: int | None = None) -> int:
+    """operator.index of an integer argument, >= least unless least is None;
+    a boolean is not one."""
+    if isinstance(value, bool) or (least is not None and operator.index(value) < least):
+        bound = "" if least is None else f" >= {least}"
+        raise InvalidInputError(f"{what} must be an integer{bound}, got {value!r}")
     return operator.index(value)
 
 
@@ -99,8 +101,7 @@ class Polytope:
     Use build_polytope(); the constructor trusts its arguments.
     """
 
-    __slots__ = ("dim", "vertices", "facets", "_hash", "_lp_cache", "_count_cache",
-                 "_frame")
+    __slots__ = ("dim", "vertices", "facets", "_hash", "_count_cache", "_frame")
 
     def __init__(self, dim: int, vertices: tuple[LatticePoint, ...],
                  facets: tuple[HalfSpace, ...]):
@@ -108,7 +109,6 @@ class Polytope:
         self.vertices = vertices
         self.facets = facets
         self._hash = hash((dim, vertices))
-        self._lp_cache = {}
         self._count_cache = {}
         self._frame = None
 
@@ -157,11 +157,8 @@ class Polytope:
 
     def lattice_points(self, interior: bool = False) -> list[LatticePoint]:
         """All lattice points of the polytope (or its interior), lex sorted."""
-        key = bool(interior)
-        if key not in self._lp_cache:
-            rows = scaled_points_array(self, 1, interior).tolist()  # Python ints
-            self._lp_cache[key] = tuple(map(tuple, rows))
-        return list(self._lp_cache[key])
+        rows = scaled_points_array(self, 1, interior).tolist()  # Python ints
+        return list(map(tuple, rows))
 
 
 def build_polytope(points) -> Polytope:

@@ -231,8 +231,7 @@ def thread_count(requested: int | None = None) -> int:
             raise InvalidInputError(
                 f"POLYNORM_THREADS must be an integer, got {raw!r}"
             ) from None
-    if requested < 0:
-        raise InvalidInputError(f"thread count must be >= 0, got {requested}")
+    requested = _as_int(requested, "thread count", 0)
     if requested == 0:
         return min(32, os.cpu_count() or 1)
     return requested
@@ -250,6 +249,9 @@ def run_verification(spec: CorpusSpec, extra_levels: int = 2, n1_cap: int = 4,
     Violations are report content, never exceptions.
     """
     extra_levels = _as_int(extra_levels, "extra_levels", 0)
+    n1_cap = _as_int(n1_cap, "n1_cap", 2)
+    if cap is not None:
+        cap = _as_int(cap, "normality cap", 2)
     corpus = generate_corpus(spec)
     items: list[tuple[str, str | None, Polytope]] = [
         ("corpus", None, P) for P in corpus

@@ -27,10 +27,10 @@ of b is connected iff G_b connects the points of its sinks: elements
 {p}+A and {p}+B that share a point p are joined by a path from A to B in
 their degree-(d-1) fiber, lifted by p; conversely a quadratic move keeps
 d-2 >= 1 points, and the points of any one element form a clique of G_b.
-Point-linking (the sinks chain through shared points) settles most sums
-of a degree at once. A layered breadth-first search on the graphs G_b of
-the rest (`_sinks_connected`) is exact and alone proves a fiber
-disconnected; it stops after the first batch of sums that holds one.
+One layered search on the graphs G_b of a batch of colliding sums
+(`_sinks_connected`) decides them; it stops after the first batch that
+holds a disconnected fiber. Its first layer, point-linking (the sinks
+chain through shared points), needs no lookup and settles most sums.
 
 Sums are int64 codes in one mixed radix (`_Encoding`), so one stable sort
 lists the fibers in lex order, each with its sinks in lex order. An edge
@@ -57,7 +57,7 @@ _CONNECTED = "quadratically connected up to cap"
 _DISCONNECTED = "disconnected"
 
 # bytes of one chunk of array work: the packed candidate rows scanned for
-# nonzero bytes at once, the keys of a batch of searched fibers' points (8
+# nonzero bytes at once, the keys of a batch of colliding sums' points (8
 # bytes each) and the edge lookups tried at once (about 64 bytes each)
 _CHUNK_BYTES = 1 << 22
 
@@ -190,79 +190,69 @@ def _candidate_bits(cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(rows), np.concatenate(cols)
 
 
-def _point_linked(sinks: np.ndarray, group: np.ndarray, n: int) -> np.ndarray:
-    """For each group of sink rows: do its sinks chain through shared points?
-
-    `sinks` holds one clique per row, `group` its group number, ascending
-    from 0 without gaps. Only valid once every lower-degree fiber is known
-    to be connected (see the module docstring). A False entry is
-    inconclusive, not a disconnection proof.
-
-    Rows that share a key, a (group, point) pair, join. Min-label
-    propagation with pointer jumping: every row starts with its own index
-    as label, and each round gives it the least label among the rows that
-    share a key with it. Labels only fall, each stays the index of a row in
-    the same component, and at the fixed point rows sharing a key share a
-    label, so a group is one component iff its labels agree.
-    """
-    rows, d = sinks.shape
-    if not rows:
-        return np.ones(0, dtype=bool)
-    keys = group.astype(np.int64)[:, None] * n + sinks
-    distinct, key = np.unique(keys, return_inverse=True)
-    key = key.reshape(-1)
-    owner = np.repeat(np.arange(rows), d)
-    label = np.arange(rows)
-    while True:
-        low = np.full(len(distinct), rows)
-        np.minimum.at(low, key, label[owner])
-        new = label.copy()
-        np.minimum.at(new, owner, low[key])
-        new = new[new]
-        if np.array_equal(new, label):
-            break
-        label = new
-    starts = _run_starts(group)
-    return np.minimum.reduceat(label, starts) == np.maximum.reduceat(label, starts)
-
-
 def _first_disconnected(sinks: np.ndarray, group: np.ndarray, sums: np.ndarray,
-                        codes: np.ndarray, lower: np.ndarray) -> int | None:
+                        codes: np.ndarray, lower: np.ndarray) -> tuple[int | None, int]:
     """The first group `_sinks_connected` (same arguments) finds disconnected,
-    or None, searched in batches whose keys (8 bytes each) fit _CHUNK_BYTES."""
+    or None, and how many groups the point-linking layer left open up to
+    and including it (all of them when None). Searched in batches of sums
+    whose keys (8 bytes each) fit _CHUNK_BYTES."""
     batch = max(1, _CHUNK_BYTES // (8 * len(codes)))
+    checked = 0
     for g0 in range(0, len(sums), batch):
         rows = slice(*np.searchsorted(group, [g0, g0 + batch]))
-        ok = _sinks_connected(sinks[rows], group[rows] - g0, sums[g0 : g0 + batch],
-                              codes, lower)
+        ok, linked = _sinks_connected(sinks[rows], group[rows] - g0,
+                                      sums[g0 : g0 + batch], codes, lower)
         if not ok.all():
-            return g0 + int(np.argmin(ok))
-    return None
+            bad = int(np.argmin(ok))
+            return g0 + bad, checked + int(np.count_nonzero(~linked[: bad + 1]))
+        checked += int(np.count_nonzero(~linked))
+    return None, checked
 
 
 def _sinks_connected(sinks: np.ndarray, group: np.ndarray, sums: np.ndarray,
-                     codes: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """For each group of degree-d sink rows: is the fiber of its sum b connected?
+                     codes: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each group of degree-d sink rows: is the fiber of its sum b
+    connected, and are its sinks point-linked?
 
-    `sinks` and `group` are as for `_point_linked`, `sums` the groups' codes
-    b, `codes` the point codes and `lower` the sorted distinct codes of the
-    (d-2)-point sums. Exact once every fiber of degree d-1 is connected: by
-    the lemma in the module docstring, the fiber is connected iff G_b joins
-    the points of all its sinks.
+    `sinks` holds one clique per row, `group` its group number, ascending
+    from 0 without gaps, `sums` the groups' codes b, `codes` the point codes
+    and `lower` the sorted distinct codes of the (d-2)-point sums. Exact once
+    every fiber of degree d-1 is connected: by the lemma in the module
+    docstring, the fiber is connected iff G_b joins the points of all its
+    sinks.
 
-    One layered breadth-first search runs on every G_b at once, from each
-    group's first sink, over keys group * N + point. A layer tries the
-    frontier, the points the layer before reached, against the unseen points of
-    the unreached sinks, then, where a sink is still unreached, against every
-    unseen point, _CHUNK_BYTES // 64 lookups at a time. A group's search ends
-    when every sink holds a reached point or its frontier is empty.
+    The search runs on every G_b at once, over keys group * N + point,
+    from each group's first sink. Its first layer needs no lookup: the
+    points of one sink form a clique of G_b, so a sink that holds a reached
+    point lends all its points, until no sink is added. A group whose sinks
+    this layer all reaches is point-linked. On the other groups, in arrays
+    cut down to them, breadth-first layers on G_b go on from there: a layer
+    tries the frontier (first every point reached so far, then the points
+    the layer before reached) against the unseen points of the unreached
+    sinks, then, where a sink is still unreached, against every unseen
+    point, _CHUNK_BYTES // 64 lookups at a time. A group's search ends when
+    every sink holds a reached point or its frontier is empty.
     """
     n, m = len(codes), len(sums)
     keys = group.astype(np.int64)[:, None] * n + sinks
     first = _run_starts(group)
     step = max(1, _CHUNK_BYTES // 64)
     seen = np.zeros(m * n, dtype=bool)
-    seen[keys[first]] = True
+    lent = keys[first]
+    while not seen[lent].all():
+        seen[lent] = True
+        lent = keys[seen[keys].any(axis=1)]
+    linked = np.logical_and.reduceat(seen[keys].any(axis=1), first)
+    connected = linked.copy()
+    # the breadth-first layers run on the groups the first one left open
+    left = np.flatnonzero(~linked)
+    if not len(left):
+        return connected, linked
+    rows = ~linked[group]
+    group = np.searchsorted(left, group[rows])
+    keys = group.astype(np.int64)[:, None] * n + sinks[rows]
+    first, sums, m = _run_starts(group), sums[left], len(left)
+    seen = seen.reshape(-1, n)[left].reshape(-1)
     frontier = np.flatnonzero(seen)
     while len(frontier):
         layer = []
@@ -294,7 +284,8 @@ def _sinks_connected(sinks: np.ndarray, group: np.ndarray, sums: np.ndarray,
                 seen[pool[j[lower[at] == rest]]] = True
             layer.append(pool[seen[pool]])
         frontier = np.concatenate(layer)
-    return np.logical_and.reduceat(seen[keys].any(axis=1), first)
+    connected[left] = np.logical_and.reduceat(seen[keys].any(axis=1), first)
+    return connected, linked
 
 
 def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
@@ -342,15 +333,11 @@ def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
         sizes = np.diff(np.r_[starts, len(codes)])
         collide = np.flatnonzero(sizes > 1)
         # the cliques of every colliding sum, in sum order; all fibers of degree
-        # < d are connected here, which _point_linked and _sinks_connected need
+        # < d are connected here, which _sinks_connected needs
         sinks = cliques[order[np.repeat(sizes > 1, sizes)]]
         group = np.repeat(np.arange(len(collide)), sizes[collide])
-        linked = _point_linked(sinks, group, N)
-        sinks, collide = sinks[~linked[group]], collide[~linked]
-        group = np.repeat(np.arange(len(collide)), sizes[collide])
         sums = sorted_codes[starts[collide]]
-        bad = _first_disconnected(sinks, group, sums, enc.codes, distinct[d - 2])
-        checked = len(collide) if bad is None else bad + 1
+        bad, checked = _first_disconnected(sinks, group, sums, enc.codes, distinct[d - 2])
         summaries.append(DegreeSummary(d, len(starts), checked, bad is None))
         if bad is not None:
             witness_fiber = enc.decode(int(sums[bad]), d)

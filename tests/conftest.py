@@ -1,13 +1,32 @@
-"""Shared fixtures: a handful of small polytopes with known invariants."""
+"""Shared fixtures: a handful of small polytopes with known invariants,
+and `random_polytope`, the seeded generator the test modules import."""
 
 import operator
 import os
 
 import pytest
 
-from polynorm import InvalidInputError, build_polytope, reeve_simplex, scaled_count
+from polynorm import (
+    InvalidInputError,
+    NotFullDimensionalError,
+    build_polytope,
+    reeve_simplex,
+    scaled_count,
+)
 
 _acceptance_lines: list[str] = []
+
+
+def random_polytope(rng, n, spread=3):
+    """conv of n + 2 points drawn from [-spread, spread]^n by `rng`, drawn
+    again until they span the space."""
+    while True:
+        pts = [tuple(rng.randrange(-spread, spread + 1) for _ in range(n))
+               for _ in range(n + 2)]
+        try:
+            return build_polytope(pts)
+        except (InvalidInputError, NotFullDimensionalError):
+            continue
 
 
 def pytest_configure(config):

@@ -1,9 +1,10 @@
-"""Bounded integer arguments: every one goes through geometry._as_int.
+"""Integer arguments: every one goes through geometry._as_int.
 
 A boolean is not an integer argument, and a value below the bound is
 refused; both raise InvalidInputError with the message
-"<name> must be an integer >= <bound>, got <value>". The bound itself is
-accepted.
+"<name> must be an integer >= <bound>, got <value>", or
+"<name> must be an integer, got <value>" where there is no bound. The
+bound itself is accepted, and a float raises TypeError.
 """
 
 import re
@@ -17,6 +18,7 @@ from polynorm import (
     build_polytope,
     ehrhart_polynomial,
     extrapolation_check,
+    h_table,
     is_normal,
     n1_probe,
     normality_bound,
@@ -28,13 +30,18 @@ from polynorm import (
     verify_corollary,
     verify_witness,
 )
+from polynorm import harness
 from polynorm.geometry import scaled_points_array
 
 SQUARE = build_polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
 SPEC = CorpusSpec(seed=1, dims=(2,), coord_bound=2, count_per_dim=1,
                   vertex_candidates=4)
+# no dim-4 polytope is probed, so only run_verification itself checks n1_cap
+SPEC4 = CorpusSpec(seed=1, dims=(4,), coord_bound=1, count_per_dim=1,
+                   vertex_candidates=5)
 
-# (id, name in the message, least accepted value, the call taking the value)
+# (id, name in the message, least accepted value or None where there is no
+# bound, the call taking the value)
 SITES = [
     ("dilate", "dilation factor", 1, lambda v: SQUARE.dilate(v)),
     ("scaled_count", "scale", 1, lambda v: scaled_count(SQUARE, v)),
@@ -54,20 +61,37 @@ SITES = [
     ("extrapolation_check", "extrapolation level", 1,
      lambda v: extrapolation_check(SQUARE, ehrhart_polynomial(SQUARE), [v])),
     ("np_bound_from_regularity", "p", 0, lambda v: np_bound_from_regularity(0, v)),
+    ("np_bound_from_regularity_m", "m", None, lambda v: np_bound_from_regularity(v, 1)),
+    ("h_table_k_min", "k_min", None, lambda v: h_table(SQUARE, v, 1)),
+    ("h_table_k_max", "k_max", None, lambda v: h_table(SQUARE, -1, v)),
+    ("thread_count", "thread count", 0, harness.thread_count),
+    ("run_verification_n1_cap", "n1_cap", 2,
+     lambda v: run_verification(SPEC4, n1_cap=v, include_fixtures=False)),
+    ("run_verification_cap", "normality cap", 2,
+     lambda v: run_verification(SPEC4, cap=v, include_fixtures=False)),
 ]
 PARAMS = [pytest.param(name, least, call, id=site) for site, name, least, call in SITES]
+REFUSED = [pytest.param(name, least, call, least - 1 if bad == "below" else bad,
+                        id=f"{bad}-{site}")
+           for bad in (True, False, "below") for site, name, least, call in SITES
+           if bad != "below" or least is not None]
 
 
-@pytest.mark.parametrize("name, least, call", PARAMS)
-@pytest.mark.parametrize("bad", [True, False, "below"])
+@pytest.mark.parametrize("name, least, call, value", REFUSED)
 def test_integer_argument_refuses_booleans_and_values_below_its_bound(
-        name, least, call, bad):
-    value = least - 1 if bad == "below" else bad
-    message = f"^{re.escape(name)} must be an integer >= {least}, got {value!r}$"
+        name, least, call, value):
+    bound = "" if least is None else f" >= {least}"
+    message = f"^{re.escape(name)} must be an integer{bound}, got {value!r}$"
     with pytest.raises(InvalidInputError, match=message):
         call(value)
 
 
 @pytest.mark.parametrize("name, least, call", PARAMS)
 def test_integer_argument_accepts_its_bound(name, least, call):
-    call(least)
+    call(0 if least is None else least)
+
+
+@pytest.mark.parametrize("name, least, call", PARAMS)
+def test_integer_argument_refuses_floats(name, least, call):
+    with pytest.raises(TypeError):
+        call(2.5)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from polynorm import (
     InvalidInputError,
-    NotFullDimensionalError,
     autoregularity_from_definition,
     build_polytope,
     d_of_p,
@@ -16,21 +15,12 @@ from polynorm import (
     np_bound_from_regularity,
     scaled_count,
 )
+from conftest import random_polytope
 
 
 def autoregularity_formula(P):
     """n - 1 - d(P); may be negative and is returned unclamped."""
     return P.dim - 1 - d_of_p(P).d
-
-
-def random_polytope(rng, n, spread=3):
-    while True:
-        pts = [tuple(rng.randrange(-spread, spread + 1) for _ in range(n))
-               for _ in range(n + 2)]
-        try:
-            return build_polytope(pts)
-        except (InvalidInputError, NotFullDimensionalError):
-            continue
 
 
 def test_h_table_unit_square(unit_square):

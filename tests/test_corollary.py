@@ -27,7 +27,8 @@ from polynorm import (
     verify_witness,
 )
 import polynorm.normality as normality
-from test_normality import _sumset_verdict, random_polytope
+from conftest import random_polytope
+from test_normality import _sumset_verdict
 
 
 def reference_verify_corollary(P, bounds, extra_levels=0, cap=None):

@@ -9,14 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from polynorm import (
     InvalidInputError,
-    NotFullDimensionalError,
-    build_polytope,
     d_of_p,
     ehrhart_polynomial,
     extrapolation_check,
     reciprocity_check,
     scaled_count,
 )
+from conftest import random_polytope
 
 
 def box_count(P, k, strict=False):
@@ -29,16 +28,6 @@ def box_count(P, k, strict=False):
         if all(v > 0 for v in vals) if strict else all(v >= 0 for v in vals):
             total += 1
     return total
-
-
-def random_polytope(rng, n, spread=3):
-    while True:
-        pts = [tuple(rng.randrange(-spread, spread + 1) for _ in range(n))
-               for _ in range(n + 2)]
-        try:
-            return build_polytope(pts)
-        except (InvalidInputError, NotFullDimensionalError):
-            continue
 
 
 def test_ehrhart_unit_square(unit_square):

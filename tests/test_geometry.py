@@ -22,6 +22,7 @@ from polynorm import (
     build_polytope,
     scaled_count,
 )
+from conftest import random_polytope
 
 
 def box_scan(P, k=1, strict=False):
@@ -77,17 +78,6 @@ def slab_rows(P, k=1, strict=False, **kw):
     """The rows geometry._np_slabs yields, concatenated."""
     return [(*x, a, c) for X, lo, counts in geometry._np_slabs(P, k, strict, **kw)
             for x, a, c in zip(X.tolist(), lo.tolist(), counts.tolist())]
-
-
-def random_polytope(rng, n, spread=3):
-    while True:
-        pts = [tuple(rng.randrange(-spread, spread + 1) for _ in range(n))
-               for _ in range(n + 2)]
-        try:
-            P = build_polytope(pts)
-        except (InvalidInputError, NotFullDimensionalError):
-            continue
-        return P
 
 
 def test_affine_dim():

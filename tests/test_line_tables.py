@@ -20,14 +20,13 @@ from hypothesis import given, settings, strategies as st
 import polynorm.geometry as geometry
 import polynorm.normality as normality
 from polynorm import (
-    InvalidInputError,
-    NotFullDimensionalError,
     build_polytope,
     is_normal,
     reeve_simplex,
     scaled_count,
 )
 from polynorm.linalg import det
+from conftest import random_polytope
 from test_large_coordinates import CASES as LARGE_CASES
 
 
@@ -107,16 +106,6 @@ def scanned_table(P, s, pad, dtype, empty, chunk_rows):
     for X, lo, counts in geometry._np_slabs(P, s, False, chunk_rows=chunk_rows):
         table.fill(normality._line_coords(P, s, X), lo, lo + counts - 1)
     return table
-
-
-def random_polytope(rng, n, spread):
-    while True:
-        pts = [tuple(rng.randrange(-spread, spread + 1) for _ in range(n))
-               for _ in range(n + 2)]
-        try:
-            return build_polytope(pts)
-        except (InvalidInputError, NotFullDimensionalError):
-            continue
 
 
 def twins(P, rng):

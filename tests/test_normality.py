@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from polynorm import (
     InvalidInputError,
-    NotFullDimensionalError,
     REEVE_RANGE,
     build_polytope,
     d_of_p,
@@ -24,6 +23,7 @@ from polynorm import (
 )
 import polynorm.normality as normality
 from polynorm.geometry import _as_points, scaled_points_array
+from conftest import random_polytope
 
 
 def sumset_levels(points, m):
@@ -80,16 +80,6 @@ def brute_sumset(points, m):
         tuple(sum(c) for c in zip(*combo))
         for combo in itertools.combinations_with_replacement(sorted(points), m)
     }
-
-
-def random_polytope(rng, n, spread=3):
-    while True:
-        pts = [tuple(rng.randrange(-spread, spread + 1) for _ in range(n))
-               for _ in range(n + 2)]
-        try:
-            return build_polytope(pts)
-        except (InvalidInputError, NotFullDimensionalError):
-            continue
 
 
 def test_sumset_segment():

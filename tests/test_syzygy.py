@@ -13,7 +13,7 @@ unpacks every packed row to one byte per column before `nonzero`.
 import itertools
 import json
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +24,6 @@ from polynorm import (
     REEVE_RANGE,
     InvalidInputError,
     LatticePoint,
-    NotFullDimensionalError,
     build_configuration,
     build_polytope,
     n1_probe,
@@ -33,6 +32,7 @@ from polynorm import (
 from polynorm import syzygy
 from polynorm.geometry import _as_point
 from polynorm.syzygy import DegreeSummary, N1ProbeReport, _encoding
+from conftest import random_polytope
 
 CONNECTED = "quadratically connected up to cap"
 
@@ -280,16 +280,6 @@ def fiber_connected(fiber, table):
     return len(seen) == len(elements)
 
 
-def random_polytope(rng, n, spread=2):
-    while True:
-        pts = [tuple(rng.randrange(-spread, spread + 1) for _ in range(n))
-               for _ in range(n + 2)]
-        try:
-            return build_polytope(pts)
-        except (InvalidInputError, NotFullDimensionalError):
-            continue
-
-
 def brute_probe(P, ell, cap):
     """Reference implementation: exhaustive fibers + BFS, no shortcuts."""
     C = build_configuration(P, ell)
@@ -425,7 +415,7 @@ def test_probe_stops_at_first_disconnection(skew_triangle):
 def test_probe_degree_two_always_connected():
     rng = random.Random(4)
     for _ in range(10):
-        P = random_polytope(rng, 2)
+        P = random_polytope(rng, 2, spread=2)
         rep = n1_probe(P, 1, 2)
         assert rep.per_degree[0].connected
         assert rep.per_degree[0].bfs_checked == 0
@@ -479,7 +469,7 @@ def test_probe_matches_brute_force():
     checked = disconnections = 0
     while checked < 10:
         n = rng.choice([2, 2, 3])
-        P = random_polytope(rng, n)
+        P = random_polytope(rng, n, spread=2)
         for ell in (1, 2) if n == 2 else (1,):
             cap = 3
             rep = n1_probe(P, ell, cap)
@@ -511,7 +501,7 @@ def test_probe_matches_reference_on_disconnections():
     rng = random.Random(20261018)
     ordered = 0
     for _ in range(40):
-        P = random_polytope(rng, 3)
+        P = random_polytope(rng, 3, spread=2)
         rep = n1_probe(P, 1, 4)
         assert rep.to_jsonable() == reference_probe(P, 1, 4).to_jsonable()
         ordered += rep.witness_fiber is not None and rep.per_degree[-1].bfs_checked > 1
@@ -545,17 +535,17 @@ def _spied(monkeypatch, name, cases):
 
 def test_bridged_groups_are_connected(monkeypatch):
     # the region merge must confirm every group the batched search settles
-    # as connected; every fiber of lower degree passed, which both of them
-    # assume. At ell = 1 many dim-3 fibers are disconnected, so a search
-    # that settles too much shows here
+    # as connected, point-linked or not; every fiber of lower degree passed,
+    # which both of them assume. At ell = 1 many dim-3 fibers are
+    # disconnected, so a search that settles too much shows here
     rng = random.Random(9001)
-    cases = [(random_polytope(rng, 3), ell, 4) for ell in (1, 3) for _ in range(10)]
+    cases = [(random_polytope(rng, 3, spread=2), ell, 4) for ell in (1, 3) for _ in range(10)]
     cases += [(reeve_simplex(q), ell, 4) for q in REEVE_RANGE for ell in (1, 2, 3)]
     total = 0
     for (P, ell, cap), calls in zip(cases, _spied(monkeypatch, "_sinks_connected", cases)):
         table = PairTable(build_configuration(P, ell))
-        for (sinks, group, *_), out in calls:
-            for g in np.flatnonzero(out).tolist():
+        for (sinks, group, *_), (connected, _) in calls:
+            for g in np.flatnonzero(connected).tolist():
                 group_sinks = [tuple(s) for s in sinks[group == g].tolist()]
                 assert reference_sinks_connected(group_sinks, table), (P.vertices, ell)
                 total += 1
@@ -565,16 +555,17 @@ def test_bridged_groups_are_connected(monkeypatch):
 @pytest.mark.parametrize("chunk", [None, 1 << 10])
 def test_point_graph_search_matches_region_merge(monkeypatch, chunk):
     # every verdict of the batched search, connected or not, is the region
-    # merge's. The spy sees the batches that were searched, so it compares
-    # the groups up to the end of the first batch holding a disconnected
-    # one; the groups after it are never searched. At chunk 2^10 the groups
-    # are split into many batches and their lookups into chunks of 16
+    # merge's, and its first layer finds the groups that point-link. The spy
+    # sees the batches that were searched, so it compares the groups up to
+    # the end of the first batch holding a disconnected one; the groups
+    # after it are never searched. At chunk 2^10 the groups are split into
+    # many batches and their lookups into chunks of 16
     if chunk is not None:
         monkeypatch.setattr(syzygy, "_CHUNK_BYTES", chunk)
     rng = random.Random(20261018)
-    cases = [(random_polytope(rng, 3), 1, 4) for _ in range(40)]
+    cases = [(random_polytope(rng, 3, spread=2), 1, 4) for _ in range(40)]
     rng = random.Random(9001)
-    cases += [(random_polytope(rng, 3), 3, 4) for _ in range(10)]
+    cases += [(random_polytope(rng, 3, spread=2), 3, 4) for _ in range(10)]
     cases += [(reeve_simplex(q), ell, 4) for q in REEVE_RANGE for ell in (1, 2, 3)]
     # its disconnected fiber has three sinks, and the first reaches the second
     # but not the third
@@ -584,22 +575,24 @@ def test_point_graph_search_matches_region_merge(monkeypatch, chunk):
     spied = _spied(monkeypatch, "_sinks_connected", cases)
     for (P, ell, cap), calls in zip(cases, spied):
         table = PairTable(build_configuration(P, ell))
-        for (sinks, group, *_), out in calls:
-            for g, verdict in enumerate(out.tolist()):
+        for (sinks, group, *_), (connected, linked) in calls:
+            for g, (verdict, link) in enumerate(zip(connected.tolist(), linked.tolist())):
                 group_sinks = [tuple(s) for s in sinks[group == g].tolist()]
                 assert verdict == reference_sinks_connected(group_sinks, table), (
                     P.vertices, ell, group_sinks)
+                assert link == _sinks_point_linked(group_sinks), (P.vertices, ell)
                 verdicts.add((verdict, len(group_sinks) > 2))
     assert {(True, False), (False, False), (False, True)} <= verdicts
 
 
 def test_search_stops_after_first_disconnected_batch(monkeypatch):
-    # at chunk 2^8 a batch of the point-graph search holds a few groups of
-    # an ell = 1 dim-3 probe. Only the first disconnected group reaches the
-    # report, so no batch after the one that holds it may be searched
+    # at chunk 2^8 a batch of the point-graph search holds a few colliding
+    # sums of an ell = 1 dim-3 probe. Only the first disconnected group
+    # reaches the report, so no batch after the one that holds it may be
+    # searched
     monkeypatch.setattr(syzygy, "_CHUNK_BYTES", 1 << 8)
     real_first, real_search = syzygy._first_disconnected, syzygy._sinks_connected
-    degrees = []  # per degree searched: (open groups, verdicts of each batch)
+    degrees = []  # per degree: (colliding sums, verdicts of each batch)
 
     def first(sinks, group, sums, *rest):
         degrees.append((len(sums), []))
@@ -607,7 +600,7 @@ def test_search_stops_after_first_disconnected_batch(monkeypatch):
 
     def search(*args):
         out = real_search(*args)
-        degrees[-1][1].append(out)
+        degrees[-1][1].append(out[0])
         return out
 
     monkeypatch.setattr(syzygy, "_first_disconnected", first)
@@ -615,7 +608,7 @@ def test_search_stops_after_first_disconnected_batch(monkeypatch):
     rng = random.Random(20261018)
     skipped = split = 0
     for _ in range(40):
-        P = random_polytope(rng, 3)
+        P = random_polytope(rng, 3, spread=2)
         degrees.clear()
         rep = n1_probe(P, 1, 4)
         batches = [out for _, outs in degrees for out in outs]
@@ -629,6 +622,59 @@ def test_search_stops_after_first_disconnected_batch(monkeypatch):
     assert skipped >= 50 and split >= 5
 
 
+@pytest.mark.parametrize("chunk", [None, 1 << 8])
+def test_search_batches_hold_every_colliding_sum(monkeypatch, chunk):
+    # point-linking is the search's first layer, so every colliding sum of a
+    # degree reaches _sinks_connected, point-linked or not: in sum order, in
+    # batches of at most _CHUNK_BYTES // (8N) sums, up to the end of the
+    # batch that holds the first disconnected one. The colliding sums are
+    # counted from the recursive cliques of the reference probe
+    if chunk is not None:
+        monkeypatch.setattr(syzygy, "_CHUNK_BYTES", chunk)
+    real_first, real_search = syzygy._first_disconnected, syzygy._sinks_connected
+    degrees = []  # per degree: the sums of each batch
+
+    def first(*args):
+        degrees.append([])
+        return real_first(*args)
+
+    def search(sinks, group, sums, *rest):
+        degrees[-1].append(sums.tolist())
+        return real_search(sinks, group, sums, *rest)
+
+    monkeypatch.setattr(syzygy, "_first_disconnected", first)
+    monkeypatch.setattr(syzygy, "_sinks_connected", search)
+    rng = random.Random(20261018)
+    cases = [(random_polytope(rng, 3, spread=2), 1) for _ in range(40)]
+    cases += [(reeve_simplex(q), ell) for q in REEVE_RANGE for ell in (1, 2)]
+    split = disconnected = 0
+    for P, ell in cases:
+        degrees.clear()
+        rep = n1_probe(P, ell, 4)
+        C = build_configuration(P, ell)
+        enc = _encoding(C, 4)
+        codes = enc.codes.tolist()
+        adj = [0] * len(C)
+        for i, j in PairTable(C).irreducible:
+            adj[i] |= 1 << j
+        limit = max(1, syzygy._CHUNK_BYTES // (8 * len(C)))
+        assert len(degrees) == len(rep.per_degree)
+        for summary, batches in zip(rep.per_degree, degrees):
+            d = summary.degree
+            cliques = Counter(sum(codes[i] for i in idx) for idx in _multiset_cliques(adj, d))
+            colliding = sorted(b for b, k in cliques.items() if k > 1)
+            end = len(colliding)
+            if not summary.connected:
+                bad = [enc.decode(b, d) for b in colliding].index(rep.witness_fiber)
+                end = min(end, (bad // limit + 1) * limit)
+                disconnected += 1
+            assert all(len(sums) <= limit for sums in batches), P.vertices
+            assert [b for sums in batches for b in sums] == colliding[:end], P.vertices
+            split += len(batches) > 1
+    assert disconnected >= 5
+    assert chunk is None or split >= 5
+
+
 @pytest.mark.parametrize("chunk", [1, 1 << 10, 1 << 13])
 def test_chunk_bytes_do_not_change_reports(monkeypatch, chunk):
     # at 1 every batch of the search is one group, every chunk one lookup
@@ -639,11 +685,11 @@ def test_chunk_bytes_do_not_change_reports(monkeypatch, chunk):
     # (2^10) or several (2^13); at 1 they would take seconds, and one-row
     # chunks of candidate rows are checked against the oracle below
     rng = random.Random(20261018)
-    cases = [(random_polytope(rng, 3), 1) for _ in range(40)]
+    cases = [(random_polytope(rng, 3, spread=2), 1) for _ in range(40)]
     cases += [(reeve_simplex(q), ell) for q in REEVE_RANGE for ell in (1, 2, 3)]
     if chunk > 1:
         rng = random.Random(31415)
-        cases += [(random_polytope(rng, 3), 3) for _ in range(4)]
+        cases += [(random_polytope(rng, 3, spread=2), 3) for _ in range(4)]
     default = [n1_probe(P, ell, 4).to_jsonable() for P, ell in cases]
     monkeypatch.setattr(syzygy, "_CHUNK_BYTES", chunk)
     split = []
