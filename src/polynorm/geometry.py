@@ -32,6 +32,7 @@ from .linalg import hyperplane_normal, lll_reduce, rank
 LatticePoint = tuple[int, ...]
 
 _NP32_SAFE_LIMIT, _NP_SAFE_LIMIT = 2**29, 2**61  # see _scan_dtype
+_CHUNK_ROWS = 1 << 18  # prefixes one expansion of _np_slabs takes at most
 
 
 def _as_point(obj, n: int | None = None) -> LatticePoint:
@@ -285,14 +286,14 @@ def _expand(prefixes, lo, counts):
                           dtype=prefixes.dtype)
 
 
-def _np_slabs(P: Polytope, scale: int, interior: bool, chunk_rows: int = 1 << 20):
+def _np_slabs(P: Polytope, scale: int, interior: bool):
     """Yield lex-ordered (prefixes, lo_last, counts) triples, feasible rows only.
 
     The prefixes are the lattice points of scale*pi_{n-1}(P), built axis by
     axis: coordinate 0 spans the box, and for a prefix of k > 0 coordinates
     _last_range solves the facets of scale*pi_{k+1}(P) for coordinate k. A
     stack holds the ranges not yet expanded, deepest on top, so prefixes come
-    out in lex order; an expansion takes at most chunk_rows of them,
+    out in lex order; an expansion takes at most _CHUNK_ROWS of them,
     splitting a long range. All arrays have the _scan_dtype element type.
     """
     dtype = _scan_dtype(P, scale)
@@ -309,12 +310,12 @@ def _np_slabs(P: Polytope, scale: int, interior: bool, chunk_rows: int = 1 << 20
     while stack:
         X, lo, hi = stack.pop()
         ends = np.cumsum(hi - lo + 1)
-        t = len(X) if ends[-1] <= chunk_rows else int((ends <= chunk_rows).sum())
+        t = len(X) if ends[-1] <= _CHUNK_ROWS else int((ends <= _CHUNK_ROWS).sum())
         if t == 0:  # the first range alone is longer than a chunk: split it
             rest = lo.copy()
-            rest[0] += chunk_rows
+            rest[0] += _CHUNK_ROWS
             stack.append((X, rest, hi))
-            t, hi = 1, lo + (chunk_rows - 1)
+            t, hi = 1, lo + (_CHUNK_ROWS - 1)
         elif t < len(X):
             stack.append((X[t:], lo[t:], hi[t:]))
         X = _expand(X[:t], lo[:t], (hi - lo + 1)[:t])

@@ -9,7 +9,6 @@ bytes.
 
 from __future__ import annotations
 
-import operator
 import os
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -37,13 +36,6 @@ from .syzygy import n1_probe
 _RESAMPLE_LIMIT = 1000
 
 
-def _spec_int(value) -> int:
-    """operator.index, except that a JSON boolean is not an integer."""
-    if isinstance(value, bool):
-        raise TypeError("boolean")
-    return operator.index(value)
-
-
 @dataclass(frozen=True)
 class CorpusSpec:
     """Deterministic recipe for a random polytope corpus."""
@@ -55,22 +47,18 @@ class CorpusSpec:
     vertex_candidates: int
 
     def __post_init__(self):
-        if not 0 <= self.seed < 2**64:
+        if _as_int(self.seed, "seed", 0) >= 2**64:
             raise InvalidInputError(f"seed must fit in 64 bits, got {self.seed}")
         if not self.dims:
             raise InvalidInputError("dims must be nonempty")
-        if any(n not in (1, 2, 3, 4) for n in self.dims):
+        if any(_as_int(n, "dims entry", 1) > 4 for n in self.dims):
             raise InvalidInputError(f"dims must lie in 1..4, got {self.dims}")
-        if not 1 <= self.coord_bound <= 8:
+        if _as_int(self.coord_bound, "coord_bound", 1) > 8:
             raise InvalidInputError(
                 f"coord_bound must lie in 1..8, got {self.coord_bound}"
             )
-        if self.count_per_dim < 0:
-            raise InvalidInputError("count_per_dim must be >= 0")
-        if self.vertex_candidates < max(self.dims) + 1:
-            raise InvalidInputError(
-                f"vertex_candidates must be >= max dim + 1 = {max(self.dims) + 1}"
-            )
+        _as_int(self.count_per_dim, "count_per_dim", 0)
+        _as_int(self.vertex_candidates, "vertex_candidates", max(self.dims) + 1)
 
     @classmethod
     def from_jsonable(cls, obj) -> "CorpusSpec":
@@ -85,11 +73,11 @@ class CorpusSpec:
             raise InvalidInputError(f"corpus spec missing fields: {sorted(missing)}")
         try:
             return cls(
-                seed=_spec_int(obj["seed"]),
-                dims=tuple(_spec_int(x) for x in obj["dims"]),
-                coord_bound=_spec_int(obj["coord_bound"]),
-                count_per_dim=_spec_int(obj["count_per_dim"]),
-                vertex_candidates=_spec_int(obj["vertex_candidates"]),
+                seed=obj["seed"],
+                dims=tuple(obj["dims"]),
+                coord_bound=obj["coord_bound"],
+                count_per_dim=obj["count_per_dim"],
+                vertex_candidates=obj["vertex_candidates"],
             )
         except TypeError:
             raise InvalidInputError("corpus spec fields must be integers") from None

@@ -193,7 +193,7 @@ def _first_missing(P: Polytope, m: int, table_p: _LineTable, table_m: _LineTable
     """
     steps = list(zip((deltas @ table_p.strides).tolist(),
                      (-(deltas @ table_m.strides)).tolist()))
-    for X, L, counts in _np_slabs(P, m, False, chunk_rows=1 << 18):
+    for X, L, counts in _np_slabs(P, m, False):
         H = L + counts - 1
         Z = _line_coords(P, m, X)
         if table_next is not None:
@@ -265,7 +265,7 @@ def is_normal(P: Polytope, cap: int | None = None) -> NormalityReport:
     dtype, empty = _narrowest(4 * (far + 1)), 2 * far + 1
     table_p = table_m = _LineTable(P, 1, (2, 2), dtype, empty)
     lines = []
-    for X, lo, counts in _np_slabs(P, 1, False, chunk_rows=1 << 18):
+    for X, lo, counts in _np_slabs(P, 1, False):
         Z = _line_coords(P, 1, X)
         lines.append((Z, *table_p.fill(Z, lo, lo + counts - 1)))
     table_p.lines = tuple(np.concatenate(a) for a in zip(*lines))

@@ -32,15 +32,22 @@ One layered search on the graphs G_b of a batch of colliding sums
 holds a disconnected fiber. Its first layer, point-linking (the sinks
 chain through shared points), needs no lookup and settles most sums.
 
-Sums are int64 codes in one mixed radix (`_Encoding`), so one stable sort
-lists the fibers in lex order, each with its sinks in lex order. An edge
-of G_b is looked up by code(b) - code(p) - code(q) among the codes of
-(d-2)-point sums, with no digit check: on each axis the digit of
-b - p - q lies in [-2*span, d*span] and that of a (d-2)-sum in
-[0, (d-2)*span], so the two differ by at most d*span < radix = cap*span + 1,
-and equal codes mean equal vectors. The cliques grow breadth-wise, one
-degree at a time: the set bits of the packed candidate rows, nonzero bytes
-first and then their bits, extend all degree-(d-1) cliques at once.
+Sums are int64 codes in one mixed radix, so one stable sort lists the
+fibers in lex order, each with its sinks in lex order. The lattice points
+of ell*P span the box [lo, hi] of its vertices, so the radix comes from
+P's box before any point is listed: digit j of a point is u_j - lo_j, in
+[0, span_j], and radix cap*span_j + 1 keeps the code of every sum of at
+most cap points injective, its first axis the most significant digit. A
+configuration whose radix product reaches 2^62, where int64 sums could
+overflow, is refused up front. An edge of G_b is looked up by
+code(b) - code(p) - code(q) among the codes of (d-2)-point sums, with no
+digit check: on each axis the digit of b - p - q lies in [-2*span, d*span]
+and that of a (d-2)-sum in [0, (d-2)*span], so the two differ by at most
+d*span < radix, and equal codes mean equal vectors. The cliques grow
+breadth-wise, one degree at a time: the set bits of the packed candidate
+rows, nonzero bytes first and then their bits, extend all degree-(d-1)
+cliques at once. A disconnected fiber's sum, the witness, is the sum of
+the points of its first sink.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import LatticePoint, Polytope, _as_int
+from .geometry import LatticePoint, Polytope, _as_int, scaled_points_array
 
 _CONNECTED = "quadratically connected up to cap"
 _DISCONNECTED = "disconnected"
@@ -76,55 +83,13 @@ class PointConfiguration:
 def build_configuration(P: Polytope, ell: int) -> PointConfiguration:
     """Configuration of the embedding by ell*P."""
     ell = _as_int(ell, "ell", 1)
-    pts = tuple((1,) + u for u in P.dilate(ell).lattice_points())
+    pts = tuple((1, *u) for u in scaled_points_array(P, ell).tolist())
     return PointConfiguration(points=pts, n_plus_1=P.dim + 1)
-
-
-# -- encoded sums --------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Encoding:
-    """Mixed-radix integer codes of the configuration points.
-
-    Digit j of a point is u_j - lo_j, in [0, span_j]; a sum of at most cap
-    points has digits in [0, cap*span_j], so radix cap*span_j + 1 keeps the
-    code of every such sum injective. The first axis is the most
-    significant digit, so int order of codes is lex order of sum vectors
-    of one degree. The probe refuses configurations whose radix product
-    reaches 2^62, where int64 sums could overflow.
-    """
-
-    codes: np.ndarray  # int64, one per configuration point
-    lo: tuple[int, ...]
-    radix: tuple[int, ...]
-
-    def decode(self, code: int, d: int) -> tuple[int, ...]:
-        """The sum vector (d, s_1, ..., s_n) of a degree-d code."""
-        digits = []
-        for r in reversed(self.radix):
-            code, digit = divmod(code, r)
-            digits.append(digit)
-        return (d,) + tuple(x + d * l for x, l in zip(reversed(digits), self.lo))
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
     """Indices where a run of equal values begins in a nonempty sorted array."""
     return np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
-
-
-def _encoding(C: PointConfiguration, cap: int) -> _Encoding:
-    cols = list(zip(*C.points))[1:]
-    lo = tuple(min(c) for c in cols)
-    radix = tuple(cap * (max(c) - l) + 1 for c, l in zip(cols, lo))
-    if math.prod(radix) >= 2**62:
-        raise InvalidInputError("configuration spread too large to probe")
-    codes = []
-    for p in C.points:
-        code = 0
-        for x, l, r in zip(p[1:], lo, radix):
-            code = code * r + (x - l)
-        codes.append(code)
-    return _Encoding(np.array(codes, dtype=np.int64), lo, radix)
 
 
 def _irreducible_pairs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,30 +265,36 @@ def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
     the fibers in lex order of their sums, each with its sinks in
     index-lex order. The codes are injective up to degree_cap; a
     configuration whose radix product reaches 2^62 is refused with
-    InvalidInputError.
+    InvalidInputError before any point is listed.
 
     Stops at the first disconnected fiber in sum order, decided as the
     module docstring describes, and reports it as the witness.
     """
     ell = _as_int(ell, "ell", 1)
     degree_cap = _as_int(degree_cap, "degree cap", 2)
+    lo, hi = P.bounding_box()
+    radix = [degree_cap * ell * (h - l) + 1 for l, h in zip(lo, hi)]
+    if math.prod(radix) >= 2**62:
+        raise InvalidInputError("configuration spread too large to probe")
     C = build_configuration(P, ell)
-    enc = _encoding(C, degree_cap)
+    weights = [math.prod(radix[j + 1 :]) for j in range(P.dim)]
+    digits = np.array(C.points, dtype=object)[:, 1:] - [ell * l for l in lo]
+    point_codes = (digits @ weights).astype(np.int64)
     N = len(C)
     adj = np.zeros((N, N), dtype=bool)
-    adj[_irreducible_pairs(enc.codes)] = True
+    adj[_irreducible_pairs(point_codes)] = True
     adj = np.packbits(adj, axis=1)
     cliques = np.arange(N, dtype=np.int32)[:, None]
-    codes = enc.codes
+    codes = point_codes
     # distinct[k]: sorted distinct codes of k-point sums (points are lex sorted)
-    distinct = [np.zeros(1, np.int64), enc.codes]
+    distinct = [np.zeros(1, np.int64), point_codes]
     cand = adj
     summaries = []
     witness_fiber = None
     for d in range(2, degree_cap + 1):
         k, j = _candidate_bits(cand)
         cliques = np.column_stack((cliques[k], j.astype(np.int32)))
-        codes = codes[k] + enc.codes[j]
+        codes = codes[k] + point_codes[j]
         if d < degree_cap:
             cand = cand[k] & adj[j]
         order = np.argsort(codes, kind="stable")
@@ -337,10 +308,11 @@ def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
         sinks = cliques[order[np.repeat(sizes > 1, sizes)]]
         group = np.repeat(np.arange(len(collide)), sizes[collide])
         sums = sorted_codes[starts[collide]]
-        bad, checked = _first_disconnected(sinks, group, sums, enc.codes, distinct[d - 2])
+        bad, checked = _first_disconnected(sinks, group, sums, point_codes, distinct[d - 2])
         summaries.append(DegreeSummary(d, len(starts), checked, bad is None))
         if bad is not None:
-            witness_fiber = enc.decode(int(sums[bad]), d)
+            sink = sinks[np.searchsorted(group, bad)].tolist()
+            witness_fiber = tuple(map(sum, zip(*(C.points[i] for i in sink))))
             break
     verdict = _CONNECTED if witness_fiber is None else _DISCONNECTED
     return N1ProbeReport(

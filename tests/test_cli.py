@@ -144,22 +144,36 @@ def test_boolean_spec_fields_exit_one(capsys, tmp_path):
     path.write_text(json.dumps({"seed": True, "dims": [True, 2], "coord_bound": 3,
                                 "count_per_dim": 1, "vertex_candidates": 5}))
     assert main(["verify-corpus", str(path)]) == 1
-    assert "integers" in capsys.readouterr().err
+    assert "seed must be an integer >= 0, got True" in capsys.readouterr().err
 
 
 TALL_SIMPLEX = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 2**65]]
 
 
 def test_unenumerable_scan_exits_one(tmp_path):
-    # the fiber probe lists the points of 2P, about 2^65 of them; it is
-    # refused with a typed error instead of hanging or overflowing
+    # 2P has about 2^65 points; the fiber probe refuses it by the radix of
+    # its sum codes, with a typed error, before it lists any of them
     path = tmp_path / "tall.json"
     path.write_text(json.dumps(TALL_SIMPLEX))
     proc = subprocess.run(
         [sys.executable, "-m", "polynorm.cli", "np-probe", str(path), "--ell", "2"],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1
-    assert "too many lattice points" in proc.stderr
+    assert "spread too large to probe" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_probe_refuses_huge_dilate_before_listing(tmp_path):
+    # the unit square at ell = 3e9 has about 9e18 points; the probe's radix
+    # check refuses it before any of them is listed
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps([[0, 0], [1, 0], [0, 1], [1, 1]]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polynorm.cli", "np-probe", str(path),
+         "--ell", "3000000000"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "spread too large to probe" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -5,7 +5,6 @@ bounding box and keep points satisfying every facet inequality, or walk
 every prefix of the box and keep the feasible range of its line.
 """
 
-import inspect
 import itertools
 import random
 import time
@@ -74,9 +73,9 @@ def box_slabs(P, k=1, strict=False, chunk_rows=1 << 20):
     return rows
 
 
-def slab_rows(P, k=1, strict=False, **kw):
+def slab_rows(P, k=1, strict=False):
     """The rows geometry._np_slabs yields, concatenated."""
-    return [(*x, a, c) for X, lo, counts in geometry._np_slabs(P, k, strict, **kw)
+    return [(*x, a, c) for X, lo, counts in geometry._np_slabs(P, k, strict)
             for x, a, c in zip(X.tolist(), lo.tolist(), counts.tolist())]
 
 
@@ -274,10 +273,12 @@ def test_scan_matches_box_scan(n, seed, k, strict):
        st.sampled_from([1, 2, 7, 1 << 20]))
 def test_slabs_match_box_walk(n, seed, k, strict, chunk_rows):
     P = random_polytope(random.Random(seed), n, SPREAD[n])
-    assert slab_rows(P, k, strict, chunk_rows=chunk_rows) == box_slabs(P, k, strict)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_CHUNK_ROWS", chunk_rows)
+        assert slab_rows(P, k, strict) == box_slabs(P, k, strict)
 
 
-def test_slabs_match_box_walk_through_oblique_shadow(t2):
+def test_slabs_match_box_walk_through_oblique_shadow(t2, monkeypatch):
     # pi(t2) is the unit square; no facet of t2 is vertical, so none of the
     # square's edges comes from a facet of t2
     shadow = build_polytope([v[:2] for v in t2.vertices])
@@ -289,16 +290,17 @@ def test_slabs_match_box_walk_through_oblique_shadow(t2):
             for strict in (False, True):
                 expected = box_slabs(Q, k, strict)
                 assert slab_rows(Q, k, strict) == expected
-                assert slab_rows(Q, k, strict, chunk_rows=2) == expected
+                with monkeypatch.context() as mp:
+                    mp.setattr(geometry, "_CHUNK_ROWS", 2)
+                    assert slab_rows(Q, k, strict) == expected
 
 
 def test_first_slab_streams_from_a_long_range():
     # 2^40 + 1 prefixes: the first chunk comes back at once
     P = build_polytope([(0, 0), (2**40, 0), (0, 1)])
-    chunk_rows = inspect.signature(geometry._np_slabs).parameters["chunk_rows"].default
     start = time.perf_counter()
     X, lo, counts = next(geometry._np_slabs(P, 1, False))
     assert time.perf_counter() - start < 1.0
-    assert 0 < len(X) <= chunk_rows
+    assert 0 < len(X) <= geometry._CHUNK_ROWS
     assert X[:3, 0].tolist() == [0, 1, 2]
     assert lo[:3].tolist() == [0, 0, 0] and counts[:3].tolist() == [2, 1, 1]

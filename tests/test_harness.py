@@ -54,6 +54,20 @@ def test_spec_validation():
         small_spec(dims=(3,), vertex_candidates=3)
 
 
+@pytest.mark.parametrize("field, value, error", [
+    ("seed", True, InvalidInputError),
+    ("dims", (True, 2), InvalidInputError),
+    ("count_per_dim", True, InvalidInputError),
+    ("seed", 1.5, TypeError),
+    ("coord_bound", 2.5, TypeError),
+])
+def test_spec_fields_are_integers(field, value, error):
+    # built directly, as from_jsonable builds it: a boolean is not an
+    # integer, and a float is not one either
+    with pytest.raises(error):
+        small_spec(**{field: value})
+
+
 def test_spec_jsonable_round_trip():
     spec = small_spec(dims=(2, 3))
     assert CorpusSpec.from_jsonable(spec.to_jsonable()) == spec

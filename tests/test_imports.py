@@ -1,4 +1,5 @@
-"""Every module of the package, except its __init__, uses each name it imports.
+"""Every module of the package, except its __init__, and every test module
+uses each name it imports.
 
 Read from the source with ast: a name bound by an import statement (other
 than `from __future__`) must also appear as a name in an expression of the
@@ -14,6 +15,9 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "polynorm"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+SOURCES = {m: PACKAGE / m for m in MODULES}
+SOURCES.update({f"tests/{p.name}": p for p in TESTS.glob("*.py")})
 
 
 def imported_names(tree):
@@ -26,11 +30,12 @@ def imported_names(tree):
 
 def test_modules_are_found():
     assert {"geometry.py", "normality.py", "syzygy.py", "cli.py"} <= set(MODULES)
+    assert {"tests/conftest.py", "tests/test_imports.py"} <= set(SOURCES)
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", sorted(SOURCES))
 def test_module_uses_every_import(module):
-    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    tree = ast.parse(SOURCES[module].read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(imported_names(tree)) - used)
     assert not unused, f"{module} imports names it never uses: {unused}"

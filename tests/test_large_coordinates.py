@@ -17,6 +17,7 @@ import polynorm.geometry as geometry
 import polynorm.normality as normality
 from polynorm import (
     BoundReport,
+    InvalidInputError,
     build_polytope,
     d_of_p,
     ehrhart_polynomial,
@@ -137,6 +138,13 @@ def test_far_reeve_witness_is_translated():
     assert rep.witness.level == 2
     assert rep.witness.point == (2**64 + 1, 1, 1)
     assert verify_witness(big, 2, rep.witness.point)
+
+
+def test_tall_simplex_points_are_refused():
+    # one slab of 2P holds about 2^66 points, more than int64 can count
+    P = build_polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2**65)])
+    with pytest.raises(InvalidInputError, match="too many lattice points"):
+        geometry.scaled_points_array(P, 2)
 
 
 def test_needle_ehrhart_closed_form():

@@ -103,8 +103,9 @@ def ladder_tables(P, cap):
 def scanned_table(P, s, pad, dtype, empty, chunk_rows):
     """The table of sP filled by a scan of sP alone, in chunks of chunk_rows prefixes."""
     table = normality._LineTable(P, s, pad, dtype, empty)
-    for X, lo, counts in geometry._np_slabs(P, s, False, chunk_rows=chunk_rows):
-        table.fill(normality._line_coords(P, s, X), lo, lo + counts - 1)
+    with mock.patch.object(geometry, "_CHUNK_ROWS", chunk_rows):
+        for X, lo, counts in geometry._np_slabs(P, s, False):
+            table.fill(normality._line_coords(P, s, X), lo, lo + counts - 1)
     return table
 
 

@@ -13,7 +13,6 @@ from polynorm import (
     InvalidInputError,
     REEVE_RANGE,
     build_polytope,
-    d_of_p,
     default_cap,
     is_normal,
     normality_bound,

@@ -31,7 +31,7 @@ from polynorm import (
 )
 from polynorm import syzygy
 from polynorm.geometry import _as_point
-from polynorm.syzygy import DegreeSummary, N1ProbeReport, _encoding
+from polynorm.syzygy import DegreeSummary, N1ProbeReport
 from conftest import random_polytope
 
 CONNECTED = "quadratically connected up to cap"
@@ -82,6 +82,33 @@ def enumerate_fiber(C, b) -> Fiber:
     return Fiber(target=target, elements=tuple(out))
 
 
+def encode(C, cap):
+    """The probe's point codes, worked out from the listed points, and a
+    decoder of degree-d sum codes to their sum vectors (d, b).
+
+    Digit j of a point is u_j - lo_j over the points' own extent on axis j,
+    in radix cap * span_j + 1, the first axis the most significant.
+    """
+    cols = list(zip(*C.points))[1:]
+    lo = [min(c) for c in cols]
+    radix = [cap * (max(c) - l) + 1 for c, l in zip(cols, lo)]
+    codes = []
+    for p in C.points:
+        code = 0
+        for x, l, r in zip(p[1:], lo, radix):
+            code = code * r + (x - l)
+        codes.append(code)
+
+    def decode(code, d):
+        digits = []
+        for r in reversed(radix):
+            code, digit = divmod(code, r)
+            digits.append(digit)
+        return (d, *(x + d * l for x, l in zip(reversed(digits), lo)))
+
+    return codes, decode
+
+
 def _find(parent, x):
     """Union-find root of x, halving the path on the way."""
     while parent[x] != x:
@@ -98,7 +125,7 @@ class PairTable:
 
     def __init__(self, C):
         self.C = C
-        self.enc_by_index = _encoding(C, 2).codes.tolist()
+        self.enc_by_index, _ = encode(C, 2)
         self._pos = {q: t for t, q in enumerate(C.points)}
         self.by_sum = {}
         for i, j in itertools.combinations_with_replacement(range(len(C)), 2):
@@ -436,6 +463,33 @@ def test_probe_refuses_codes_past_2_62():
     assert n1_probe(reeve_simplex(q), 1, 2).connected
 
 
+def test_far_translate_moves_witness_by_degree_times_shift():
+    # the witness is the sum of its first sink's points, in exact ints: for
+    # P + t it is P's witness (d, b) moved to (d, b + d t). The digits are
+    # taken from the corner ell * lo of ell*(P + t), so the codes of the
+    # far dilate stay those of P's
+    P = build_polytope([(-1, 1, -1), (0, -2, -1), (0, 0, 0), (2, -1, -1), (2, 1, -2)])
+    t = (2**64, -(2**64), 2**63)
+    far = build_polytope([tuple(a + b for a, b in zip(v, t)) for v in P.vertices])
+    rep, rep_far = n1_probe(P, 1, 4), n1_probe(far, 1, 4)
+    d, *b = rep.witness_fiber
+    assert rep_far.witness_fiber == (d, *(x + d * s for x, s in zip(b, t)))
+    assert rep_far.per_degree == rep.per_degree
+    assert n1_probe(far, 2, 3).per_degree == n1_probe(P, 2, 3).per_degree
+
+
+def test_probe_refuses_spread_before_listing_points(monkeypatch):
+    # the unit square at ell = 3e9 has about 9e18 lattice points; the radix
+    # check reads the box of ell*P off P's vertices and refuses it first
+    listed = []
+    monkeypatch.setattr(syzygy, "scaled_points_array",
+                        lambda *args: listed.append(args))
+    square = build_polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
+    with pytest.raises(InvalidInputError, match="spread too large"):
+        n1_probe(square, 3_000_000_000)
+    assert listed == []
+
+
 def test_probe_report_json(unit_square):
     data = n1_probe(unit_square, 2, 3).to_jsonable()
     assert data["ell"] == 2
@@ -652,8 +706,7 @@ def test_search_batches_hold_every_colliding_sum(monkeypatch, chunk):
         degrees.clear()
         rep = n1_probe(P, ell, 4)
         C = build_configuration(P, ell)
-        enc = _encoding(C, 4)
-        codes = enc.codes.tolist()
+        codes, decode = encode(C, 4)
         adj = [0] * len(C)
         for i, j in PairTable(C).irreducible:
             adj[i] |= 1 << j
@@ -665,7 +718,7 @@ def test_search_batches_hold_every_colliding_sum(monkeypatch, chunk):
             colliding = sorted(b for b, k in cliques.items() if k > 1)
             end = len(colliding)
             if not summary.connected:
-                bad = [enc.decode(b, d) for b in colliding].index(rep.witness_fiber)
+                bad = [decode(b, d) for b in colliding].index(rep.witness_fiber)
                 end = min(end, (bad // limit + 1) * limit)
                 disconnected += 1
             assert all(len(sums) <= limit for sums in batches), P.vertices
