@@ -278,7 +278,9 @@ def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
         raise InvalidInputError("configuration spread too large to probe")
     C = build_configuration(P, ell)
     weights = [math.prod(radix[j + 1 :]) for j in range(P.dim)]
-    digits = np.array(C.points, dtype=object)[:, 1:] - [ell * l for l in lo]
+    # an object corner: a list mixing ints past 2^63 and below 0 would be float64
+    corner = np.array([ell * l for l in lo], dtype=object)
+    digits = np.array(C.points, dtype=object)[:, 1:] - corner
     point_codes = (digits @ weights).astype(np.int64)
     N = len(C)
     adj = np.zeros((N, N), dtype=bool)

@@ -83,30 +83,22 @@ def enumerate_fiber(C, b) -> Fiber:
 
 
 def encode(C, cap):
-    """The probe's point codes, worked out from the listed points, and a
-    decoder of degree-d sum codes to their sum vectors (d, b).
+    """The probe's code of a homogenized sum (d, b) of d points of C.
 
-    Digit j of a point is u_j - lo_j over the points' own extent on axis j,
+    Digit j of b is b_j - d * lo_j over the points' own extent on axis j,
     in radix cap * span_j + 1, the first axis the most significant.
     """
     cols = list(zip(*C.points))[1:]
     lo = [min(c) for c in cols]
     radix = [cap * (max(c) - l) + 1 for c, l in zip(cols, lo)]
-    codes = []
-    for p in C.points:
-        code = 0
-        for x, l, r in zip(p[1:], lo, radix):
-            code = code * r + (x - l)
-        codes.append(code)
 
-    def decode(code, d):
-        digits = []
-        for r in reversed(radix):
-            code, digit = divmod(code, r)
-            digits.append(digit)
-        return (d, *(x + d * l for x, l in zip(reversed(digits), lo)))
+    def code(v):
+        out = 0
+        for x, l, r in zip(v[1:], lo, radix):
+            out = out * r + (x - v[0] * l)
+        return out
 
-    return codes, decode
+    return code
 
 
 def _find(parent, x):
@@ -125,7 +117,7 @@ class PairTable:
 
     def __init__(self, C):
         self.C = C
-        self.enc_by_index, _ = encode(C, 2)
+        self.enc_by_index = list(map(encode(C, 2), C.points))
         self._pos = {q: t for t, q in enumerate(C.points)}
         self.by_sum = {}
         for i, j in itertools.combinations_with_replacement(range(len(C)), 2):
@@ -463,19 +455,32 @@ def test_probe_refuses_codes_past_2_62():
     assert n1_probe(reeve_simplex(q), 1, 2).connected
 
 
-def test_far_translate_moves_witness_by_degree_times_shift():
+def translated(P, t):
+    return build_polytope([tuple(a + b for a, b in zip(v, t)) for v in P.vertices])
+
+
+@pytest.mark.parametrize("t", [(2**64, -(2**64), 2**63), (-1, 2**63 + 2, 0)])
+def test_far_translate_moves_witness_by_degree_times_shift(t):
     # the witness is the sum of its first sink's points, in exact ints: for
     # P + t it is P's witness (d, b) moved to (d, b + d t). The digits are
     # taken from the corner ell * lo of ell*(P + t), so the codes of the
-    # far dilate stay those of P's
+    # far dilate stay those of P's. The second shift puts the corner at
+    # (-2, 2^63, -2) at ell 1, which numpy alone would widen to float64
     P = build_polytope([(-1, 1, -1), (0, -2, -1), (0, 0, 0), (2, -1, -1), (2, 1, -2)])
-    t = (2**64, -(2**64), 2**63)
-    far = build_polytope([tuple(a + b for a, b in zip(v, t)) for v in P.vertices])
+    far = translated(P, t)
     rep, rep_far = n1_probe(P, 1, 4), n1_probe(far, 1, 4)
     d, *b = rep.witness_fiber
     assert rep_far.witness_fiber == (d, *(x + d * s for x, s in zip(b, t)))
     assert rep_far.per_degree == rep.per_degree
     assert n1_probe(far, 2, 3).per_degree == n1_probe(P, 2, 3).per_degree
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_corner_past_int64_beside_negative_axis_stays_exact(unit_square, ell):
+    # the corner ell * lo of ell*(square + t) is (-ell, 2^63): one axis
+    # fits only uint64 and one only int64, so the digits stay Python ints
+    far = translated(unit_square, (-1, 2**63 // ell))
+    assert n1_probe(far, ell, 4).per_degree == n1_probe(unit_square, ell, 4).per_degree
 
 
 def test_probe_refuses_spread_before_listing_points(monkeypatch):
@@ -706,7 +711,8 @@ def test_search_batches_hold_every_colliding_sum(monkeypatch, chunk):
         degrees.clear()
         rep = n1_probe(P, ell, 4)
         C = build_configuration(P, ell)
-        codes, decode = encode(C, 4)
+        code = encode(C, 4)
+        codes = list(map(code, C.points))
         adj = [0] * len(C)
         for i, j in PairTable(C).irreducible:
             adj[i] |= 1 << j
@@ -718,7 +724,7 @@ def test_search_batches_hold_every_colliding_sum(monkeypatch, chunk):
             colliding = sorted(b for b, k in cliques.items() if k > 1)
             end = len(colliding)
             if not summary.connected:
-                bad = [decode(b, d) for b in colliding].index(rep.witness_fiber)
+                bad = colliding.index(code(rep.witness_fiber))
                 end = min(end, (bad // limit + 1) * limit)
                 disconnected += 1
             assert all(len(sums) <= limit for sums in batches), P.vertices
