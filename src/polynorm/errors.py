@@ -24,6 +24,11 @@ class NotFullDimensionalError(InvalidInputError):
             "only full-dimensional polytopes are supported"
         )
 
+    def __reduce__(self):
+        # pickle rebuilds an exception from its args, which hold the message;
+        # a worker process's error reaches its caller through pickle
+        return type(self), (self.actual_dim, self.ambient_dim)
+
 
 class CorpusGenerationError(PolynormError):
     """Random corpus generation exhausted its resample budget."""

@@ -4,15 +4,15 @@ Corpus generation must be bit-reproducible: it uses random.Random with
 randrange only (stable across CPython versions) and consumes draws in a
 fixed order, including for rejected samples. Batch reports carry no
 timestamps and sort all set-like data, so identical inputs give identical
-bytes.
+bytes at any worker count.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 from .cohomology import autoregularity_from_definition, np_bound_from_regularity
 from .counting import (
@@ -205,7 +205,7 @@ def analyze(P: Polytope, cap: int | None = None) -> AnalysisRecord:
 
 
 def thread_count(requested: int | None = None) -> int:
-    """Resolve the worker count: argument, else POLYNORM_THREADS env, else 1.
+    """Resolve the worker process count: argument, else POLYNORM_THREADS, else 1.
 
     0 means auto (one per CPU, capped at 32).
     """
@@ -225,6 +225,18 @@ def thread_count(requested: int | None = None) -> int:
     return requested
 
 
+def _check_one(P: Polytope, extra_levels: int, n1_cap: int, cap: int | None):
+    """The records the report holds on P. Not P itself: a worker would send
+    back its filled count memo and scan frames, which the report never reads.
+    """
+    record = analyze(P, cap)
+    sweep = verify_corollary(P, BoundReport(record.n, record.d), extra_levels, cap)
+    ehrhart_ok = (reciprocity_check(P, record.ehrhart)
+                  and extrapolation_check(P, record.ehrhart))
+    probe = n1_probe(P, P.dim, n1_cap) if P.dim <= 3 else None
+    return record, sweep, ehrhart_ok, probe
+
+
 def run_verification(spec: CorpusSpec, extra_levels: int = 2, n1_cap: int = 4,
                      cap: int | None = None, include_fixtures: bool = True,
                      threads: int | None = None) -> dict:
@@ -235,6 +247,11 @@ def run_verification(spec: CorpusSpec, extra_levels: int = 2, n1_cap: int = 4,
     for dims <= 3 the quadratic-generation probe at ell = n. Reeve
     simplices ride along as fixtures whenever dimension 3 is requested.
     Violations are report content, never exceptions.
+
+    One worker (see `thread_count`) runs in-process; k > 1 forks at most k
+    worker processes, which inherit this process's module state (fork is
+    unsafe while other threads run). Results are gathered in index order,
+    so the report bytes and the first exception match one worker's.
     """
     extra_levels = _as_int(extra_levels, "extra_levels", 0)
     n1_cap = _as_int(n1_cap, "n1_cap", 2)
@@ -248,29 +265,32 @@ def run_verification(spec: CorpusSpec, extra_levels: int = 2, n1_cap: int = 4,
         for q in REEVE_RANGE:
             items.append(("fixture", f"reeve-{q}", reeve_simplex(q)))
 
-    def check_one(item):
-        kind, label, P = item
-        record = analyze(P, cap)
-        sweep = verify_corollary(P, BoundReport(record.n, record.d),
-                                 extra_levels, cap)
-        ehrhart_ok = (reciprocity_check(P, record.ehrhart)
-                      and extrapolation_check(P, record.ehrhart))
-        probe = n1_probe(P, P.dim, n1_cap) if P.dim <= 3 else None
-        return kind, label, P, record, sweep, ehrhart_ok, probe
+    check = partial(_check_one, extra_levels=extra_levels, n1_cap=n1_cap, cap=cap)
+    workers = min(thread_count(threads), len(items))
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    workers = thread_count(threads)
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(check_one, items))
+        # the dim-4 sweeps take longest; submitted last, one would run alone
+        order = sorted(range(len(items)), key=lambda i: -items[i][2].dim)
+        # fork by name: Python 3.14 changes the Linux default
+        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+        try:
+            futures = {i: pool.submit(check, items[i][2]) for i in order}
+            results = [futures[i].result() for i in range(len(items))]
+        finally:
+            # after a failure, drop the polytopes no worker has started
+            pool.shutdown(cancel_futures=True)
     else:
-        results = [check_one(item) for item in items]
+        results = [check(P) for _, _, P in items]
 
     polytopes = []
     violations = []
     reciprocity_failures = []
     consistency_failures = []
     n1_disconnected = []
-    for index, (kind, label, P, record, sweep, ehrhart_ok, probe) in enumerate(results):
+    for index, ((kind, label, P), (record, sweep, ehrhart_ok, probe)) in enumerate(
+            zip(items, results)):
         polytopes.append({
             "index": index,
             "kind": kind,

@@ -2,13 +2,15 @@
 
 import hashlib
 import json
+import multiprocessing
 import subprocess
 import sys
 
 import pytest
 
+import polynorm.harness as harness
 import polynorm.normality as normality
-from polynorm import normality_bound
+from polynorm import InternalInvariantError, InvalidInputError, normality_bound
 from polynorm.cli import main
 from test_corollary import reference_verify_corollary, rotated_reeve
 
@@ -145,6 +147,24 @@ def test_boolean_spec_fields_exit_one(capsys, tmp_path):
                                 "count_per_dim": 1, "vertex_candidates": 5}))
     assert main(["verify-corpus", str(path)]) == 1
     assert "seed must be an integer >= 0, got True" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc, code", [(InternalInvariantError("bug"), 2),
+                                       (InvalidInputError("bad input"), 1)])
+def test_worker_exception_keeps_its_exit_code(capsys, monkeypatch, tmp_path, exc, code):
+    def fail(*args):
+        raise exc
+
+    # fork hands the patched module to the workers
+    monkeypatch.setattr(harness, "n1_probe", fail)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"seed": 11, "dims": [2], "coord_bound": 3,
+                                "count_per_dim": 3, "vertex_candidates": 5}))
+    for workers in ("1", "2"):
+        monkeypatch.setenv("POLYNORM_THREADS", workers)
+        assert main(["verify-corpus", str(path), "--extra-levels", "0"]) == code
+        assert str(exc) in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
 
 
 TALL_SIMPLEX = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 2**65]]

@@ -1,6 +1,9 @@
 """Corpus generation, single-polytope analysis, batch verification."""
 
+import concurrent.futures
 import json
+import multiprocessing
+import pickle
 from collections import Counter
 
 import pytest
@@ -18,6 +21,7 @@ from polynorm import (
 )
 import polynorm.cohomology as cohomology
 import polynorm.counting as counting
+import polynorm.errors as errors
 import polynorm.harness as harness
 import polynorm.normality as normality
 
@@ -243,7 +247,63 @@ def test_thread_count(monkeypatch):
 
 
 def test_run_verification_threaded_matches_serial():
-    spec = small_spec(count_per_dim=3)
+    # dims 2, 3, 4 and the Reeve fixtures: the workers start the dim-4
+    # polytopes first, and the report must still come out in index order
+    spec = small_spec(dims=(2, 3, 4), count_per_dim=2)
     serial = run_verification(spec, extra_levels=1, n1_cap=3, threads=1)
     threaded = run_verification(spec, extra_levels=1, n1_cap=3, threads=2)
+    assert [e["dim"] for e in serial["polytopes"]] == [2, 2, 3, 3, 4, 4, 3, 3, 3, 3]
     assert json.dumps(serial, sort_keys=True) == json.dumps(threaded, sort_keys=True)
+
+
+ERROR_SAMPLES = (
+    errors.PolynormError("base"),
+    errors.InvalidInputError("bad input"),
+    errors.NotFullDimensionalError(1, 2),
+    errors.CorpusGenerationError("stuck"),
+    errors.InternalInvariantError("bug"),
+)
+
+
+def test_every_error_survives_pickling():
+    # a worker process's exception reaches run_verification's caller pickled
+    classes = {obj for obj in vars(errors).values()
+               if isinstance(obj, type) and issubclass(obj, Exception)}
+    assert {type(exc) for exc in ERROR_SAMPLES} == classes
+    for exc in ERROR_SAMPLES:
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert back.args == exc.args
+        assert vars(back) == vars(exc)
+        assert str(back) == str(exc)
+
+
+@pytest.mark.parametrize("exc", ERROR_SAMPLES, ids=lambda e: type(e).__name__)
+def test_worker_exception_keeps_its_type(monkeypatch, exc):
+    def fail(*args):
+        raise exc
+
+    # fork hands the patched module to the workers
+    monkeypatch.setattr(harness, "verify_corollary", fail)
+    spec = small_spec(count_per_dim=3)
+    for threads in (1, 2):
+        with pytest.raises(type(exc)) as caught:
+            run_verification(spec, extra_levels=0, n1_cap=2, threads=threads)
+        assert str(caught.value) == str(exc)
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_forks_no_more_workers_than_items(monkeypatch):
+    sizes = []
+
+    class Spy(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    rep = run_verification(small_spec(count_per_dim=2), extra_levels=0, n1_cap=2,
+                           threads=8)
+    assert rep["summary"]["polytope_count"] == 2
+    assert sizes == [2]
+    assert multiprocessing.active_children() == []
