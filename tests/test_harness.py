@@ -289,6 +289,7 @@ def test_worker_exception_keeps_its_type(monkeypatch, exc):
     for threads in (1, 2):
         with pytest.raises(type(exc)) as caught:
             run_verification(spec, extra_levels=0, n1_cap=2, threads=threads)
+        assert type(caught.value) is type(exc)
         assert str(caught.value) == str(exc)
     assert multiprocessing.active_children() == []
 
