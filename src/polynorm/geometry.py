@@ -1,10 +1,10 @@
 """Lattice polytopes in Z^n with exact facet descriptions.
 
 A polytope is built from an explicit list of integer points and is required
-to be full-dimensional in its ambient space. Facets are found by exhaustive
-hyperplane enumeration over n-point subsets, which is entirely adequate at
-the intended scale (dimension <= 4, a few dozen points) and has no numerical
-failure modes.
+to be full-dimensional in its ambient space. Facets are found by the double
+description method in exact integers, so there are no numerical failure
+modes, and the cost grows with the facets met on the way, not with the
+C(N, n) point subsets.
 
 Lattice point enumeration is one numpy scan: it walks the lattice points
 of P's projection onto the first n-1 coordinates, axis by axis, and solves
@@ -18,7 +18,6 @@ results are exact for any coordinates.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import operator
@@ -74,14 +73,23 @@ def _as_points(objs) -> list[LatticePoint]:
     return pts
 
 
+def _affine_basis(pts: list[LatticePoint]) -> list[int]:
+    """Indices of a greedy affine basis: each point off the affine hull of the
+    points picked before it, until n + 1 are picked."""
+    base, diffs, basis = pts[0], [], [0]
+    for i, p in enumerate(pts[1:], 1):
+        if len(basis) > len(base):
+            break
+        d = [x - y for x, y in zip(p, base)]
+        if rank(diffs + [d]) > len(diffs):
+            diffs.append(d)
+            basis.append(i)
+    return basis
+
+
 def affine_dim(points) -> int:
     """Dimension of the affine hull of a nonempty set of integer points."""
-    pts = _as_points(points)
-    base = pts[0]
-    diffs = [[p[j] - base[j] for j in range(len(base))] for p in pts[1:]]
-    if not diffs:
-        return 0
-    return rank(diffs)
+    return len(_affine_basis(_as_points(points))) - 1
 
 
 @dataclass(frozen=True, order=True)
@@ -162,49 +170,71 @@ class Polytope:
         return list(map(tuple, rows))
 
 
+def _dot(a, x) -> int:
+    return sum(map(operator.mul, a, x))
+
+
 def build_polytope(points) -> Polytope:
     """Construct the convex hull of integer points as a Polytope.
+
+    The facets (a, b), <a, x> >= b, are the extreme rays of the cone
+    {(a, b) : <a, p> >= b for every input point p}, found by the double
+    description method (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda
+    and Prodon 1996): start from the simplex on an affine basis and add the
+    other points one by one as constraints. A ray carries the bitset of the
+    points added so far on its hyperplane; two rays are adjacent iff those
+    share at least n - 1 points and no third ray's contains the shared ones.
+    A point is a vertex iff the facets through it have no other point in
+    common.
 
     Raises NotFullDimensionalError when the points do not span the ambient
     space, InvalidInputError on malformed input.
     """
     pts = sorted(set(_as_points(points)))
     n = len(pts[0])
-    adim = affine_dim(pts)
-    if adim != n:
-        raise NotFullDimensionalError(adim, n)
+    basis = _affine_basis(pts)
+    if len(basis) <= n:
+        raise NotFullDimensionalError(len(basis) - 1, n)
 
-    # Every facet hyperplane passes through n affinely independent input
-    # points, so scanning all n-subsets finds each of them at least once.
-    seen: dict[tuple[LatticePoint, int], None] = {}
-    for subset in itertools.combinations(pts, n):
-        normal = hyperplane_normal(list(subset))
-        if normal is None:
-            continue
-        offset = sum(a * x for a, x in zip(normal, subset[0]))
-        lower = upper = False
-        for p in pts:
-            val = sum(a * x for a, x in zip(normal, p)) - offset
-            if val > 0:
-                lower = True
-            elif val < 0:
-                upper = True
-            if lower and upper:
-                break
-        if lower and upper:
-            continue  # points on both sides: not a supporting hyperplane
-        if upper:
+    rays = []  # (normal, offset, tight bitset)
+    for i in basis:
+        face = [j for j in basis if j != i]
+        normal = hyperplane_normal([pts[j] for j in face])
+        if _dot(normal, pts[i]) < _dot(normal, pts[face[0]]):
             normal = tuple(-a for a in normal)
-            offset = -offset
-        seen[(normal, offset)] = None
-
-    facets = tuple(sorted(HalfSpace(nrm, off) for (nrm, off) in seen),)
+        rays.append((normal, _dot(normal, pts[face[0]]), sum(1 << j for j in face)))
+    in_basis = set(basis)
+    for i, p in enumerate(pts):
+        if i in in_basis:
+            continue
+        slacks = [_dot(a, p) - b for a, b, _ in rays]
+        plus = [(r, s) for r, s in zip(rays, slacks) if s > 0]
+        new = []
+        for f, sf in zip(rays, slacks):
+            if sf >= 0:
+                continue
+            for g, sg in plus:
+                shared = f[2] & g[2]
+                if shared.bit_count() < n - 1 or any(
+                        r[2] & shared == shared for r in rays if r is not f and r is not g):
+                    continue
+                # f violated, g satisfied, adjacent: sg f - sf g is tight at p
+                normal = [sg * x - sf * y for x, y in zip(f[0], g[0])]
+                offset = sg * f[1] - sf * g[1]
+                k = math.gcd(*normal)
+                new.append((tuple(x // k for x in normal), offset // k, shared | 1 << i))
+        rays = [(a, b, z | (1 << i if s == 0 else 0))
+                for (a, b, z), s in zip(rays, slacks) if s >= 0] + new
 
     vertices = []
-    for p in pts:
-        tight = [list(h.normal) for h in facets if h.evaluate(p) == 0]
-        if tight and rank(tight) == n:
+    for i, p in enumerate(pts):
+        meet = -1
+        for _, _, z in rays:
+            if z >> i & 1:
+                meet &= z
+        if meet == 1 << i:
             vertices.append(p)
+    facets = tuple(sorted(HalfSpace(a, b) for a, b, _ in rays))
     return Polytope(n, tuple(vertices), facets)
 
 

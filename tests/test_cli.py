@@ -1,6 +1,7 @@
 """Command line behavior: formats, determinism, exit codes."""
 
 import hashlib
+import itertools
 import json
 import multiprocessing
 import subprocess
@@ -48,6 +49,15 @@ def test_analyze_json(capsys, t2_file):
     assert data["normality"]["verdict"] == "non-normal"
     assert data["normality"]["witness"] == {"level": 2, "point": [1, 1, 1]}
     assert all(data["checks"].values())
+
+
+def test_analyze_lattice_points_of_a_cube(capsys, tmp_path):
+    # all 64 lattice points of [0, 3]^3 as input, the cube's 8 corners out
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps([list(p) for p in itertools.product(range(4), repeat=3)]))
+    code, data = run_json(capsys, "analyze", str(path))
+    assert code == 0
+    assert data["vertices"] == [list(v) for v in itertools.product((0, 3), repeat=3)]
 
 
 def test_analyze_text(capsys, square_file):
