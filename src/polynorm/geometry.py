@@ -73,6 +73,10 @@ def _as_points(objs) -> list[LatticePoint]:
     return pts
 
 
+def _dot(a, x) -> int:
+    return sum(map(operator.mul, a, x))
+
+
 def _affine_basis(pts: list[LatticePoint]) -> list[int]:
     """Indices of a greedy affine basis: each point off the affine hull of the
     points picked before it, until n + 1 are picked."""
@@ -101,7 +105,7 @@ class HalfSpace:
 
     def evaluate(self, point) -> int:
         """Slack at the point; >= 0 inside, == 0 on the hyperplane."""
-        return sum(a * x for a, x in zip(self.normal, point)) - self.offset
+        return _dot(self.normal, point) - self.offset
 
 
 class Polytope:
@@ -168,10 +172,6 @@ class Polytope:
         """All lattice points of the polytope (or its interior), lex sorted."""
         rows = scaled_points_array(self, 1, interior).tolist()  # Python ints
         return list(map(tuple, rows))
-
-
-def _dot(a, x) -> int:
-    return sum(map(operator.mul, a, x))
 
 
 def build_polytope(points) -> Polytope:
