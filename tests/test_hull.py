@@ -125,14 +125,14 @@ def test_hull_of_200_random_points_passes_its_certificate():
     pts = sorted({tuple(rng.randint(0, 8) for _ in range(4)) for _ in range(200)})
     P = build_polytope(pts)
     assert len(set(P.facets)) == len(P.facets) > 8
-    for h in P.facets:
+    slacks = [[h.evaluate(p) for p in pts] for h in P.facets]
+    for h, vals in zip(P.facets, slacks):
         assert math.gcd(*h.normal) == 1
-        vals = [h.evaluate(p) for p in pts]
         assert min(vals) == 0
         tight = [p for p, v in zip(pts, vals) if v == 0]
         assert rank([[a - b for a, b in zip(p, tight[0])] for p in tight[1:]]) == 3
-    for p in pts:
-        normals = [h.normal for h in P.facets if h.evaluate(p) == 0]
+    for i, p in enumerate(pts):
+        normals = [h.normal for h, vals in zip(P.facets, slacks) if vals[i] == 0]
         assert (rank(normals) == 4) == (p in P.vertices)
     assert len(P.vertices) > 4
 
