@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalInvariantError
-from .geometry import Polytope, _as_int, scaled_count
+from .geometry import Polytope, scaled_count
 
 
 @dataclass(frozen=True)
@@ -105,35 +105,26 @@ def d_of_p(P: Polytope) -> DilationProfile:
     )
 
 
-def reciprocity_check(P: Polytope, poly: EhrhartPolynomial,
-                      t_max: int | None = None) -> bool:
-    """Verify L_P(-t) == (-1)^dim * #relint(tP) for t = 1..t_max.
+def reciprocity_check(P: Polytope, poly: EhrhartPolynomial) -> bool:
+    """Verify L_P(-t) == (-1)^dim * #relint(tP) for t = 1..dim+1.
 
     poly is P's Ehrhart polynomial. A sharp cross-check of both the
-    interpolation and the two enumeration modes; t_max defaults to dim + 1.
+    interpolation and the two enumeration modes.
     """
     n = P.dim
-    if t_max is None:
-        t_max = n + 1
-    t_max = _as_int(t_max, "t_max", 1)
     sign = (-1) ** n
-    for t in range(1, t_max + 1):
+    for t in range(1, n + 2):
         if poly.evaluate(-t) != sign * scaled_count(P, t, interior=True):
             return False
     return True
 
 
-def extrapolation_check(P: Polytope, poly: EhrhartPolynomial, ks=None) -> bool:
+def extrapolation_check(P: Polytope, poly: EhrhartPolynomial) -> bool:
     """Values of P's Ehrhart polynomial must match direct counts beyond the
-    sample nodes.
-
-    Defaults to k = dim+1 and dim+2, the first two uninterpolated levels.
+    sample nodes: at k = dim+1 and dim+2, the first two uninterpolated levels.
     """
     n = P.dim
-    if ks is None:
-        ks = (n + 1, n + 2)
-    for k in ks:
-        k = _as_int(k, "extrapolation level", 1)
+    for k in (n + 1, n + 2):
         if poly.evaluate(k) != scaled_count(P, k):
             return False
     return True

@@ -2,9 +2,11 @@
 
 A polytope is built from an explicit list of integer points and is required
 to be full-dimensional in its ambient space. Facets are found by the double
-description method in exact integers, so there are no numerical failure
-modes, and the cost grows with the facets met on the way, not with the
-C(N, n) point subsets.
+description method in exact integers, started from the whole space, so
+there are no numerical failure modes and no separate start: the points
+that raise the affine dimension split the lineality space, and the others
+cut the rays. The cost grows with the facets met on the way, not with the
+C(N, n) point subsets. affine_dim runs the same split on its own.
 
 Lattice point enumeration is one numpy scan: it walks the lattice points
 of P's projection onto the first n-1 coordinates, axis by axis, and solves
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NotFullDimensionalError
-from .linalg import hyperplane_normal, lll_reduce, rank
+from .linalg import lll_reduce
 
 LatticePoint = tuple[int, ...]
 
@@ -77,23 +79,53 @@ def _dot(a, x) -> int:
     return sum(map(operator.mul, a, x))
 
 
-def _affine_basis(pts: list[LatticePoint]) -> list[int]:
-    """Indices of a greedy affine basis: each point off the affine hull of the
-    points picked before it, until n + 1 are picked."""
-    base, diffs, basis = pts[0], [], [0]
-    for i, p in enumerate(pts[1:], 1):
-        if len(basis) > len(base):
-            break
-        d = [x - y for x, y in zip(p, base)]
-        if rank(diffs + [d]) > len(diffs):
-            diffs.append(d)
-            basis.append(i)
-    return basis
+def _combine(f, sf, g, sg) -> tuple[int, ...]:
+    """sg f - sf g, primitive: the combination of f and g that vanishes at the
+    point where f takes the value sf and g the value sg."""
+    y = [sg * x - sf * w for x, w in zip(f, g)]
+    k = math.gcd(*y)
+    return tuple(y) if k == 1 else tuple([x // k for x in y])
+
+
+def _cut(lineality, q):
+    """Cut a lineality basis by the hyperplane <q, y> = 0.
+
+    Returns None when every basis vector lies on it. Else it takes the first
+    vector y off it, signed so that <q, y> > 0, and returns y, <q, y> and the
+    other vectors moved onto the hyperplane along y.
+    """
+    for k, y in enumerate(lineality):
+        t = _dot(q, y)
+        if t:
+            if t < 0:
+                y, t = tuple(-x for x in y), -t
+            rest = ((x, _dot(q, x)) for x in lineality[k + 1:])
+            return y, t, lineality[:k] + [_combine(x, s, y, t) if s else x for x, s in rest]
+    return None
+
+
+def _identity(k: int) -> list[tuple[int, ...]]:
+    """The unit vectors of Z^k, the last first: every point (p, -1) takes
+    -1 on it, so the first point cuts along it, leaving the (e_j, p_j)."""
+    return [tuple(int(i == j) for j in range(k)) for i in reversed(range(k))]
 
 
 def affine_dim(points) -> int:
-    """Dimension of the affine hull of a nonempty set of integer points."""
-    return len(_affine_basis(_as_points(points))) - 1
+    """Dimension of the affine hull of a nonempty set of integer points.
+
+    n minus the dimension of the (a, b) with <a, p> = b at every point p,
+    cut one point at a time from Z^{n+1}.
+    """
+    pts = _as_points(points)
+    n = len(pts[0])
+    lineality = _identity(n + 1)
+    for p in pts:
+        if not lineality:
+            break
+        cut = _cut(lineality, p + (-1,))
+        if cut:
+            lineality = cut[2]
+    return n - len(lineality)
 
 
 @dataclass(frozen=True, order=True)
@@ -180,61 +212,61 @@ def build_polytope(points) -> Polytope:
     The facets (a, b), <a, x> >= b, are the extreme rays of the cone
     {(a, b) : <a, p> >= b for every input point p}, found by the double
     description method (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda
-    and Prodon 1996): start from the simplex on an affine basis and add the
-    other points one by one as constraints. A ray carries the bitset of the
-    points added so far on its hyperplane; two rays are adjacent iff those
-    share at least n - 1 points and no third ray's contains the shared ones.
-    A point is a vertex iff the facets through it have no other point in
-    common.
+    and Prodon 1996), which adds the points one by one as constraints,
+    starting from the whole space Z^{n+1}. Besides its rays, the cone keeps a
+    basis of its lineality space, the (a, b) tight at every point so far.
+    A point off the affine hull of the points before it tilts some basis
+    vector: that vector becomes a ray tight at every earlier point, and one
+    elimination step moves the other basis vectors and the rays onto the
+    point's hyperplane. Any other point cuts the rays. A ray carries the
+    bitset of the points so far on its hyperplane; two rays are adjacent iff
+    those share at least n - 1 - dim(lineality) points and no third ray's
+    contains the shared ones. A point is a vertex iff the facets through it
+    have no other point in common.
 
     Raises NotFullDimensionalError when the points do not span the ambient
     space, InvalidInputError on malformed input.
     """
     pts = sorted(set(_as_points(points)))
     n = len(pts[0])
-    basis = _affine_basis(pts)
-    if len(basis) <= n:
-        raise NotFullDimensionalError(len(basis) - 1, n)
-
-    rays = []  # (normal, offset, tight bitset)
-    for i in basis:
-        face = [j for j in basis if j != i]
-        normal = hyperplane_normal([pts[j] for j in face])
-        if _dot(normal, pts[i]) < _dot(normal, pts[face[0]]):
-            normal = tuple(-a for a in normal)
-        rays.append((normal, _dot(normal, pts[face[0]]), sum(1 << j for j in face)))
-    in_basis = set(basis)
+    lineality = _identity(n + 1)
+    rays = []  # (normal + (offset,), tight bitset)
     for i, p in enumerate(pts):
-        if i in in_basis:
+        q = p + (-1,)
+        slacks = [_dot(q, y) for y, _ in rays]
+        cut = _cut(lineality, q)
+        if cut:
+            y, t, lineality = cut
+            rays = [(_combine(r, s, y, t) if s else r, z | 1 << i)
+                    for (r, z), s in zip(rays, slacks)] + [(y, (1 << i) - 1)]
             continue
-        slacks = [_dot(a, p) - b for a, b, _ in rays]
+        need = n - 1 - len(lineality)
         plus = [(r, s) for r, s in zip(rays, slacks) if s > 0]
         new = []
         for f, sf in zip(rays, slacks):
             if sf >= 0:
                 continue
             for g, sg in plus:
-                shared = f[2] & g[2]
-                if shared.bit_count() < n - 1 or any(
-                        r[2] & shared == shared for r in rays if r is not f and r is not g):
+                shared = f[1] & g[1]
+                if shared.bit_count() < need or any(
+                        r[1] & shared == shared for r in rays if r is not f and r is not g):
                     continue
                 # f violated, g satisfied, adjacent: sg f - sf g is tight at p
-                normal = [sg * x - sf * y for x, y in zip(f[0], g[0])]
-                offset = sg * f[1] - sf * g[1]
-                k = math.gcd(*normal)
-                new.append((tuple(x // k for x in normal), offset // k, shared | 1 << i))
-        rays = [(a, b, z | (1 << i if s == 0 else 0))
-                for (a, b, z), s in zip(rays, slacks) if s >= 0] + new
+                new.append((_combine(f[0], sf, g[0], sg), shared | 1 << i))
+        rays = [(y, z | (1 << i if s == 0 else 0))
+                for (y, z), s in zip(rays, slacks) if s >= 0] + new
+    if lineality:
+        raise NotFullDimensionalError(n - len(lineality), n)
 
     vertices = []
     for i, p in enumerate(pts):
         meet = -1
-        for _, _, z in rays:
+        for _, z in rays:
             if z >> i & 1:
                 meet &= z
         if meet == 1 << i:
             vertices.append(p)
-    facets = tuple(sorted(HalfSpace(a, b) for a, b, _ in rays))
+    facets = tuple(sorted(HalfSpace(y[:-1], y[-1]) for y, _ in rays))
     return Polytope(n, tuple(vertices), facets)
 
 

@@ -340,14 +340,6 @@ class BoundReport:
         """n - 1 for n >= 2, else 1."""
         return self.n - 1 if self.n >= 2 else 1
 
-    def to_jsonable(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "corollary_bound": self.corollary_bound,
-            "classical_n0_bound": self.classical_n0_bound,
-        }
-
 
 def normality_bound(P: Polytope) -> BoundReport:
     """Compute d(P) and attach the dilation bounds to it."""

@@ -111,11 +111,6 @@ def unit_square():
 
 
 @pytest.fixture
-def unit_cube():
-    return build_polytope([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
-
-
-@pytest.fixture
 def t2():
     # Reeve simplex with q=2; only lattice points are the four vertices
     return reeve_simplex(2)

@@ -16,14 +16,11 @@ from polynorm import (
     InvalidInputError,
     build_configuration,
     build_polytope,
-    ehrhart_polynomial,
-    extrapolation_check,
     h_table,
     is_normal,
     n1_probe,
     normality_bound,
     np_bound_from_regularity,
-    reciprocity_check,
     reeve_simplex,
     run_verification,
     scaled_count,
@@ -56,10 +53,6 @@ SITES = [
     ("run_verification", "extra_levels", 0,
      lambda v: run_verification(SPEC, extra_levels=v, include_fixtures=False)),
     ("reeve_simplex", "Reeve parameter q", 1, reeve_simplex),
-    ("reciprocity_check", "t_max", 1,
-     lambda v: reciprocity_check(SQUARE, ehrhart_polynomial(SQUARE), v)),
-    ("extrapolation_check", "extrapolation level", 1,
-     lambda v: extrapolation_check(SQUARE, ehrhart_polynomial(SQUARE), [v])),
     ("np_bound_from_regularity", "p", 0, lambda v: np_bound_from_regularity(0, v)),
     ("np_bound_from_regularity_m", "m", None, lambda v: np_bound_from_regularity(v, 1)),
     ("h_table_k_min", "k_min", None, lambda v: h_table(SQUARE, v, 1)),

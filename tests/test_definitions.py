@@ -1,9 +1,14 @@
-"""Every top-level function and class of the package is used or exported.
+"""Every top-level function and class of the package is used or exported,
+and every top-level function of a helper module in tests/ is used.
 
 Read from the source with ast: a function or class defined at the top
 level of a module under src/polynorm/ must be named somewhere in the
 package, as a name, an attribute or an imported name, or be listed in
-`polynorm.__all__`. Its own definition does not count.
+`polynorm.__all__`. Its own definition does not count. A function defined
+at the top level of a helper module in tests/ (conftest.py and the oracle
+modules, any module there not named test_*) must be named by a test
+module, where a function parameter counts as a name, so a fixture counts as
+used. pytest calls its hooks, the functions named pytest_*, by name.
 """
 
 import ast
@@ -11,7 +16,7 @@ import ast
 import pytest
 
 import polynorm
-from test_imports import MODULES, PACKAGE
+from test_imports import MODULES, PACKAGE, TESTS
 
 TREES = {m: ast.parse((PACKAGE / m).read_text(encoding="utf-8"))
          for m in MODULES + ["__init__.py"]}
@@ -36,3 +41,25 @@ def test_every_definition_is_named_or_exported(module):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
     dead = sorted(set(defs) - NAMED - set(polynorm.__all__))
     assert not dead, f"{module} defines names nothing uses: {dead}"
+
+
+HELPERS = sorted(p.name for p in TESTS.glob("*.py") if not p.name.startswith("test_"))
+TEST_NAMED = set()
+for path in TESTS.glob("test_*.py"):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    TEST_NAMED.update(named(tree))
+    TEST_NAMED.update(node.arg for node in ast.walk(tree) if isinstance(node, ast.arg))
+
+
+def test_helper_modules_are_found():
+    assert {"conftest.py", "exact_linalg.py"} <= set(HELPERS)
+
+
+@pytest.mark.parametrize("module", HELPERS)
+def test_every_test_helper_is_named_by_a_test(module):
+    tree = ast.parse((TESTS / module).read_text(encoding="utf-8"))
+    defs = [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("pytest_")]
+    dead = sorted(set(defs) - TEST_NAMED)
+    assert not dead, f"tests/{module} defines functions no test names: {dead}"

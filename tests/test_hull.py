@@ -4,7 +4,9 @@
 passes through n affinely independent input points, so the scan finds every
 facet, and a point is a vertex iff the normals of the facets through it have
 rank n. It costs C(N, n) hyperplanes, so the inputs compared here stay at 12
-points or fewer; the large inputs are checked by a certificate instead.
+points or fewer; the large inputs are checked by a certificate instead. The
+scan and the affine dimensions are worked out with exact_linalg alone, not
+with any hull code of the package.
 """
 
 import itertools
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polynorm import NotFullDimensionalError, affine_dim, build_polytope
-from polynorm.linalg import hyperplane_normal, rank
+from exact_linalg import hyperplane_normal, rank
 
 
 def dot(a, x):
@@ -99,6 +101,69 @@ def test_hull_matches_subset_scan(n, seed, kind, far):
             assert (info.value.actual_dim, info.value.ambient_dim) == (err.actual_dim, n)
             assert affine_dim(q) == err.actual_dim
         return
+    assert hull(build_polytope(pts)) == expected
+    assert hull(build_polytope(shuffled)) == expected
+
+
+def flat_points(rng, n, k):
+    """1 to 8 points o + sum c_j v_j of Z^n, each c_j in [-2, 2], for k random
+    v_j: an affine hull of dimension k or, where the v_j or the c_j happen to
+    be dependent, less."""
+    spread = rng.choice([1, 3, 40])
+    o = [rng.randint(-spread, spread) for _ in range(n)]
+    vs = [[rng.randint(-spread, spread) for _ in range(n)] for _ in range(k)]
+    pts = []
+    for _ in range(rng.randint(1, 8)):
+        cs = [rng.randint(-2, 2) for _ in vs]
+        pts.append(tuple(x + sum(c * v[i] for c, v in zip(cs, vs)) for i, x in enumerate(o)))
+    return pts
+
+
+def shifted_and_shuffled(rng, n, pts, far):
+    """pts and 2 of them again, moved past 2^63 if far, and a shuffle of that."""
+    pts = pts + rng.sample(pts, min(2, len(pts)))
+    if far:
+        shift = [2**63 + rng.randrange(2**64) for _ in range(n)]
+        pts = [tuple(a + x for a, x in zip(shift, p)) for p in pts]
+    return pts, rng.sample(pts, len(pts))
+
+
+def adim(pts):
+    return rank([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+       st.integers(0, 10**6), st.booleans())
+def test_affine_dim_matches_rank_at_every_dimension(n_k, seed, far):
+    n, k = n_k
+    rng = random.Random(seed)
+    pts, shuffled = shifted_and_shuffled(rng, n, flat_points(rng, n, k), far)
+    expected = adim(pts)
+    for q in (pts, shuffled):
+        assert affine_dim(q) == expected
+        if expected == n:
+            assert hull(build_polytope(q)) == reference_hull(pts)
+            continue
+        with pytest.raises(NotFullDimensionalError) as info:
+            build_polytope(q)
+        assert (info.value.actual_dim, info.value.ambient_dim) == (expected, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+       st.integers(0, 10**6), st.booleans())
+def test_hull_whose_lex_first_points_lie_on_a_flat(n_k, seed, far):
+    # the points of a k-flat in x_0 = -100 sort first, so the hull adds some
+    # of them while its lineality space is still nonzero; then points of
+    # [-3, 3]^n until the set spans Z^n
+    n, k = n_k
+    rng = random.Random(seed)
+    pts = [(-100,) + p for p in flat_points(rng, n - 1, k)]
+    while adim(pts) < n:
+        pts.append(tuple(rng.randint(-3, 3) for _ in range(n)))
+    pts, shuffled = shifted_and_shuffled(rng, n, pts, far)
+    expected = reference_hull(pts)
     assert hull(build_polytope(pts)) == expected
     assert hull(build_polytope(shuffled)) == expected
 

@@ -1,4 +1,5 @@
-"""Exact linear algebra helpers, checked against slow reference code."""
+"""The oracles' exact linear algebra (exact_linalg) and the package's LLL
+reduction, checked against slow reference code."""
 
 import itertools
 import math
@@ -7,7 +8,8 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from polynorm.linalg import det, hyperplane_normal, lll_reduce, primitive, rank
+from exact_linalg import det, hyperplane_normal, primitive, rank
+from polynorm.linalg import lll_reduce
 
 
 def det_by_permutations(rows):

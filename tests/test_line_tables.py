@@ -25,7 +25,7 @@ from polynorm import (
     reeve_simplex,
     scaled_count,
 )
-from polynorm.linalg import det
+from exact_linalg import det
 from conftest import random_polytope
 from test_large_coordinates import CASES as LARGE_CASES
 
