@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polynorm import (
+    EhrhartPolynomial,
     InvalidInputError,
     d_of_p,
     ehrhart_polynomial,
@@ -100,6 +101,41 @@ def test_reciprocity_and_extrapolation(unit_square, t2, delta3, big_triangle):
         poly = ehrhart_polynomial(P)
         assert reciprocity_check(P, poly)
         assert extrapolation_check(P, poly)
+
+
+def off_at(poly, points):
+    """poly + prod (t - x) over points: the same values at points, other
+    values at every other integer."""
+    extra = [Fraction(1)]
+    for x in points:
+        extra = [a - x * b for a, b in zip([Fraction(0)] + extra, extra + [Fraction(0)])]
+    coeffs = list(poly.coefficients)
+    size = max(len(coeffs), len(extra))
+    coeffs += [Fraction(0)] * (size - len(coeffs))
+    extra += [Fraction(0)] * (size - len(extra))
+    return EhrhartPolynomial(tuple(c + e for c, e in zip(coeffs, extra)))
+
+
+# the points at which each check evaluates the polynomial of delta3 (dim 3):
+# reciprocity at -t for t = 1..4, extrapolation at k = 4, 5
+CHECKS = {"reciprocity": (reciprocity_check, (-1, -2, -3, -4)),
+          "extrapolation": (extrapolation_check, (4, 5))}
+
+
+@pytest.mark.parametrize("name, point", [(name, x) for name, (_, xs) in CHECKS.items()
+                                         for x in xs],
+                         ids=lambda v: f"at{v}" if isinstance(v, int) else v)
+def test_check_fails_on_a_polynomial_off_at_one_of_its_points(delta3, name, point):
+    check, points = CHECKS[name]
+    poly = off_at(ehrhart_polynomial(delta3), [x for x in points if x != point])
+    assert poly.evaluate(point) != ehrhart_polynomial(delta3).evaluate(point)
+    assert not check(delta3, poly)
+
+
+@pytest.mark.parametrize("name", CHECKS)
+def test_check_reads_no_point_but_its_own(delta3, name):
+    check, points = CHECKS[name]
+    assert check(delta3, off_at(ehrhart_polynomial(delta3), points))
 
 
 @settings(max_examples=20, deadline=None)
