@@ -6,7 +6,7 @@ description method in exact integers, started from the whole space, so
 there are no numerical failure modes and no separate start: the points
 that raise the affine dimension split the lineality space, and the others
 cut the rays. The cost grows with the facets met on the way, not with the
-C(N, n) point subsets. affine_dim runs the same split on its own.
+C(N, n) point subsets. The split runs first, so a flat input has no ray.
 
 Lattice point enumeration is one numpy scan: it walks the lattice points
 of P's projection onto the first n-1 coordinates, axis by axis, and solves
@@ -110,6 +110,18 @@ def _identity(k: int) -> list[tuple[int, ...]]:
     return [tuple(int(i == j) for j in range(k)) for i in reversed(range(k))]
 
 
+def _split(pts):
+    """Cut the lineality basis of Z^{n+1} by each (p, -1), p in pts, in turn:
+    what is left of it, and (p, y, t) for each p that cut it (see _cut)."""
+    lineality, splits = _identity(len(pts[0]) + 1), []
+    for p in pts:
+        cut = _cut(lineality, p + (-1,)) if lineality else None
+        if cut:
+            y, t, lineality = cut
+            splits.append((p, y, t))
+    return lineality, splits
+
+
 def affine_dim(points) -> int:
     """Dimension of the affine hull of a nonempty set of integer points.
 
@@ -117,15 +129,7 @@ def affine_dim(points) -> int:
     cut one point at a time from Z^{n+1}.
     """
     pts = _as_points(points)
-    n = len(pts[0])
-    lineality = _identity(n + 1)
-    for p in pts:
-        if not lineality:
-            break
-        cut = _cut(lineality, p + (-1,))
-        if cut:
-            lineality = cut[2]
-    return n - len(lineality)
+    return len(pts[0]) - len(_split(pts)[0])
 
 
 @dataclass(frozen=True, order=True)
@@ -213,34 +217,36 @@ def build_polytope(points) -> Polytope:
     {(a, b) : <a, p> >= b for every input point p}, found by the double
     description method (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda
     and Prodon 1996), which adds the points one by one as constraints,
-    starting from the whole space Z^{n+1}. Besides its rays, the cone keeps a
-    basis of its lineality space, the (a, b) tight at every point so far.
-    A point off the affine hull of the points before it tilts some basis
-    vector: that vector becomes a ray tight at every earlier point, and one
-    elimination step moves the other basis vectors and the rays onto the
-    point's hyperplane. Any other point cuts the rays. A ray carries the
-    bitset of the points so far on its hyperplane; two rays are adjacent iff
-    those share at least n - 1 - dim(lineality) points and no third ray's
-    contains the shared ones. A point is a vertex iff the facets through it
-    have no other point in common.
+    starting from the whole space Z^{n+1}. First the points cut a basis of
+    the cone's lineality space, the (a, b) tight at every point so far
+    (_split, as in affine_dim): a point off the affine hull of the points
+    before it tilts a basis vector. A basis left over means a flat input,
+    refused before any ray exists. Else the n + 1 points that tilted one
+    go first: each tilted vector becomes a ray tight at the points before,
+    and one elimination step moves the rays onto the point's hyperplane.
+    Every other point cuts the rays. A ray carries the bitset of the points
+    so far on its hyperplane; two rays are adjacent iff those share at
+    least n - 1 points and no third ray's contains the shared ones. A point
+    is a vertex iff the facets through it have no other point in common.
 
     Raises NotFullDimensionalError when the points do not span the ambient
     space, InvalidInputError on malformed input.
     """
     pts = sorted(set(_as_points(points)))
     n = len(pts[0])
-    lineality = _identity(n + 1)
+    lineality, splits = _split(pts)
+    if lineality:
+        raise NotFullDimensionalError(n - len(lineality), n)
+    basis = [p for p, _, _ in splits]
+    pts = basis + sorted(set(pts) - set(basis))
     rays = []  # (normal + (offset,), tight bitset)
-    for i, p in enumerate(pts):
+    for i, (p, y, t) in enumerate(splits):
+        q = p + (-1,)
+        rays = [(_combine(r, s, y, t) if s else r, z | 1 << i)
+                for r, z in rays for s in [_dot(q, r)]] + [(y, (1 << i) - 1)]
+    for i, p in enumerate(pts[n + 1:], n + 1):
         q = p + (-1,)
         slacks = [_dot(q, y) for y, _ in rays]
-        cut = _cut(lineality, q)
-        if cut:
-            y, t, lineality = cut
-            rays = [(_combine(r, s, y, t) if s else r, z | 1 << i)
-                    for (r, z), s in zip(rays, slacks)] + [(y, (1 << i) - 1)]
-            continue
-        need = n - 1 - len(lineality)
         plus = [(r, s) for r, s in zip(rays, slacks) if s > 0]
         new = []
         for f, sf in zip(rays, slacks):
@@ -248,15 +254,13 @@ def build_polytope(points) -> Polytope:
                 continue
             for g, sg in plus:
                 shared = f[1] & g[1]
-                if shared.bit_count() < need or any(
+                if shared.bit_count() < n - 1 or any(
                         r[1] & shared == shared for r in rays if r is not f and r is not g):
                     continue
                 # f violated, g satisfied, adjacent: sg f - sf g is tight at p
                 new.append((_combine(f[0], sf, g[0], sg), shared | 1 << i))
         rays = [(y, z | (1 << i if s == 0 else 0))
                 for (y, z), s in zip(rays, slacks) if s >= 0] + new
-    if lineality:
-        raise NotFullDimensionalError(n - len(lineality), n)
 
     vertices = []
     for i, p in enumerate(pts):
@@ -267,7 +271,7 @@ def build_polytope(points) -> Polytope:
         if meet == 1 << i:
             vertices.append(p)
     facets = tuple(sorted(HalfSpace(y[:-1], y[-1]) for y, _ in rays))
-    return Polytope(n, tuple(vertices), facets)
+    return Polytope(n, tuple(sorted(vertices)), facets)
 
 
 # -- lattice point enumeration ------------------------------------------------

@@ -271,13 +271,11 @@ def run_verification(spec: CorpusSpec, extra_levels: int = 2, n1_cap: int = 4,
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # the dim-4 sweeps take longest; submitted last, one would run alone
-        order = sorted(range(len(items)), key=lambda i: -items[i][2].dim)
         # fork by name: Python 3.14 changes the Linux default
         pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
         try:
-            futures = {i: pool.submit(check, items[i][2]) for i in order}
-            results = [futures[i].result() for i in range(len(items))]
+            futures = [pool.submit(check, P) for _, _, P in items]
+            results = [future.result() for future in futures]
         finally:
             # after a failure, drop the polytopes no worker has started
             pool.shutdown(cancel_futures=True)

@@ -16,18 +16,22 @@ unimodular, LLL-reduced frame of the prefixes, so a thin or sheared P gets
 a small table. One scan per scale fills them: P's scan fills P's table, and
 the scan of mP at level m fills mP's, which level m + 1 reads. mP is walked
 in the input frame, which keeps lex order and the witnesses.
+
+The corollary sweep checks the multiplication statement S_c, (cP cap Z^n)
++ (P cap Z^n) = (c+1)P cap Z^n, by the same check on the full table of cP,
+for c in [max(n - d, 1), n - 2] only: its "normal-up-to-cap" verdicts rest
+on the lemma of Ewald-Wessels and Bruns-Gubeladze-Trung, S_c for c >= n - 1
+(see verify_corollary).
 """
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .counting import d_of_p
 from .geometry import (
-    HalfSpace,
     LatticePoint,
     Polytope,
     _as_int,
@@ -250,26 +254,47 @@ def _contains_scaled(P: Polytope, scale: int, pt) -> bool:
     )
 
 
+def _cap(P: Polytope, cap) -> int:
+    return _as_int(default_cap(P.dim) if cap is None else cap, "normality cap", 2)
+
+
+def _table_of_p(P: Polytope, cap: int):
+    """P's line table and the row type and sentinel of sP's, s < cap (_LineTable)."""
+    _, _, _, box_lo, box_hi = _scan_frame(P)
+    far = cap * max(abs(box_lo[-1]), abs(box_hi[-1]))
+    dtype, empty = _narrowest(4 * (far + 1)), 2 * far + 1
+    table_p = _LineTable(P, 1, (2, 2), dtype, empty)
+    lines = []
+    for X, lo, counts in _np_slabs(P, 1, False):
+        Z = _line_coords(P, 1, X)
+        lines.append((Z, *table_p.fill(Z, lo, lo + counts - 1)))
+    table_p.lines = tuple(np.concatenate(a) for a in zip(*lines))
+    return table_p, dtype, empty
+
+
+def _multiplication_onto(P: Polytope, c: int) -> LatticePoint | None:
+    """Lex-first point of (c+1)P cap Z^n that is no sum of a lattice point of
+    cP and one of P, or None when S_c, (cP cap Z^n) + (P cap Z^n) =
+    (c+1)P cap Z^n, holds. _first_missing decides it from the full table
+    of cP."""
+    table_p, dtype, empty = _table_of_p(P, c + 1)
+    table_c = table_p
+    if c > 1:
+        table_c = _LineTable(P, c, (2, 1), dtype, empty)
+        for X, lo, counts in _np_slabs(P, c, False):
+            table_c.fill(_line_coords(P, c, X), lo, lo + counts - 1)
+    return _first_missing(P, c + 1, table_p, table_c, _probe_deltas(P.dim - 1), None)
+
+
 def is_normal(P: Polytope, cap: int | None = None) -> NormalityReport:
     """Check levels m = 2..cap in order; stop at the first failure.
 
     cap defaults to max(dim-1, 2). The verdict is explicitly capped:
     "normal-up-to-cap" never claims normality at uncapped levels.
     """
-    if cap is None:
-        cap = default_cap(P.dim)
-    cap = _as_int(cap, "normality cap", 2)
-    # the pads, row type and sentinel of the line tables: see _LineTable
-    _, _, _, box_lo, box_hi = _scan_frame(P)
-    far = cap * max(abs(box_lo[-1]), abs(box_hi[-1]))
-    dtype, empty = _narrowest(4 * (far + 1)), 2 * far + 1
-    table_p = table_m = _LineTable(P, 1, (2, 2), dtype, empty)
-    lines = []
-    for X, lo, counts in _np_slabs(P, 1, False):
-        Z = _line_coords(P, 1, X)
-        lines.append((Z, *table_p.fill(Z, lo, lo + counts - 1)))
-    table_p.lines = tuple(np.concatenate(a) for a in zip(*lines))
-    deltas = _probe_deltas(P.dim - 1)
+    cap = _cap(P, cap)
+    table_p, dtype, empty = _table_of_p(P, cap)
+    table_m, deltas = table_p, _probe_deltas(P.dim - 1)
     checked, witness = [], None
     for m in range(2, cap + 1):
         checked.append(m)
@@ -387,60 +412,32 @@ class CorollaryRecord:
         }
 
 
-def _fewest_lines_frame(P: Polytope) -> Polytope:
-    """P with its axes permuted so that 2P has the fewest lines along the last.
-
-    Lines along axis i < n - 1 are keyed by the other coordinates, so
-    grouping an input-frame scan of 2P by its prefix rows with column i
-    dropped bounds their count by the sum of max hi - min lo + 1 over the
-    groups; ranked columns group object scans exactly. The axis with the
-    fewest moves last, a tie keeps P. A permutation maps facets to facets
-    and keeps normals primitive, so no hull is needed.
-    """
-    X, lo, counts = (np.concatenate(a) for a in zip(*_np_slabs(P, 2, False)))
-    hi = lo + counts - 1
-    ranks = np.empty(X.shape, dtype=np.int64)
-    for j, column in enumerate(X.T):
-        ranks[:, j] = np.unique(column, return_inverse=True)[1]
-    lines = [len(X)]
-    for i in range(P.dim - 1):
-        _, first, group = np.unique(np.delete(ranks, i, axis=1), axis=0,
-                                    return_index=True, return_inverse=True)
-        top, bottom = hi[first], lo[first]
-        np.maximum.at(top, group, hi)
-        np.minimum.at(bottom, group, lo)
-        lines.append(int((top - bottom + 1).sum()))
-    axis = lines.index(min(lines)) - 1
-    if axis < 0:
-        return P
-    move = operator.itemgetter(*[j for j in range(P.dim) if j != axis], axis)
-    return Polytope(P.dim, tuple(sorted(map(move, P.vertices))),
-                    tuple(sorted(HalfSpace(move(h.normal), h.offset) for h in P.facets)))
-
-
 def verify_corollary(P: Polytope, bounds: BoundReport, extra_levels: int = 0,
                      cap: int | None = None) -> CorollaryRecord:
     """Check normality of ell*P for ell = bound .. bound + extra_levels.
 
-    bounds is P's BoundReport, as `normality_bound(P)` gives it. Normality
-    does not see a permutation of coordinates, so ell*P is checked in the
-    frame of _fewest_lines_frame(P), under ell*P's id. A non-normal dilate,
-    which breaks the theorem, is checked again in the input frame, so its
-    witness is the input frame's lex-first.
+    bounds is P's BoundReport, as `normality_bound(P)` gives it. If S_c
+    (_multiplication_onto) holds for every c >= bound, every ell*P with
+    ell >= bound is normal: a lattice point of k*ell*P sheds lattice points
+    of P down to ell*P, and they sum, ell at a time, to lattice points of
+    ell*P. S_c for c >= n - 1 is the lemma of Ewald and Wessels (Results
+    Math. 19, 1991) and of Bruns, Gubeladze and Trung (J. reine angew. Math.
+    485, 1997), so only c in [bound, n - 2], which the paper's regularity
+    argument gives, is computed. When those hold, each verdict is the
+    "normal-up-to-cap" of is_normal and rests on the lemma; else, which
+    breaks the theorem, is_normal checks each ell*P in the input frame, so
+    a violation carries its lex-first witness.
     """
     extra_levels = _as_int(extra_levels, "extra_levels", 0)
+    cap = _cap(P, cap)
     lo = bounds.corollary_bound
-    R = _fewest_lines_frame(P)
+    proved = all(_multiplication_onto(P, c) is None for c in range(lo, P.dim - 1))
     levels = []
-    violations = []
     for ell in range(lo, lo + extra_levels + 1):
         D = P.dilate(ell)
-        rep = is_normal(R.dilate(ell), cap)
-        if not rep.is_normal:
-            rep = is_normal(D, cap)
-        levels.append((ell, replace(rep, polytope_id=D.polytope_id)))
-        if not rep.is_normal:
-            violations.append(ell)
+        levels.append((ell, NormalityReport(D.polytope_id, cap, tuple(range(2, cap + 1)),
+                                            "normal-up-to-cap", None)
+                       if proved else is_normal(D, cap)))
     return CorollaryRecord(
         polytope_id=P.polytope_id,
         n=bounds.n,
@@ -448,5 +445,5 @@ def verify_corollary(P: Polytope, bounds: BoundReport, extra_levels: int = 0,
         corollary_bound=lo,
         extra_levels=extra_levels,
         levels=tuple(levels),
-        violations=tuple(violations),
+        violations=tuple(ell for ell, rep in levels if not rep.is_normal),
     )

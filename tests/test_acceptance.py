@@ -4,10 +4,12 @@ Each test verifies one headline guarantee of the toolkit against the
 default corpus (seed 271828; dimensions 2, 3, 4; coordinate bound 4;
 100 polytopes per dimension) plus the Reeve fixtures, and records a
 single CRITERION line in the terminal summary.  The whole battery is
-meant to run single-threaded in well under five minutes.
+meant to run in well under five minutes, single-threaded but for the
+two processes criterion 1 forks.
 """
 
 import json
+import multiprocessing
 import subprocess
 import sys
 import time
@@ -31,6 +33,7 @@ from polynorm import (
     reeve_simplex,
     verify_corollary,
 )
+from test_corollary import oracle_verify_corollary
 
 NORMAL = "normal-up-to-cap"
 
@@ -53,18 +56,34 @@ def _higher_cohomology_vanishes(P, m):
     return all(rows[m + 1 - i][i] == 0 for i in range(1, n + 1))
 
 
+def _oracle_sweep(P):
+    bounds = normality_bound(P)
+    return bounds, oracle_verify_corollary(P, bounds, extra_levels=2)
+
+
 def test_criterion_1_corollary_sweep(corpus, reeve_fixtures, criterion_report):
-    """Zero corollary violations at extra_levels=2, within the time budget."""
+    """Zero corollary violations at extra_levels=2, within the time budget.
+
+    The dilate sweep, the oracle of verify_corollary, runs on 2 forked
+    processes; its records, in corpus order, must equal verify_corollary's.
+    """
     start = time.monotonic()
+    polytopes = corpus + reeve_fixtures
+    with multiprocessing.get_context("fork").Pool(2) as pool:
+        oracle = pool.map(_oracle_sweep, polytopes, chunksize=1)
     violations = []
-    for P in corpus + reeve_fixtures:
-        record = verify_corollary(P, normality_bound(P), extra_levels=2)
-        if not record.passed:
-            violations.append((record.polytope_id, record.violations))
+    mismatches = []
+    for P, (bounds, expected) in zip(polytopes, oracle):
+        record = verify_corollary(P, bounds, extra_levels=2)
+        if record != expected:
+            mismatches.append(P.polytope_id)
+        if not expected.passed:
+            violations.append((expected.polytope_id, expected.violations))
     elapsed = time.monotonic() - start
-    ok = not violations and elapsed < 300.0
+    ok = not violations and not mismatches and elapsed < 300.0
     criterion_report(f"CRITERION 1 (corollary sweep, extra_levels=2): "
                      f"{'PASS' if ok else 'FAIL'}")
+    assert not mismatches, f"verify_corollary differs from the oracle: {mismatches[:5]}"
     assert not violations, f"corollary violations: {violations[:5]}"
     assert elapsed < 300.0, f"sweep took {elapsed:.1f}s, budget is 300s"
 

@@ -50,6 +50,9 @@ SITES = [
     ("verify_witness", "witness level", 2, lambda v: verify_witness(SQUARE, v, (0, 0))),
     ("verify_corollary", "extra_levels", 0,
      lambda v: verify_corollary(SQUARE, normality_bound(SQUARE), v)),
+    # the square's dilates are normal by the lemma: no is_normal sees the cap
+    ("verify_corollary_cap", "normality cap", 2,
+     lambda v: verify_corollary(SQUARE, normality_bound(SQUARE), 0, v)),
     ("run_verification", "extra_levels", 0,
      lambda v: run_verification(SPEC, extra_levels=v, include_fixtures=False)),
     ("reeve_simplex", "Reeve parameter q", 1, reeve_simplex),

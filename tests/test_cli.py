@@ -10,10 +10,19 @@ import sys
 import pytest
 
 import polynorm.harness as harness
-import polynorm.normality as normality
-from polynorm import InternalInvariantError, InvalidInputError, normality_bound
+from polynorm import (
+    InternalInvariantError,
+    InvalidInputError,
+    normality_bound,
+    verify_corollary,
+)
 from polynorm.cli import main
-from test_corollary import reference_verify_corollary, rotated_reeve
+from test_corollary import (
+    fewest_lines_frame,
+    oracle_verify_corollary,
+    reference_verify_corollary,
+    rotated_reeve,
+)
 
 SQUARE = [[0, 0], [1, 0], [0, 1], [1, 1]]
 T2 = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 2]]
@@ -262,6 +271,13 @@ def test_bad_flag_value_exits_one(capsys, square_file):
     assert main(["np-probe", square_file, "--ell", "0"]) == 1
 
 
+def test_verify_refuses_a_cap_below_two(capsys, square_file):
+    # the square's dilates are normal by the lemma, so is_normal never runs:
+    # verify_corollary refuses the cap itself
+    assert main(["verify", square_file, "--cap", "1"]) == 1
+    assert "normality cap must be an integer >= 2, got 1" in capsys.readouterr().err
+
+
 def test_installed_entry_point(square_file):
     proc = subprocess.run(
         [sys.executable, "-m", "polynorm.cli", "analyze", square_file,
@@ -289,11 +305,13 @@ def test_python_dash_m_package(square_file, tmp_path):
 def test_verify_json_matches_input_frame_sweep(capsys, tmp_path):
     # the dilates of this simplex are checked with its axis 0 last
     P = rotated_reeve(5)
-    assert normality._fewest_lines_frame(P) is not P
+    assert fewest_lines_frame(P) is not P
     path = tmp_path / "reeve.json"
     path.write_text(json.dumps([list(v) for v in P.vertices]))
     assert main(["verify", str(path), "--extra-levels", "2", "--format", "json"]) == 0
-    expected = reference_verify_corollary(P, normality_bound(P), 2).to_jsonable()
+    bounds = normality_bound(P)
+    assert verify_corollary(P, bounds, 2) == oracle_verify_corollary(P, bounds, 2)
+    expected = reference_verify_corollary(P, bounds, 2).to_jsonable()
     out = capsys.readouterr().out.encode()
     assert out == (json.dumps(expected, indent=2, sort_keys=True) + "\n").encode()
 

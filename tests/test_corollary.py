@@ -1,16 +1,21 @@
-"""The corollary sweep, which checks each dilate in a frame with permuted axes.
+"""verify_corollary against the dilate sweep it replaced.
 
-Lattice point counts, normality verdicts and witnesses do not see a
-permutation of coordinates, so verify_corollary checks ell*P along the axis
-where 2P has the fewest lines. The oracles are that invariance, tried over
-every permutation, and the sweep as it runs in the input frame,
-reference_verify_corollary.
+verify_corollary decides the corollary from the multiplication statement
+S_c. The oracle is the sweep that checks each dilate ell*P with is_normal,
+in a frame whose axes are permuted so that 2P has the fewest lines along
+the last one. Lattice point counts, normality verdicts and witnesses do
+not see a permutation of coordinates; that invariance, tried over every
+permutation, and the sweep as it runs in the input frame,
+reference_verify_corollary, are the oracle's own oracles.
 """
 
 import itertools
+import operator
 import random
+from dataclasses import replace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,6 +31,7 @@ from polynorm import (
     verify_corollary,
     verify_witness,
 )
+from polynorm.geometry import HalfSpace, Polytope
 import polynorm.normality as normality
 from conftest import random_polytope
 from test_normality import _sumset_verdict
@@ -42,6 +48,57 @@ def reference_verify_corollary(P, bounds, extra_levels=0, cap=None):
         violations=tuple(ell for ell, rep in levels if not rep.is_normal))
 
 
+def fewest_lines_frame(P):
+    """P with its axes permuted so that 2P has the fewest lines along the last.
+
+    Lines along axis i < n - 1 are keyed by the other coordinates, so
+    grouping an input-frame scan of 2P by its prefix rows with column i
+    dropped bounds their count by the sum of max hi - min lo + 1 over the
+    groups; ranked columns group object scans exactly. The axis with the
+    fewest moves last, a tie keeps P. A permutation maps facets to facets
+    and keeps normals primitive, so no hull is needed.
+    """
+    X, lo, counts = (np.concatenate(a) for a in zip(*normality._np_slabs(P, 2, False)))
+    hi = lo + counts - 1
+    ranks = np.empty(X.shape, dtype=np.int64)
+    for j, column in enumerate(X.T):
+        ranks[:, j] = np.unique(column, return_inverse=True)[1]
+    lines = [len(X)]
+    for i in range(P.dim - 1):
+        _, first, group = np.unique(np.delete(ranks, i, axis=1), axis=0,
+                                    return_index=True, return_inverse=True)
+        top, bottom = hi[first], lo[first]
+        np.maximum.at(top, group, hi)
+        np.minimum.at(bottom, group, lo)
+        lines.append(int((top - bottom + 1).sum()))
+    axis = lines.index(min(lines)) - 1
+    if axis < 0:
+        return P
+    move = operator.itemgetter(*[j for j in range(P.dim) if j != axis], axis)
+    return Polytope(P.dim, tuple(sorted(map(move, P.vertices))),
+                    tuple(sorted(HalfSpace(move(h.normal), h.offset) for h in P.facets)))
+
+
+def oracle_verify_corollary(P, bounds, extra_levels=0, cap=None):
+    """The dilate sweep: is_normal on each ell*P in the frame of
+    fewest_lines_frame(P), under ell*P's id. A non-normal dilate is checked
+    again in the input frame, so its witness is the input frame's lex-first.
+    """
+    lo = bounds.corollary_bound
+    R = fewest_lines_frame(P)
+    levels = []
+    for ell in range(lo, lo + extra_levels + 1):
+        D = P.dilate(ell)
+        rep = normality.is_normal(R.dilate(ell), cap)
+        if not rep.is_normal:
+            rep = normality.is_normal(D, cap)
+        levels.append((ell, replace(rep, polytope_id=D.polytope_id)))
+    return CorollaryRecord(
+        polytope_id=P.polytope_id, n=bounds.n, d=bounds.d, corollary_bound=lo,
+        extra_levels=extra_levels, levels=tuple(levels),
+        violations=tuple(ell for ell, rep in levels if not rep.is_normal))
+
+
 def permuted(P, perm):
     """The hull of P's vertices with coordinate perm[k] moved to place k."""
     return build_polytope([tuple(v[j] for j in perm) for v in P.vertices])
@@ -53,12 +110,12 @@ def rotated_reeve(q):
 
 
 def frame_is_permuted(P):
-    """Whether _fewest_lines_frame(P) is not P; if not, check it is P permuted.
+    """Whether fewest_lines_frame(P) is not P; if not, check it is P permuted.
 
     A permuted frame must equal the hull of P's vertices under some
     permutation of coordinates, facets included.
     """
-    R = normality._fewest_lines_frame(P)
+    R = fewest_lines_frame(P)
     if R is P:
         return False
     assert any(R.vertices == Q.vertices and R.facets == Q.facets
@@ -94,12 +151,13 @@ def test_sweep_matches_input_frame_sweep():
         for _ in range(5):
             P = random_polytope(rng, n, spread=2)
             bounds = normality_bound(P)
-            rec = verify_corollary(P, bounds, 2)
+            rec = oracle_verify_corollary(P, bounds, 2)
             ref = reference_verify_corollary(P, bounds, 2)
             assert rec.to_jsonable() == ref.to_jsonable()
             assert [r.polytope_id for _, r in rec.levels] == [
                 r.polytope_id for _, r in ref.levels]
             assert rec == ref
+            assert verify_corollary(P, bounds, 2) == rec
             taken += frame_is_permuted(P)
     assert taken > 0  # some dilates were checked in a permuted frame
 
@@ -111,7 +169,7 @@ def test_violation_reports_the_input_frames_witness(q):
     assert frame_is_permuted(P)
     bounds = BoundReport(3, 2)
     with mock.patch.object(normality, "is_normal", wraps=normality.is_normal) as spy:
-        rec = verify_corollary(P, bounds, 1)
+        rec = oracle_verify_corollary(P, bounds, 1)
     checked = [call.args[0] for call in spy.call_args_list]
     # ell = 1 in the permuted frame, again in the input frame; then ell = 2
     assert checked[0] != P and checked[1] == P and len(checked) == 3
@@ -120,13 +178,32 @@ def test_violation_reports_the_input_frames_witness(q):
     witness = rec.levels[0][1].witness
     assert (witness.level, witness.point) == _sumset_verdict(P, 2)
     assert verify_witness(P, witness.level, witness.point)
+    assert verify_corollary(P, bounds, 1) == rec
+
+
+@pytest.mark.parametrize("q", REEVE_RANGE)
+@pytest.mark.parametrize("make", [reeve_simplex, rotated_reeve])
+def test_forged_bound_falls_back_to_the_input_frame(make, q):
+    # BoundReport(3, 2) claims d = 2, so the bound is 1 and S_1, which the
+    # non-normal P breaks at the lex-first witness of 2P, is computed; every
+    # dilate is then checked by is_normal in the input frame
+    P = make(q)
+    bounds = BoundReport(3, 2)
+    assert normality._multiplication_onto(P, 1) == _sumset_verdict(P, 2)[1]
+    rec = verify_corollary(P, bounds, 2)
+    assert rec == reference_verify_corollary(P, bounds, 2)
+    assert rec.violations == (1,)
+    witness = rec.levels[0][1].witness
+    assert (witness.level, witness.point) == _sumset_verdict(P, 2)
 
 
 def test_thin_triangle_matches_input_frame_sweep():
     P = build_polytope([(0, 0), (100, 0), (0, 2)])
     assert frame_is_permuted(P)
     bounds = normality_bound(P)
-    assert verify_corollary(P, bounds, 2) == reference_verify_corollary(P, bounds, 2)
+    rec = oracle_verify_corollary(P, bounds, 2)
+    assert rec == reference_verify_corollary(P, bounds, 2)
+    assert verify_corollary(P, bounds, 2) == rec
 
 
 def test_long_thin_triangle_scans_few_prefixes():
@@ -143,5 +220,7 @@ def test_long_thin_triangle_scans_few_prefixes():
             yield X, lo, counts
 
     with mock.patch.object(normality, "_np_slabs", counted):
-        assert verify_corollary(P, normality_bound(P), 2).passed
+        rec = oracle_verify_corollary(P, normality_bound(P), 2)
+    assert rec.passed
     assert sum(rows) <= 2 * N + 100
+    assert verify_corollary(P, normality_bound(P), 2) == rec

@@ -113,6 +113,32 @@ def test_not_full_dimensional():
     assert info.value.ambient_dim == 2
 
 
+def test_flat_input_is_refused_before_any_ray_step(monkeypatch):
+    # 1,000 points on x3 = 2 x0 - x1 + 3 x2 + 1 in Z^4, sorted as the hull
+    # takes them: building makes exactly the combinations of affine_dim's
+    # cut of the lineality space, so not one ray
+    rng = random.Random(3)
+    pts = set()
+    while len(pts) < 1000:
+        x = [rng.randrange(-20, 21) for _ in range(3)]
+        pts.add((*x, 2 * x[0] - x[1] + 3 * x[2] + 1))
+    pts = sorted(pts)
+    calls = []
+    real = geometry._combine
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(geometry, "_combine", spy)
+    assert geometry.affine_dim(pts) == 3
+    cut = len(calls)
+    with pytest.raises(NotFullDimensionalError) as info:
+        build_polytope(pts)
+    assert (info.value.actual_dim, info.value.ambient_dim) == (3, 4)
+    assert len(calls) == 2 * cut
+
+
 def test_invalid_inputs():
     with pytest.raises(InvalidInputError):
         build_polytope([])

@@ -28,6 +28,7 @@ from polynorm import (
     verify_corollary,
     verify_witness,
 )
+from test_corollary import fewest_lines_frame, oracle_verify_corollary
 
 BIG = 2**70
 
@@ -99,11 +100,13 @@ def test_large_corollary_sweep_matches_small_twin(twins):
 
     # the long triangle's 2^71-point axis stays the line axis: a wrapped
     # estimate would make it a prefix axis, whose scan does not end
-    assert short_prefixes(normality._fewest_lines_frame(big), 2)
+    assert short_prefixes(fewest_lines_frame(big), 2)
     with mock.patch.object(normality, "_np_slabs", wraps=normality._np_slabs) as scans:
-        rec_big = verify_corollary(big, normality_bound(big), 2)
-    rec_small = verify_corollary(small, normality_bound(small), 2)
+        rec_big = oracle_verify_corollary(big, normality_bound(big), 2)
+    rec_small = oracle_verify_corollary(small, normality_bound(small), 2)
     assert rec_big.passed and rec_small.passed
+    assert verify_corollary(big, normality_bound(big), 2) == rec_big
+    assert verify_corollary(small, normality_bound(small), 2) == rec_small
     assert [(ell, rep.verdict, rep.levels_checked) for ell, rep in rec_big.levels] == [
         (ell, rep.verdict, rep.levels_checked) for ell, rep in rec_small.levels]
     # every scan, the frame choice's scan of 2P too, runs on exact ints
@@ -118,9 +121,12 @@ def test_far_rotated_reeve_sweep_matches_small_twin():
     # ints; a forged bound of 1 puts the non-normal P itself into the sweep
     small = build_polytope([(0, 0, 0), (0, 1, 0), (0, 0, 1), (5, 1, 1)])
     big = shifted(small, 2**63)
-    assert normality._fewest_lines_frame(big) is not big
+    assert fewest_lines_frame(big) is not big
     assert geometry._scan_dtype(big, 1) is object
-    rec_big, rec_small = (verify_corollary(P, BoundReport(3, 2), 1) for P in (big, small))
+    rec_big, rec_small = (oracle_verify_corollary(P, BoundReport(3, 2), 1)
+                          for P in (big, small))
+    assert verify_corollary(big, BoundReport(3, 2), 1) == rec_big
+    assert verify_corollary(small, BoundReport(3, 2), 1) == rec_small
     assert rec_big.violations == rec_small.violations == (1,)
     assert [(ell, rep.verdict, rep.levels_checked) for ell, rep in rec_big.levels] == [
         (ell, rep.verdict, rep.levels_checked) for ell, rep in rec_small.levels]

@@ -327,6 +327,30 @@ def test_segments_are_normal(k):
     assert (rep.verdict, rep.levels_checked) == ("normal-up-to-cap", (2, 3, 4))
 
 
+def sum_of(A, B):
+    return {tuple(map(operator.add, a, b)) for a in A for b in B}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 10**6),
+       st.sampled_from([None] + list(REEVE_RANGE)))
+def test_multiplication_onto_matches_sumset(n, seed, q):
+    # S_c: (cP cap Z^n) + (P cap Z^n) = (c+1)P cap Z^n, with its lex-first
+    # gap. The Reeve simplices break S_1; for c >= n - 1 these cases check
+    # the Ewald-Wessels / Bruns-Gubeladze-Trung lemma the corollary rests on
+    P = (reeve_simplex(q) if q else
+         random_polytope(random.Random(seed), n, spread=2 if n < 4 else 1))
+    pts = P.lattice_points()
+    for c in range(1, P.dim + 1):
+        cP = P.dilate(c).lattice_points() if c > 1 else pts
+        missing = set(P.dilate(c + 1).lattice_points()) - sum_of(cP, pts)
+        assert normality._multiplication_onto(P, c) == min(missing, default=None)
+        if c >= P.dim - 1:
+            assert not missing, (P.vertices, c)
+        elif q:
+            assert c > 1 or missing  # Reeve's simplices are not normal
+
+
 def reference_probe_deltas(k):
     """The probe offsets built by sorting tuples: {0, 1}^k in lex order, then
     the rest of {-1..2}^k by (max |x|, sum |x|, lex)."""

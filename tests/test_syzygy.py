@@ -734,8 +734,22 @@ def test_search_batches_hold_every_colliding_sum(monkeypatch, chunk):
     assert chunk is None or split >= 5
 
 
+@pytest.fixture(scope="module")
+def chunk_cases():
+    """The cases of test_chunk_bytes_do_not_change_reports, each with its
+    report at the default chunk size: those for every chunk, and the dim-3
+    polytopes at ell = 3 that only chunks above 1 take."""
+    rng = random.Random(20261018)
+    cases = [(random_polytope(rng, 3, spread=2), 1) for _ in range(40)]
+    cases += [(reeve_simplex(q), ell) for q in REEVE_RANGE for ell in (1, 2, 3)]
+    rng = random.Random(31415)
+    large = [(random_polytope(rng, 3, spread=2), 3) for _ in range(4)]
+    return tuple([(P, ell, n1_probe(P, ell, 4).to_jsonable()) for P, ell in group]
+                 for group in (cases, large))
+
+
 @pytest.mark.parametrize("chunk", [1, 1 << 10, 1 << 13])
-def test_chunk_bytes_do_not_change_reports(monkeypatch, chunk):
+def test_chunk_bytes_do_not_change_reports(monkeypatch, chunk, chunk_cases):
     # at 1 every batch of the search is one group, every chunk one lookup
     # and every chunk of candidate rows one row; at 2^10 a batch holds
     # several groups and a chunk 16 lookups. The dim-3 polytopes at ell = 3
@@ -743,13 +757,9 @@ def test_chunk_bytes_do_not_change_reports(monkeypatch, chunk):
     # candidate rows span many chunks while a search batch holds one group
     # (2^10) or several (2^13); at 1 they would take seconds, and one-row
     # chunks of candidate rows are checked against the oracle below
-    rng = random.Random(20261018)
-    cases = [(random_polytope(rng, 3, spread=2), 1) for _ in range(40)]
-    cases += [(reeve_simplex(q), ell) for q in REEVE_RANGE for ell in (1, 2, 3)]
-    if chunk > 1:
-        rng = random.Random(31415)
-        cases += [(random_polytope(rng, 3, spread=2), 3) for _ in range(4)]
-    default = [n1_probe(P, ell, 4).to_jsonable() for P, ell in cases]
+    every, large = chunk_cases
+    cases = every + large if chunk > 1 else every
+    default = [report for _, _, report in cases]
     monkeypatch.setattr(syzygy, "_CHUNK_BYTES", chunk)
     split = []
     real = syzygy._candidate_bits
@@ -759,7 +769,7 @@ def test_chunk_bytes_do_not_change_reports(monkeypatch, chunk):
         return real(cand)
 
     monkeypatch.setattr(syzygy, "_candidate_bits", spy)
-    assert [n1_probe(P, ell, 4).to_jsonable() for P, ell in cases] == default
+    assert [n1_probe(P, ell, 4).to_jsonable() for P, ell, _ in cases] == default
     assert sum(split) >= 5
 
 
