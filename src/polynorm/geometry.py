@@ -34,6 +34,7 @@ LatticePoint = tuple[int, ...]
 
 _NP32_SAFE_LIMIT, _NP_SAFE_LIMIT = 2**29, 2**61  # see _scan_dtype
 _CHUNK_ROWS = 1 << 18  # prefixes one expansion of _np_slabs takes at most
+_MAX_LIST_BYTES = 1 << 27  # bytes of coordinates scaled_points_array lists at most
 
 
 def _as_point(obj, n: int | None = None) -> LatticePoint:
@@ -409,17 +410,19 @@ def scaled_points_array(P: Polytope, scale: int = 1, interior: bool = False):
     """All lattice points of scale*P as one lex-ordered (k, n) array.
 
     Its element type is the scan's: int32, int64 or object (exact Python
-    ints). A slab of the scan with more points than int64 can count cannot
-    be materialized and raises InvalidInputError.
+    ints). A listing whose coordinates would pass _MAX_LIST_BYTES (at the
+    element type's item size) is refused with InvalidInputError before the
+    slab that would take it there is expanded.
     """
     scale = _as_int(scale, "scale", 1)
     slabs = []
+    listed = 0
     for prefixes, lo_last, counts in _np_slabs(P, scale, interior):
-        total = int(counts.sum())
-        if total > np.iinfo(np.int64).max:
+        listed += int(counts.sum())
+        if listed * P.dim * prefixes.itemsize > _MAX_LIST_BYTES:
             raise InvalidInputError(
-                f"too many lattice points to enumerate: one slab of {scale}P "
-                f"holds {total}"
+                f"too many lattice points to enumerate: {scale}P holds at least "
+                f"{listed}, past {_MAX_LIST_BYTES} bytes of coordinates"
             )
         slabs.append(_expand(prefixes, lo_last, counts))
     if not slabs:

@@ -30,7 +30,14 @@ d-2 >= 1 points, and the points of any one element form a clique of G_b.
 One layered search on the graphs G_b of a batch of colliding sums
 (`_sinks_connected`) decides them; it stops after the first batch that
 holds a disconnected fiber. Its first layer, point-linking (the sinks
-chain through shared points), needs no lookup and settles most sums.
+chain through shared points), needs no lookup and on the corpora settles
+most sums of degree 4. It settles none of degree 3: two sinks {p}+A and
+{p}+B of one sum share no point, since A and B are irreducible pairs with
+the same sum and so are equal. Degree 3 needs no lookup either: G_b joins
+p and q iff b - p - q is a point r, that is iff q lies in a pair {q, r}
+of the pair fiber of b - p. So the neighbours of p are the points of one
+pair fiber, and the one sort of all pair sums that finds the irreducible
+pairs also gives, per pair sum, a bit mask of the points of its pairs.
 
 Sums are int64 codes in one mixed radix, so one stable sort lists the
 fibers in lex order, each with its sinks in lex order. The lattice points
@@ -43,7 +50,8 @@ overflow, is refused up front. An edge of G_b is looked up by
 code(b) - code(p) - code(q) among the codes of (d-2)-point sums, with no
 digit check: on each axis the digit of b - p - q lies in [-2*span, d*span]
 and that of a (d-2)-sum in [0, (d-2)*span], so the two differ by at most
-d*span < radix, and equal codes mean equal vectors. The cliques grow
+d*span < radix, and equal codes mean equal vectors; the same bound holds
+for code(b) - code(p) among the pair sums at d = 3. The cliques grow
 breadth-wise, one degree at a time: the set bits of the packed candidate
 rows, nonzero bytes first and then their bits, extend all degree-(d-1)
 cliques at once. A disconnected fiber's sum, the witness, is the sum of
@@ -58,15 +66,21 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import LatticePoint, Polytope, _as_int, scaled_points_array
+from .geometry import LatticePoint, Polytope, _as_int, scaled_count, scaled_points_array
 
 _CONNECTED = "quadratically connected up to cap"
 _DISCONNECTED = "disconnected"
 
 # bytes of one chunk of array work: the packed candidate rows scanned for
 # nonzero bytes at once, the keys of a batch of colliding sums' points (8
-# bytes each) and the edge lookups tried at once (about 64 bytes each)
+# bytes each), the boolean blocks the pair masks are packed from and the
+# edge lookups tried at once (about 64 bytes each); the mask rows gathered
+# at once take an eighth of it (larger gathers ran no faster, and left the
+# process holding more memory after the probe)
 _CHUNK_BYTES = 1 << 22
+# point pairs N(N+1)/2 of the largest configuration probed (N = 2895): its
+# pair sums, their sort order and the pair indices take about 32 bytes a pair
+_MAX_PAIRS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -89,20 +103,50 @@ def build_configuration(P: Polytope, ell: int) -> PointConfiguration:
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
     """Indices where a run of equal values begins in a nonempty sorted array."""
-    return np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+    return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
 
 
-def _irreducible_pairs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The irreducible pair (i <= j) of every pair sum of the point codes.
+def _pair_fibers(codes: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray],
+                                              tuple[np.ndarray, np.ndarray]]:
+    """The pair fibers of the point codes, from one stable sort of every
+    pair sum: (i, j), the irreducible pair (i <= j) of every pair sum, and
+    (sums, masks), the sorted distinct pair sums and per sum a mask row of
+    ceil(N/64) 64-bit words whose bytes, in np.packbits order, mark the
+    points of its pairs (both sides). Word rows let the search OR masks 8
+    bytes at a time.
 
-    It is the first pair with its sum in index-lex order, which matches
-    pair-lex order on the (lex sorted) points.
+    The irreducible pair is the first pair with its sum in index-lex order,
+    which matches pair-lex order on the (lex sorted) points. Pair indices
+    stay int32; the mask rows are packed from boolean blocks of at most
+    _CHUNK_BYTES.
     """
-    i, j = np.triu_indices(len(codes))
+    n = len(codes)
+    # every pair i <= j in index-lex order
+    i = np.repeat(np.arange(n, dtype=np.int32), np.arange(n, 0, -1))
+    j = np.arange(len(i), dtype=np.int32) + i - i * (2 * n + 1 - i) // 2
     sums = codes[i] + codes[j]
     order = np.argsort(sums, kind="stable")
-    first = order[_run_starts(sums[order])]
-    return i[first], j[first]
+    sums = sums[order]
+    i, j = i[order], j[order]
+    del order
+    starts = _run_starts(sums)
+    # row[t]: the index of pair t's sum among the distinct sums
+    row = np.zeros(len(sums), dtype=np.int32)
+    row[starts[1:]] = 1
+    np.cumsum(row, out=row)
+    masks = np.empty((len(starts), -(-n // 64)), dtype=np.uint64)
+    width = 64 * masks.shape[1]
+    step = max(1, _CHUNK_BYTES // width)
+    ends = np.append(starts, len(sums))
+    for r0 in range(0, len(starts), step):
+        r1 = min(r0 + step, len(starts))
+        pairs = slice(ends[r0], ends[r1])
+        at = (row[pairs] - r0) * width
+        block = np.zeros((r1 - r0) * width, dtype=bool)
+        block[at + i[pairs]] = True
+        block[at + j[pairs]] = True
+        masks[r0:r1] = np.packbits(block).view(np.uint64).reshape(r1 - r0, -1)
+    return (i[starts], j[starts]), (sums[starts], masks)
 
 
 # -- the probe -----------------------------------------------------------------
@@ -155,8 +199,19 @@ def _candidate_bits(cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(rows), np.concatenate(cols)
 
 
+def _held(seen: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Per row of keys: does it hold a seen key? An OR over the columns; a
+    row-wise .any(axis=1) costs several times more on these narrow rows."""
+    hit = seen[keys]
+    out = hit[:, 0].copy()
+    for c in range(1, hit.shape[1]):
+        out |= hit[:, c]
+    return out
+
+
 def _first_disconnected(sinks: np.ndarray, group: np.ndarray, sums: np.ndarray,
-                        codes: np.ndarray, lower: np.ndarray) -> tuple[int | None, int]:
+                        codes: np.ndarray, lower: np.ndarray,
+                        pairs: tuple[np.ndarray, np.ndarray] | None) -> tuple[int | None, int]:
     """The first group `_sinks_connected` (same arguments) finds disconnected,
     or None, and how many groups the point-linking layer left open up to
     and including it (all of them when None). Searched in batches of sums
@@ -166,7 +221,7 @@ def _first_disconnected(sinks: np.ndarray, group: np.ndarray, sums: np.ndarray,
     for g0 in range(0, len(sums), batch):
         rows = slice(*np.searchsorted(group, [g0, g0 + batch]))
         ok, linked = _sinks_connected(sinks[rows], group[rows] - g0,
-                                      sums[g0 : g0 + batch], codes, lower)
+                                      sums[g0 : g0 + batch], codes, lower, pairs)
         if not ok.all():
             bad = int(np.argmin(ok))
             return g0 + bad, checked + int(np.count_nonzero(~linked[: bad + 1]))
@@ -175,57 +230,106 @@ def _first_disconnected(sinks: np.ndarray, group: np.ndarray, sums: np.ndarray,
 
 
 def _sinks_connected(sinks: np.ndarray, group: np.ndarray, sums: np.ndarray,
-                     codes: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                     codes: np.ndarray, lower: np.ndarray,
+                     pairs: tuple[np.ndarray, np.ndarray] | None
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """For each group of degree-d sink rows: is the fiber of its sum b
     connected, and are its sinks point-linked?
 
     `sinks` holds one clique per row, `group` its group number, ascending
-    from 0 without gaps, `sums` the groups' codes b, `codes` the point codes
-    and `lower` the sorted distinct codes of the (d-2)-point sums. Exact once
-    every fiber of degree d-1 is connected: by the lemma in the module
-    docstring, the fiber is connected iff G_b joins the points of all its
-    sinks.
+    from 0 without gaps, `sums` the groups' codes b, `codes` the point codes,
+    `lower` the sorted distinct codes of the (d-2)-point sums and `pairs`
+    the sorted distinct pair sums with their point masks (`_pair_fibers`;
+    only d = 3 reads them). Exact once every fiber of degree d-1 is
+    connected: by the lemma in the module docstring, the fiber is connected
+    iff G_b joins the points of all its sinks.
 
     The search runs on every G_b at once, over keys group * N + point,
     from each group's first sink. Its first layer needs no lookup: the
     points of one sink form a clique of G_b, so a sink that holds a reached
     point lends all its points, until no sink is added. A group whose sinks
-    this layer all reaches is point-linked. On the other groups, in arrays
-    cut down to them, breadth-first layers on G_b go on from there: a layer
+    this layer all reaches is point-linked. The other groups go on, in
+    arrays cut down to them, until every sink of a group holds a reached
+    point or its frontier is empty. At d = 3 the neighbours of p in G_b
+    are the points of the pair fiber of b - p, so a frontier point costs
+    one search among the pair sums and an OR of its mask into its group's
+    row, _CHUNK_BYTES // 8 bytes of mask rows at a time. At d >= 4
+    breadth-first layers on G_b look up b - p - q among `lower`: a layer
     tries the frontier (first every point reached so far, then the points
     the layer before reached) against the unseen points of the unreached
     sinks, then, where a sink is still unreached, against every unseen
-    point, _CHUNK_BYTES // 64 lookups at a time. A group's search ends when
-    every sink holds a reached point or its frontier is empty.
+    point, _CHUNK_BYTES // 64 lookups at a time; a phase with no live group
+    is skipped.
     """
     n, m = len(codes), len(sums)
     keys = group.astype(np.int64)[:, None] * n + sinks
     first = _run_starts(group)
-    step = max(1, _CHUNK_BYTES // 64)
     seen = np.zeros(m * n, dtype=bool)
-    lent = keys[first]
-    while not seen[lent].all():
-        seen[lent] = True
-        lent = keys[seen[keys].any(axis=1)]
-    linked = np.logical_and.reduceat(seen[keys].any(axis=1), first)
+    lent = np.zeros(len(keys), dtype=bool)
+    lent[first] = True
+    new = lent
+    while new.any():
+        seen[keys[new]] = True
+        new = _held(seen, keys) & ~lent
+        lent |= new
+    linked = np.logical_and.reduceat(lent, first)
     connected = linked.copy()
-    # the breadth-first layers run on the groups the first one left open
+    # the later layers run on the groups the first one left open
     left = np.flatnonzero(~linked)
     if not len(left):
         return connected, linked
     rows = ~linked[group]
     group = np.searchsorted(left, group[rows])
     keys = group.astype(np.int64)[:, None] * n + sinks[rows]
-    first, sums, m = _run_starts(group), sums[left], len(left)
+    first, sums = _run_starts(group), sums[left]
     seen = seen.reshape(-1, n)[left].reshape(-1)
+    if sinks.shape[1] == 3:
+        _grow_by_masks(seen, keys, first, sums, codes, *pairs)
+    else:
+        _grow_by_lookups(seen, keys, group, first, sums, codes, lower)
+    connected[left] = np.logical_and.reduceat(_held(seen, keys), first)
+    return connected, linked
+
+
+def _grow_by_masks(seen, keys, first, sums, codes, pair_sums, masks):
+    """The degree-3 search of `_sinks_connected`, on `seen` in place."""
+    n, m = len(codes), len(sums)
+    step = max(1, _CHUNK_BYTES // (64 * masks.shape[1]))
     frontier = np.flatnonzero(seen)
     while len(frontier):
-        layer = []
+        g = frontier // n
+        live = ~np.logical_and.reduceat(_held(seen, keys), first)
+        keep = live[g]
+        frontier, g = frontier[keep], g[keep]
+        rest = sums[g] - codes[frontier - g * n]
+        at = np.minimum(np.searchsorted(pair_sums, rest), len(pair_sums) - 1)
+        hit = pair_sums[at] == rest
+        g, at = g[hit], at[hit]
+        # row g ORs the masks of group g's frontier points
+        grown = np.zeros((m, masks.shape[1]), dtype=np.uint64)
+        for t0 in range(0, len(g), step):
+            k = _run_starts(g[t0 : t0 + step])
+            grown[g[t0 + k]] |= np.bitwise_or.reduceat(
+                np.take(masks, at[t0 : t0 + step], axis=0), k)
+        reached = np.unpackbits(grown.view(np.uint8), axis=1, count=n).reshape(-1).view(bool)
+        frontier = np.flatnonzero(reached & ~seen)
+        seen |= reached
+
+
+def _grow_by_lookups(seen, keys, group, first, sums, codes, lower):
+    """The degree >= 4 search of `_sinks_connected`, on `seen` in place."""
+    n, m = len(codes), len(sums)
+    step = max(1, _CHUNK_BYTES // 64)
+    frontier = np.flatnonzero(seen)
+    while len(frontier):
+        layer = [frontier[:0]]
         for wide in (False, True):
-            reached = seen[keys].any(axis=1)
+            reached = _held(seen, keys)
             live = np.bincount(frontier // n, minlength=m) > 0
             live &= ~np.logical_and.reduceat(reached, first)
             frontier = frontier[live[frontier // n]]
+            if not len(frontier):
+                break
             if wide:
                 pool = ~seen.reshape(-1, n) & live[:, None]
             else:
@@ -249,8 +353,6 @@ def _sinks_connected(sinks: np.ndarray, group: np.ndarray, sums: np.ndarray,
                 seen[pool[j[lower[at] == rest]]] = True
             layer.append(pool[seen[pool]])
         frontier = np.concatenate(layer)
-    connected[left] = np.logical_and.reduceat(seen[keys].any(axis=1), first)
-    return connected, linked
 
 
 def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
@@ -264,8 +366,9 @@ def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
     keeps the cliques in index-lex order, and a stable sort by code lists
     the fibers in lex order of their sums, each with its sinks in
     index-lex order. The codes are injective up to degree_cap; a
-    configuration whose radix product reaches 2^62 is refused with
-    InvalidInputError before any point is listed.
+    configuration whose radix product reaches 2^62, or whose N(N+1)/2 point
+    pairs pass _MAX_PAIRS (N read off the memoized `scaled_count`), is
+    refused with InvalidInputError before any point is listed.
 
     Stops at the first disconnected fiber in sum order, decided as the
     module docstring describes, and reports it as the witness.
@@ -276,15 +379,18 @@ def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
     radix = [degree_cap * ell * (h - l) + 1 for l, h in zip(lo, hi)]
     if math.prod(radix) >= 2**62:
         raise InvalidInputError("configuration spread too large to probe")
+    N = scaled_count(P, ell)
+    if N * (N + 1) // 2 > _MAX_PAIRS:
+        raise InvalidInputError(f"configuration too large to probe: {N} points")
     C = build_configuration(P, ell)
     weights = [math.prod(radix[j + 1 :]) for j in range(P.dim)]
     # an object corner: a list mixing ints past 2^63 and below 0 would be float64
     corner = np.array([ell * l for l in lo], dtype=object)
     digits = np.array(C.points, dtype=object)[:, 1:] - corner
     point_codes = (digits @ weights).astype(np.int64)
-    N = len(C)
+    irreducible, pairs = _pair_fibers(point_codes)
     adj = np.zeros((N, N), dtype=bool)
-    adj[_irreducible_pairs(point_codes)] = True
+    adj[irreducible] = True
     adj = np.packbits(adj, axis=1)
     cliques = np.arange(N, dtype=np.int32)[:, None]
     codes = point_codes
@@ -297,8 +403,8 @@ def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
         k, j = _candidate_bits(cand)
         cliques = np.column_stack((cliques[k], j.astype(np.int32)))
         codes = codes[k] + point_codes[j]
-        if d < degree_cap:
-            cand = cand[k] & adj[j]
+        # the last degree frees the candidate rows before its sort and search
+        cand = cand[k] & adj[j] if d < degree_cap else None
         order = np.argsort(codes, kind="stable")
         sorted_codes = codes[order]
         starts = _run_starts(sorted_codes)
@@ -310,7 +416,10 @@ def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
         sinks = cliques[order[np.repeat(sizes > 1, sizes)]]
         group = np.repeat(np.arange(len(collide)), sizes[collide])
         sums = sorted_codes[starts[collide]]
-        bad, checked = _first_disconnected(sinks, group, sums, point_codes, distinct[d - 2])
+        bad, checked = _first_disconnected(sinks, group, sums, point_codes,
+                                            distinct[d - 2], pairs)
+        if d == 3:
+            pairs = None  # only degree 3 reads the pair masks
         summaries.append(DegreeSummary(d, len(starts), checked, bad is None))
         if bad is not None:
             sink = sinks[np.searchsorted(group, bad)].tolist()

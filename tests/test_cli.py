@@ -216,6 +216,19 @@ def test_probe_refuses_huge_dilate_before_listing(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_probe_refuses_too_many_points_exits_one(tmp_path):
+    # the unit square at ell = 1e5 passes the radix check with about 1e10
+    # points; the probe refuses their pairs from the point count
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(SQUARE))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polynorm.cli", "np-probe", str(path), "--ell", "100000"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "configuration too large to probe" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_probe_spread_past_code_range_exits_one(tmp_path):
     # the probe's sum codes need radix cap*span + 1 per axis: at the
     # default cap 4 this Reeve simplex needs 5 * 5 * (4 * 2^57 + 1) > 2^62

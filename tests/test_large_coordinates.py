@@ -7,6 +7,7 @@ scan; the large ones need int64 or exact Python ints throughout.
 """
 
 import itertools
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -147,10 +148,41 @@ def test_far_reeve_witness_is_translated():
 
 
 def test_tall_simplex_points_are_refused():
-    # one slab of 2P holds about 2^66 points, more than int64 can count
+    # one slab of 2P holds about 2^66 points, far past the listing budget
     P = build_polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2**65)])
     with pytest.raises(InvalidInputError, match="too many lattice points"):
         geometry.scaled_points_array(P, 2)
+
+
+def test_listing_past_the_byte_budget_is_refused_before_expanding(monkeypatch):
+    # the unit square at 3e9 has about 9e18 points: the first slab of point
+    # rows would pass _MAX_LIST_BYTES, so only prefixes (one coordinate) are
+    # ever expanded, and the refusal comes at once
+    widths = []
+    real = geometry._expand
+
+    def spy(*args):
+        out = real(*args)
+        widths.append(out.shape[1])
+        return out
+
+    monkeypatch.setattr(geometry, "_expand", spy)
+    square = build_polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
+    start = time.perf_counter()
+    with pytest.raises(InvalidInputError, match="too many lattice points to enumerate"):
+        geometry.scaled_points_array(square, 3 * 10**9)
+    assert time.perf_counter() - start < 1
+    assert widths and set(widths) == {1}
+
+
+def test_listing_budget_admits_exactly_its_bytes(monkeypatch):
+    square = build_polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
+    size = geometry.scaled_points_array(square, 2).nbytes
+    monkeypatch.setattr(geometry, "_MAX_LIST_BYTES", size)
+    assert len(geometry.scaled_points_array(square, 2)) == 9
+    monkeypatch.setattr(geometry, "_MAX_LIST_BYTES", size - 1)
+    with pytest.raises(InvalidInputError, match="too many lattice points to enumerate"):
+        geometry.scaled_points_array(square, 2)
 
 
 def test_needle_ehrhart_closed_form():

@@ -13,6 +13,7 @@ unpacks every packed row to one byte per column before `nonzero`.
 import itertools
 import json
 import random
+import time
 from collections import Counter, deque
 from dataclasses import dataclass
 
@@ -495,6 +496,30 @@ def test_probe_refuses_spread_before_listing_points(monkeypatch):
     assert listed == []
 
 
+def test_probe_refuses_too_many_points_before_listing(monkeypatch):
+    # the unit square at ell = 10^5 passes the radix check (radix 4 * 10^5 + 1
+    # per axis) with about 10^10 points; the probe reads N off the point
+    # count and refuses the N(N+1)/2 pairs before any point is listed
+    listed = []
+    monkeypatch.setattr(syzygy, "scaled_points_array",
+                        lambda *args: listed.append(args))
+    square = build_polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
+    start = time.perf_counter()
+    with pytest.raises(InvalidInputError, match="configuration too large to probe"):
+        n1_probe(square, 10**5)
+    assert time.perf_counter() - start < 1
+    assert listed == []
+
+
+def test_probe_pair_limit_admits_exactly_its_pairs(monkeypatch, unit_square):
+    # the square at ell 2 has 9 points and so 45 pairs
+    monkeypatch.setattr(syzygy, "_MAX_PAIRS", 45)
+    assert n1_probe(unit_square, 2, 3).connected
+    monkeypatch.setattr(syzygy, "_MAX_PAIRS", 44)
+    with pytest.raises(InvalidInputError, match="too large to probe: 9 points"):
+        n1_probe(unit_square, 2, 3)
+
+
 def test_probe_report_json(unit_square):
     data = n1_probe(unit_square, 2, 3).to_jsonable()
     assert data["ell"] == 2
@@ -790,3 +815,43 @@ def test_candidate_bits_match_unpacking_every_row(n, rows, density, seed):
             got = syzygy._candidate_bits(cand)
         for g, w in zip(got, want, strict=True):
             assert g.dtype == np.intp and np.array_equal(g, w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, "reeve"]), st.integers(0, 10**6), st.integers(1, 2))
+def test_pair_fiber_masks_match_pair_table(kind, seed, ell):
+    # the probe's pair fibers against the pair table: per distinct pair sum,
+    # in sum order, the mask row marks exactly the points of its pairs (both
+    # sides), at the default chunk size and at chunks of a few mask rows;
+    # the irreducible pairs are the table's. At degree 3 the sinks of every
+    # colliding sum share no point (the lemma in the syzygy docstring)
+    rng = random.Random(seed)
+    if kind == "reeve":
+        P = reeve_simplex(rng.choice(REEVE_RANGE))
+    else:
+        P = random_polytope(rng, kind, spread=2 if kind == 2 or ell == 1 else 1)
+    C = build_configuration(P, ell)
+    table = PairTable(C)
+    with pytest.MonkeyPatch.context() as mp:
+        [[((codes,), _)]] = _spied(mp, "_pair_fibers", [(P, ell, 3)])
+    want = [sorted({q for pair in pairs for q in pair})
+            for _, pairs in sorted(table.by_sum.items())]
+    for chunk in (syzygy._CHUNK_BYTES, 1 << 8):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(syzygy, "_CHUNK_BYTES", chunk)
+            irreducible, (pair_sums, masks) = syzygy._pair_fibers(codes)
+        assert irreducible[0].dtype == irreducible[1].dtype == np.int32
+        assert sorted(zip(*(side.tolist() for side in irreducible))) == sorted(table.irreducible)
+        assert len(pair_sums) == len(want) and (np.diff(pair_sums) > 0).all()
+        points = np.unpackbits(masks.view(np.uint8), axis=1, count=len(C))
+        assert [np.flatnonzero(row).tolist() for row in points] == want, P.vertices
+    adj = [0] * len(C)
+    for i, j in table.irreducible:
+        adj[i] |= 1 << j
+    sinks = {}
+    for idx in _multiset_cliques(adj, 3):
+        b = tuple(map(sum, zip(*(C.points[i] for i in idx))))
+        sinks.setdefault(b, []).append(set(idx))
+    for group in sinks.values():
+        for one, other in itertools.combinations(group, 2):
+            assert not one & other, (P.vertices, ell, group)
