@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -410,16 +411,21 @@ def scaled_points_array(P: Polytope, scale: int = 1, interior: bool = False):
     """All lattice points of scale*P as one lex-ordered (k, n) array.
 
     Its element type is the scan's: int32, int64 or object (exact Python
-    ints). A listing whose coordinates would pass _MAX_LIST_BYTES (at the
-    element type's item size) is refused with InvalidInputError before the
-    slab that would take it there is expanded.
+    ints). A listing whose coordinates would pass _MAX_LIST_BYTES, each at
+    its item size plus, if object, the size of an int as large as the
+    largest |coordinate| of scale*P's box, is refused with InvalidInputError
+    before the slab that would take it there is expanded.
     """
     scale = _as_int(scale, "scale", 1)
+    dtype = _scan_dtype(P, scale)
+    item = np.dtype(dtype).itemsize
+    if dtype is object:
+        item += sys.getsizeof(scale * max(map(abs, sum(P.bounding_box(), ()))))
     slabs = []
     listed = 0
     for prefixes, lo_last, counts in _np_slabs(P, scale, interior):
         listed += int(counts.sum())
-        if listed * P.dim * prefixes.itemsize > _MAX_LIST_BYTES:
+        if listed * P.dim * item > _MAX_LIST_BYTES:
             raise InvalidInputError(
                 f"too many lattice points to enumerate: {scale}P holds at least "
                 f"{listed}, past {_MAX_LIST_BYTES} bytes of coordinates"

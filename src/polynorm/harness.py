@@ -179,8 +179,11 @@ def analyze(P: Polytope, cap: int | None = None) -> AnalysisRecord:
     bounds = BoundReport(P.dim, profile.d)
     auto_def = autoregularity_from_definition(P)
     report = is_normal(P, cap)
+    ehrhart = ehrhart_polynomial(P)
+    # L_P has degree n, so it is nonzero at some -k, k <= n + 1
+    codegree = next(k for k in range(1, P.dim + 2) if ehrhart.evaluate(-k) != 0)
     checks = {
-        "codegree_consistent": profile.codegree == profile.d + 1,
+        "codegree_consistent": codegree == profile.d + 1,
         "autoregularity_consistent": auto_def == P.dim - 1 - profile.d,
         "corollary_bound_consistent":
             bounds.corollary_bound == np_bound_from_regularity(auto_def, 0),
@@ -192,7 +195,7 @@ def analyze(P: Polytope, cap: int | None = None) -> AnalysisRecord:
         polytope_id=P.polytope_id,
         vertices=P.vertices,
         n=P.dim,
-        ehrhart=ehrhart_polynomial(P),
+        ehrhart=ehrhart,
         d=profile.d,
         codegree=profile.codegree,
         corollary_bound=bounds.corollary_bound,

@@ -13,14 +13,13 @@ exploit that identity; semantics match the sumset definition exactly.
 The intervals of P and (m-1)P are read from line tables: dense arrays of
 each line's last-coordinate range, keyed by line coordinates in a
 unimodular, LLL-reduced frame of the prefixes, so a thin or sheared P gets
-a small table. One scan per scale fills them: P's scan fills P's table, and
-the scan of mP at level m fills mP's, which level m + 1 reads. mP is walked
-in the input frame, which keeps lex order and the witnesses.
-
-The corollary sweep checks the multiplication statement S_c, (cP cap Z^n)
-+ (P cap Z^n) = (c+1)P cap Z^n, by the same check on the full table of cP,
-for c in [max(n - d, 1), n - 2] only: its "normal-up-to-cap" verdicts rest
-on the lemma of Ewald-Wessels and Bruns-Gubeladze-Trung, S_c for c >= n - 1
+a small table. mP is walked in the input frame, which keeps lex order and
+the witnesses. Level m thus checks S_{m-1}, where S_c is the multiplication
+statement (cP cap Z^n) + (P cap Z^n) = (c+1)P cap Z^n. One ladder
+(_first_gap) checks S_c for a run of c, one scan per scale: the walk of
+(c+1)P that checks S_c fills the table that S_{c+1} reads. is_normal
+climbs it from c = 1; the corollary sweep from max(n - d, 1) to n - 2, as
+S_c for c >= n - 1 is the lemma of Ewald-Wessels and Bruns-Gubeladze-Trung
 (see verify_corollary).
 """
 
@@ -123,8 +122,8 @@ class _LineTable:
     box is s times that of the z of P's vertices, so rows, (lo, hi) per
     point of the box widened by pad = (below, above) on every axis in C
     order, starts as (empty, -empty) and fill writes the lines of a scan
-    of s*P. P's table also keeps lines: the z, lo and hi of P's lines in
-    scan order.
+    of s*P. A table built by scan also keeps lines: the z, lo and hi of the
+    lines of s*P in scan order; _line_gap reads P's.
 
     Every z of mP lies in m times P's box [K0, K1] of z (P's vertices have
     integer z), so per axis z // m lies in [K0, K1] and z - z // m in
@@ -133,11 +132,12 @@ class _LineTable:
     padded by (2, 1); at m = 2 P's table serves both, so it is padded by
     (2, 2). A smaller pad would read another line's row.
 
-    Row values are last coordinates of sP, s < cap, at most far = cap times
-    P's largest in absolute value: from the cap, not from m, because a
-    table filled at level m is read at level m + 1. A missing line reads
-    (2 far + 1, -2 far - 1): added to any row, it gives a range that starts
-    above and ends below every last coordinate of mP, so it covers nothing.
+    Row values are last coordinates of sP, s < top = c_hi + 1 (_first_gap),
+    at most far = top times P's largest in absolute value: from the top,
+    not from m, as a table filled at level m is read at level m + 1. A
+    missing line reads (2 far + 1, -2 far - 1): added to any row, it gives
+    a range that starts above and ends below every last coordinate of mP,
+    so it covers nothing.
     The rows take the narrowest type that holds 4 (far + 1): int32 even
     where the scan of mP needs int64 for its facet values or point count,
     as on thin simplices.
@@ -151,6 +151,15 @@ class _LineTable:
                                 dtype=np.int64)
         self.rows = np.empty((int(np.prod(self.shape)), 2), dtype=dtype)
         self.rows[:] = (empty, -empty)
+
+    def scan(self, P: Polytope, s: int):
+        """Fill the lines of a scan of s*P and keep their z, lo and hi; self."""
+        lines = []
+        for X, lo, counts in _np_slabs(P, s, False):
+            Z = _line_coords(P, s, X)
+            lines.append((Z, *self.fill(Z, lo, lo + counts - 1)))
+        self.lines = tuple(np.concatenate(a) for a in zip(*lines))
+        return self
 
     def fill(self, Z, lo, hi):
         """Write [lo, hi] at the lines at Z; return lo and hi in the row type."""
@@ -258,32 +267,24 @@ def _cap(P: Polytope, cap) -> int:
     return _as_int(default_cap(P.dim) if cap is None else cap, "normality cap", 2)
 
 
-def _table_of_p(P: Polytope, cap: int):
-    """P's line table and the row type and sentinel of sP's, s < cap (_LineTable)."""
+def _first_gap(P: Polytope, c_lo: int, c_hi: int) -> tuple[int, LatticePoint] | None:
+    """The first c in [c_lo, c_hi] where S_c, (cP cap Z^n) + (P cap Z^n) =
+    (c+1)P cap Z^n, fails, with the lex-first point of (c+1)P it misses; None
+    when every S_c in the range holds. Scans P, and c_lo P when c_lo > 1.
+    """
     _, _, _, box_lo, box_hi = _scan_frame(P)
-    far = cap * max(abs(box_lo[-1]), abs(box_hi[-1]))
+    far = (c_hi + 1) * max(abs(box_lo[-1]), abs(box_hi[-1]))
     dtype, empty = _narrowest(4 * (far + 1)), 2 * far + 1
-    table_p = _LineTable(P, 1, (2, 2), dtype, empty)
-    lines = []
-    for X, lo, counts in _np_slabs(P, 1, False):
-        Z = _line_coords(P, 1, X)
-        lines.append((Z, *table_p.fill(Z, lo, lo + counts - 1)))
-    table_p.lines = tuple(np.concatenate(a) for a in zip(*lines))
-    return table_p, dtype, empty
-
-
-def _multiplication_onto(P: Polytope, c: int) -> LatticePoint | None:
-    """Lex-first point of (c+1)P cap Z^n that is no sum of a lattice point of
-    cP and one of P, or None when S_c, (cP cap Z^n) + (P cap Z^n) =
-    (c+1)P cap Z^n, holds. _first_missing decides it from the full table
-    of cP."""
-    table_p, dtype, empty = _table_of_p(P, c + 1)
-    table_c = table_p
-    if c > 1:
-        table_c = _LineTable(P, c, (2, 1), dtype, empty)
-        for X, lo, counts in _np_slabs(P, c, False):
-            table_c.fill(_line_coords(P, c, X), lo, lo + counts - 1)
-    return _first_missing(P, c + 1, table_p, table_c, _probe_deltas(P.dim - 1), None)
+    table_p = _LineTable(P, 1, (2, 2), dtype, empty).scan(P, 1)
+    table_c = table_p if c_lo == 1 else _LineTable(P, c_lo, (2, 1), dtype, empty).scan(P, c_lo)
+    deltas = _probe_deltas(P.dim - 1)
+    for c in range(c_lo, c_hi + 1):
+        table_next = _LineTable(P, c + 1, (2, 1), dtype, empty) if c < c_hi else None
+        point = _first_missing(P, c + 1, table_p, table_c, deltas, table_next)
+        if point is not None:
+            return c, point
+        table_c = table_next
+    return None
 
 
 def is_normal(P: Polytope, cap: int | None = None) -> NormalityReport:
@@ -293,22 +294,12 @@ def is_normal(P: Polytope, cap: int | None = None) -> NormalityReport:
     "normal-up-to-cap" never claims normality at uncapped levels.
     """
     cap = _cap(P, cap)
-    table_p, dtype, empty = _table_of_p(P, cap)
-    table_m, deltas = table_p, _probe_deltas(P.dim - 1)
-    checked, witness = [], None
-    for m in range(2, cap + 1):
-        checked.append(m)
-        # Levels below m all passed, so T_{m-1} is all of (m-1)P.
-        table_next = _LineTable(P, m, (2, 1), dtype, empty) if m < cap else None
-        point = _first_missing(P, m, table_p, table_m, deltas, table_next)
-        if point is not None:
-            witness = NormalityWitness(m, point)
-            break
-        table_m = table_next
+    gap = _first_gap(P, 1, cap - 1)
+    witness = NormalityWitness(gap[0] + 1, gap[1]) if gap else None
     return NormalityReport(
         polytope_id=P.polytope_id,
         cap_used=cap,
-        levels_checked=tuple(checked),
+        levels_checked=tuple(range(2, witness.level + 1 if witness else cap + 1)),
         verdict="non-normal" if witness else "normal-up-to-cap",
         witness=witness,
     )
@@ -417,7 +408,7 @@ def verify_corollary(P: Polytope, bounds: BoundReport, extra_levels: int = 0,
     """Check normality of ell*P for ell = bound .. bound + extra_levels.
 
     bounds is P's BoundReport, as `normality_bound(P)` gives it. If S_c
-    (_multiplication_onto) holds for every c >= bound, every ell*P with
+    (_first_gap) holds for every c >= bound, every ell*P with
     ell >= bound is normal: a lattice point of k*ell*P sheds lattice points
     of P down to ell*P, and they sum, ell at a time, to lattice points of
     ell*P. S_c for c >= n - 1 is the lemma of Ewald and Wessels (Results
@@ -431,7 +422,7 @@ def verify_corollary(P: Polytope, bounds: BoundReport, extra_levels: int = 0,
     extra_levels = _as_int(extra_levels, "extra_levels", 0)
     cap = _cap(P, cap)
     lo = bounds.corollary_bound
-    proved = all(_multiplication_onto(P, c) is None for c in range(lo, P.dim - 1))
+    proved = lo > P.dim - 2 or _first_gap(P, lo, P.dim - 2) is None
     levels = []
     for ell in range(lo, lo + extra_levels + 1):
         D = P.dilate(ell)

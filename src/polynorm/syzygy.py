@@ -29,15 +29,16 @@ their degree-(d-1) fiber, lifted by p; conversely a quadratic move keeps
 d-2 >= 1 points, and the points of any one element form a clique of G_b.
 One layered search on the graphs G_b of a batch of colliding sums
 (`_sinks_connected`) decides them; it stops after the first batch that
-holds a disconnected fiber. Its first layer, point-linking (the sinks
-chain through shared points), needs no lookup and on the corpora settles
-most sums of degree 4. It settles none of degree 3: two sinks {p}+A and
-{p}+B of one sum share no point, since A and B are irreducible pairs with
-the same sum and so are equal. Degree 3 needs no lookup either: G_b joins
-p and q iff b - p - q is a point r, that is iff q lies in a pair {q, r}
-of the pair fiber of b - p. So the neighbours of p are the points of one
-pair fiber, and the one sort of all pair sums that finds the irreducible
-pairs also gives, per pair sum, a bit mask of the points of its pairs.
+holds a disconnected fiber. At degree >= 4 its first layer,
+point-linking (the sinks chain through shared points), needs no lookup and
+on the corpora settles most sums of degree 4. Degree 3 skips it, as it
+could settle none: two sinks {p}+A and {p}+B of one sum share no point,
+since A and B are irreducible pairs with the same sum and so are equal.
+Degree 3 needs no lookup either: G_b joins p and q iff b - p - q is a
+point r, that is iff q lies in a pair {q, r} of the pair fiber of b - p.
+So the neighbours of p are the points of one pair fiber, and the one sort
+of all pair sums that finds the irreducible pairs also gives, per pair
+sum, a bit mask of the points of its pairs.
 
 Sums are int64 codes in one mixed radix, so one stable sort lists the
 fibers in lex order, each with its sinks in lex order. The lattice points
@@ -210,8 +211,7 @@ def _held(seen: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 def _first_disconnected(sinks: np.ndarray, group: np.ndarray, sums: np.ndarray,
-                        codes: np.ndarray, lower: np.ndarray,
-                        pairs: tuple[np.ndarray, np.ndarray] | None) -> tuple[int | None, int]:
+                        codes: np.ndarray, near) -> tuple[int | None, int]:
     """The first group `_sinks_connected` (same arguments) finds disconnected,
     or None, and how many groups the point-linking layer left open up to
     and including it (all of them when None). Searched in batches of sums
@@ -221,7 +221,7 @@ def _first_disconnected(sinks: np.ndarray, group: np.ndarray, sums: np.ndarray,
     for g0 in range(0, len(sums), batch):
         rows = slice(*np.searchsorted(group, [g0, g0 + batch]))
         ok, linked = _sinks_connected(sinks[rows], group[rows] - g0,
-                                      sums[g0 : g0 + batch], codes, lower, pairs)
+                                      sums[g0 : g0 + batch], codes, near)
         if not ok.all():
             bad = int(np.argmin(ok))
             return g0 + bad, checked + int(np.count_nonzero(~linked[: bad + 1]))
@@ -230,41 +230,44 @@ def _first_disconnected(sinks: np.ndarray, group: np.ndarray, sums: np.ndarray,
 
 
 def _sinks_connected(sinks: np.ndarray, group: np.ndarray, sums: np.ndarray,
-                     codes: np.ndarray, lower: np.ndarray,
-                     pairs: tuple[np.ndarray, np.ndarray] | None
-                     ) -> tuple[np.ndarray, np.ndarray]:
+                     codes: np.ndarray, near) -> tuple[np.ndarray, np.ndarray]:
     """For each group of degree-d sink rows: is the fiber of its sum b
     connected, and are its sinks point-linked?
 
     `sinks` holds one clique per row, `group` its group number, ascending
     from 0 without gaps, `sums` the groups' codes b, `codes` the point codes,
-    `lower` the sorted distinct codes of the (d-2)-point sums and `pairs`
-    the sorted distinct pair sums with their point masks (`_pair_fibers`;
-    only d = 3 reads them). Exact once every fiber of degree d-1 is
-    connected: by the lemma in the module docstring, the fiber is connected
-    iff G_b joins the points of all its sinks.
+    and `near` the source of neighbours in G_b: at d = 3 the sorted distinct
+    pair sums with their point masks (`_pair_fibers`), at d >= 4 the sorted
+    distinct codes of the (d-2)-point sums. Exact once every fiber of
+    degree d-1 is connected: by the lemma in the module docstring, the
+    fiber is connected iff G_b joins the points of all its sinks.
 
     The search runs on every G_b at once, over keys group * N + point,
-    from each group's first sink. Its first layer needs no lookup: the
-    points of one sink form a clique of G_b, so a sink that holds a reached
-    point lends all its points, until no sink is added. A group whose sinks
-    this layer all reaches is point-linked. The other groups go on, in
-    arrays cut down to them, until every sink of a group holds a reached
-    point or its frontier is empty. At d = 3 the neighbours of p in G_b
-    are the points of the pair fiber of b - p, so a frontier point costs
-    one search among the pair sums and an OR of its mask into its group's
-    row, _CHUNK_BYTES // 8 bytes of mask rows at a time. At d >= 4
-    breadth-first layers on G_b look up b - p - q among `lower`: a layer
-    tries the frontier (first every point reached so far, then the points
-    the layer before reached) against the unseen points of the unreached
-    sinks, then, where a sink is still unreached, against every unseen
-    point, _CHUNK_BYTES // 64 lookups at a time; a phase with no live group
-    is skipped.
+    from each group's first sink, until every sink of a group holds a
+    reached point or its frontier is empty. At d = 3 no two sinks share a
+    point, so none is point-linked; the neighbours of p in G_b are the
+    points of the pair fiber of b - p, so a frontier point costs one
+    search among the pair sums and an OR of its mask into its group's row,
+    _CHUNK_BYTES // 8 bytes of mask rows at a time. At d >= 4 the first
+    layer needs no lookup: the points of one sink form a clique of G_b, so
+    a sink that holds a reached point lends all its points, until no sink
+    is added. A group whose sinks this layer all reaches is point-linked.
+    The other groups go on, in arrays cut down to them, in breadth-first
+    layers on G_b that look up b - p - q among `near`: a layer tries the
+    frontier (first every point reached so far, then the points the layer
+    before reached) against the unseen points of the unreached sinks, then,
+    where a sink is still unreached, against every unseen point,
+    _CHUNK_BYTES // 64 lookups at a time; a phase with no live group is
+    skipped.
     """
     n, m = len(codes), len(sums)
     keys = group.astype(np.int64)[:, None] * n + sinks
     first = _run_starts(group)
     seen = np.zeros(m * n, dtype=bool)
+    seen[keys[first]] = True
+    if sinks.shape[1] == 3:
+        _grow_by_masks(seen, keys, first, sums, codes, *near)
+        return np.logical_and.reduceat(_held(seen, keys), first), np.zeros(m, dtype=bool)
     lent = np.zeros(len(keys), dtype=bool)
     lent[first] = True
     new = lent
@@ -283,10 +286,7 @@ def _sinks_connected(sinks: np.ndarray, group: np.ndarray, sums: np.ndarray,
     keys = group.astype(np.int64)[:, None] * n + sinks[rows]
     first, sums = _run_starts(group), sums[left]
     seen = seen.reshape(-1, n)[left].reshape(-1)
-    if sinks.shape[1] == 3:
-        _grow_by_masks(seen, keys, first, sums, codes, *pairs)
-    else:
-        _grow_by_lookups(seen, keys, group, first, sums, codes, lower)
+    _grow_by_lookups(seen, keys, group, first, sums, codes, near)
     connected[left] = np.logical_and.reduceat(_held(seen, keys), first)
     return connected, linked
 
@@ -417,7 +417,7 @@ def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
         group = np.repeat(np.arange(len(collide)), sizes[collide])
         sums = sorted_codes[starts[collide]]
         bad, checked = _first_disconnected(sinks, group, sums, point_codes,
-                                            distinct[d - 2], pairs)
+                                            pairs if d == 3 else distinct[d - 2])
         if d == 3:
             pairs = None  # only degree 3 reads the pair masks
         summaries.append(DegreeSummary(d, len(starts), checked, bad is None))

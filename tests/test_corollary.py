@@ -189,7 +189,7 @@ def test_forged_bound_falls_back_to_the_input_frame(make, q):
     # dilate is then checked by is_normal in the input frame
     P = make(q)
     bounds = BoundReport(3, 2)
-    assert normality._multiplication_onto(P, 1) == _sumset_verdict(P, 2)[1]
+    assert normality._first_gap(P, 1, 1) == (1, _sumset_verdict(P, 2)[1])
     rec = verify_corollary(P, bounds, 2)
     assert rec == reference_verify_corollary(P, bounds, 2)
     assert rec.violations == (1,)

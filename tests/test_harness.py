@@ -206,6 +206,21 @@ def test_corollary_bound_check_compares_the_regularity_path(monkeypatch, t2):
     assert not analyze(t2).checks["corollary_bound_consistent"]
 
 
+def test_codegree_check_reads_the_ehrhart_polynomial(monkeypatch, t2):
+    # the codegree comes from L_P(-k), not from d_of_p's own profile, so a
+    # d(P) off by one must fail the check however its profile agrees with it
+    assert analyze(t2).checks["codegree_consistent"]
+    real = harness.d_of_p
+
+    def forged(P):
+        profile = real(P)
+        return counting.DilationProfile(profile.d + 1, profile.codegree + 1,
+                                        profile.interior_counts)
+
+    monkeypatch.setattr(harness, "d_of_p", forged)
+    assert not analyze(t2).checks["codegree_consistent"]
+
+
 def test_run_verification_structure():
     rep = run_verification(small_spec(), extra_levels=1, n1_cap=3)
     assert sorted(rep) == ["parameters", "polytopes", "spec", "summary"]

@@ -7,6 +7,7 @@ scan; the large ones need int64 or exact Python ints throughout.
 """
 
 import itertools
+import sys
 import time
 from fractions import Fraction
 from unittest import mock
@@ -175,14 +176,37 @@ def test_listing_past_the_byte_budget_is_refused_before_expanding(monkeypatch):
     assert widths and set(widths) == {1}
 
 
+def unit_square(t=0):
+    return build_polytope([(t, t), (t + 1, t), (t, t + 1), (t + 1, t + 1)])
+
+
 def test_listing_budget_admits_exactly_its_bytes(monkeypatch):
-    square = build_polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
-    size = geometry.scaled_points_array(square, 2).nbytes
-    monkeypatch.setattr(geometry, "_MAX_LIST_BYTES", size)
-    assert len(geometry.scaled_points_array(square, 2)) == 9
-    monkeypatch.setattr(geometry, "_MAX_LIST_BYTES", size - 1)
+    # past int64 the array holds pointers, and each coordinate is also
+    # charged the size of an int as large as 2P's largest |coordinate|
+    for t, dtype in ((0, np.int32), (2**62, object)):
+        monkeypatch.undo()
+        square = unit_square(t)
+        points = geometry.scaled_points_array(square, 2)
+        assert points.dtype == dtype
+        size = points.nbytes
+        if dtype is object:
+            size += points.size * sys.getsizeof(2 * (t + 1))
+        monkeypatch.setattr(geometry, "_MAX_LIST_BYTES", size)
+        assert len(geometry.scaled_points_array(square, 2)) == 9
+        monkeypatch.setattr(geometry, "_MAX_LIST_BYTES", size - 1)
+        with pytest.raises(InvalidInputError, match="too many lattice points to enumerate"):
+            geometry.scaled_points_array(square, 2)
+
+
+def test_object_listing_budget_counts_the_ints(monkeypatch):
+    # past int64 the coordinates are Python ints of 36 bytes behind 8-byte
+    # pointers: a budget of 4 times the pointers' bytes does not hold them
+    square = unit_square(2**62)
+    points = geometry.scaled_points_array(square)
+    assert points.dtype == object and len(points) == 4
+    monkeypatch.setattr(geometry, "_MAX_LIST_BYTES", 4 * points.nbytes)
     with pytest.raises(InvalidInputError, match="too many lattice points to enumerate"):
-        geometry.scaled_points_array(square, 2)
+        geometry.scaled_points_array(square)
 
 
 def test_needle_ehrhart_closed_form():

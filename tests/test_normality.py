@@ -341,14 +341,20 @@ def test_multiplication_onto_matches_sumset(n, seed, q):
     P = (reeve_simplex(q) if q else
          random_polytope(random.Random(seed), n, spread=2 if n < 4 else 1))
     pts = P.lattice_points()
+    gaps = {}
     for c in range(1, P.dim + 1):
         cP = P.dilate(c).lattice_points() if c > 1 else pts
         missing = set(P.dilate(c + 1).lattice_points()) - sum_of(cP, pts)
-        assert normality._multiplication_onto(P, c) == min(missing, default=None)
+        gaps[c] = (c, min(missing)) if missing else None
+        assert normality._first_gap(P, c, c) == gaps[c]
         if c >= P.dim - 1:
             assert not missing, (P.vertices, c)
         elif q:
             assert c > 1 or missing  # Reeve's simplices are not normal
+    # a ladder from c_lo hands each walk's table on to the next c
+    for c_lo in gaps:
+        first = next((gaps[c] for c in range(c_lo, P.dim + 1) if gaps[c]), None)
+        assert normality._first_gap(P, c_lo, P.dim) == first, (P.vertices, c_lo)
 
 
 def reference_probe_deltas(k):
