@@ -8,18 +8,17 @@ quadratic generation. A seeded corpus harness verifies the guaranteed
 bounds in bulk.
 """
 
-from .cohomology import (
-    CohomologyTable,
-    autoregularity_from_definition,
-    h_table,
-    np_bound_from_regularity,
-)
 from .counting import (
-    DilationProfile,
+    BoundReport,
+    CohomologyTable,
     EhrhartPolynomial,
+    autoregularity_from_definition,
     d_of_p,
     ehrhart_polynomial,
     extrapolation_check,
+    h_table,
+    normality_bound,
+    np_bound_from_regularity,
     reciprocity_check,
 )
 from .errors import (
@@ -48,13 +47,11 @@ from .harness import (
     run_verification,
 )
 from .normality import (
-    BoundReport,
     CorollaryRecord,
     NormalityReport,
     NormalityWitness,
     default_cap,
     is_normal,
-    normality_bound,
     verify_corollary,
     verify_witness,
 )
@@ -70,7 +67,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisRecord", "BoundReport", "CohomologyTable", "CorollaryRecord",
     "CorpusGenerationError", "CorpusSpec", "DEFAULT_CORPUS_SPEC",
-    "DilationProfile", "EhrhartPolynomial", "HalfSpace",
+    "EhrhartPolynomial", "HalfSpace",
     "InternalInvariantError", "InvalidInputError", "LatticePoint",
     "N1ProbeReport", "NormalityReport", "NormalityWitness",
     "NotFullDimensionalError", "PointConfiguration", "Polytope",

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .cohomology import h_table
+from .counting import h_table, normality_bound
 from .errors import InternalInvariantError, PolynormError
 from .geometry import Polytope, build_polytope
 from .harness import (
@@ -23,7 +23,7 @@ from .harness import (
     generate_corpus,
     run_verification,
 )
-from .normality import normality_bound, verify_corollary
+from .normality import verify_corollary
 from .syzygy import n1_probe
 
 

@@ -1,8 +1,22 @@
-"""Ehrhart polynomials and the interior-emptiness threshold d(P).
+"""Lattice-point counts of dilates, and everything they decide.
 
 Counting is exact: lattice points of dilates are counted by the geometry
-engine and the Ehrhart polynomial is recovered by Lagrange interpolation
+engine, and the Ehrhart polynomial is recovered by Newton interpolation
 over Fraction arithmetic, so coefficients are exact rationals.
+
+d(P) is the largest d >= 0 with relint(dP) lattice-point free. For the
+polarized toric variety attached to a full-dimensional lattice polytope P,
+the twist by k has completely combinatorial cohomology:
+
+  k >= 1:  h^0 = #(kP cap Z^n), h^i = 0 for i >= 1
+  k == 0:  h^0 = 1, higher vanishing (trivial bundle)
+  k <  0:  h^i = 0 for i != n, h^n = #(relint(|k|P) cap Z^n)
+
+No fan or sheaf ever materializes; every entry is an exact count. The
+autoregularity of the polarization is the least m making h^i vanish at
+twist m+1-i for all i >= 1, which the rules reduce to an interior-point
+condition: it is n-1-d(P). The dilation levels for normality and property
+N_p follow from d(P) and the autoregularity.
 """
 
 from __future__ import annotations
@@ -10,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalInvariantError
-from .geometry import Polytope, scaled_count
+from .errors import InternalInvariantError, InvalidInputError
+from .geometry import Polytope, _as_int, scaled_count
 
 
 @dataclass(frozen=True)
@@ -19,10 +33,6 @@ class EhrhartPolynomial:
     """L_P(t) = sum coefficients[i] * t^i, exact rational coefficients."""
 
     coefficients: tuple[Fraction, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
 
     def evaluate(self, t) -> Fraction:
         acc = Fraction(0)
@@ -42,39 +52,24 @@ class EhrhartPolynomial:
         return [str(c) for c in self.coefficients]
 
 
-@dataclass(frozen=True)
-class DilationProfile:
-    """d(P) and the interior counts that witnessed it."""
-
-    d: int
-    codegree: int
-    interior_counts: tuple[tuple[int, int], ...]  # (k, #relint(kP) cap Z^n)
-
-
 def ehrhart_polynomial(P: Polytope) -> EhrhartPolynomial:
     """Interpolate L_P from the exact counts at t = 0..dim.
 
-    L_P has degree dim with L_P(0) = 1, so dim+1 values pin it down.
+    L_P has degree dim with L_P(0) = 1, so dim+1 values pin it down. On the
+    nodes 0..n the divided differences of step j divide by j, and the
+    Newton form sum a_k t(t-1)...(t-k+1) expands by Horner from the top.
     """
     n = P.dim
-    values = [1] + [scaled_count(P, k) for k in range(1, n + 1)]
-    coeffs = [Fraction(0)] * (n + 1)
-    for k, val in enumerate(values):
-        # Lagrange basis polynomial for node k over nodes 0..n.
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n + 1):
-            if j == k:
-                continue
-            # multiply basis by (t - j)
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for i, c in enumerate(basis):
-                nxt[i] -= c * j
-                nxt[i + 1] += c
-            basis = nxt
-            denom *= k - j
-        for i, c in enumerate(basis):
-            coeffs[i] += val * c / denom
+    a = [Fraction(1)] + [Fraction(scaled_count(P, k)) for k in range(1, n + 1)]
+    for j in range(1, n + 1):
+        for i in range(n, j - 1, -1):
+            a[i] = (a[i] - a[i - 1]) / j
+    coeffs = [a[n]]
+    for k in range(n - 1, -1, -1):
+        # coeffs * (t - k) + a[k]
+        coeffs = [a[k] - k * coeffs[0]] + [
+            lower - k * c for lower, c in zip(coeffs, coeffs[1:] + [0])
+        ]
     poly = EhrhartPolynomial(tuple(coeffs))
     if poly.coefficients[0] != 1:
         raise InternalInvariantError(
@@ -87,19 +82,16 @@ def ehrhart_polynomial(P: Polytope) -> EhrhartPolynomial:
     return poly
 
 
-def d_of_p(P: Polytope) -> DilationProfile:
+def d_of_p(P: Polytope) -> int:
     """Largest d >= 0 with relint(dP) lattice-point free.
 
     Convention: d = 0 when P itself has an interior lattice point. Some
     dilate kP with k <= dim+1 always has one, so the scan below terminates.
     """
     n = P.dim
-    counts = []
     for k in range(1, n + 2):
-        c = scaled_count(P, k, interior=True)
-        counts.append((k, c))
-        if c > 0:
-            return DilationProfile(k - 1, k, tuple(counts))
+        if scaled_count(P, k, interior=True) > 0:
+            return k - 1
     raise InternalInvariantError(
         f"relint({n + 1}P) has no lattice point; counting is broken"
     )
@@ -128,3 +120,111 @@ def extrapolation_check(P: Polytope, poly: EhrhartPolynomial) -> bool:
         if poly.evaluate(k) != scaled_count(P, k):
             return False
     return True
+
+
+# -- twist cohomology ------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CohomologyTable:
+    base_polytope_id: str
+    rows: tuple[tuple[int, tuple[int, ...]], ...]  # (twist k, (h^0..h^n))
+
+    def to_jsonable(self) -> dict:
+        return {
+            "polytope": self.base_polytope_id,
+            "rows": [{"k": k, "h": list(h)} for k, h in self.rows],
+        }
+
+
+def _h_row(P: Polytope, k: int) -> tuple[int, ...]:
+    n = P.dim
+    h = [0] * (n + 1)
+    if k > 0:
+        h[0] = scaled_count(P, k)
+    elif k == 0:
+        h[0] = 1
+    else:
+        h[n] = scaled_count(P, -k, interior=True)
+    return tuple(h)
+
+
+def h_table(P: Polytope, k_min: int, k_max: int) -> CohomologyTable:
+    """One row of h^0..h^n per twist k in [k_min, k_max]."""
+    k_min = _as_int(k_min, "k_min")
+    k_max = _as_int(k_max, "k_max")
+    if k_min > k_max:
+        raise InvalidInputError(f"empty twist range [{k_min}, {k_max}]")
+    rows = tuple((k, _h_row(P, k)) for k in range(k_min, k_max + 1))
+    return CohomologyTable(P.polytope_id, rows)
+
+
+def _vanishes_at(P: Polytope, m: int) -> bool:
+    """h^i at twist m+1-i zero for every i = 1..n, per the counting rules."""
+    n = P.dim
+    for i in range(1, n + 1):
+        if _h_row(P, m + 1 - i)[i] != 0:
+            return False
+    return True
+
+
+def autoregularity_from_definition(P: Polytope) -> int:
+    """Smallest m passing the vanishing check; found by downward scan.
+
+    m = n-1 always passes (all twists involved are nonnegative), and the
+    check at some m >= -1 must fail because a high enough dilate has an
+    interior lattice point, so the scan is finite.
+    """
+    n = P.dim
+    m = n - 1
+    if not _vanishes_at(P, m):
+        raise InternalInvariantError(
+            f"vanishing fails at m = n-1 = {m}; counting rules are broken"
+        )
+    while _vanishes_at(P, m - 1):
+        m -= 1
+        if m < -(n + 2):
+            raise InternalInvariantError(
+                "autoregularity scan ran past every possible value"
+            )
+    return m
+
+
+# -- dilation levels -------------------------------------------------------------
+
+@dataclass(frozen=True)
+class BoundReport:
+    """The dilation thresholds attached to P: d(P)-based and classical."""
+
+    n: int
+    d: int
+
+    @property
+    def corollary_bound(self) -> int:
+        """max(n - d, 1): every dilate at or above it is normal."""
+        return max(self.n - self.d, 1)
+
+    @property
+    def classical_n0_bound(self) -> int:
+        """n - 1 for n >= 2, else 1."""
+        return self.n - 1 if self.n >= 2 else 1
+
+
+def normality_bound(P: Polytope) -> BoundReport:
+    """Compute d(P) and attach the dilation bounds to it."""
+    return BoundReport(P.dim, d_of_p(P))
+
+
+def np_bound_from_regularity(m: int, p: int) -> int:
+    """Dilation level guaranteeing property N_p, from the autoregularity m.
+
+    p >= 1 gives max(m+p, 1); p = 0 also rests on the twist m+1, hence
+    max(m+1, 1).  With m = n-1-d(P) the p = 0 level is max(n-d, 1), the
+    corollary bound of `normality_bound`.  It exceeds the paper's N_0
+    level n-1 exactly when d(P) = 0 or n = 1: for d(P) = 0 that n-1 is
+    the classical normality bound, which regularity alone does not reach.
+    """
+    m = _as_int(m, "m")
+    p = _as_int(p, "p", 0)
+    if p == 0:
+        return max(m + 1, 1)
+    return max(m + p, 1)

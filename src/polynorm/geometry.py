@@ -186,11 +186,9 @@ class Polytope:
         hi = tuple(max(v[j] for v in self.vertices) for j in range(n))
         return lo, hi
 
-    def contains(self, point, interior: bool = False) -> bool:
-        """Exact membership test; interior=True uses strict inequalities."""
+    def contains(self, point) -> bool:
+        """Exact membership test."""
         pt = _as_point(point, self.dim)
-        if interior:
-            return all(h.evaluate(pt) > 0 for h in self.facets)
         return all(h.evaluate(pt) >= 0 for h in self.facets)
 
     def dilate(self, k: int) -> "Polytope":
@@ -206,9 +204,9 @@ class Polytope:
                      k * reach, U, *kP.bounding_box())
         return kP
 
-    def lattice_points(self, interior: bool = False) -> list[LatticePoint]:
-        """All lattice points of the polytope (or its interior), lex sorted."""
-        rows = scaled_points_array(self, 1, interior).tolist()  # Python ints
+    def lattice_points(self) -> list[LatticePoint]:
+        """All lattice points of the polytope, lex sorted."""
+        rows = scaled_points_array(self).tolist()  # Python ints
         return list(map(tuple, rows))
 
 

@@ -14,23 +14,19 @@ import random
 from dataclasses import dataclass
 from functools import partial
 
-from .cohomology import autoregularity_from_definition, np_bound_from_regularity
 from .counting import (
+    BoundReport,
     EhrhartPolynomial,
+    autoregularity_from_definition,
     d_of_p,
     ehrhart_polynomial,
     extrapolation_check,
+    np_bound_from_regularity,
     reciprocity_check,
 )
 from .errors import CorpusGenerationError, InvalidInputError, NotFullDimensionalError
 from .geometry import LatticePoint, Polytope, _as_int, build_polytope
-from .normality import (
-    BoundReport,
-    NormalityReport,
-    is_normal,
-    verify_corollary,
-    verify_witness,
-)
+from .normality import NormalityReport, is_normal, verify_corollary, verify_witness
 from .syzygy import n1_probe
 
 _RESAMPLE_LIMIT = 1000
@@ -175,16 +171,16 @@ class AnalysisRecord:
 
 def analyze(P: Polytope, cap: int | None = None) -> AnalysisRecord:
     """Run counting, normality, and regularity on P and cross-check them."""
-    profile = d_of_p(P)
-    bounds = BoundReport(P.dim, profile.d)
+    d = d_of_p(P)
+    bounds = BoundReport(P.dim, d)
     auto_def = autoregularity_from_definition(P)
     report = is_normal(P, cap)
     ehrhart = ehrhart_polynomial(P)
     # L_P has degree n, so it is nonzero at some -k, k <= n + 1
     codegree = next(k for k in range(1, P.dim + 2) if ehrhart.evaluate(-k) != 0)
     checks = {
-        "codegree_consistent": codegree == profile.d + 1,
-        "autoregularity_consistent": auto_def == P.dim - 1 - profile.d,
+        "codegree_consistent": codegree == d + 1,
+        "autoregularity_consistent": auto_def == P.dim - 1 - d,
         "corollary_bound_consistent":
             bounds.corollary_bound == np_bound_from_regularity(auto_def, 0),
         "witness_verified":
@@ -196,8 +192,8 @@ def analyze(P: Polytope, cap: int | None = None) -> AnalysisRecord:
         vertices=P.vertices,
         n=P.dim,
         ehrhart=ehrhart,
-        d=profile.d,
-        codegree=profile.codegree,
+        d=d,
+        codegree=codegree,
         corollary_bound=bounds.corollary_bound,
         classical_n0_bound=bounds.classical_n0_bound,
         autoregularity=auto_def,

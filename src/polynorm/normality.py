@@ -1,4 +1,4 @@
-"""Normality testing with witnesses, plus dilation and N_p bound arithmetic.
+"""Normality testing with witnesses, and the corollary sweep over dilates.
 
 A polytope P is normal when every lattice point of mP splits into a sum of
 m lattice points of P, for every m >= 1. Checking levels in ascending order
@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import d_of_p
+from .counting import BoundReport
+from .errors import InvalidInputError
 from .geometry import (
     LatticePoint,
     Polytope,
@@ -337,31 +338,6 @@ def verify_witness(P: Polytope, level: int, point) -> bool:
     return not decomposable(z, level)
 
 
-# -- bound arithmetic ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class BoundReport:
-    """The dilation thresholds attached to P: d(P)-based and classical."""
-
-    n: int
-    d: int
-
-    @property
-    def corollary_bound(self) -> int:
-        """max(n - d, 1): every dilate at or above it is normal."""
-        return max(self.n - self.d, 1)
-
-    @property
-    def classical_n0_bound(self) -> int:
-        """n - 1 for n >= 2, else 1."""
-        return self.n - 1 if self.n >= 2 else 1
-
-
-def normality_bound(P: Polytope) -> BoundReport:
-    """Compute d(P) and attach the dilation bounds to it."""
-    return BoundReport(P.dim, d_of_p(P).d)
-
-
 @dataclass(frozen=True)
 class CorollaryRecord:
     """Outcome of the guaranteed-normality sweep over dilates of P.
@@ -407,18 +383,21 @@ def verify_corollary(P: Polytope, bounds: BoundReport, extra_levels: int = 0,
                      cap: int | None = None) -> CorollaryRecord:
     """Check normality of ell*P for ell = bound .. bound + extra_levels.
 
-    bounds is P's BoundReport, as `normality_bound(P)` gives it. If S_c
-    (_first_gap) holds for every c >= bound, every ell*P with
-    ell >= bound is normal: a lattice point of k*ell*P sheds lattice points
-    of P down to ell*P, and they sum, ell at a time, to lattice points of
-    ell*P. S_c for c >= n - 1 is the lemma of Ewald and Wessels (Results
-    Math. 19, 1991) and of Bruns, Gubeladze and Trung (J. reine angew. Math.
-    485, 1997), so only c in [bound, n - 2], which the paper's regularity
-    argument gives, is computed. When those hold, each verdict is the
-    "normal-up-to-cap" of is_normal and rests on the lemma; else, which
-    breaks the theorem, is_normal checks each ell*P in the input frame, so
-    a violation carries its lex-first witness.
+    bounds is P's BoundReport, as `normality_bound(P)` gives it; one with
+    another n, or with d outside 0..n, is refused (relint((n+1)P) always
+    holds a lattice point). If S_c (_first_gap) holds for every c >= bound,
+    every ell*P with ell >= bound is normal: a lattice point of k*ell*P
+    sheds lattice points of P down to ell*P, and they sum, ell at a time,
+    to lattice points of ell*P. S_c for c >= n - 1 is the lemma of Ewald
+    and Wessels (Results Math. 19, 1991) and of Bruns, Gubeladze and Trung
+    (J. reine angew. Math. 485, 1997), so only c in [bound, n - 2], which
+    the paper's regularity argument gives, is computed. When those hold,
+    each verdict is the "normal-up-to-cap" of is_normal and rests on the
+    lemma; else, which breaks the theorem, is_normal checks each ell*P in
+    the input frame, so a violation carries its lex-first witness.
     """
+    if bounds.n != P.dim or not 0 <= bounds.d <= P.dim:
+        raise InvalidInputError(f"{bounds} cannot be the bounds of a {P.dim}-polytope")
     extra_levels = _as_int(extra_levels, "extra_levels", 0)
     cap = _cap(P, cap)
     lo = bounds.corollary_bound

@@ -94,7 +94,7 @@ def test_criterion_2_autoregularity(corpus, criterion_report):
     minimality_bad = []
     for P in corpus:
         m = autoregularity_from_definition(P)
-        if m != P.dim - 1 - d_of_p(P).d:
+        if m != P.dim - 1 - d_of_p(P):
             formula_bad.append(P.polytope_id)
         if _higher_cohomology_vanishes(P, m - 1):
             minimality_bad.append(P.polytope_id)
@@ -129,7 +129,7 @@ def test_criterion_4_reeve_regression(reeve_fixtures, criterion_report):
             "witness": witness is not None
                        and witness.level == 2
                        and witness.point == (1, 1, 1),
-            "d": d_of_p(T).d == 1,
+            "d": d_of_p(T) == 1,
             "corollary_bound": normality_bound(T).corollary_bound == 2,
             "2T normal": is_normal(T.dilate(2), cap=4).verdict == NORMAL,
             "3T normal": is_normal(T.dilate(3), cap=4).verdict == NORMAL,

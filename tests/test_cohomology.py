@@ -20,7 +20,7 @@ from conftest import random_polytope
 
 def autoregularity_formula(P):
     """n - 1 - d(P); may be negative and is returned unclamped."""
-    return P.dim - 1 - d_of_p(P).d
+    return P.dim - 1 - d_of_p(P)
 
 
 def test_h_table_unit_square(unit_square):
@@ -74,7 +74,7 @@ def test_autoregularity_known_values(unit_square, t2, delta3, big_triangle):
 def test_autoregularity_agrees_with_formula(unit_square, t2, delta3, big_triangle):
     for P in (unit_square, t2, delta3, big_triangle):
         assert autoregularity_from_definition(P) == autoregularity_formula(P)
-        assert autoregularity_formula(P) == P.dim - 1 - d_of_p(P).d
+        assert autoregularity_formula(P) == P.dim - 1 - d_of_p(P)
 
 
 @settings(max_examples=20, deadline=None)
@@ -82,7 +82,7 @@ def test_autoregularity_agrees_with_formula(unit_square, t2, delta3, big_triangl
 def test_autoregularity_formula_on_random_polytopes(n, seed):
     rng = random.Random(seed)
     P = random_polytope(rng, n)
-    assert autoregularity_from_definition(P) == n - 1 - d_of_p(P).d
+    assert autoregularity_from_definition(P) == n - 1 - d_of_p(P)
 
 
 def test_minimality_of_autoregularity(t2, interior_count):

@@ -23,6 +23,7 @@ from polynorm import (
     REEVE_RANGE,
     BoundReport,
     CorollaryRecord,
+    InvalidInputError,
     build_polytope,
     is_normal,
     normality_bound,
@@ -195,6 +196,25 @@ def test_forged_bound_falls_back_to_the_input_frame(make, q):
     assert rec.violations == (1,)
     witness = rec.levels[0][1].witness
     assert (witness.level, witness.point) == _sumset_verdict(P, 2)
+
+
+@pytest.mark.parametrize("bounds", [
+    BoundReport(5, 0), BoundReport(2, 1), BoundReport(3, -4), BoundReport(3, -1),
+    BoundReport(3, 4),
+])
+def test_foreign_bound_report_is_refused(bounds):
+    # a report for another dimension, or with d outside 0..n, cannot be P's:
+    # relint((n+1)P) always holds a lattice point
+    with pytest.raises(InvalidInputError):
+        verify_corollary(reeve_simplex(2), bounds, 0)
+
+
+def test_every_possible_d_is_accepted():
+    # d = n is possible (the unimodular simplex has d = n), so 0..n all pass
+    P = reeve_simplex(2)
+    for d in range(4):
+        rec = verify_corollary(P, BoundReport(3, d), 0)
+        assert (rec.n, rec.d, rec.corollary_bound) == (3, d, max(3 - d, 1))
 
 
 def test_thin_triangle_matches_input_frame_sweep():

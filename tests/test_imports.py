@@ -5,10 +5,11 @@ Read from the source with ast: a name bound by an import statement (other
 than `from __future__`) must also appear as a name in an expression of the
 same module. A use as the root of an attribute, such as `np` in `np.int64`,
 counts. The package __init__ imports names to re-export them, so it is left
-out.
+out. The README's library layout table names every module.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,14 @@ def imported_names(tree):
             yield from (a.asname or a.name.split(".")[0] for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             yield from (a.asname or a.name for a in node.names)
+
+
+def test_readme_layout_names_every_module():
+    readme = PACKAGE.parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Library layout\n", 1)[1]
+    table = section.strip().split("\n\n", 1)[0]
+    named = re.findall(r"^\| `polynorm\.(\w+)` \|", table, re.M)
+    assert sorted(named) == sorted(m[:-3] for m in MODULES if m != "__main__.py")
 
 
 def test_modules_are_found():
