@@ -1,8 +1,9 @@
 """Lattice-point counts of dilates, and everything they decide.
 
-Counting is exact: lattice points of dilates are counted by the geometry
-engine, and the Ehrhart polynomial is recovered by Newton interpolation
-over Fraction arithmetic, so coefficients are exact rationals.
+Counting is exact: the counts are read from P's memo (`scaled_count`), which
+`count_scales` fills for many scales in one walk of the geometry engine, and
+Newton interpolation over Fractions recovers the Ehrhart polynomial with
+exact rational coefficients.
 
 d(P) is the largest d >= 0 with relint(dP) lattice-point free. For the
 polarized toric variety attached to a full-dimensional lattice polytope P,
@@ -100,8 +101,8 @@ def d_of_p(P: Polytope) -> int:
 def reciprocity_check(P: Polytope, poly: EhrhartPolynomial) -> bool:
     """Verify L_P(-t) == (-1)^dim * #relint(tP) for t = 1..dim+1.
 
-    poly is P's Ehrhart polynomial. A sharp cross-check of both the
-    interpolation and the two enumeration modes.
+    poly is P's Ehrhart polynomial. A sharp cross-check of the interpolation
+    and of the two enumeration modes, which share a walk but not its solves.
     """
     n = P.dim
     sign = (-1) ** n

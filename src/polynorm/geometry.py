@@ -11,6 +11,8 @@ C(N, n) point subsets. The split runs first, so a flat input has no ray.
 Lattice point enumeration is one numpy scan: it walks the lattice points
 of P's projection onto the first n-1 coordinates, axis by axis, and solves
 each coordinate's range per facet with exact integer ceil/floor division.
+One walk takes a tuple of scales and solves each line closed and, if
+asked, strict too, so the counts of dilates that counting reads cost one.
 A computed overflow bound picks the narrowest of three element types:
 int32 or int64 while 4 times every facet value stays below 2^29 or 2^61,
 which leaves room for 16 times them, else object arrays of Python ints, so
@@ -146,6 +148,12 @@ class HalfSpace:
         return _dot(self.normal, point) - self.offset
 
 
+def vertices_id(vertices) -> str:
+    """polytope_id of the polytope whose sorted vertex list this is."""
+    blob = json.dumps([list(v) for v in vertices], separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
 class Polytope:
     """Full-dimensional lattice polytope, immutable once built.
 
@@ -177,8 +185,7 @@ class Polytope:
     @property
     def polytope_id(self) -> str:
         """Hex digest of the canonical vertex list; stable across runs."""
-        blob = json.dumps([list(v) for v in self.vertices], separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return vertices_id(self.vertices)
 
     def bounding_box(self) -> tuple[LatticePoint, LatticePoint]:
         n = self.dim
@@ -277,11 +284,11 @@ def build_polytope(points) -> Polytope:
 # -- lattice point enumeration ------------------------------------------------
 
 def _scan_frame(P: Polytope):
-    """Facet rows (normal, offset) bounding coordinate k > 0, a line frame, P's box.
+    """Facet rows (normal, offset) bounding each coordinate, a line frame, P's box.
 
-    Group k - 1 holds the facets of pi_{k+1}(P), the projection onto the
-    first k + 1 coordinates (pi_n(P) = P); the box bounds coordinate 0. reach
-    bounds |<a, x>| + |b| over rows (a, b), x in the box. The line frame U,
+    Group k holds the facets of pi_{k+1}(P), the projection onto the first
+    k + 1 coordinates (pi_n(P) = P; pi_1(P) spans the box). reach bounds
+    |<a, x>| + |b| over rows (a, b), x in the box. The line frame U,
     rows of Python ints, is unimodular on the prefixes Z^{n-1}: its rows are
     the functionals LLL-reduced under the covariance of pi_{n-1}(P)'s
     vertices, so pi_{n-1}(P) has a small box in z = U x' (see
@@ -289,9 +296,10 @@ def _scan_frame(P: Polytope):
     it, offsets and reach times k (pi(kP) = k pi(P)) and U as it is.
     """
     if P._frame is None:
-        facets = [build_polytope([v[:k] for v in P.vertices]).facets
-                  for k in range(2, P.dim)] + [P.facets]
         lo, hi = P.bounding_box()
+        facets = ([(HalfSpace((1,), lo[0]), HalfSpace((-1,), -hi[0]))]
+                  + [build_polytope([v[:k] for v in P.vertices]).facets
+                     for k in range(2, P.dim)] + [P.facets])[-P.dim:]  # dim 1: P's own
         far = [max(abs(l), abs(h)) for l, h in zip(lo, hi)]
         reach = max(sum(abs(a) * x for a, x in zip(h.normal, far)) + abs(h.offset)
                     for group in facets for h in group)
@@ -352,56 +360,71 @@ def _expand(prefixes, lo, counts):
                           dtype=prefixes.dtype)
 
 
-def _np_slabs(P: Polytope, scale: int, interior: bool):
-    """Yield lex-ordered (prefixes, lo_last, counts) triples, feasible rows only.
+def _np_slabs(P: Polytope, scales: tuple[int, ...], interior: bool = False):
+    """Yield (scale, prefixes, lo_last, counts, inner) per chunk, feasible rows only.
 
-    The prefixes are the lattice points of scale*pi_{n-1}(P), built axis by
-    axis: coordinate 0 spans the box, and for a prefix of k > 0 coordinates
-    _last_range solves the facets of scale*pi_{k+1}(P) for coordinate k. A
-    stack holds the ranges not yet expanded, deepest on top, so prefixes come
-    out in lex order; an expansion takes at most _CHUNK_ROWS of them,
-    splitting a long range. All arrays have the _scan_dtype element type.
+    One walk serves all the scales, ascending: a stack row carries its scale
+    k, the facet offsets times k give its residuals, and rows come out in
+    (scale, lex) order. Coordinate j solves k*pi_{j+1}(P)'s facets by
+    _last_range; a stack holds the ranges not yet expanded, deepest on top;
+    an expansion takes at most _CHUNK_ROWS of them, splitting a long range.
+    With interior, inner is (lo_last, counts) of the same lines solved with
+    P's offsets + 1 (relint(k*P); no projection is strict), a count 0 where
+    a line misses it, else None. Arrays take the top scale's _scan_dtype.
     """
-    dtype = _scan_dtype(P, scale)
-    frame, _, _, box_lo, box_hi = _scan_frame(P)
-    groups = [(M[:, :-1].astype(dtype), scale * M[:, -1:].astype(dtype)) for M in frame]
-    groups[-1][1][:] += 1 if interior else 0  # strict inequalities of P's facets
-    X = np.zeros((1, 0), dtype=dtype)
-    if P.dim == 1:
-        lo, hi = _last_range(groups[0][1], groups[0][0][:, 0])
-        if lo[0] <= hi[0]:
-            yield X, lo, hi - lo + 1
-        return
-    stack = [(X, *np.array([[scale * box_lo[0]], [scale * box_hi[0]]], dtype))]
-    while stack:
-        X, lo, hi = stack.pop()
+    dtype = _scan_dtype(P, max(scales))
+    groups = [(M[:, :-2].astype(dtype), M[:, -2].astype(dtype), M[:, -1:].astype(dtype))
+              for M in _scan_frame(P)[0]]
+    K, X, stack = np.array(scales, dtype=dtype), np.zeros((len(scales), 0), dtype), []
+    while True:
+        A, a_last, b = groups[X.shape[1]]
+        r = b * K - A @ X.T
+        lo, hi = _last_range(r, a_last)
+        keep = lo <= hi
+        if X.shape[1] == P.dim - 1 and keep.any():
+            inner = None
+            if interior:
+                lo_in, hi_in = _last_range(r[:, keep] + 1, a_last)
+                inner = lo_in, np.maximum(hi_in - lo_in + 1, 0)
+            yield K[keep], X[keep], lo[keep], (hi - lo + 1)[keep], inner
+        elif keep.any():
+            stack.append((K[keep], X[keep], lo[keep], hi[keep]))
+        if not stack:
+            return
+        K, X, lo, hi = stack.pop()
         ends = np.cumsum(hi - lo + 1)
         t = len(X) if ends[-1] <= _CHUNK_ROWS else int((ends <= _CHUNK_ROWS).sum())
         if t == 0:  # the first range alone is longer than a chunk: split it
             rest = lo.copy()
             rest[0] += _CHUNK_ROWS
-            stack.append((X, rest, hi))
+            stack.append((K, X, rest, hi))
             t, hi = 1, lo + (_CHUNK_ROWS - 1)
         elif t < len(X):
-            stack.append((X[t:], lo[t:], hi[t:]))
-        X = _expand(X[:t], lo[:t], (hi - lo + 1)[:t])
-        A, b = groups[X.shape[1] - 1]
-        lo, hi = _last_range(b - A[:, :-1] @ X.T, A[:, -1])
-        keep = lo <= hi
-        if keep.any() and X.shape[1] == P.dim - 1:
-            yield X[keep], lo[keep], (hi - lo + 1)[keep]
-        elif keep.any():
-            stack.append((X[keep], lo[keep], hi[keep]))
+            stack.append((K[t:], X[t:], lo[t:], hi[t:]))
+        counts = (hi - lo + 1)[:t].astype(np.int64)
+        K, X = np.repeat(K[:t], counts), _expand(X[:t], lo[:t], counts)
+
+
+def count_scales(P: Polytope, scales) -> None:
+    """Memoize on P the counts of k*P and relint(k*P) for the scales k,
+    ascending, not counted yet: one walk, exact sums (int64 or Python ints)."""
+    scales = tuple(k for k in scales if (k, False) not in P._count_cache)
+    counts = dict.fromkeys([(k, s) for k in scales for s in (False, True)], 0)
+    for K, _, _, closed, (_, inside) in _np_slabs(P, scales, True) if scales else ():
+        ends = np.searchsorted(K, scales, side="right").tolist()
+        for k, start, end in zip(scales, [0] + ends, ends):
+            counts[k, False] += int(closed[start:end].sum())
+            counts[k, True] += int(inside[start:end].sum())
+    P._count_cache.update(counts)
 
 
 def scaled_count(P: Polytope, scale: int = 1, interior: bool = False) -> int:
-    """#(scale * P intersect Z^n), or the interior count. Exact; memoized on P."""
+    """#(scale * P intersect Z^n), or the interior count. Exact; memoized on P:
+    a miss walks this scale alone and counts both modes (count_scales)."""
     scale = _as_int(scale, "scale", 1)
     key = (scale, bool(interior))
     if key not in P._count_cache:
-        P._count_cache[key] = sum(
-            int(counts.sum()) for _, _, counts in _np_slabs(P, scale, interior)
-        )
+        count_scales(P, (scale,))
     return P._count_cache[key]
 
 
@@ -421,7 +444,9 @@ def scaled_points_array(P: Polytope, scale: int = 1, interior: bool = False):
         item += sys.getsizeof(scale * max(map(abs, sum(P.bounding_box(), ()))))
     slabs = []
     listed = 0
-    for prefixes, lo_last, counts in _np_slabs(P, scale, interior):
+    for _, prefixes, lo_last, counts, inner in _np_slabs(P, (scale,), interior):
+        if interior:
+            lo_last, counts = inner
         listed += int(counts.sum())
         if listed * P.dim * item > _MAX_LIST_BYTES:
             raise InvalidInputError(

@@ -25,7 +25,7 @@ from .counting import (
     reciprocity_check,
 )
 from .errors import CorpusGenerationError, InvalidInputError, NotFullDimensionalError
-from .geometry import LatticePoint, Polytope, _as_int, build_polytope
+from .geometry import LatticePoint, Polytope, _as_int, build_polytope, count_scales
 from .normality import NormalityReport, is_normal, verify_corollary, verify_witness
 from .syzygy import n1_probe
 
@@ -171,6 +171,7 @@ class AnalysisRecord:
 
 def analyze(P: Polytope, cap: int | None = None) -> AnalysisRecord:
     """Run counting, normality, and regularity on P and cross-check them."""
+    count_scales(P, range(1, P.dim + 3))  # every count read here and in _check_one
     d = d_of_p(P)
     bounds = BoundReport(P.dim, d)
     auto_def = autoregularity_from_definition(P)

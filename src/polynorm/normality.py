@@ -39,6 +39,7 @@ from .geometry import (
     _narrowest,
     _np_slabs,
     _scan_frame,
+    vertices_id,
 )
 
 
@@ -156,7 +157,7 @@ class _LineTable:
     def scan(self, P: Polytope, s: int):
         """Fill the lines of a scan of s*P and keep their z, lo and hi; self."""
         lines = []
-        for X, lo, counts in _np_slabs(P, s, False):
+        for _, X, lo, counts, _ in _np_slabs(P, (s,)):
             Z = _line_coords(P, s, X)
             lines.append((Z, *self.fill(Z, lo, lo + counts - 1)))
         self.lines = tuple(np.concatenate(a) for a in zip(*lines))
@@ -207,7 +208,7 @@ def _first_missing(P: Polytope, m: int, table_p: _LineTable, table_m: _LineTable
     """
     steps = list(zip((deltas @ table_p.strides).tolist(),
                      (-(deltas @ table_m.strides)).tolist()))
-    for X, L, counts in _np_slabs(P, m, False):
+    for _, X, L, counts, _ in _np_slabs(P, (m,)):
         H = L + counts - 1
         Z = _line_coords(P, m, X)
         if table_next is not None:
@@ -404,10 +405,10 @@ def verify_corollary(P: Polytope, bounds: BoundReport, extra_levels: int = 0,
     proved = lo > P.dim - 2 or _first_gap(P, lo, P.dim - 2) is None
     levels = []
     for ell in range(lo, lo + extra_levels + 1):
-        D = P.dilate(ell)
-        levels.append((ell, NormalityReport(D.polytope_id, cap, tuple(range(2, cap + 1)),
+        dilate_id = vertices_id(tuple(ell * x for x in v) for v in P.vertices)
+        levels.append((ell, NormalityReport(dilate_id, cap, tuple(range(2, cap + 1)),
                                             "normal-up-to-cap", None)
-                       if proved else is_normal(D, cap)))
+                       if proved else is_normal(P.dilate(ell), cap)))
     return CorollaryRecord(
         polytope_id=P.polytope_id,
         n=bounds.n,

@@ -20,11 +20,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polynorm import (
+    DEFAULT_CORPUS_SPEC,
     REEVE_RANGE,
     BoundReport,
     CorollaryRecord,
     InvalidInputError,
     build_polytope,
+    generate_corpus,
     is_normal,
     normality_bound,
     reeve_simplex,
@@ -59,7 +61,8 @@ def fewest_lines_frame(P):
     fewest moves last, a tie keeps P. A permutation maps facets to facets
     and keeps normals primitive, so no hull is needed.
     """
-    X, lo, counts = (np.concatenate(a) for a in zip(*normality._np_slabs(P, 2, False)))
+    slabs = list(normality._np_slabs(P, (2,)))
+    X, lo, counts = (np.concatenate([slab[i] for slab in slabs]) for i in (1, 2, 3))
     hi = lo + counts - 1
     ranks = np.empty(X.shape, dtype=np.int64)
     for j, column in enumerate(X.T):
@@ -163,6 +166,19 @@ def test_sweep_matches_input_frame_sweep():
     assert taken > 0  # some dilates were checked in a permuted frame
 
 
+def test_proved_levels_name_dilates_they_never_build():
+    # a proved bound names each ell*P by its vertices, ell times P's
+    corpus = generate_corpus(DEFAULT_CORPUS_SPEC)
+    polytopes = [reeve_simplex(q) for q in REEVE_RANGE] + corpus[::30]
+    assert len(polytopes) == 4 + 10
+    with mock.patch.object(Polytope, "dilate", side_effect=AssertionError("dilate built")):
+        records = [verify_corollary(P, normality_bound(P), 2) for P in polytopes]
+    for P, rec in zip(polytopes, records):
+        assert rec.passed
+        assert [rep.polytope_id for _, rep in rec.levels] == [
+            P.dilate(ell).polytope_id for ell, _ in rec.levels]
+
+
 @pytest.mark.parametrize("q", [5, 6])
 def test_violation_reports_the_input_frames_witness(q):
     # a forged bound of 1 puts the non-normal P itself into the sweep
@@ -235,9 +251,9 @@ def test_long_thin_triangle_scans_few_prefixes():
     scan = normality._np_slabs
 
     def counted(*args, **kwargs):
-        for X, lo, counts in scan(*args, **kwargs):
+        for K, X, lo, counts, inner in scan(*args, **kwargs):
             rows.append(len(X))
-            yield X, lo, counts
+            yield K, X, lo, counts, inner
 
     with mock.patch.object(normality, "_np_slabs", counted):
         rec = oracle_verify_corollary(P, normality_bound(P), 2)

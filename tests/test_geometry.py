@@ -73,10 +73,35 @@ def box_slabs(P, k=1, strict=False, chunk_rows=1 << 20):
     return rows
 
 
+def walk_rows(P, scales, strict=False):
+    """{k: rows} of one geometry._np_slabs walk over the scales, which must
+    yield them in ascending order; in the strict mode, the lines that meet
+    relint(k*P), whose solve, the last before a yield, takes the lines that
+    meet k*P and no others."""
+    rows, widths = {k: [] for k in scales}, []
+
+    def solve(r, a_last):
+        widths.append(r.shape[1])
+        return last_range(r, a_last)
+
+    last_range, seen = geometry._last_range, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_last_range", solve)
+        for K, X, lo, counts, inner in geometry._np_slabs(P, tuple(scales), strict):
+            if strict:
+                assert widths[-1] == len(K)
+                lo, counts = inner
+            for k, x, a, c in zip(K.tolist(), X.tolist(), lo.tolist(), counts.tolist()):
+                seen.append(k)
+                if c > 0:
+                    rows[k].append((*x, a, c))
+    assert seen == sorted(seen)
+    return rows
+
+
 def slab_rows(P, k=1, strict=False):
-    """The rows geometry._np_slabs yields, concatenated."""
-    return [(*x, a, c) for X, lo, counts in geometry._np_slabs(P, k, strict)
-            for x, a, c in zip(X.tolist(), lo.tolist(), counts.tolist())]
+    """The rows geometry._np_slabs yields at scale k alone, concatenated."""
+    return walk_rows(P, (k,), strict)[k]
 
 
 def test_affine_dim():
@@ -296,12 +321,20 @@ def test_scan_matches_box_scan(n, seed, k, strict):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 10**6), st.integers(1, 3), st.booleans(),
-       st.sampled_from([1, 2, 7, 1 << 20]))
-def test_slabs_match_box_walk(n, seed, k, strict, chunk_rows):
+       st.sampled_from([1, 2, 7, 1 << 20]), st.sets(st.integers(1, 6), max_size=3))
+def test_slabs_match_box_walk(n, seed, k, strict, chunk_rows, more):
+    # one walk over k and up to three more scales <= n + 2: at chunk sizes 2
+    # and 7 a chunk mixes scales, and the memo count_scales fills from the
+    # same walk holds each scale's sum
     P = random_polytope(random.Random(seed), n, SPREAD[n])
+    scales = sorted({k} | {s for s in more if s <= n + 2})
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_CHUNK_ROWS", chunk_rows)
-        assert slab_rows(P, k, strict) == box_slabs(P, k, strict)
+        rows = walk_rows(P, scales, strict)
+        geometry.count_scales(P, scales)
+    assert rows == {s: box_slabs(P, s, strict) for s in scales}
+    assert {s: P._count_cache[s, strict] for s in scales} == {
+        s: sum(row[-1] for row in rows[s]) for s in scales}
 
 
 def test_slabs_match_box_walk_through_oblique_shadow(t2, monkeypatch):
@@ -325,8 +358,51 @@ def test_first_slab_streams_from_a_long_range():
     # 2^40 + 1 prefixes: the first chunk comes back at once
     P = build_polytope([(0, 0), (2**40, 0), (0, 1)])
     start = time.perf_counter()
-    X, lo, counts = next(geometry._np_slabs(P, 1, False))
+    _, X, lo, counts, _ = next(geometry._np_slabs(P, (1,)))
     assert time.perf_counter() - start < 1.0
     assert 0 < len(X) <= geometry._CHUNK_ROWS
     assert X[:3, 0].tolist() == [0, 1, 2]
     assert lo[:3].tolist() == [0, 0, 0] and counts[:3].tolist() == [2, 1, 1]
+
+
+# -- one walk over many scales ------------------------------------------------
+
+def assert_counts(P, scales, expected):
+    """count_scales fills P's memo with expected {k: (closed, interior)}."""
+    geometry.count_scales(P, scales)
+    assert {k: (P._count_cache[k, False], P._count_cache[k, True])
+            for k in scales} == expected
+
+
+def test_one_walk_widens_to_its_top_scale():
+    from test_large_coordinates import shifted
+
+    small = build_polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)])
+    big = shifted(small, 2**24)
+    assert geometry._scan_dtype(big, 1) is np.int32
+    assert geometry._scan_dtype(big, 5) is np.int64
+    assert_counts(big, (1, 2, 3, 4, 5), {k: tuple(sum(row[-1] for row in box_slabs(small, k, strict))
+                                                  for strict in (False, True)) for k in range(1, 6)})
+
+
+def test_one_walk_counts_exactly_past_int64(monkeypatch):
+    t = 2**62
+    square = build_polytope([(t, t), (t + 1, t), (t, t + 1), (t + 1, t + 1)])
+    assert geometry._scan_dtype(square, 1) is object
+    # at 7 prefixes a chunk holds the 2 of scale 1 and the 3 of scale 2
+    monkeypatch.setattr(geometry, "_CHUNK_ROWS", 7)
+    assert any(len(set(K.tolist())) > 1
+               for K, *_ in geometry._np_slabs(square, (1, 2, 3, 4), True))
+    assert_counts(square, (1, 2, 3, 4), {k: ((k + 1)**2, (k - 1)**2) for k in range(1, 5)})
+
+
+def test_one_walk_solves_strict_only_on_the_lines_it_keeps():
+    # the line x = 1 of this triangle holds no lattice point
+    P = build_polytope([(0, 0), (2, 1), (3, 1)])
+    assert walk_rows(P, (1, 2, 3, 4), True) == {k: box_slabs(P, k, True) for k in (1, 2, 3, 4)}
+
+
+def test_one_walk_counts_a_long_segment():
+    # 2^55 + 1 is no float64: a float sum per scale would lose the 1
+    segment = build_polytope([(0,), (2**55,)])
+    assert_counts(segment, (1, 2, 3), {k: (k * 2**55 + 1, k * 2**55 - 1) for k in (1, 2, 3)})

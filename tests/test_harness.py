@@ -18,11 +18,14 @@ from polynorm import (
     generate_corpus,
     reeve_simplex,
     run_verification,
+    scaled_count,
 )
 import polynorm.counting as counting
 import polynorm.errors as errors
+import polynorm.geometry as geometry
 import polynorm.harness as harness
 import polynorm.normality as normality
+import polynorm.syzygy as syzygy
 
 
 def small_spec(**overrides):
@@ -193,6 +196,56 @@ def test_run_verification_computes_each_invariant_once(monkeypatch):
     rep = run_verification(small_spec(count_per_dim=2), extra_levels=1, n1_cap=3)
     assert rep["summary"]["all_passed"] is True
     assert calls == dict.fromkeys(INVARIANTS, 2)
+
+
+def spy_counting(monkeypatch):
+    """Record each counting walk, a walk of geometry._np_slabs that solves
+    the interior too, by its scales, and each scaled_count read of counting
+    and syzygy as (module, scale, interior, whether P's memo held it)."""
+    walks, reads = [], []
+    walk = geometry._np_slabs
+
+    def walked(P, scales, interior=False):
+        if interior:
+            walks.append(tuple(scales))
+        return walk(P, scales, interior)
+
+    def recorder(module):
+        read = module.scaled_count
+
+        def recorded(P, scale=1, interior=False):
+            hit = (scale, bool(interior)) in P._count_cache
+            reads.append((module.__name__, scale, interior, hit))
+            return read(P, scale, interior)
+        return recorded
+
+    monkeypatch.setattr(geometry, "_np_slabs", walked)
+    for module in (counting, syzygy):
+        monkeypatch.setattr(module, "scaled_count", recorder(module))
+    return walks, reads
+
+
+@pytest.mark.parametrize("make", [
+    lambda: reeve_simplex(2),
+    lambda: generate_corpus(DEFAULT_CORPUS_SPEC)[200],
+], ids=["reeve-2", "default-corpus-dim-4"])
+def test_check_one_counts_in_one_walk(monkeypatch, make):
+    # d(P), the Ehrhart polynomial, its checks, the autoregularity and
+    # n1_probe's N all read the memo one walk over 1..n+2 fills
+    P = make()
+    n = P.dim
+    walks, reads = spy_counting(monkeypatch)
+    harness._check_one(P, extra_levels=2, n1_cap=4, cap=None)
+    assert walks == [tuple(range(1, n + 3))]
+    assert reads and all(hit and scale <= n + 2 for _, scale, _, hit in reads)
+    assert (("polynorm.syzygy", n, False, True) in reads) == (n <= 3)
+    lone = reeve_simplex(2)
+    assert scaled_count(lone, 7) == 176  # L(t) = 1 + 5t/3 + t^2 + t^3/3
+    assert walks[1:] == [(7,)]
+    # alone, d(P) walks its scales one by one and stops at d + 1
+    fresh = reeve_simplex(2)
+    d = counting.d_of_p(fresh)
+    assert walks[2:] == [(k,) for k in range(1, d + 2)]
 
 
 def test_corollary_bound_check_compares_the_regularity_path(monkeypatch, t2):

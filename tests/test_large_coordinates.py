@@ -113,7 +113,7 @@ def test_large_corollary_sweep_matches_small_twin(twins):
         (ell, rep.verdict, rep.levels_checked) for ell, rep in rec_small.levels]
     # every scan, the frame choice's scan of 2P too, runs on exact ints
     for call in scans.call_args_list:
-        Q, scale = call.args[:2]
+        Q, (scale,) = call.args[:2]
         assert geometry._scan_dtype(Q, scale) is object
         assert short_prefixes(Q, scale)
 

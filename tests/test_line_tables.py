@@ -104,7 +104,7 @@ def scanned_table(P, s, pad, dtype, empty, chunk_rows):
     """The table of sP filled by a scan of sP alone, in chunks of chunk_rows prefixes."""
     table = normality._LineTable(P, s, pad, dtype, empty)
     with mock.patch.object(geometry, "_CHUNK_ROWS", chunk_rows):
-        for X, lo, counts in geometry._np_slabs(P, s, False):
+        for _, X, lo, counts, _ in geometry._np_slabs(P, (s,)):
             table.fill(normality._line_coords(P, s, X), lo, lo + counts - 1)
     return table
 
@@ -187,7 +187,7 @@ def test_probes_stay_inside_their_tables(P):
     reads = {}
     for m, table_p, table_m, deltas in ladder_tables(P, 4):
         Z = np.concatenate([normality._line_coords(P, m, X)
-                            for X, _, _ in geometry._np_slabs(P, m, False)])
+                            for _, X, _, _, _ in geometry._np_slabs(P, (m,))])
         Q = Z // m
         for table, probes in ((table_p, Q[:, None, :] + deltas),
                               (table_m, (Z - Q)[:, None, :] - deltas)):
