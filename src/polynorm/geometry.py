@@ -8,15 +8,15 @@ that raise the affine dimension split the lineality space, and the others
 cut the rays. The cost grows with the facets met on the way, not with the
 C(N, n) point subsets. The split runs first, so a flat input has no ray.
 
-Lattice point enumeration is one numpy scan: it walks the lattice points
-of P's projection onto the first n-1 coordinates, axis by axis, and solves
-each coordinate's range per facet with exact integer ceil/floor division.
-One walk takes a tuple of scales and solves each line closed and, if
-asked, strict too, so the counts of dilates that counting reads cost one.
-A computed overflow bound picks the narrowest of three element types:
-int32 or int64 while 4 times every facet value stays below 2^29 or 2^61,
-which leaves room for 16 times them, else object arrays of Python ints, so
-results are exact for any coordinates.
+Lattice point enumeration is one numpy scan: it walks the lattice points of
+P's projection onto the first n-1 coordinates, axis by axis, and solves each
+coordinate's range by the facets of a projection, found at P's first walk,
+with exact integer ceil/floor division. One walk takes a tuple of scales and
+solves each line closed and, if asked, strict too, so the counts of dilates
+that counting reads cost one. A computed overflow bound picks the narrowest
+of three element types: int32 or int64 while 4 times every facet value stays
+below 2^29 or 2^61, which leaves room for 16 times them, else object arrays
+of Python ints, so results are exact for any coordinates.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NotFullDimensionalError
-from .linalg import lll_reduce
 
 LatticePoint = tuple[int, ...]
 
@@ -199,17 +198,13 @@ class Polytope:
         return all(h.evaluate(pt) >= 0 for h in self.facets)
 
     def dilate(self, k: int) -> "Polytope":
-        """The dilate kP, and its scan frame: normals carry over, offsets scale by k."""
+        """The dilate kP, without a scan frame: normals carry over, offsets times k."""
         k = _as_int(k, "dilation factor", 1)
         if k == 1:
             return self
         verts = tuple(tuple(k * x for x in v) for v in self.vertices)
         facets = tuple(HalfSpace(h.normal, k * h.offset) for h in self.facets)
-        kP = Polytope(self.dim, verts, facets)
-        groups, reach, U, _, _ = _scan_frame(self)
-        kP._frame = (tuple(np.hstack((M[:, :-1], k * M[:, -1:])) for M in groups),
-                     k * reach, U, *kP.bounding_box())
-        return kP
+        return Polytope(self.dim, verts, facets)
 
     def lattice_points(self) -> list[LatticePoint]:
         """All lattice points of the polytope, lex sorted."""
@@ -284,16 +279,11 @@ def build_polytope(points) -> Polytope:
 # -- lattice point enumeration ------------------------------------------------
 
 def _scan_frame(P: Polytope):
-    """Facet rows (normal, offset) bounding each coordinate, a line frame, P's box.
+    """Facet rows (normal, offset) bounding each coordinate, their reach, P's box.
 
     Group k holds the facets of pi_{k+1}(P), the projection onto the first
     k + 1 coordinates (pi_n(P) = P; pi_1(P) spans the box). reach bounds
-    |<a, x>| + |b| over rows (a, b), x in the box. The line frame U,
-    rows of Python ints, is unimodular on the prefixes Z^{n-1}: its rows are
-    the functionals LLL-reduced under the covariance of pi_{n-1}(P)'s
-    vertices, so pi_{n-1}(P) has a small box in z = U x' (see
-    normality._LineTable). Built at P's first scan or dilate; kP inherits
-    it, offsets and reach times k (pi(kP) = k pi(P)) and U as it is.
+    |<a, x>| + |b| over rows (a, b), x in the box. Built at P's first walk.
     """
     if P._frame is None:
         lo, hi = P.bounding_box()
@@ -303,12 +293,8 @@ def _scan_frame(P: Polytope):
         far = [max(abs(l), abs(h)) for l, h in zip(lo, hi)]
         reach = max(sum(abs(a) * x for a, x in zip(h.normal, far)) + abs(h.offset)
                     for group in facets for h in group)
-        prefixes = [v[:-1] for v in P.vertices]
-        sums = [sum(col) for col in zip(*prefixes)]
-        gram = [[len(prefixes) * sum(x[i] * x[j] for x in prefixes) - sums[i] * sums[j]
-                 for j in range(P.dim - 1)] for i in range(P.dim - 1)]
         P._frame = (tuple(np.array([h.normal + (h.offset,) for h in g], dtype=object)
-                          for g in facets), reach, lll_reduce(gram), lo, hi)
+                          for g in facets), reach, lo, hi)
     return P._frame
 
 
@@ -321,7 +307,7 @@ def _scan_dtype(P: Polytope, scale: int):
     counts run in int64. 16 times the facet values fit, and so do the
     level-m checker's interval ends, sums of two last-coordinate bounds.
     """
-    _, reach, _, lo, hi = _scan_frame(P)
+    _, reach, lo, hi = _scan_frame(P)
     box_points = math.prod(scale * (h - l) + 1 for l, h in zip(lo, hi))
     return _narrowest(max(4 * (scale * reach + 1), box_points))
 
@@ -454,6 +440,4 @@ def scaled_points_array(P: Polytope, scale: int = 1, interior: bool = False):
                 f"{listed}, past {_MAX_LIST_BYTES} bytes of coordinates"
             )
         slabs.append(_expand(prefixes, lo_last, counts))
-    if not slabs:
-        return np.empty((0, P.dim), dtype=np.int64)
     return np.concatenate(slabs, axis=0)

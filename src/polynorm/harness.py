@@ -227,7 +227,7 @@ def thread_count(requested: int | None = None) -> int:
 
 def _check_one(P: Polytope, extra_levels: int, n1_cap: int, cap: int | None):
     """The records the report holds on P. Not P itself: a worker would send
-    back its filled count memo and scan frames, which the report never reads.
+    back its filled count memo and scan frame, which the report never reads.
     """
     record = analyze(P, cap)
     sweep = verify_corollary(P, BoundReport(record.n, record.d), extra_levels, cap)

@@ -12,15 +12,15 @@ exploit that identity; semantics match the sumset definition exactly.
 
 The intervals of P and (m-1)P are read from line tables: dense arrays of
 each line's last-coordinate range, keyed by line coordinates in a
-unimodular, LLL-reduced frame of the prefixes, so a thin or sheared P gets
-a small table. mP is walked in the input frame, which keeps lex order and
-the witnesses. Level m thus checks S_{m-1}, where S_c is the multiplication
+unimodular, LLL-reduced frame of the prefixes, so a thin or sheared P gets a
+small table. mP is walked in the input frame, which keeps lex order and the
+witnesses. Level m thus checks S_{m-1}, where S_c is the multiplication
 statement (cP cap Z^n) + (P cap Z^n) = (c+1)P cap Z^n. One ladder
 (_first_gap) checks S_c for a run of c, one scan per scale: the walk of
-(c+1)P that checks S_c fills the table that S_{c+1} reads. is_normal
-climbs it from c = 1; the corollary sweep from max(n - d, 1) to n - 2, as
-S_c for c >= n - 1 is the lemma of Ewald-Wessels and Bruns-Gubeladze-Trung
-(see verify_corollary).
+(c+1)P that checks S_c fills the table that S_{c+1} reads, and the ladder
+alone builds the frame of its tables. is_normal climbs it from c = 1; the
+corollary sweep from max(n - d, 1) to n - 2, as S_c for c >= n - 1 is the
+lemma of Ewald-Wessels and Bruns-Gubeladze-Trung (see verify_corollary).
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ from .geometry import (
     _as_point,
     _narrowest,
     _np_slabs,
-    _scan_frame,
     vertices_id,
 )
+from .linalg import lll_reduce
 
 
 def default_cap(n: int) -> int:
@@ -96,15 +96,22 @@ def _probe_deltas(k: int) -> np.ndarray:
                          ring * size.max(axis=1, initial=0), ring))]
 
 
-def _line_coords(P: Polytope, s: int, X) -> np.ndarray:
+def _line_frame(P: Polytope) -> list[list[int]]:
+    """Rows of a unimodular U on Z^{n-1}, LLL-reduced under pi_{n-1}(P)'s covariance."""
+    X = np.array([v[:-1] for v in P.vertices], dtype=object)
+    S = X.sum(axis=0)
+    return lll_reduce((len(X) * (X.T @ X) - np.outer(S, S)).tolist())
+
+
+def _line_coords(P: Polytope, U, s: int, X) -> np.ndarray:
     """z = U (x' - s o) for the prefix rows X of s*P, as int64 rows.
 
-    U is the line frame of P's scan (geometry._scan_frame) and o the prefix
-    of P's first vertex. The products run in int64 when X fits it and n - 1
-    times |U| times s*P's box stays below 2^63, else in Python ints; z itself
-    lies in the box of a _LineTable, so it fits.
+    U is P's line frame (_line_frame) and o the prefix of P's first vertex.
+    The products run in int64 when X fits it and n - 1 times |U| times
+    s*P's box stays below 2^63, else in Python ints; z itself lies in the
+    box of a _LineTable, so it fits.
     """
-    _, _, U, lo, hi = _scan_frame(P)
+    lo, hi = P.bounding_box()
     k = P.dim - 1
     size = (k * s * max((h - l for l, h in zip(lo[:k], hi[:k])), default=0)
             * max((abs(u) for row in U for u in row), default=0))
@@ -117,15 +124,15 @@ def _line_coords(P: Polytope, s: int, X) -> np.ndarray:
 class _LineTable:
     """[lo, hi] of every line of s*P, dense over a padded box of line coordinates.
 
-    The line at prefix x' sits at z = _line_coords(P, s, x'). U is
-    unimodular, so z runs over Z^{n-1} as x' does, and its rows are short
-    under the covariance of pi_{n-1}(P)'s vertices, so the box of z over
-    s*P is small even where P is thin and sheared in the input frame. The
-    box is s times that of the z of P's vertices, so rows, (lo, hi) per
-    point of the box widened by pad = (below, above) on every axis in C
-    order, starts as (empty, -empty) and fill writes the lines of a scan
-    of s*P. A table built by scan also keeps lines: the z, lo and hi of the
-    lines of s*P in scan order; _line_gap reads P's.
+    The line at prefix x' sits at z = _line_coords(P, U, s, x'). The table's
+    U, _line_frame(P), is unimodular, so z runs over Z^{n-1} as x' does, and
+    its rows are short under the covariance of pi_{n-1}(P)'s vertices, so
+    the box of z over s*P is small even where P is thin and sheared in the
+    input frame. The box is s times that of the z of P's vertices, so rows,
+    (lo, hi) per point of the box widened by a pad (below, above) on every
+    axis in C order, starts as (empty, -empty) and fill writes the lines of
+    a scan of s*P. A table built by scan also keeps lines: the z, lo and hi
+    of the lines of s*P in scan order; _line_gap reads P's.
 
     Every z of mP lies in m times P's box [K0, K1] of z (P's vertices have
     integer z), so per axis z // m lies in [K0, K1] and z - z // m in
@@ -145,10 +152,11 @@ class _LineTable:
     as on thin simplices.
     """
 
-    def __init__(self, P: Polytope, s: int, pad: tuple[int, int], dtype, empty: int):
-        corners = _line_coords(P, 1, np.array([v[:-1] for v in P.vertices], dtype=object))
-        self.corner = s * corners.min(axis=0) - pad[0]
-        self.shape = s * corners.max(axis=0) + pad[1] - self.corner + 1
+    def __init__(self, P: Polytope, U, s: int, dtype, empty: int):
+        self.U = U
+        corners = _line_coords(P, U, 1, np.array([v[:-1] for v in P.vertices], dtype=object))
+        self.corner = s * corners.min(axis=0) - 2
+        self.shape = s * corners.max(axis=0) + (2 if s == 1 else 1) - self.corner + 1
         self.strides = np.array([self.shape[i + 1:].prod() for i in range(P.dim - 1)],
                                 dtype=np.int64)
         self.rows = np.empty((int(np.prod(self.shape)), 2), dtype=dtype)
@@ -158,7 +166,7 @@ class _LineTable:
         """Fill the lines of a scan of s*P and keep their z, lo and hi; self."""
         lines = []
         for _, X, lo, counts, _ in _np_slabs(P, (s,)):
-            Z = _line_coords(P, s, X)
+            Z = _line_coords(P, self.U, s, X)
             lines.append((Z, *self.fill(Z, lo, lo + counts - 1)))
         self.lines = tuple(np.concatenate(a) for a in zip(*lines))
         return self
@@ -210,7 +218,7 @@ def _first_missing(P: Polytope, m: int, table_p: _LineTable, table_m: _LineTable
                      (-(deltas @ table_m.strides)).tolist()))
     for _, X, L, counts, _ in _np_slabs(P, (m,)):
         H = L + counts - 1
-        Z = _line_coords(P, m, X)
+        Z = _line_coords(P, table_p.U, m, X)
         if table_next is not None:
             table_next.fill(Z, L, H)
         Q = Z // m
@@ -274,14 +282,14 @@ def _first_gap(P: Polytope, c_lo: int, c_hi: int) -> tuple[int, LatticePoint] | 
     (c+1)P cap Z^n, fails, with the lex-first point of (c+1)P it misses; None
     when every S_c in the range holds. Scans P, and c_lo P when c_lo > 1.
     """
-    _, _, _, box_lo, box_hi = _scan_frame(P)
-    far = (c_hi + 1) * max(abs(box_lo[-1]), abs(box_hi[-1]))
+    far = (c_hi + 1) * max(abs(v[-1]) for v in P.vertices)
     dtype, empty = _narrowest(4 * (far + 1)), 2 * far + 1
-    table_p = _LineTable(P, 1, (2, 2), dtype, empty).scan(P, 1)
-    table_c = table_p if c_lo == 1 else _LineTable(P, c_lo, (2, 1), dtype, empty).scan(P, c_lo)
+    U = _line_frame(P)
+    table_p = _LineTable(P, U, 1, dtype, empty).scan(P, 1)
+    table_c = table_p if c_lo == 1 else _LineTable(P, U, c_lo, dtype, empty).scan(P, c_lo)
     deltas = _probe_deltas(P.dim - 1)
     for c in range(c_lo, c_hi + 1):
-        table_next = _LineTable(P, c + 1, (2, 1), dtype, empty) if c < c_hi else None
+        table_next = _LineTable(P, U, c + 1, dtype, empty) if c < c_hi else None
         point = _first_missing(P, c + 1, table_p, table_c, deltas, table_next)
         if point is not None:
             return c, point

@@ -1,6 +1,8 @@
 """Shared fixtures: a handful of small polytopes with known invariants,
-and `random_polytope`, the seeded generator the test modules import."""
+`random_polytope`, the seeded generator the test modules import, and
+`box_scan`, their reference enumeration."""
 
+import itertools
 import operator
 import os
 
@@ -27,6 +29,21 @@ def random_polytope(rng, n, spread=3):
             return build_polytope(pts)
         except (InvalidInputError, NotFullDimensionalError):
             continue
+
+
+def box_scan(P, k=1, strict=False):
+    """Reference enumeration of (interior) lattice points of k*P: walk the
+    integer box of k*P, lex ordered, and keep the points that satisfy
+    every facet inequality."""
+    lo, hi = P.bounding_box()
+    axes = [range(k * a, k * b + 1) for a, b in zip(lo, hi)]
+    out = []
+    for p in itertools.product(*axes):
+        vals = [sum(n * x for n, x in zip(H.normal, p)) - k * H.offset
+                for H in P.facets]
+        if all(v > 0 for v in vals) if strict else all(v >= 0 for v in vals):
+            out.append(p)
+    return out
 
 
 def pytest_configure(config):

@@ -1,6 +1,5 @@
 """Ehrhart interpolation, d(P), codegree, reciprocity."""
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -17,19 +16,7 @@ from polynorm import (
     reciprocity_check,
     scaled_count,
 )
-from conftest import random_polytope
-
-
-def box_count(P, k, strict=False):
-    lo, hi = P.bounding_box()
-    axes = [range(k * a, k * b + 1) for a, b in zip(lo, hi)]
-    total = 0
-    for p in itertools.product(*axes):
-        vals = [sum(n * x for n, x in zip(H.normal, p)) - k * H.offset
-                for H in P.facets]
-        if all(v > 0 for v in vals) if strict else all(v >= 0 for v in vals):
-            total += 1
-    return total
+from conftest import box_scan, random_polytope
 
 
 def test_ehrhart_unit_square(unit_square):
@@ -74,7 +61,7 @@ def test_interior_count_against_box_scan(unit_square, t2, big_triangle,
                                          interior_count):
     for P in (unit_square, t2, big_triangle):
         for k in (1, 2, 3):
-            assert interior_count(P, k) == box_count(P, k, strict=True)
+            assert interior_count(P, k) == len(box_scan(P, k, strict=True))
 
 
 def test_d_of_p_known_values(unit_square, t2, delta3, big_triangle):
@@ -146,7 +133,7 @@ def test_reciprocity_on_random_polytopes(n, seed):
     E = ehrhart_polynomial(P)
     sign = (-1) ** n
     for t in range(1, n + 2):
-        assert sign * E.evaluate(-t) == box_count(P, t, strict=True)
+        assert sign * E.evaluate(-t) == len(box_scan(P, t, strict=True))
 
 
 @settings(max_examples=20, deadline=None)
@@ -157,8 +144,8 @@ def test_d_of_p_definition(n, seed):
     P = random_polytope(rng, n)
     d = d_of_p(P)
     for k in range(1, d + 1):
-        assert box_count(P, k, strict=True) == 0
-    assert box_count(P, d + 1, strict=True) > 0
+        assert len(box_scan(P, k, strict=True)) == 0
+    assert len(box_scan(P, d + 1, strict=True)) > 0
 
 
 def test_interior_count_rejects_nonpositive(unit_square, interior_count):

@@ -1,11 +1,11 @@
 """Polytope construction and exact lattice-point enumeration.
 
-The enumeration oracles here are independent box scans: walk the integer
-bounding box and keep points satisfying every facet inequality, or walk
-every prefix of the box and keep the feasible range of its line.
+The enumeration oracles are independent box scans: conftest's box_scan
+walks the integer bounding box and keeps points satisfying every facet
+inequality, and box_slabs walks every prefix of the box and keeps the
+feasible range of its line.
 """
 
-import itertools
 import random
 import time
 
@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polynorm.geometry as geometry
+import polynorm.normality as normality
 from polynorm import (
     InvalidInputError,
     NotFullDimensionalError,
@@ -21,20 +22,7 @@ from polynorm import (
     build_polytope,
     scaled_count,
 )
-from conftest import random_polytope
-
-
-def box_scan(P, k=1, strict=False):
-    """Reference enumeration of (interior) lattice points of k*P."""
-    lo, hi = P.bounding_box()
-    axes = [range(k * a, k * b + 1) for a, b in zip(lo, hi)]
-    out = []
-    for p in itertools.product(*axes):
-        vals = [sum(n * x for n, x in zip(H.normal, p)) - k * H.offset
-                for H in P.facets]
-        if all(v > 0 for v in vals) if strict else all(v >= 0 for v in vals):
-            out.append(p)
-    return out
+from conftest import box_scan, random_polytope
 
 
 def _prefix_grid(lo, hi, start0, stop0):
@@ -282,6 +270,13 @@ def test_scaled_points_array_covers_dilate(t2):
     seen = [tuple(int(x) for x in row) for row in arr]
     assert len(arr) == scaled_count(t2, 2)
     assert sorted(seen) == t2.dilate(2).lattice_points()
+    # a unit triangle has no interior point: its listing is empty, in the
+    # scan's element type, int32 at the origin and object at (2^62, 2^62)
+    for t, dtype in ((0, np.int32), (2**62, object)):
+        P = build_polytope([(t, t), (t + 1, t), (t, t + 1)])
+        arr = geometry.scaled_points_array(P, 1, True)
+        assert arr.shape == (0, 2) and arr.dtype == dtype
+        assert geometry._scan_dtype(P, 1) is dtype
 
 
 def test_scaled_count_takes_integer_scales_only(unit_square):
@@ -304,6 +299,25 @@ def test_boolean_scale_refused(unit_square, call):
     # True is not the integer 1 here, as in n1_probe and corpus specs
     with pytest.raises(InvalidInputError, match="integer"):
         call(unit_square)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 10**6), st.integers(2, 7))
+def test_dilate_builds_the_scaled_frame(n, seed, k):
+    # kP comes without a scan frame and builds its own at its first walk:
+    # P's facet groups with offsets times k, and reach and box times k
+    # (pi(kP) = k pi(P)); normality's line frame of kP is P's, as kP's Gram
+    # is k^2 times P's
+    P = random_polytope(random.Random(seed), n)
+    kP = P.dilate(k)
+    assert kP._frame is None
+    groups, reach, lo, hi = geometry._scan_frame(P)
+    k_groups, k_reach, k_lo, k_hi = geometry._scan_frame(kP)
+    assert [M.tolist() for M in k_groups] == [
+        np.hstack((M[:, :-1], k * M[:, -1:])).tolist() for M in groups]
+    assert k_reach == k * reach
+    assert (k_lo, k_hi) == (tuple(k * x for x in lo), tuple(k * x for x in hi))
+    assert normality._line_frame(kP) == normality._line_frame(P)
 
 
 # spreads keep box_scan's walk small at scale 3 in every dimension

@@ -10,15 +10,22 @@ import pytest
 
 from polynorm import (
     REEVE_RANGE,
+    BoundReport,
     CorpusGenerationError,
     CorpusSpec,
     DEFAULT_CORPUS_SPEC,
     InvalidInputError,
     analyze,
+    build_polytope,
     generate_corpus,
+    h_table,
+    is_normal,
+    n1_probe,
+    normality_bound,
     reeve_simplex,
     run_verification,
     scaled_count,
+    verify_corollary,
 )
 import polynorm.counting as counting
 import polynorm.errors as errors
@@ -246,6 +253,51 @@ def test_check_one_counts_in_one_walk(monkeypatch, make):
     fresh = reeve_simplex(2)
     d = counting.d_of_p(fresh)
     assert walks[2:] == [(k,) for k in range(1, d + 2)]
+
+
+def spy_line_frames(monkeypatch):
+    """Record each LLL reduction, wherever a polynorm module looks up
+    lll_reduce, and each S_c ladder, a call of normality._first_gap."""
+    reductions, ladders = [], []
+    for module in (geometry, normality, counting, syzygy, harness):
+        if hasattr(module, "lll_reduce"):
+            real = module.lll_reduce
+            monkeypatch.setattr(module, "lll_reduce",
+                                lambda gram, real=real: reductions.append(gram) or real(gram))
+    climb = normality._first_gap
+    monkeypatch.setattr(normality, "_first_gap",
+                        lambda *args: ladders.append(args[1:]) or climb(*args))
+    return reductions, ladders
+
+
+def test_only_the_ladder_builds_a_line_frame(monkeypatch):
+    # the line frame is read by the line tables of the S_c ladder alone, so
+    # counting, listing and the fiber probe build none, and each ladder
+    # builds one for all its tables
+    reductions, ladders = spy_line_frames(monkeypatch)
+    corpus = generate_corpus(small_spec(dims=(2, 4), count_per_dim=1))
+    for P in (reeve_simplex(2), *corpus):  # dims 3, 2 and 4
+        fresh = lambda: build_polytope(P.vertices)
+        h_table(fresh(), -3, 3)
+        normality_bound(fresh())
+        geometry.scaled_points_array(fresh(), 2)
+        if P.dim <= 3:
+            n1_probe(fresh(), P.dim, 4)
+        assert reductions == [], P.vertices
+        is_normal(fresh())
+        assert len(reductions) == len(ladders) == 1, P.vertices
+        reductions.clear()
+        ladders.clear()
+    # 2 Delta_4 has d = 2, so its sweep climbs S_2 alone; the forged d of a
+    # Reeve simplex makes its sweep fail S_1 and check each dilate apart
+    double_simplex = build_polytope([(0,) * 4] + [tuple(2 * (i == j) for j in range(4))
+                                                  for i in range(4)])
+    bounds = normality_bound(double_simplex)
+    assert (bounds.n, bounds.d) == (4, 2)
+    assert verify_corollary(double_simplex, bounds, 2).passed
+    assert ladders == [(2, 2)] and len(reductions) == 1
+    assert not verify_corollary(reeve_simplex(2), BoundReport(3, 2), 2).passed
+    assert len(ladders) == len(reductions) == 5
 
 
 def test_corollary_bound_check_compares_the_regularity_path(monkeypatch, t2):

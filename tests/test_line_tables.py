@@ -2,11 +2,11 @@
 
 A line table holds the last-coordinate range of every line of sP, keyed by
 the line coordinates z = U (x' - s o) of P's LLL-reduced prefix frame (U
-from the scan frame, o the prefix of P's first vertex). The oracle maps each
-z back to its prefix x' = s o + U^-1 z and solves the facets of sP there
-with geometry._last_range, in exact Python ints. The tables checked are the
-ones the ladder of is_normal fills: P's from its own scan, and sP's during
-the scan at level s, for level s + 1 to read.
+from normality._line_frame, o the prefix of P's first vertex). The oracle
+maps each z back to its prefix x' = s o + U^-1 z and solves the facets of
+sP there with geometry._last_range, in exact Python ints. The tables
+checked are the ones the ladder of is_normal fills: P's from its own scan,
+and sP's during the scan at level s, for level s + 1 to read.
 """
 
 import itertools
@@ -45,7 +45,7 @@ def inverse(U):
 def oracle_ranges(P, s, Z):
     """(lo, hi) of the line of sP at each row of Z, by its facets; lo > hi off sP."""
     k = P.dim - 1
-    V = inverse(geometry._scan_frame(P)[2])
+    V = inverse(normality._line_frame(P))
     o = P.vertices[0][:-1]
     X = np.array([[s * o[i] + sum(V[i][j] * z[j] for j in range(k)) for i in range(k)]
                   for z in Z.tolist()], dtype=object).reshape(len(Z), k)
@@ -100,12 +100,13 @@ def ladder_tables(P, cap):
     return [call.args[1:5] for call in spy.call_args_list]
 
 
-def scanned_table(P, s, pad, dtype, empty, chunk_rows):
-    """The table of sP filled by a scan of sP alone, in chunks of chunk_rows prefixes."""
-    table = normality._LineTable(P, s, pad, dtype, empty)
+def scanned_table(P, U, s, dtype, empty, chunk_rows):
+    """The table of sP in P's line frame U, filled by a scan of sP alone, in
+    chunks of chunk_rows prefixes."""
+    table = normality._LineTable(P, U, s, dtype, empty)
     with mock.patch.object(geometry, "_CHUNK_ROWS", chunk_rows):
         for _, X, lo, counts, _ in geometry._np_slabs(P, (s,)):
-            table.fill(normality._line_coords(P, s, X), lo, lo + counts - 1)
+            table.fill(normality._line_coords(P, U, s, X), lo, lo + counts - 1)
     return table
 
 
@@ -152,12 +153,13 @@ def test_filled_tables_match_tables_scanned_alone(n, seed, cap):
     rng = random.Random(seed)
     P = random_polytope(rng, n, spread=2 if n == 4 else 3)
     for Q in (P, *twins(P, rng)):
-        _, _, _, lo, hi = geometry._scan_frame(Q)
+        _, _, lo, hi = geometry._scan_frame(Q)
         far = cap * max(abs(lo[-1]), abs(hi[-1]))
         dtype, empty = geometry._narrowest(4 * (far + 1)), 2 * far + 1
+        U = normality._line_frame(Q)
         for m, table_p, table_m, _ in ladder_tables(Q, cap):
             s = m - 1
-            alone = scanned_table(Q, s, (2, 2) if s == 1 else (2, 1), dtype, empty, 7)
+            alone = scanned_table(Q, U, s, dtype, empty, 7)
             assert (table_m is table_p) == (s == 1)
             assert table_m.rows.dtype == alone.rows.dtype == np.dtype(dtype)
             assert table_m.corner.tolist() == alone.corner.tolist()
@@ -186,7 +188,7 @@ def test_probes_stay_inside_their_tables(P):
     # level, and its pad (2, 2) is reached at -2 only by the reads at m = 2.
     reads = {}
     for m, table_p, table_m, deltas in ladder_tables(P, 4):
-        Z = np.concatenate([normality._line_coords(P, m, X)
+        Z = np.concatenate([normality._line_coords(P, table_p.U, m, X)
                             for _, X, _, _, _ in geometry._np_slabs(P, (m,))])
         Q = Z // m
         for table, probes in ((table_p, Q[:, None, :] + deltas),
