@@ -392,9 +392,9 @@ def _np_slabs(P: Polytope, scales: tuple[int, ...], interior: bool = False):
 
 
 def count_scales(P: Polytope, scales) -> None:
-    """Memoize on P the counts of k*P and relint(k*P) for the scales k,
-    ascending, not counted yet: one walk, exact sums (int64 or Python ints)."""
-    scales = tuple(k for k in scales if (k, False) not in P._count_cache)
+    """Memoize on P the counts of k*P and relint(k*P) for the scales k not
+    counted yet: one walk, exact sums (int64 or Python ints)."""
+    scales = sorted({k for k in scales if (k, False) not in P._count_cache})
     counts = dict.fromkeys([(k, s) for k in scales for s in (False, True)], 0)
     for K, _, _, closed, (_, inside) in _np_slabs(P, scales, True) if scales else ():
         ends = np.searchsorted(K, scales, side="right").tolist()

@@ -5,26 +5,33 @@ m lattice points of P, for every m >= 1. Checking levels in ascending order
 buys a large shortcut: write T_1 = P cap Z^n and T_m = {z in mP cap Z^n :
 z - a in T_{m-1} for some a in P cap Z^n}. By induction T_m is exactly the
 m-fold sumset of P cap Z^n, and whenever levels 2..m-1 all passed, T_{m-1}
-is all of (m-1)P cap Z^n, so the level-m test sums intervals: on lines
-(fixed prefixes of the first n-1 coordinates) the lattice points of P and
-of (m-1)P are integer intervals, and so are their sums. The checks below
-exploit that identity; semantics match the sumset definition exactly.
+is all of (m-1)P cap Z^n. Level m thus checks S_{m-1}, where S_c is the
+multiplication statement (cP cap Z^n) + (P cap Z^n) = (c+1)P cap Z^n. One
+ladder (_first_gap) checks S_c for a run of c; semantics match the sumset
+definition exactly. is_normal climbs it from c = 1; the corollary sweep
+from max(n - d, 1) to n - 2, as S_c for c >= n - 1 is the lemma of
+Ewald-Wessels and Bruns-Gubeladze-Trung (see verify_corollary).
 
-The intervals of P and (m-1)P are read from line tables: dense arrays of
-each line's last-coordinate range, keyed by line coordinates in a
-unimodular, LLL-reduced frame of the prefixes, so a thin or sheared P gets a
-small table. mP is walked in the input frame, which keeps lex order and the
-witnesses. Level m thus checks S_{m-1}, where S_c is the multiplication
-statement (cP cap Z^n) + (P cap Z^n) = (c+1)P cap Z^n. One ladder
-(_first_gap) checks S_c for a run of c, one scan per scale: the walk of
-(c+1)P that checks S_c fills the table that S_{c+1} reads, and the ladder
-alone builds the frame of its tables. is_normal climbs it from c = 1; the
-corollary sweep from max(n - d, 1) to n - 2, as S_c for c >= n - 1 is the
-lemma of Ewald-Wessels and Bruns-Gubeladze-Trung (see verify_corollary).
+The ladder runs one of two ways, picked by the sizes of P's dilates alone.
+A small ladder sums points (_sum_ladder): one walk lists P and each dilate
+it reads as int64 codes that add as the points do, and the pair sums of
+cP x P mark the codes of (c+1)P. A ladder whose codes would pass int64, or
+whose pair sums outnumber the gathers of the probe loop (_first_missing,
+4^(n-1) per line of (c+1)P), sums intervals (_line_ladder): on lines
+(fixed prefixes of the first n-1 coordinates) the lattice points of P and
+of cP are integer intervals, and so are their sums. The intervals
+of P and cP are read from line tables: dense arrays of each line's
+last-coordinate range, keyed by line coordinates in a unimodular,
+LLL-reduced frame of the prefixes, so a thin or sheared P gets a small
+table. (c+1)P is walked in the input frame, which keeps lex order and the
+witnesses, one scan per scale: the walk of (c+1)P that checks S_c fills the
+table that S_{c+1} reads, and the line ladder alone builds the frame of its
+tables.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +43,10 @@ from .geometry import (
     Polytope,
     _as_int,
     _as_point,
+    _expand,
     _narrowest,
     _np_slabs,
+    scaled_count,
     vertices_id,
 )
 from .linalg import lll_reduce
@@ -82,6 +91,9 @@ class NormalityReport:
 
 
 # -- level checks -------------------------------------------------------------
+
+_PAIR_CHUNK = 1 << 20  # pair sums _sum_ladder holds at once, but at least one row of cP
+
 
 def _probe_deltas(k: int) -> np.ndarray:
     """Candidate offsets in Z^k around z // m, nearest first: a (4^k, k) array.
@@ -141,7 +153,7 @@ class _LineTable:
     padded by (2, 1); at m = 2 P's table serves both, so it is padded by
     (2, 2). A smaller pad would read another line's row.
 
-    Row values are last coordinates of sP, s < top = c_hi + 1 (_first_gap),
+    Row values are last coordinates of sP, s < top = c_hi + 1 (_line_ladder),
     at most far = top times P's largest in absolute value: from the top,
     not from m, as a table filled at level m is read at level m + 1. A
     missing line reads (2 far + 1, -2 far - 1): added to any row, it gives
@@ -277,10 +289,11 @@ def _cap(P: Polytope, cap) -> int:
     return _as_int(default_cap(P.dim) if cap is None else cap, "normality cap", 2)
 
 
-def _first_gap(P: Polytope, c_lo: int, c_hi: int) -> tuple[int, LatticePoint] | None:
-    """The first c in [c_lo, c_hi] where S_c, (cP cap Z^n) + (P cap Z^n) =
-    (c+1)P cap Z^n, fails, with the lex-first point of (c+1)P it misses; None
-    when every S_c in the range holds. Scans P, and c_lo P when c_lo > 1.
+def _line_ladder(P: Polytope, c_lo: int, c_hi: int) -> tuple[int, LatticePoint] | None:
+    """_first_gap on line tables: one scan per scale, in P's line frame.
+
+    Scans P, and c_lo P when c_lo > 1, into tables; the scan of (c+1)P
+    that checks S_c (_first_missing) fills the table S_{c+1} reads.
     """
     far = (c_hi + 1) * max(abs(v[-1]) for v in P.vertices)
     dtype, empty = _narrowest(4 * (far + 1)), 2 * far + 1
@@ -295,6 +308,74 @@ def _first_gap(P: Polytope, c_lo: int, c_hi: int) -> tuple[int, LatticePoint] | 
             return c, point
         table_c = table_next
     return None
+
+
+def _code_radix(P: Polytope, top: int) -> list[int]:
+    """Per axis, top times P's box width plus one: the digits of a point of
+    kP, k <= top, less k times P's low corner, lie below it."""
+    lo, hi = P.bounding_box()
+    return [top * (h - l) + 1 for l, h in zip(lo, hi)]
+
+
+def _sum_ladder(P: Polytope, c_lo: int, c_hi: int) -> tuple[int, LatticePoint] | None:
+    """_first_gap on lattice points, for a radix product of (c_hi + 1)P's box
+    below 2^62.
+
+    One walk lists P and kP, c_lo <= k <= c_hi + 1. A point u of kP gets
+    the int64 code of its digits u - k lo (lo P's low corner) in the mixed
+    radix _code_radix, so codes keep lex order, and the code of a point of
+    cP plus that of a point of P is the code of their sum. S_c marks the
+    sums of cP x P among the sorted codes of (c+1)P; the first unmarked
+    code is the witness, decoded back to Python ints.
+    """
+    top = c_hi + 1
+    lo = P.bounding_box()[0]
+    radix = _code_radix(P, top)
+    weights = np.array([math.prod(radix[j + 1:]) for j in range(P.dim)], dtype=np.int64)
+    # an object corner: a list mixing ints past 2^63 and below 0 would be float64
+    corner = np.array(lo, dtype=object)
+    scales, codes = sorted({1, *range(c_lo, top + 1)}), []
+    for K, X, L, counts, _ in _np_slabs(P, scales):
+        counts = counts.astype(np.int64)
+        points, K = _expand(X, L, counts), np.repeat(K, counts)
+        digits = points - K[:, None] * corner.astype(points.dtype)
+        codes.append((K.astype(np.int64), digits.astype(np.int64) @ weights))
+    K, code = (np.concatenate(a) for a in zip(*codes))
+    code_p, code_c = code[K == 1], code[K == c_lo]
+    step = max(1, _PAIR_CHUNK // len(code_p))
+    for c in range(c_lo, top):
+        code_next = code[K == c + 1]
+        hit = np.zeros(len(code_next), dtype=bool)
+        for i in range(0, len(code_c), step):
+            # every sum lies in (c+1)P, so searchsorted lands on its code
+            hit[np.searchsorted(code_next, (code_c[i:i + step, None] + code_p).ravel())] = True
+        if not hit.all():
+            gap = int(code_next[hit.argmin()])
+            digits = (gap // w % r for w, r in zip(weights.tolist(), radix))
+            return c, tuple(d + (c + 1) * l for d, l in zip(digits, lo))
+        code_c = code_next
+    return None
+
+
+def _first_gap(P: Polytope, c_lo: int, c_hi: int) -> tuple[int, LatticePoint] | None:
+    """The first c in [c_lo, c_hi] where S_c, (cP cap Z^n) + (P cap Z^n) =
+    (c+1)P cap Z^n, fails, with the lex-first point of (c+1)P it misses; None
+    when every S_c in the range holds.
+
+    Small ladders sum points (_sum_ladder): those whose codes fit int64 and
+    whose pair sums, |P| |cP| for each c, are no more than the
+    4^(n-1) |(c+1)P| gathers of the probe loop (at most one line per point
+    of (c+1)P). The counts are read through P's memo, which analyze fills
+    first; alone, the rule walks each scale it reads, up to the first c it
+    rejects. Every other ladder, tall or fat, runs the line tables
+    (_line_ladder).
+    """
+    top = c_hi + 1
+    if math.prod(_code_radix(P, top)) < 2**62 and all(
+            scaled_count(P, 1) * scaled_count(P, c) <= 4 ** (P.dim - 1) * scaled_count(P, c + 1)
+            for c in range(c_lo, top)):
+        return _sum_ladder(P, c_lo, c_hi)
+    return _line_ladder(P, c_lo, c_hi)
 
 
 def is_normal(P: Polytope, cap: int | None = None) -> NormalityReport:

@@ -417,6 +417,8 @@ def test_one_walk_solves_strict_only_on_the_lines_it_keeps():
 
 
 def test_one_walk_counts_a_long_segment():
-    # 2^55 + 1 is no float64: a float sum per scale would lose the 1
-    segment = build_polytope([(0,), (2**55,)])
-    assert_counts(segment, (1, 2, 3), {k: (k * 2**55 + 1, k * 2**55 - 1) for k in (1, 2, 3)})
+    # 2^55 + 1 is no float64: a float sum per scale would lose the 1. The
+    # walk takes the scales sorted and once each, as given in any order
+    for scales in ((1, 2, 3), (1, 1), (2, 1), (3, 1, 2)):
+        segment = build_polytope([(0,), (2**55,)])
+        assert_counts(segment, scales, {k: (k * 2**55 + 1, k * 2**55 - 1) for k in scales})

@@ -1,6 +1,7 @@
 """Corpus generation, single-polytope analysis, batch verification."""
 
 import concurrent.futures
+import itertools
 import json
 import multiprocessing
 import pickle
@@ -33,6 +34,7 @@ import polynorm.geometry as geometry
 import polynorm.harness as harness
 import polynorm.normality as normality
 import polynorm.syzygy as syzygy
+from test_cli import TALL_SIMPLEX
 
 
 def small_spec(**overrides):
@@ -257,8 +259,9 @@ def test_check_one_counts_in_one_walk(monkeypatch, make):
 
 def spy_line_frames(monkeypatch):
     """Record each LLL reduction, wherever a polynorm module looks up
-    lll_reduce, and each S_c ladder, a call of normality._first_gap."""
-    reductions, ladders = [], []
+    lll_reduce, each S_c ladder, a call of normality._first_gap, and the
+    scale of each line table built."""
+    reductions, ladders, tables = [], [], []
     for module in (geometry, normality, counting, syzygy, harness):
         if hasattr(module, "lll_reduce"):
             real = module.lll_reduce
@@ -267,14 +270,18 @@ def spy_line_frames(monkeypatch):
     climb = normality._first_gap
     monkeypatch.setattr(normality, "_first_gap",
                         lambda *args: ladders.append(args[1:]) or climb(*args))
-    return reductions, ladders
+    build = normality._LineTable.__init__
+    monkeypatch.setattr(normality._LineTable, "__init__",
+                        lambda self, *args: tables.append(args[2]) or build(self, *args))
+    return reductions, ladders, tables
 
 
 def test_only_the_ladder_builds_a_line_frame(monkeypatch):
     # the line frame is read by the line tables of the S_c ladder alone, so
-    # counting, listing and the fiber probe build none, and each ladder
-    # builds one for all its tables
-    reductions, ladders = spy_line_frames(monkeypatch)
+    # counting, listing and the fiber probe build none; a ladder small
+    # enough to sum lattice points builds none either, and one on line
+    # tables builds one for all its tables
+    reductions, ladders, tables = spy_line_frames(monkeypatch)
     corpus = generate_corpus(small_spec(dims=(2, 4), count_per_dim=1))
     for P in (reeve_simplex(2), *corpus):  # dims 3, 2 and 4
         fresh = lambda: build_polytope(P.vertices)
@@ -284,20 +291,34 @@ def test_only_the_ladder_builds_a_line_frame(monkeypatch):
         if P.dim <= 3:
             n1_probe(fresh(), P.dim, 4)
         assert reductions == [], P.vertices
-        is_normal(fresh())
+    # every ladder of the default corpus's dims 3 and 4 sums points
+    default = [P for P in generate_corpus(DEFAULT_CORPUS_SPEC) if P.dim >= 3]
+    for P in default:
+        is_normal(P)
+    assert len(ladders) == len(default) and reductions == tables == []
+    ladders.clear()
+    # fat: more pair sums than probe gathers; tall: codes past int64; the
+    # thin triangle conv{0, 2 e1, N e2}, N = 10^4: about N^2 pair sums
+    cube = build_polytope(list(itertools.product((0, 4), repeat=3)))
+    thin = build_polytope([(0, 0), (2, 0), (0, 10**4)])
+    for P in (cube, build_polytope(TALL_SIMPLEX), thin):
+        is_normal(P)
         assert len(reductions) == len(ladders) == 1, P.vertices
+        assert tables == [1], P.vertices  # P's table: at the cap 2 S_1 fills none
         reductions.clear()
         ladders.clear()
+        tables.clear()
     # 2 Delta_4 has d = 2, so its sweep climbs S_2 alone; the forged d of a
-    # Reeve simplex makes its sweep fail S_1 and check each dilate apart
+    # Reeve simplex makes its sweep fail S_1 and check each dilate apart.
+    # Each of these ladders sums points
     double_simplex = build_polytope([(0,) * 4] + [tuple(2 * (i == j) for j in range(4))
                                                   for i in range(4)])
     bounds = normality_bound(double_simplex)
     assert (bounds.n, bounds.d) == (4, 2)
     assert verify_corollary(double_simplex, bounds, 2).passed
-    assert ladders == [(2, 2)] and len(reductions) == 1
+    assert ladders == [(2, 2)] and reductions == tables == []
     assert not verify_corollary(reeve_simplex(2), BoundReport(3, 2), 2).passed
-    assert len(ladders) == len(reductions) == 5
+    assert len(ladders) == 5 and reductions == tables == []
 
 
 def test_corollary_bound_check_compares_the_regularity_path(monkeypatch, t2):

@@ -103,7 +103,10 @@ def test_large_corollary_sweep_matches_small_twin(twins):
     # the long triangle's 2^71-point axis stays the line axis: a wrapped
     # estimate would make it a prefix axis, whose scan does not end
     assert short_prefixes(fewest_lines_frame(big), 2)
-    with mock.patch.object(normality, "_np_slabs", wraps=normality._np_slabs) as scans:
+    # the sweep runs the line ladder, which scans one scale per walk; the
+    # point sums, which walk several at once, are checked in test_normality
+    with mock.patch.object(normality, "_np_slabs", wraps=normality._np_slabs) as scans, \
+            mock.patch.object(normality, "_first_gap", normality._line_ladder):
         rec_big = oracle_verify_corollary(big, normality_bound(big), 2)
     rec_small = oracle_verify_corollary(small, normality_bound(small), 2)
     assert rec_big.passed and rec_small.passed

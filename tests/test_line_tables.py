@@ -5,8 +5,10 @@ the line coordinates z = U (x' - s o) of P's LLL-reduced prefix frame (U
 from normality._line_frame, o the prefix of P's first vertex). The oracle
 maps each z back to its prefix x' = s o + U^-1 z and solves the facets of
 sP there with geometry._last_range, in exact Python ints. The tables
-checked are the ones the ladder of is_normal fills: P's from its own scan,
-and sP's during the scan at level s, for level s + 1 to read.
+checked are the ones the line ladder of is_normal (normality._line_ladder)
+fills: P's from its own scan, and sP's during the scan at level s, for level
+s + 1 to read. The ladders here are called directly, as is_normal sends the
+small ones among them to point sums.
 """
 
 import itertools
@@ -21,7 +23,6 @@ import polynorm.geometry as geometry
 import polynorm.normality as normality
 from polynorm import (
     build_polytope,
-    is_normal,
     reeve_simplex,
     scaled_count,
 )
@@ -84,7 +85,8 @@ def assert_table_matches(P, s, table):
 
 
 def ladder_tables(P, cap):
-    """(m, table_p, table_m, deltas) for each level m = 2..cap of is_normal(P, cap).
+    """(m, table_p, table_m, deltas) for each level m = 2..cap of the line
+    ladder of is_normal(P, cap), normality._line_ladder(P, 1, cap - 1).
 
     These are the arguments the checker passes to _first_missing: P's
     table, the table of (m-1)P filled during the scan at level m - 1, and
@@ -95,8 +97,8 @@ def ladder_tables(P, cap):
     with mock.patch.object(normality, "_line_gap", return_value=None), \
             mock.patch.object(normality, "_first_missing",
                               wraps=normality._first_missing) as spy:
-        rep = is_normal(P, cap)
-    assert rep.levels_checked == tuple(range(2, cap + 1))
+        gap = normality._line_ladder(P, 1, cap - 1)
+    assert gap is None and [call.args[1] for call in spy.call_args_list] == list(range(2, cap + 1))
     return [call.args[1:5] for call in spy.call_args_list]
 
 
@@ -220,8 +222,8 @@ def test_thin_simplex_tables_stay_small(apex):
     P = build_polytope([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), apex])
     with mock.patch.object(normality, "_first_missing",
                            wraps=normality._first_missing) as spy:
-        rep = is_normal(P, 3)
-    assert (rep.verdict, rep.levels_checked) == ("normal-up-to-cap", (2, 3))
+        gap = normality._line_ladder(P, 1, 2)
+    assert gap is None  # normal up to the cap 3
     shadow = build_polytope([v[:-1] for v in P.vertices])
     for call in spy.call_args_list:
         _, m, table_p, table_m = call.args[:4]

@@ -20,6 +20,7 @@ from polynorm import (
     verify_corollary,
     verify_witness,
 )
+import polynorm.geometry as geometry
 import polynorm.normality as normality
 from polynorm.geometry import _as_points, scaled_points_array
 from conftest import random_polytope
@@ -355,6 +356,36 @@ def test_multiplication_onto_matches_sumset(n, seed, q):
     for c_lo in gaps:
         first = next((gaps[c] for c in range(c_lo, P.dim + 1) if gaps[c]), None)
         assert normality._first_gap(P, c_lo, P.dim) == first, (P.vertices, c_lo)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 10**6), st.integers(1, 2), st.integers(0, 2))
+def test_point_sums_match_line_tables_and_sumset(n, seed, c_lo, more):
+    # both ladders of _first_gap, whichever its rule picks, find the gap of
+    # the sumset definition; so they do on P translated by 2^62, whose
+    # coordinates run in Python ints while the codes of its points, digits
+    # above the box's corner, stay int64
+    c_hi = min(c_lo + more, 3)
+    P = random_polytope(random.Random(seed), n, spread=2 if n < 4 else 1)
+    pts = P.lattice_points()
+    expected = None
+    for c in range(c_lo, c_hi + 1):
+        missing = set(P.dilate(c + 1).lattice_points()) - sum_of(P.dilate(c).lattice_points(), pts)
+        if missing:
+            expected = c, min(missing)
+            break
+    if c_lo == 1:
+        verdict = _sumset_verdict(P, c_hi + 1)
+        assert expected == (verdict and (verdict[0] - 1, verdict[1]))
+    t = 2**62
+    far = build_polytope([tuple(x + t for x in v) for v in P.vertices])
+    assert geometry._scan_dtype(far, 1) is object
+    for Q, shift in ((P, 0), (far, t)):
+        # the witness lies in (c+1)P, so it moves by c + 1 times the shift
+        gap = expected and (expected[0], tuple(x + (expected[0] + 1) * shift
+                                               for x in expected[1]))
+        assert normality._sum_ladder(Q, c_lo, c_hi) == gap, (Q.vertices, c_lo, c_hi)
+        assert normality._line_ladder(Q, c_lo, c_hi) == gap, (Q.vertices, c_lo, c_hi)
 
 
 def reference_probe_deltas(k):
