@@ -24,7 +24,8 @@ from .counting import (
     np_bound_from_regularity,
     reciprocity_check,
 )
-from .errors import CorpusGenerationError, InvalidInputError, NotFullDimensionalError
+from .errors import (CorpusGenerationError, InternalInvariantError, InvalidInputError,
+                     NotFullDimensionalError)
 from .geometry import LatticePoint, Polytope, _as_int, build_polytope, count_scales
 from .normality import NormalityReport, is_normal, verify_corollary, verify_witness
 from .syzygy import n1_probe
@@ -234,6 +235,14 @@ def _check_one(P: Polytope, extra_levels: int, n1_cap: int, cap: int | None):
     ehrhart_ok = (reciprocity_check(P, record.ehrhart)
                   and extrapolation_check(P, record.ehrhart))
     probe = n1_probe(P, P.dim, n1_cap) if P.dim <= 3 else None
+    # ell = n >= n - 1 makes nP normal (the lemma verify_corollary rests on),
+    # so every lattice point of its degree-k dilate is a fiber
+    for s in probe.per_degree if probe else ():
+        points = record.ehrhart.evaluate(P.dim * s.degree)
+        if s.fibers != points:
+            raise InternalInvariantError(
+                f"{P.polytope_id}: {s.fibers} fibers of degree {s.degree} at ell = "
+                f"{P.dim}, but L_P({P.dim * s.degree}) = {points}")
     return record, sweep, ehrhart_ok, probe
 
 

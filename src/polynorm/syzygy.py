@@ -34,35 +34,52 @@ point-linking (the sinks chain through shared points), needs no lookup and
 on the corpora settles most sums of degree 4. Degree 3 skips it, as it
 could settle none: two sinks {p}+A and {p}+B of one sum share no point,
 since A and B are irreducible pairs with the same sum and so are equal.
-Degree 3 needs no lookup either: G_b joins p and q iff b - p - q is a
-point r, that is iff q lies in a pair {q, r} of the pair fiber of b - p.
-So the neighbours of p are the points of one pair fiber, and the one sort
-of all pair sums that finds the irreducible pairs also gives, per pair
-sum, a bit mask of the points of its pairs.
 
-Sums are int64 codes in one mixed radix, so one stable sort lists the
-fibers in lex order, each with its sinks in lex order. The lattice points
-of ell*P span the box [lo, hi] of its vertices, so the radix comes from
-P's box before any point is listed: digit j of a point is u_j - lo_j, in
+The next layer rests on one hop. If b - p - q is a (d-2)-point sum R for
+a point p of one sink and q of another, the fiber holds the element
+{p, q} + R, so G_b joins p and q; the points of each sink form a clique
+of G_b, so the two sinks lie in one component. A group all of whose sinks
+reach its first sink in one hop is connected, after d * d lookups a sink.
+On the benchmark's probe3 corpus this settles 91 % of the colliding sums
+of degree 3 and every sum of degree 4 that point-linking leaves open. The
+groups left go on to breadth-first layers on G_b. At d = 3, G_b joins p
+and q iff q lies in a pair {q, r} of the pair fiber of b - p, so the
+neighbours of p are the points of one pair fiber: a mask row of the
+points q for which b - p - q is a point.
+
+Sums are int64 codes in one mixed radix. The lattice points of ell*P
+span the box [lo, hi] of its vertices, so the radix comes from P's box
+before any point is listed: digit j of a point is u_j - lo_j, in
 [0, span_j], and radix cap*span_j + 1 keeps the code of every sum of at
-most cap points injective, its first axis the most significant digit. A
-configuration whose radix product reaches 2^62, where int64 sums could
-overflow, is refused up front. An edge of G_b is looked up by
-code(b) - code(p) - code(q) among the codes of (d-2)-point sums, with no
-digit check: on each axis the digit of b - p - q lies in [-2*span, d*span]
-and that of a (d-2)-sum in [0, (d-2)*span], so the two differ by at most
-d*span < radix, and equal codes mean equal vectors; the same bound holds
-for code(b) - code(p) among the pair sums at d = 3. The cliques grow
-breadth-wise, one degree at a time: the set bits of the packed candidate
-rows, nonzero bytes first and then their bits, extend all degree-(d-1)
-cliques at once. A disconnected fiber's sum, the witness, is the sum of
-the points of its first sink.
+most cap points injective, its first axis the most significant digit, so
+code order is lex order. A configuration whose radix product reaches
+2^62, where int64 sums could overflow, is refused up front. An edge of
+G_b is looked up by code(b) - code(p) - code(q) among the codes of
+(d-2)-point sums, with no digit check: on each axis the digit of
+b - p - q lies in [-2*span, d*span] and that of a (d-2)-sum in
+[0, (d-2)*span], so the two differ by at most d*span < radix, and equal
+codes mean equal vectors.
+
+Each set of codes (the pair sums, the sums of each degree) lives in one of
+two tables, and the radix product M alone chooses (`_code_set`). Up to
+_DENSE_CODES the tables are dense over [0, M): a count per code lists the
+fibers, and only the rows of colliding sums are sorted; the irreducible
+pair of each pair sum is a minimum per code over the pair indices; a
+lookup is one gather from a flag per code, clipped onto an empty slot
+when it falls outside the box. Above it (a long edge spreads few points
+over a large box), the codes are sorted arrays: one stable sort lists the
+fibers, and a lookup is a binary search. The cliques grow breadth-wise,
+one degree at a time: the set bits of the packed candidate rows, nonzero
+bytes first and then their bits, extend all degree-(d-1) cliques at once.
+A disconnected fiber's sum, the witness, is the sum of the points of its
+first sink.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,13 +91,22 @@ _DISCONNECTED = "disconnected"
 
 # bytes of one chunk of array work: the packed candidate rows scanned for
 # nonzero bytes at once, the keys of a batch of colliding sums' points (8
-# bytes each), the boolean blocks the pair masks are packed from and the
-# edge lookups tried at once (about 64 bytes each); the mask rows gathered
-# at once take an eighth of it (larger gathers ran no faster, and left the
-# process holding more memory after the probe)
+# bytes each), and the edge and mask lookups made at once (about 64 bytes
+# each); the mask rows gathered at once take an eighth of it (larger
+# gathers ran no faster, and left the process holding more memory after
+# the probe)
 _CHUNK_BYTES = 1 << 22
-# point pairs N(N+1)/2 of the largest configuration probed (N = 2895): its
-# pair sums, their sort order and the pair indices take about 32 bytes a pair
+# the largest radix product M whose code sets are dense tables over [0, M)
+# (`_DenseCodes`): a table costs a pass over M whatever the number of codes,
+# and 9 bytes a code (a count and a flag); at cap 4 the probe holds three.
+# At 2^20 a pass takes about a millisecond and three tables about 27 MB,
+# below the pair arrays of the largest configuration probed; past it, a box
+# that a long edge spreads over few points would pay more for its tables
+# than for sorting its codes
+_DENSE_CODES = 1 << 20
+# point pairs N(N+1)/2 of the largest configuration probed (N = 2895): the
+# sums of its N^2 ordered pairs with their indices take about 24 bytes a
+# pair on dense tables, and with their sort order about 48 on sorted arrays
 _MAX_PAIRS = 1 << 22
 
 
@@ -103,51 +129,104 @@ def build_configuration(P: Polytope, ell: int) -> PointConfiguration:
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
-    """Indices where a run of equal values begins in a nonempty sorted array."""
-    return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    """Indices where a run of equal values begins in a sorted array."""
+    head = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=head[1:])
+    return np.flatnonzero(head)
 
 
-def _pair_fibers(codes: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray],
-                                              tuple[np.ndarray, np.ndarray]]:
-    """The pair fibers of the point codes, from one stable sort of every
-    pair sum: (i, j), the irreducible pair (i <= j) of every pair sum, and
-    (sums, masks), the sorted distinct pair sums and per sum a mask row of
-    ceil(N/64) 64-bit words whose bytes, in np.packbits order, mark the
-    points of its pairs (both sides). Word rows let the search OR masks 8
-    bytes at a time.
+class _DenseCodes:
+    """Sum codes in a box of at most _DENSE_CODES codes, looked up in
+    tables over the box, each built on first use (the pair sums read
+    neither). Code c sits at c + 1 of the count and flag tables, with an
+    empty slot at either end, so a query clipped into the table lands on
+    an empty slot when it lies outside the box."""
 
-    The irreducible pair is the first pair with its sum in index-lex order,
-    which matches pair-lex order on the (lex sorted) points. Pair indices
-    stay int32; the mask rows are packed from boolean blocks of at most
-    _CHUNK_BYTES.
-    """
+    def __init__(self, codes: np.ndarray, box: int):
+        self.codes, self.box = codes, box
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        return np.bincount(self.codes + 1, minlength=self.box + 2)
+
+    @cached_property
+    def flags(self) -> np.ndarray:
+        # a byte a code: lookups gather several times faster than from the counts
+        return self.counts > 0
+
+    def first(self) -> np.ndarray:
+        """The first row of every distinct code, by a minimum per code."""
+        first = np.full(self.box, len(self.codes), dtype=np.int32)
+        np.minimum.at(first, self.codes, np.arange(len(self.codes), dtype=np.int32))
+        return first[first < len(self.codes)]
+
+    def repeated(self) -> np.ndarray:
+        """The rows of the codes that repeat, in stable code order. Only
+        they are sorted, as keys code * 2^k + row: all distinct, so any
+        sort keeps rows of one code in order, and np.sort orders them
+        faster than a stable argsort of the codes."""
+        rows = np.flatnonzero(self.counts[1:][self.codes] > 1)
+        k = len(self.codes).bit_length()
+        return np.sort(self.codes[rows] << k | rows) & ((1 << k) - 1)
+
+    def holds(self, q: np.ndarray) -> np.ndarray:
+        """Per int64 query code: is it one of the codes?"""
+        return np.take(self.flags, q + 1, mode="clip")
+
+
+class _SortedCodes:
+    """Sum codes in a box past _DENSE_CODES: one stable sort of every row,
+    and a binary search among the sorted distinct codes."""
+
+    def __init__(self, codes: np.ndarray, box: int):
+        self.order = np.argsort(codes, kind="stable")
+        ordered = codes[self.order]
+        self.starts = _run_starts(ordered)
+        self.values = ordered[self.starts]
+
+    def first(self) -> np.ndarray:
+        return self.order[self.starts]
+
+    def repeated(self) -> np.ndarray:
+        sizes = np.diff(np.append(self.starts, len(self.order)))
+        return self.order[np.repeat(sizes > 1, sizes)]
+
+    def holds(self, q: np.ndarray) -> np.ndarray:
+        at = np.minimum(np.searchsorted(self.values, q), len(self.values) - 1)
+        return self.values[at] == q
+
+
+def _code_set(codes: np.ndarray, box: int):
+    """The codes, each in [0, box), grouped by value: `_DenseCodes` when the
+    box holds at most _DENSE_CODES codes, else `_SortedCodes`. The box alone
+    makes the choice; both answer first(), repeated() and holds() alike."""
+    return (_DenseCodes if box <= _DENSE_CODES else _SortedCodes)(codes, box)
+
+
+def _pair_fibers(codes: np.ndarray, box: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j), the irreducible pair (i <= j) of every pair sum of the point
+    codes: the first pair with its sum in index-lex order, which matches
+    pair-lex order on the (lex sorted) points. It is read off all N^2
+    ordered pairs in row-major order: a pair (i, j) with i > j comes after
+    (j, i), which has the same sum, so the first pair with a sum has i <= j.
+    Pair indices are int32."""
+    first = _code_set((codes[:, None] + codes).reshape(-1), box).first()
+    return np.divmod(first.astype(np.int32), len(codes))
+
+
+def _pair_masks(sums: np.ndarray, codes: np.ndarray, points) -> np.ndarray:
+    """Mask rows of ceil(N/64) 64-bit words, one per pair sum: row r marks,
+    in np.packbits order, the points p for which sums[r] - p is a point
+    (`points` holds the point codes), that is the points of the pairs of
+    its pair fiber, both sides. Word rows let the search OR masks 8 bytes
+    at a time; the rows are looked up _CHUNK_BYTES // 64 points at a time."""
     n = len(codes)
-    # every pair i <= j in index-lex order
-    i = np.repeat(np.arange(n, dtype=np.int32), np.arange(n, 0, -1))
-    j = np.arange(len(i), dtype=np.int32) + i - i * (2 * n + 1 - i) // 2
-    sums = codes[i] + codes[j]
-    order = np.argsort(sums, kind="stable")
-    sums = sums[order]
-    i, j = i[order], j[order]
-    del order
-    starts = _run_starts(sums)
-    # row[t]: the index of pair t's sum among the distinct sums
-    row = np.zeros(len(sums), dtype=np.int32)
-    row[starts[1:]] = 1
-    np.cumsum(row, out=row)
-    masks = np.empty((len(starts), -(-n // 64)), dtype=np.uint64)
-    width = 64 * masks.shape[1]
-    step = max(1, _CHUNK_BYTES // width)
-    ends = np.append(starts, len(sums))
-    for r0 in range(0, len(starts), step):
-        r1 = min(r0 + step, len(starts))
-        pairs = slice(ends[r0], ends[r1])
-        at = (row[pairs] - r0) * width
-        block = np.zeros((r1 - r0) * width, dtype=bool)
-        block[at + i[pairs]] = True
-        block[at + j[pairs]] = True
-        masks[r0:r1] = np.packbits(block).view(np.uint64).reshape(r1 - r0, -1)
-    return (i[starts], j[starts]), (sums[starts], masks)
+    masks = np.zeros((len(sums), -(-n // 64)), dtype=np.uint64)
+    step = max(1, _CHUNK_BYTES // (64 * n))
+    for r0 in range(0, len(sums), step):
+        held = points.holds(sums[r0 : r0 + step, None] - codes)
+        masks[r0 : r0 + step].view(np.uint8)[:, : -(-n // 8)] = np.packbits(held, axis=1)
+    return masks
 
 
 # -- the probe -----------------------------------------------------------------
@@ -188,22 +267,24 @@ class N1ProbeReport:
 
 def _candidate_bits(cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(row, column) of every set bit of the bit-packed rows, row-major: per
-    chunk of rows, only the nonzero bytes are unpacked, to bits in column order."""
+    chunk of rows, only the nonzero bytes are unpacked, to bits in column
+    order. Both scans read booleans, which np.flatnonzero scans several
+    times faster than bytes."""
     step = max(1, _CHUNK_BYTES // cand.shape[1])
     rows, cols = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     for r in range(0, len(cand), step):
-        nz = np.flatnonzero(cand[r : r + step]) + r * cand.shape[1]
-        bit = np.flatnonzero(np.unpackbits(cand.reshape(-1)[nz]))
-        k, b = np.divmod(nz[bit >> 3], cand.shape[1])
-        rows.append(k)
-        cols.append(8 * b + (bit & 7))
+        nz = np.flatnonzero(cand[r : r + step] != 0) + r * cand.shape[1]
+        bit = np.flatnonzero(np.unpackbits(cand.reshape(-1)[nz]).view(bool))
+        k, b = np.divmod(nz, cand.shape[1])
+        rows.append(k[bit >> 3])
+        cols.append(8 * b[bit >> 3] + (bit & 7))
     return np.concatenate(rows), np.concatenate(cols)
 
 
-def _held(seen: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Per row of keys: does it hold a seen key? An OR over the columns; a
-    row-wise .any(axis=1) costs several times more on these narrow rows."""
-    hit = seen[keys]
+def _any(hit: np.ndarray) -> np.ndarray:
+    """Per row of a 2-d boolean array: is any entry set? An OR over the
+    columns; a row-wise .any(axis=1) costs several times more on these
+    narrow rows."""
     out = hit[:, 0].copy()
     for c in range(1, hit.shape[1]):
         out |= hit[:, c]
@@ -211,7 +292,7 @@ def _held(seen: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 def _first_disconnected(sinks: np.ndarray, group: np.ndarray, sums: np.ndarray,
-                        codes: np.ndarray, near) -> tuple[int | None, int]:
+                        codes: np.ndarray, lower) -> tuple[int | None, int]:
     """The first group `_sinks_connected` (same arguments) finds disconnected,
     or None, and how many groups the point-linking layer left open up to
     and including it (all of them when None). Searched in batches of sums
@@ -221,7 +302,7 @@ def _first_disconnected(sinks: np.ndarray, group: np.ndarray, sums: np.ndarray,
     for g0 in range(0, len(sums), batch):
         rows = slice(*np.searchsorted(group, [g0, g0 + batch]))
         ok, linked = _sinks_connected(sinks[rows], group[rows] - g0,
-                                      sums[g0 : g0 + batch], codes, near)
+                                      sums[g0 : g0 + batch], codes, lower)
         if not ok.all():
             bad = int(np.argmin(ok))
             return g0 + bad, checked + int(np.count_nonzero(~linked[: bad + 1]))
@@ -230,129 +311,163 @@ def _first_disconnected(sinks: np.ndarray, group: np.ndarray, sums: np.ndarray,
 
 
 def _sinks_connected(sinks: np.ndarray, group: np.ndarray, sums: np.ndarray,
-                     codes: np.ndarray, near) -> tuple[np.ndarray, np.ndarray]:
+                     codes: np.ndarray, lower) -> tuple[np.ndarray, np.ndarray]:
     """For each group of degree-d sink rows: is the fiber of its sum b
     connected, and are its sinks point-linked?
 
     `sinks` holds one clique per row, `group` its group number, ascending
     from 0 without gaps, `sums` the groups' codes b, `codes` the point codes,
-    and `near` the source of neighbours in G_b: at d = 3 the sorted distinct
-    pair sums with their point masks (`_pair_fibers`), at d >= 4 the sorted
-    distinct codes of the (d-2)-point sums. Exact once every fiber of
+    and lower[k] the code set (`_code_set`) of the k-point sums, for k up
+    to d - 2 and for the pair sums at d = 3. Exact once every fiber of
     degree d-1 is connected: by the lemma in the module docstring, the
-    fiber is connected iff G_b joins the points of all its sinks.
+    fiber is connected iff G_b joins the points of all its sinks. The
+    layers, each on the groups the layers before left open:
 
-    The search runs on every G_b at once, over keys group * N + point,
-    from each group's first sink, until every sink of a group holds a
-    reached point or its frontier is empty. At d = 3 no two sinks share a
-    point, so none is point-linked; the neighbours of p in G_b are the
-    points of the pair fiber of b - p, so a frontier point costs one
-    search among the pair sums and an OR of its mask into its group's row,
-    _CHUNK_BYTES // 8 bytes of mask rows at a time. At d >= 4 the first
-    layer needs no lookup: the points of one sink form a clique of G_b, so
-    a sink that holds a reached point lends all its points, until no sink
-    is added. A group whose sinks this layer all reaches is point-linked.
-    The other groups go on, in arrays cut down to them, in breadth-first
-    layers on G_b that look up b - p - q among `near`: a layer tries the
-    frontier (first every point reached so far, then the points the layer
-    before reached) against the unseen points of the unreached sinks, then,
-    where a sink is still unreached, against every unseen point,
-    _CHUNK_BYTES // 64 lookups at a time; a phase with no live group is
-    skipped.
+    1. Point-linking, at d >= 4 only (at d = 3 no two sinks share a point,
+       so none is point-linked): the points of one sink form a clique of
+       G_b, so a sink that holds a reached point lends all its points,
+       from each group's first sink until no sink is added. A group whose
+       sinks this layer all reaches is point-linked.
+    2. One hop: a sink that this layer finds an edge p q of G_b for, p
+       from the group's first sink and q from its own, joins the first
+       sink; the d * d lookups of b - p - q in `lower` per sink run at
+       once. A group all of whose sinks are joined is connected.
+    3. The search (`_search`), over keys group * N + point, from the
+       points of the joined sinks, until every sink of a group holds a
+       reached point or its frontier is empty.
     """
-    n, m = len(codes), len(sums)
+    n, m, d = len(codes), len(sums), sinks.shape[1]
     keys = group.astype(np.int64)[:, None] * n + sinks
     first = _run_starts(group)
     seen = np.zeros(m * n, dtype=bool)
-    seen[keys[first]] = True
-    if sinks.shape[1] == 3:
-        _grow_by_masks(seen, keys, first, sums, codes, *near)
-        return np.logical_and.reduceat(_held(seen, keys), first), np.zeros(m, dtype=bool)
     lent = np.zeros(len(keys), dtype=bool)
     lent[first] = True
+    seen[keys[first]] = True
     new = lent
-    while new.any():
+    while d > 3 and new.any():
         seen[keys[new]] = True
-        new = _held(seen, keys) & ~lent
+        new = _any(seen[keys]) & ~lent
         lent |= new
     linked = np.logical_and.reduceat(lent, first)
-    connected = linked.copy()
-    # the later layers run on the groups the first one left open
-    left = np.flatnonzero(~linked)
+    if linked.all():
+        return linked, linked
+    hop = np.flatnonzero(~lent & ~linked[group])
+    hop = hop[_one_hop(sinks, group, first, sums, codes, lower[d - 2], hop)]
+    lent[hop] = True
+    connected = np.logical_and.reduceat(lent, first)
+    # the search runs on the groups the first layers left open
+    left = np.flatnonzero(~connected)
     if not len(left):
         return connected, linked
-    rows = ~linked[group]
+    seen[keys[hop]] = True
+    rows = ~connected[group]
     group = np.searchsorted(left, group[rows])
     keys = group.astype(np.int64)[:, None] * n + sinks[rows]
     first, sums = _run_starts(group), sums[left]
     seen = seen.reshape(-1, n)[left].reshape(-1)
-    _grow_by_lookups(seen, keys, group, first, sums, codes, near)
-    connected[left] = np.logical_and.reduceat(_held(seen, keys), first)
+    _search(seen, keys, group, first, sums, codes, lower)
+    connected[left] = np.logical_and.reduceat(_any(seen[keys]), first)
     return connected, linked
 
 
-def _grow_by_masks(seen, keys, first, sums, codes, pair_sums, masks):
-    """The degree-3 search of `_sinks_connected`, on `seen` in place."""
-    n, m = len(codes), len(sums)
-    step = max(1, _CHUNK_BYTES // (64 * masks.shape[1]))
-    frontier = np.flatnonzero(seen)
-    while len(frontier):
-        g = frontier // n
-        live = ~np.logical_and.reduceat(_held(seen, keys), first)
-        keep = live[g]
-        frontier, g = frontier[keep], g[keep]
-        rest = sums[g] - codes[frontier - g * n]
-        at = np.minimum(np.searchsorted(pair_sums, rest), len(pair_sums) - 1)
-        hit = pair_sums[at] == rest
-        g, at = g[hit], at[hit]
-        # row g ORs the masks of group g's frontier points
-        grown = np.zeros((m, masks.shape[1]), dtype=np.uint64)
-        for t0 in range(0, len(g), step):
-            k = _run_starts(g[t0 : t0 + step])
-            grown[g[t0 + k]] |= np.bitwise_or.reduceat(
-                np.take(masks, at[t0 : t0 + step], axis=0), k)
-        reached = np.unpackbits(grown.view(np.uint8), axis=1, count=n).reshape(-1).view(bool)
-        frontier = np.flatnonzero(reached & ~seen)
-        seen |= reached
+def _one_hop(sinks, group, first, sums, codes, lower, rows) -> np.ndarray:
+    """Per sink row of `rows`: is b - p - q a (d-2)-point sum for some point
+    p of its group's first sink and q of its own?"""
+    head = codes[sinks[first[group[rows]]]]
+    own = codes[sinks[rows]]
+    pq = (head[:, :, None] + own[:, None, :]).reshape(len(rows), sinks.shape[1] ** 2)
+    return _any(lower.holds(sums[group[rows], None] - pq))
 
 
-def _grow_by_lookups(seen, keys, group, first, sums, codes, lower):
-    """The degree >= 4 search of `_sinks_connected`, on `seen` in place."""
+def _search(seen, keys, group, first, sums, codes, lower):
+    """The search of `_sinks_connected`, on `seen` in place: breadth-first
+    layers on G_b. A layer tries the frontier (first every point reached so
+    far, then the points the layer before reached) against the unseen
+    points of the unreached sinks (`_join`), then, where a sink is still
+    unreached, widens the frontier to all its neighbours: `_grow_by_masks`
+    at d = 3, `_grow_by_lookups` at d >= 4. A phase with no live group is
+    skipped."""
     n, m = len(codes), len(sums)
-    step = max(1, _CHUNK_BYTES // 64)
+    lookup = lower[keys.shape[1] - 2]
     frontier = np.flatnonzero(seen)
     while len(frontier):
         layer = [frontier[:0]]
         for wide in (False, True):
-            reached = _held(seen, keys)
+            reached = _any(seen[keys])
             live = np.bincount(frontier // n, minlength=m) > 0
             live &= ~np.logical_and.reduceat(reached, first)
             frontier = frontier[live[frontier // n]]
             if not len(frontier):
                 break
-            if wide:
-                pool = ~seen.reshape(-1, n) & live[:, None]
-            else:
+            if not wide:
                 pool = np.zeros(len(seen), dtype=bool)
                 pool[keys[~reached & live[group]]] = True
-            pool = np.flatnonzero(pool)
-            # group g's pool keys are pool[start[g]:start[g + 1]]; pair t
-            # joins frontier key i to pool key stop[i] + t - ends[i]
-            start = np.searchsorted(pool, np.arange(m + 1) * n)
-            g = frontier // n
-            stop = start[g + 1]
-            count = stop - start[g]
-            ends = np.cumsum(count)
-            base = sums[g] - codes[frontier % n]
-            for t0 in range(0, int(count.sum()), step):
-                t = np.arange(t0, min(t0 + step, ends[-1]))
-                i = np.searchsorted(ends, t, side="right")
-                j = stop[i] + t - ends[i]
-                rest = base[i] - codes[pool[j] % n]
-                at = np.minimum(np.searchsorted(lower, rest), len(lower) - 1)
-                seen[pool[j[lower[at] == rest]]] = True
-            layer.append(pool[seen[pool]])
+                pool = np.flatnonzero(pool)
+                _join(seen, frontier, pool, sums, codes, lookup)
+                layer.append(pool[seen[pool]])
+            elif keys.shape[1] == 3:
+                layer.append(_grow_by_masks(seen, frontier, sums, codes, lower))
+            else:
+                layer.append(_grow_by_lookups(seen, frontier, live, sums, codes, lookup))
         frontier = np.concatenate(layer)
+
+
+def _join(seen, frontier, pool, sums, codes, lower):
+    """Mark in `seen` each key of `pool` (ascending) that G_b joins to a
+    frontier key of its group: b - p - q among `lower`, _CHUNK_BYTES // 64
+    lookups at a time."""
+    n, m = len(codes), len(sums)
+    step = max(1, _CHUNK_BYTES // 64)
+    # group g's pool keys are pool[start[g]:start[g + 1]]; pair t joins
+    # frontier key i to pool key stop[i] + t - ends[i]
+    start = np.searchsorted(pool, np.arange(m + 1) * n)
+    g = frontier // n
+    stop = start[g + 1]
+    count = stop - start[g]
+    ends = np.cumsum(count)
+    base = sums[g] - codes[frontier % n]
+    for t0 in range(0, int(ends[-1]), step):
+        t = np.arange(t0, min(t0 + step, ends[-1]))
+        i = np.searchsorted(ends, t, side="right")
+        j = stop[i] + t - ends[i]
+        seen[pool[j[lower.holds(base[i] - codes[pool[j] % n])]]] = True
+
+
+def _grow_by_masks(seen, frontier, sums, codes, lower) -> np.ndarray:
+    """The wide phase of `_search` at d = 3, on `seen` in place; returns the
+    keys it reached first. The neighbours of p in G_b are the points of the
+    pair fiber of b - p: one mask row (`_pair_masks`) per distinct pair sum
+    b - p of the frontier, ORed into the row of each group that reads it,
+    _CHUNK_BYTES // 8 bytes of mask rows at a time."""
+    n, m = len(codes), len(sums)
+    frontier = np.sort(frontier)
+    g = frontier // n
+    rest = sums[g] - codes[frontier - g * n]
+    hit = lower[2].holds(rest)
+    wanted, at = np.unique(rest[hit], return_inverse=True)
+    g = g[hit]
+    masks = _pair_masks(wanted, codes, lower[1])
+    step = max(1, _CHUNK_BYTES // (64 * masks.shape[1]))
+    # row g ORs the masks of group g's frontier points
+    grown = np.zeros((m, masks.shape[1]), dtype=np.uint64)
+    for t0 in range(0, len(g), step):
+        k = _run_starts(g[t0 : t0 + step])
+        grown[g[t0 + k]] |= np.bitwise_or.reduceat(
+            np.take(masks, at[t0 : t0 + step], axis=0), k)
+    reached = np.unpackbits(grown.view(np.uint8), axis=1, count=n).reshape(-1).view(bool)
+    new = np.flatnonzero(reached & ~seen)
+    seen[new] = True
+    return new
+
+
+def _grow_by_lookups(seen, frontier, live, sums, codes, lower) -> np.ndarray:
+    """The wide phase of `_search` at d >= 4, on `seen` in place; returns the
+    keys it reached first: the frontier against every unseen point of its
+    live group."""
+    n = len(codes)
+    pool = np.flatnonzero(~seen.reshape(-1, n) & live[:, None])
+    _join(seen, frontier, pool, sums, codes, lower)
+    return pool[seen[pool]]
 
 
 def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
@@ -363,12 +478,14 @@ def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
     as the nonzero bytes and then their bits, pair k with each candidate
     j; the new clique appends j, its code is code[k] + code[j] and its
     candidate row cand[k] & adj[j]. The bits come out row-major, which
-    keeps the cliques in index-lex order, and a stable sort by code lists
-    the fibers in lex order of their sums, each with its sinks in
-    index-lex order. The codes are injective up to degree_cap; a
-    configuration whose radix product reaches 2^62, or whose N(N+1)/2 point
-    pairs pass _MAX_PAIRS (N read off the memoized `scaled_count`), is
-    refused with InvalidInputError before any point is listed.
+    keeps the cliques in index-lex order, so the code set of each degree
+    lists the colliding sums in lex order, each with its sinks in
+    index-lex order. A clique is kept as its parent k and its last point
+    j, and only the sinks of colliding sums are spelled out. The codes are injective
+    up to degree_cap; a configuration whose radix product reaches 2^62, or
+    whose N(N+1)/2 point pairs pass _MAX_PAIRS (N read off the memoized
+    `scaled_count`), is refused with InvalidInputError before any point is
+    listed.
 
     Stops at the first disconnected fiber in sum order, decided as the
     module docstring describes, and reports it as the witness.
@@ -377,7 +494,8 @@ def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
     degree_cap = _as_int(degree_cap, "degree cap", 2)
     lo, hi = P.bounding_box()
     radix = [degree_cap * ell * (h - l) + 1 for l, h in zip(lo, hi)]
-    if math.prod(radix) >= 2**62:
+    box = math.prod(radix)
+    if box >= 2**62:
         raise InvalidInputError("configuration spread too large to probe")
     N = scaled_count(P, ell)
     if N * (N + 1) // 2 > _MAX_PAIRS:
@@ -388,39 +506,46 @@ def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
     corner = np.array([ell * l for l in lo], dtype=object)
     digits = np.array(C.points, dtype=object)[:, 1:] - corner
     point_codes = (digits @ weights).astype(np.int64)
-    irreducible, pairs = _pair_fibers(point_codes)
     adj = np.zeros((N, N), dtype=bool)
-    adj[irreducible] = True
+    adj[_pair_fibers(point_codes, box)] = True
     adj = np.packbits(adj, axis=1)
-    cliques = np.arange(N, dtype=np.int32)[:, None]
+    # lower[k]: the code set of the k-point sums
+    lower = [None, _code_set(point_codes, box)]
+    # per degree: each clique's parent clique of one degree less and last point
+    parents, ends = [], []
     codes = point_codes
-    # distinct[k]: sorted distinct codes of k-point sums (points are lex sorted)
-    distinct = [np.zeros(1, np.int64), point_codes]
     cand = adj
     summaries = []
     witness_fiber = None
     for d in range(2, degree_cap + 1):
         k, j = _candidate_bits(cand)
-        cliques = np.column_stack((cliques[k], j.astype(np.int32)))
         codes = codes[k] + point_codes[j]
-        # the last degree frees the candidate rows before its sort and search
+        # the last degree frees the candidate rows before its fibers and search
         cand = cand[k] & adj[j] if d < degree_cap else None
-        order = np.argsort(codes, kind="stable")
-        sorted_codes = codes[order]
-        starts = _run_starts(sorted_codes)
-        distinct.append(sorted_codes[starts])
-        sizes = np.diff(np.r_[starts, len(codes)])
-        collide = np.flatnonzero(sizes > 1)
+        parents.append(k)
+        ends.append(j)
+        fibers = _code_set(codes, box)
+        order = fibers.repeated()
+        # the search looks up the (d-2)-point sums and, at d = 3, the pair sums
+        lower.append(fibers if d == 2 or d + 2 <= degree_cap else None)
+        sums = codes[order]
+        starts = _run_starts(sums)
+        group = np.zeros(len(order), dtype=np.intp)
+        group[starts[1:]] = 1
+        np.cumsum(group, out=group)
         # the cliques of every colliding sum, in sum order; all fibers of degree
         # < d are connected here, which _sinks_connected needs
-        sinks = cliques[order[np.repeat(sizes > 1, sizes)]]
-        group = np.repeat(np.arange(len(collide)), sizes[collide])
-        sums = sorted_codes[starts[collide]]
-        bad, checked = _first_disconnected(sinks, group, sums, point_codes,
-                                            pairs if d == 3 else distinct[d - 2])
-        if d == 3:
-            pairs = None  # only degree 3 reads the pair masks
-        summaries.append(DegreeSummary(d, len(starts), checked, bad is None))
+        sinks = np.empty((len(order), d), dtype=np.int32)
+        row = order
+        for c in range(d - 1, 0, -1):
+            sinks[:, c] = ends[c - 1][row]
+            row = parents[c - 1][row]
+        sinks[:, 0] = row
+        bad, checked = _first_disconnected(sinks, group, sums[starts], point_codes,
+                                            lower)
+        # the distinct codes: one per run of repeated rows, and every other row
+        count = len(codes) - len(order) + len(starts)
+        summaries.append(DegreeSummary(d, count, checked, bad is None))
         if bad is not None:
             sink = sinks[np.searchsorted(group, bad)].tolist()
             witness_fiber = tuple(map(sum, zip(*(C.points[i] for i in sink))))

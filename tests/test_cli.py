@@ -1,5 +1,6 @@
 """Command line behavior: formats, determinism, exit codes."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -184,6 +185,30 @@ def test_worker_exception_keeps_its_exit_code(capsys, monkeypatch, tmp_path, exc
         assert main(["verify-corpus", str(path), "--extra-levels", "0"]) == code
         assert str(exc) in capsys.readouterr().err
     assert multiprocessing.active_children() == []
+
+
+def test_fiber_count_off_by_one_trips_the_check(capsys, monkeypatch, tmp_path):
+    # at ell = n the dilate nP is normal, so each degree's fiber count is
+    # L_P(n * degree); a probe whose count is off by one raises
+    # InternalInvariantError, with exit code 2 (every other verify-corpus
+    # run of the suite passes the check, and
+    # test_worker_exception_keeps_its_exit_code carries the error through
+    # the worker pool)
+    real = harness.n1_probe
+
+    def forged(*args):
+        report = real(*args)
+        last = report.per_degree[-1]
+        return dataclasses.replace(report, per_degree=report.per_degree[:-1] + (
+            dataclasses.replace(last, fibers=last.fibers + 1),))
+
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"seed": 11, "dims": [2], "coord_bound": 3,
+                                "count_per_dim": 3, "vertex_candidates": 5}))
+    monkeypatch.setattr(harness, "n1_probe", forged)
+    monkeypatch.setenv("POLYNORM_THREADS", "1")
+    assert main(["verify-corpus", str(path), "--extra-levels", "0"]) == 2
+    assert "fibers of degree 4 at ell = 2, but L_P(8) =" in capsys.readouterr().err
 
 
 TALL_SIMPLEX = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 2**65]]

@@ -15,18 +15,20 @@ import json
 import random
 import time
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polynorm import (
+    DEFAULT_CORPUS_SPEC,
     REEVE_RANGE,
     InvalidInputError,
     LatticePoint,
     build_configuration,
     build_polytope,
+    generate_corpus,
     n1_probe,
     reeve_simplex,
 )
@@ -36,6 +38,15 @@ from polynorm.syzygy import DegreeSummary, N1ProbeReport
 from conftest import random_polytope
 
 CONNECTED = "quadratically connected up to cap"
+# the code-set bounds the oracle tests run at: the default, whose dense
+# tables every probe here takes, and 0, which forces the sorted arrays
+BOUNDS = [None, 0]
+
+
+def _bound(mp, bound):
+    """Force syzygy._DENSE_CODES to `bound` on `mp` (None keeps the default)."""
+    if bound is not None:
+        mp.setattr(syzygy, "_DENSE_CODES", bound)
 
 
 @dataclass(frozen=True)
@@ -568,20 +579,26 @@ def test_probe_matches_brute_force():
     assert disconnections >= 1
 
 
+@pytest.mark.parametrize("bound", BOUNDS)
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 3), st.integers(0, 10**6), st.integers(1, 3), st.integers(2, 4))
-def test_probe_matches_reference(n, seed, ell, cap):
+def test_probe_matches_reference(bound, n, seed, ell, cap):
     # the whole report, bfs_checked and the witness included; dim-3
     # dilates stay small enough for the recursive reference
     spread = 2 if n == 2 or ell == 1 else 1
     P = random_polytope(random.Random(seed), n, spread=spread)
-    assert n1_probe(P, ell, cap).to_jsonable() == reference_probe(P, ell, cap).to_jsonable()
+    with pytest.MonkeyPatch.context() as mp:
+        _bound(mp, bound)
+        rep = n1_probe(P, ell, cap)
+    assert rep.to_jsonable() == reference_probe(P, ell, cap).to_jsonable()
 
 
-def test_probe_matches_reference_on_disconnections():
+@pytest.mark.parametrize("bound", BOUNDS)
+def test_probe_matches_reference_on_disconnections(monkeypatch, bound):
     # bfs_checked and the witness depend on the order in which colliding
     # sums are searched only when a fiber is disconnected; at ell = 1 a
     # seeded dim-3 sample has many, several after other searched sums
+    _bound(monkeypatch, bound)
     rng = random.Random(20261018)
     ordered = 0
     for _ in range(40):
@@ -636,8 +653,28 @@ def test_bridged_groups_are_connected(monkeypatch):
     assert total >= 1000
 
 
+@pytest.fixture(scope="module")
+def region_merge():
+    """The region merge's verdict on a group's sinks, kept per (P, ell,
+    sinks) with P's pair table, so that the parametrizations of
+    test_point_graph_search_matches_region_merge, which see the same
+    groups, run the reference once per group."""
+    tables, verdicts = {}, {}
+
+    def verdict(P, ell, group_sinks):
+        key = (P.vertices, ell, tuple(group_sinks))
+        if key not in verdicts:
+            if (P.vertices, ell) not in tables:
+                tables[P.vertices, ell] = PairTable(build_configuration(P, ell))
+            verdicts[key] = reference_sinks_connected(group_sinks, tables[P.vertices, ell])
+        return verdicts[key]
+
+    return verdict
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
 @pytest.mark.parametrize("chunk", [None, 1 << 10])
-def test_point_graph_search_matches_region_merge(monkeypatch, chunk):
+def test_point_graph_search_matches_region_merge(monkeypatch, chunk, bound, region_merge):
     # every verdict of the batched search, connected or not, is the region
     # merge's, and its first layer finds the groups that point-link. The spy
     # sees the batches that were searched, so it compares the groups up to
@@ -646,6 +683,7 @@ def test_point_graph_search_matches_region_merge(monkeypatch, chunk):
     # many batches and their lookups into chunks of 16
     if chunk is not None:
         monkeypatch.setattr(syzygy, "_CHUNK_BYTES", chunk)
+    _bound(monkeypatch, bound)
     rng = random.Random(20261018)
     cases = [(random_polytope(rng, 3, spread=2), 1, 4) for _ in range(40)]
     rng = random.Random(9001)
@@ -658,15 +696,32 @@ def test_point_graph_search_matches_region_merge(monkeypatch, chunk):
     verdicts = set()
     spied = _spied(monkeypatch, "_sinks_connected", cases)
     for (P, ell, cap), calls in zip(cases, spied):
-        table = PairTable(build_configuration(P, ell))
         for (sinks, group, *_), (connected, linked) in calls:
             for g, (verdict, link) in enumerate(zip(connected.tolist(), linked.tolist())):
                 group_sinks = [tuple(s) for s in sinks[group == g].tolist()]
-                assert verdict == reference_sinks_connected(group_sinks, table), (
+                assert verdict == region_merge(P, ell, group_sinks), (
                     P.vertices, ell, group_sinks)
                 assert link == _sinks_point_linked(group_sinks), (P.vertices, ell)
                 verdicts.add((verdict, len(group_sinks) > 2))
     assert {(True, False), (False, False), (False, True)} <= verdicts
+
+
+def test_one_hop_leaves_sums_to_both_wide_phases(monkeypatch):
+    # one hop settles most colliding sums before the search, and the
+    # reference comparisons above exercise the search only on the sums it
+    # leaves: degree 3 on the default corpus's dim-3 polytopes at ell 3,
+    # degree 4 on the seeded ell = 1 sample of
+    # test_probe_matches_reference_on_disconnections, must each still
+    # reach its wide phase
+    spec = replace(DEFAULT_CORPUS_SPEC, dims=(2, 3))
+    dim3 = [(P, 3, 4) for P in generate_corpus(spec) if P.dim == 3][:10]
+    rng = random.Random(20261018)
+    sample = [(random_polytope(rng, 3, spread=2), 1, 4) for _ in range(40)]
+    masks = _spied(monkeypatch, "_grow_by_masks", dim3)
+    lookups = _spied(monkeypatch, "_grow_by_lookups", sample)
+    # (seen, frontier, ...) of each wide phase, and the keys it reached
+    assert sum(len(args[1]) > 0 and len(new) > 0 for calls in masks for args, new in calls) >= 5
+    assert sum(len(args[1]) > 0 for calls in lookups for args, _ in calls) >= 1
 
 
 def test_search_stops_after_first_disconnected_batch(monkeypatch):
@@ -820,11 +875,13 @@ def test_candidate_bits_match_unpacking_every_row(n, rows, density, seed):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([2, 3, "reeve"]), st.integers(0, 10**6), st.integers(1, 2))
 def test_pair_fiber_masks_match_pair_table(kind, seed, ell):
-    # the probe's pair fibers against the pair table: per distinct pair sum,
-    # in sum order, the mask row marks exactly the points of its pairs (both
-    # sides), at the default chunk size and at chunks of a few mask rows;
-    # the irreducible pairs are the table's. At degree 3 the sinks of every
-    # colliding sum share no point (the lemma in the syzygy docstring)
+    # the probe's pair fibers against the pair table, on both code sets:
+    # the irreducible pairs are the table's; the pair sums' code set holds
+    # exactly the table's sums, one first row per sum; and per distinct pair
+    # sum, in sum order, the mask row marks exactly the points of its pairs
+    # (both sides), at the default chunk size and at chunks of a few mask
+    # rows. At degree 3 the sinks of every colliding sum share no point (the
+    # lemma in the syzygy docstring)
     rng = random.Random(seed)
     if kind == "reeve":
         P = reeve_simplex(rng.choice(REEVE_RANGE))
@@ -833,16 +890,23 @@ def test_pair_fiber_masks_match_pair_table(kind, seed, ell):
     C = build_configuration(P, ell)
     table = PairTable(C)
     with pytest.MonkeyPatch.context() as mp:
-        [[((codes,), _)]] = _spied(mp, "_pair_fibers", [(P, ell, 3)])
+        [[((codes, box), _)]] = _spied(mp, "_pair_fibers", [(P, ell, 3)])
     want = [sorted({q for pair in pairs for q in pair})
             for _, pairs in sorted(table.by_sum.items())]
-    for chunk in (syzygy._CHUNK_BYTES, 1 << 8):
+    every = (codes[:, None] + codes).reshape(-1)
+    sums = np.unique(every)
+    for bound, chunk in itertools.product(BOUNDS, (syzygy._CHUNK_BYTES, 1 << 8)):
         with pytest.MonkeyPatch.context() as mp:
+            _bound(mp, bound)
             mp.setattr(syzygy, "_CHUNK_BYTES", chunk)
-            irreducible, (pair_sums, masks) = syzygy._pair_fibers(codes)
+            irreducible = syzygy._pair_fibers(codes, box)
+            pair_sums = syzygy._code_set(every, box)
+            masks = syzygy._pair_masks(sums, codes, syzygy._code_set(codes, box))
         assert irreducible[0].dtype == irreducible[1].dtype == np.int32
         assert sorted(zip(*(side.tolist() for side in irreducible))) == sorted(table.irreducible)
-        assert len(pair_sums) == len(want) and (np.diff(pair_sums) > 0).all()
+        assert len(sums) == len(want) and pair_sums.holds(sums).all()
+        assert sorted(every[pair_sums.first()].tolist()) == sums.tolist()
+        assert not pair_sums.holds(np.setdiff1d(np.r_[sums - 1, sums + 1, -1, box], sums)).any()
         points = np.unpackbits(masks.view(np.uint8), axis=1, count=len(C))
         assert [np.flatnonzero(row).tolist() for row in points] == want, P.vertices
     adj = [0] * len(C)
