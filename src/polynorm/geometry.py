@@ -391,6 +391,51 @@ def _np_slabs(P: Polytope, scales: tuple[int, ...], interior: bool = False):
         K, X = np.repeat(K[:t], counts), _expand(X[:t], lo[:t], counts)
 
 
+def _code_radix(P: Polytope, top: int) -> list[int]:
+    """Per axis, top times P's box width plus one: the digits of a point of
+    kP, k <= top, less k times P's low corner, lie below it."""
+    lo, hi = P.bounding_box()
+    return [top * (h - l) + 1 for l, h in zip(lo, hi)]
+
+
+def _code_box(P: Polytope, top: int) -> int | None:
+    """The number of codes up to top (_code_scales), the radix product, or
+    None when it reaches 2^62, where int64 sums of two codes could overflow."""
+    box = math.prod(_code_radix(P, top))
+    return box if box < 2**62 else None
+
+
+def _code_scales(P: Polytope, scales: tuple[int, ...], top: int):
+    """(K, codes): the scale k and the int64 code of every lattice point of
+    kP, k in scales (ascending, at most top), in (scale, lex) order, from
+    one walk; for a top whose _code_box is not None.
+
+    The code of u in kP is its digits u - k lo (lo P's low corner) in the
+    mixed radix _code_radix(P, top), the first axis the most significant;
+    the radix comes from P's box, so no point is listed to choose it. Codes
+    of one scale ascend in lex order, a code determines its point
+    (_decode_point), and the code of a point of jP plus that of a point of
+    kP, j + k <= top, is the code of their sum. The corner is an object
+    array (a list mixing ints past 2^63 and below 0 would be float64), so
+    Python ints code exactly.
+    """
+    radix = _code_radix(P, top)
+    corner = np.array(P.bounding_box()[0], dtype=object)
+    codes = []
+    for K, X, L, counts, _ in _np_slabs(P, scales):
+        counts = counts.astype(np.int64)
+        points, K = _expand(X, L, counts), np.repeat(K, counts)
+        digits = (points - K[:, None] * corner.astype(points.dtype)).astype(np.int64)
+        codes.append((K.astype(np.int64), np.ravel_multi_index(tuple(digits.T), radix)))
+    return tuple(np.concatenate(a) for a in zip(*codes))
+
+
+def _decode_point(P: Polytope, top: int, k: int, code) -> LatticePoint:
+    """The point of kP whose code up to top (_code_scales) is code, in Python ints."""
+    digits = np.unravel_index(int(code), _code_radix(P, top))
+    return tuple(int(d) + k * l for d, l in zip(digits, P.bounding_box()[0]))
+
+
 def count_scales(P: Polytope, scales) -> None:
     """Memoize on P the counts of k*P and relint(k*P) for the scales k not
     counted yet: one walk, exact sums (int64 or Python ints)."""

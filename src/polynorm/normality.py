@@ -31,24 +31,14 @@ tables.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .counting import BoundReport
 from .errors import InvalidInputError
-from .geometry import (
-    LatticePoint,
-    Polytope,
-    _as_int,
-    _as_point,
-    _expand,
-    _narrowest,
-    _np_slabs,
-    scaled_count,
-    vertices_id,
-)
+from .geometry import (LatticePoint, Polytope, _as_int, _as_point, _code_box, _code_scales,
+                       _decode_point, _narrowest, _np_slabs, scaled_count, vertices_id)
 from .linalg import lll_reduce
 
 
@@ -310,37 +300,12 @@ def _line_ladder(P: Polytope, c_lo: int, c_hi: int) -> tuple[int, LatticePoint] 
     return None
 
 
-def _code_radix(P: Polytope, top: int) -> list[int]:
-    """Per axis, top times P's box width plus one: the digits of a point of
-    kP, k <= top, less k times P's low corner, lie below it."""
-    lo, hi = P.bounding_box()
-    return [top * (h - l) + 1 for l, h in zip(lo, hi)]
-
-
 def _sum_ladder(P: Polytope, c_lo: int, c_hi: int) -> tuple[int, LatticePoint] | None:
-    """_first_gap on lattice points, for a radix product of (c_hi + 1)P's box
-    below 2^62.
-
-    One walk lists P and kP, c_lo <= k <= c_hi + 1. A point u of kP gets
-    the int64 code of its digits u - k lo (lo P's low corner) in the mixed
-    radix _code_radix, so codes keep lex order, and the code of a point of
-    cP plus that of a point of P is the code of their sum. S_c marks the
-    sums of cP x P among the sorted codes of (c+1)P; the first unmarked
-    code is the witness, decoded back to Python ints.
-    """
+    """_first_gap on lattice points, for codes of (c_hi + 1)P that fit int64:
+    one walk codes P and kP, c_lo <= k <= c_hi + 1 (_code_scales), and the
+    first code of (c+1)P that no sum of cP x P marks is the witness."""
     top = c_hi + 1
-    lo = P.bounding_box()[0]
-    radix = _code_radix(P, top)
-    weights = np.array([math.prod(radix[j + 1:]) for j in range(P.dim)], dtype=np.int64)
-    # an object corner: a list mixing ints past 2^63 and below 0 would be float64
-    corner = np.array(lo, dtype=object)
-    scales, codes = sorted({1, *range(c_lo, top + 1)}), []
-    for K, X, L, counts, _ in _np_slabs(P, scales):
-        counts = counts.astype(np.int64)
-        points, K = _expand(X, L, counts), np.repeat(K, counts)
-        digits = points - K[:, None] * corner.astype(points.dtype)
-        codes.append((K.astype(np.int64), digits.astype(np.int64) @ weights))
-    K, code = (np.concatenate(a) for a in zip(*codes))
+    K, code = _code_scales(P, sorted({1, *range(c_lo, top + 1)}), top)
     code_p, code_c = code[K == 1], code[K == c_lo]
     step = max(1, _PAIR_CHUNK // len(code_p))
     for c in range(c_lo, top):
@@ -350,9 +315,7 @@ def _sum_ladder(P: Polytope, c_lo: int, c_hi: int) -> tuple[int, LatticePoint] |
             # every sum lies in (c+1)P, so searchsorted lands on its code
             hit[np.searchsorted(code_next, (code_c[i:i + step, None] + code_p).ravel())] = True
         if not hit.all():
-            gap = int(code_next[hit.argmin()])
-            digits = (gap // w % r for w, r in zip(weights.tolist(), radix))
-            return c, tuple(d + (c + 1) * l for d, l in zip(digits, lo))
+            return c, _decode_point(P, top, c + 1, code_next[hit.argmin()])
         code_c = code_next
     return None
 
@@ -371,7 +334,7 @@ def _first_gap(P: Polytope, c_lo: int, c_hi: int) -> tuple[int, LatticePoint] | 
     (_line_ladder).
     """
     top = c_hi + 1
-    if math.prod(_code_radix(P, top)) < 2**62 and all(
+    if _code_box(P, top) is not None and all(
             scaled_count(P, 1) * scaled_count(P, c) <= 4 ** (P.dim - 1) * scaled_count(P, c + 1)
             for c in range(c_lo, top)):
         return _sum_ladder(P, c_lo, c_hi)

@@ -47,44 +47,37 @@ and q iff q lies in a pair {q, r} of the pair fiber of b - p, so the
 neighbours of p are the points of one pair fiber: a mask row of the
 points q for which b - p - q is a point.
 
-Sums are int64 codes in one mixed radix. The lattice points of ell*P
-span the box [lo, hi] of its vertices, so the radix comes from P's box
-before any point is listed: digit j of a point is u_j - lo_j, in
-[0, span_j], and radix cap*span_j + 1 keeps the code of every sum of at
-most cap points injective, its first axis the most significant digit, so
-code order is lex order. A configuration whose radix product reaches
-2^62, where int64 sums could overflow, is refused up front. An edge of
-G_b is looked up by code(b) - code(p) - code(q) among the codes of
-(d-2)-point sums, with no digit check: on each axis the digit of
-b - p - q lies in [-2*span, d*span] and that of a (d-2)-sum in
-[0, (d-2)*span], so the two differ by at most d*span < radix, and equal
-codes mean equal vectors.
+Points and sums are int64 codes up to the top cap*ell
+(geometry._code_scales). An edge of G_b is looked up by
+code(b) - code(p) - code(q) among the codes of (d-2)-point sums, with no
+digit check: on each axis the digit of b - p - q lies in [-2*span, d*span]
+and that of a (d-2)-sum in [0, (d-2)*span] (span the width of ell*P's
+box), so the two differ by at most d*span, below the radix, and equal codes
+mean equal vectors.
 
 Each set of codes (the pair sums, the sums of each degree) lives in one of
-two tables, and the radix product M alone chooses (`_code_set`). Up to
-_DENSE_CODES the tables are dense over [0, M): a count per code lists the
-fibers, and only the rows of colliding sums are sorted; the irreducible
-pair of each pair sum is a minimum per code over the pair indices; a
-lookup is one gather from a flag per code, clipped onto an empty slot
-when it falls outside the box. Above it (a long edge spreads few points
-over a large box), the codes are sorted arrays: one stable sort lists the
-fibers, and a lookup is a binary search. The cliques grow breadth-wise,
-one degree at a time: the set bits of the packed candidate rows, nonzero
-bytes first and then their bits, extend all degree-(d-1) cliques at once.
-A disconnected fiber's sum, the witness, is the sum of the points of its
-first sink.
+two tables, chosen by the number of codes M and the set's size
+(`_code_set`). Up to _DENSE_CODES, and _DENSE_SPREAD a member, the tables
+are dense over [0, M): a count per code lists the fibers, and only the
+rows of colliding sums are sorted; the irreducible pair of each pair sum
+is a minimum per code over the pair indices; a lookup is one gather from a
+flag per code, clipped onto an empty slot when it falls outside the box.
+Above either (a long edge spreads few points over a large box), the codes
+are sorted arrays: one stable sort lists the fibers, and a lookup is a
+binary search. The cliques grow breadth-wise, one degree at a time
+(n1_probe). A disconnected fiber's sum, the witness, is its decoded code.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import LatticePoint, Polytope, _as_int, scaled_count, scaled_points_array
+from .geometry import (LatticePoint, Polytope, _as_int, _code_box, _code_scales,
+                       _decode_point, scaled_count, scaled_points_array)
 
 _CONNECTED = "quadratically connected up to cap"
 _DISCONNECTED = "disconnected"
@@ -96,14 +89,15 @@ _DISCONNECTED = "disconnected"
 # gathers ran no faster, and left the process holding more memory after
 # the probe)
 _CHUNK_BYTES = 1 << 22
-# the largest radix product M whose code sets are dense tables over [0, M)
-# (`_DenseCodes`): a table costs a pass over M whatever the number of codes,
-# and 9 bytes a code (a count and a flag); at cap 4 the probe holds three.
-# At 2^20 a pass takes about a millisecond and three tables about 27 MB,
-# below the pair arrays of the largest configuration probed; past it, a box
-# that a long edge spreads over few points would pay more for its tables
-# than for sorting its codes
-_DENSE_CODES = 1 << 20
+# a code set is a dense table over the box [0, M) (`_DenseCodes`) when M is
+# at most _DENSE_CODES and _DENSE_SPREAD per code of the set, else a sorted
+# array: a table costs a pass over M whatever the set's size, and 9 bytes a
+# code (a count and a flag); at cap 4 the probe holds three. At 2^20 a pass
+# takes about a millisecond and three tables about 27 MB, below the pair
+# arrays of the largest configuration probed. The default corpus's probes at
+# ell = n hold at most 1,200 codes a member; reeve_simplex(10485)'s at ell = 1,
+# 3 * 10^4 and more, where sorting the few codes costs less than a pass
+_DENSE_CODES, _DENSE_SPREAD = 1 << 20, 1 << 12
 # point pairs N(N+1)/2 of the largest configuration probed (N = 2895): the
 # sums of its N^2 ordered pairs with their indices take about 24 bytes a
 # pair on dense tables, and with their sort order about 48 on sorted arrays
@@ -198,9 +192,11 @@ class _SortedCodes:
 
 def _code_set(codes: np.ndarray, box: int):
     """The codes, each in [0, box), grouped by value: `_DenseCodes` when the
-    box holds at most _DENSE_CODES codes, else `_SortedCodes`. The box alone
-    makes the choice; both answer first(), repeated() and holds() alike."""
-    return (_DenseCodes if box <= _DENSE_CODES else _SortedCodes)(codes, box)
+    box holds at most _DENSE_CODES codes and _DENSE_SPREAD per code of the
+    set, else `_SortedCodes`; both answer first(), repeated() and holds()
+    alike."""
+    dense = box <= min(_DENSE_CODES, _DENSE_SPREAD * len(codes))
+    return (_DenseCodes if dense else _SortedCodes)(codes, box)
 
 
 def _pair_fibers(codes: np.ndarray, box: int) -> tuple[np.ndarray, np.ndarray]:
@@ -481,31 +477,25 @@ def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
     keeps the cliques in index-lex order, so the code set of each degree
     lists the colliding sums in lex order, each with its sinks in
     index-lex order. A clique is kept as its parent k and its last point
-    j, and only the sinks of colliding sums are spelled out. The codes are injective
-    up to degree_cap; a configuration whose radix product reaches 2^62, or
-    whose N(N+1)/2 point pairs pass _MAX_PAIRS (N read off the memoized
-    `scaled_count`), is refused with InvalidInputError before any point is
-    listed.
+    j, and only the sinks of colliding sums are spelled out. The codes are
+    injective up to degree_cap; a configuration whose codes do not fit
+    int64 (`_code_box`), or whose N(N+1)/2 point pairs pass _MAX_PAIRS (N
+    read off the memoized `scaled_count`), is refused with
+    InvalidInputError before any point is listed.
 
     Stops at the first disconnected fiber in sum order, decided as the
     module docstring describes, and reports it as the witness.
     """
     ell = _as_int(ell, "ell", 1)
     degree_cap = _as_int(degree_cap, "degree cap", 2)
-    lo, hi = P.bounding_box()
-    radix = [degree_cap * ell * (h - l) + 1 for l, h in zip(lo, hi)]
-    box = math.prod(radix)
-    if box >= 2**62:
+    top = degree_cap * ell
+    box = _code_box(P, top)
+    if box is None:
         raise InvalidInputError("configuration spread too large to probe")
     N = scaled_count(P, ell)
     if N * (N + 1) // 2 > _MAX_PAIRS:
         raise InvalidInputError(f"configuration too large to probe: {N} points")
-    C = build_configuration(P, ell)
-    weights = [math.prod(radix[j + 1 :]) for j in range(P.dim)]
-    # an object corner: a list mixing ints past 2^63 and below 0 would be float64
-    corner = np.array([ell * l for l in lo], dtype=object)
-    digits = np.array(C.points, dtype=object)[:, 1:] - corner
-    point_codes = (digits @ weights).astype(np.int64)
+    _, point_codes = _code_scales(P, (ell,), top)
     adj = np.zeros((N, N), dtype=bool)
     adj[_pair_fibers(point_codes, box)] = True
     adj = np.packbits(adj, axis=1)
@@ -547,8 +537,7 @@ def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
         count = len(codes) - len(order) + len(starts)
         summaries.append(DegreeSummary(d, count, checked, bad is None))
         if bad is not None:
-            sink = sinks[np.searchsorted(group, bad)].tolist()
-            witness_fiber = tuple(map(sum, zip(*(C.points[i] for i in sink))))
+            witness_fiber = (d, *_decode_point(P, top, d * ell, sums[starts[bad]]))
             break
     verdict = _CONNECTED if witness_fiber is None else _DISCONNECTED
     return N1ProbeReport(

@@ -5,6 +5,7 @@ import itertools
 import json
 import multiprocessing
 import pickle
+import time
 from collections import Counter
 
 import pytest
@@ -172,11 +173,32 @@ def test_analyze_np_bounds(t2):
     assert analyze(t2).np_bounds == ((0, 2), (1, 2), (2, 3), (3, 4))
 
 
+def test_single_polytope_path_takes_dim_5():
+    # the corpus stops at dim 4, but analyze and n1_probe take any dimension:
+    # the 5-simplex and the 5-cube are normal, and their degree-k fibers at
+    # ell 1 are the C(5 + k, k) and (k + 1)^5 points of their k-th dilates
+    simplex = build_polytope([(0,) * 5] + [tuple(int(i == j) for j in range(5))
+                                           for i in range(5)])
+    cube = build_polytope(list(itertools.product((0, 1), repeat=5)))
+    for P, fibers in ((simplex, [21, 56]), (cube, [243, 1024])):
+        start = time.perf_counter()
+        record = analyze(P)
+        probe = n1_probe(P, 1, 3)
+        assert time.perf_counter() - start < 1
+        assert record.consistent and record.normality.is_normal
+        assert probe.connected and [s.fibers for s in probe.per_degree] == fibers
+
+
 INVARIANTS = ("d_of_p", "autoregularity_from_definition", "ehrhart_polynomial")
+# the configuration of tuples and the point listing behind it, which the
+# fiber probe no longer codes its points through
+LISTINGS = ("build_configuration", "scaled_points_array")
 
 
-def count_invariant_calls(monkeypatch) -> Counter:
-    """Count calls of each invariant, wherever a polynorm module looks it up."""
+def count_invariant_calls(monkeypatch, names=INVARIANTS,
+                          modules=(harness, normality, counting)) -> Counter:
+    """Count calls of each named function, by default each invariant,
+    wherever one of the modules looks it up."""
     calls = Counter()
 
     def counted(name, fn):
@@ -185,8 +207,8 @@ def count_invariant_calls(monkeypatch) -> Counter:
             return fn(*args, **kwargs)
         return wrapper
 
-    for module in (harness, normality, counting):
-        for name in INVARIANTS:
+    for module in modules:
+        for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     return calls
@@ -200,11 +222,22 @@ def test_analyze_computes_each_invariant_once(monkeypatch, t2):
 
 
 def test_run_verification_computes_each_invariant_once(monkeypatch):
-    # the Ehrhart checks and the corollary sweep reuse what analyze holds
-    calls = count_invariant_calls(monkeypatch)
+    # the Ehrhart checks and the corollary sweep reuse what analyze holds,
+    # and the fiber probe codes its points without listing them as tuples
+    calls = count_invariant_calls(monkeypatch, INVARIANTS + LISTINGS,
+                                  (harness, normality, counting, syzygy))
     rep = run_verification(small_spec(count_per_dim=2), extra_levels=1, n1_cap=3)
     assert rep["summary"]["all_passed"] is True
     assert calls == dict.fromkeys(INVARIANTS, 2)
+
+
+def test_probe_lists_no_configuration(monkeypatch):
+    # n1_probe codes the points of ell*P from one walk, with neither the
+    # configuration of tuples nor the point listing behind it
+    calls = count_invariant_calls(monkeypatch, LISTINGS, (syzygy, geometry))
+    for P in (reeve_simplex(2), build_polytope([(0, 0), (2, 0), (0, 3)])):
+        assert n1_probe(P, 2, 4).per_degree
+    assert calls == {}
 
 
 def spy_counting(monkeypatch):

@@ -364,13 +364,17 @@ def test_point_sums_match_line_tables_and_sumset(n, seed, c_lo, more):
     # both ladders of _first_gap, whichever its rule picks, find the gap of
     # the sumset definition; so they do on P translated by 2^62, whose
     # coordinates run in Python ints while the codes of its points, digits
-    # above the box's corner, stay int64
+    # above the box's corner, stay int64. On both, the codes the sum ladder
+    # reads, here up to a top past its scales, ascend within each scale and
+    # decode to the points of each dilate
     c_hi = min(c_lo + more, 3)
     P = random_polytope(random.Random(seed), n, spread=2 if n < 4 else 1)
-    pts = P.lattice_points()
+    scales = sorted({1, *range(c_lo, c_hi + 2)})
+    listed = {k: P.dilate(k).lattice_points() for k in scales}
+    pts = listed[1]
     expected = None
     for c in range(c_lo, c_hi + 1):
-        missing = set(P.dilate(c + 1).lattice_points()) - sum_of(P.dilate(c).lattice_points(), pts)
+        missing = set(listed[c + 1]) - sum_of(listed[c], pts)
         if missing:
             expected = c, min(missing)
             break
@@ -386,6 +390,13 @@ def test_point_sums_match_line_tables_and_sumset(n, seed, c_lo, more):
                                                for x in expected[1]))
         assert normality._sum_ladder(Q, c_lo, c_hi) == gap, (Q.vertices, c_lo, c_hi)
         assert normality._line_ladder(Q, c_lo, c_hi) == gap, (Q.vertices, c_lo, c_hi)
+        top = c_hi + 2
+        K, codes = geometry._code_scales(Q, tuple(scales), top)
+        for k in scales:
+            at_k = codes[K == k]
+            assert (np.diff(at_k) > 0).all()
+            assert [geometry._decode_point(Q, top, k, code) for code in at_k] == [
+                tuple(x + k * shift for x in u) for u in listed[k]]
 
 
 def reference_probe_deltas(k):

@@ -473,10 +473,10 @@ def translated(P, t):
 
 @pytest.mark.parametrize("t", [(2**64, -(2**64), 2**63), (-1, 2**63 + 2, 0)])
 def test_far_translate_moves_witness_by_degree_times_shift(t):
-    # the witness is the sum of its first sink's points, in exact ints: for
-    # P + t it is P's witness (d, b) moved to (d, b + d t). The digits are
-    # taken from the corner ell * lo of ell*(P + t), so the codes of the
-    # far dilate stay those of P's. The second shift puts the corner at
+    # the witness is its sum's code decoded in exact ints: for P + t it is
+    # P's witness (d, b) moved to (d, b + d t). The digits are taken from
+    # the corner ell * lo of ell*(P + t), so the codes of the far dilate
+    # stay those of P's. The second shift puts the corner at
     # (-2, 2^63, -2) at ell 1, which numpy alone would widen to float64
     P = build_polytope([(-1, 1, -1), (0, -2, -1), (0, 0, 0), (2, -1, -1), (2, 1, -2)])
     far = translated(P, t)
@@ -499,8 +499,7 @@ def test_probe_refuses_spread_before_listing_points(monkeypatch):
     # the unit square at ell = 3e9 has about 9e18 lattice points; the radix
     # check reads the box of ell*P off P's vertices and refuses it first
     listed = []
-    monkeypatch.setattr(syzygy, "scaled_points_array",
-                        lambda *args: listed.append(args))
+    monkeypatch.setattr(syzygy, "_code_scales", lambda *args: listed.append(args))
     square = build_polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
     with pytest.raises(InvalidInputError, match="spread too large"):
         n1_probe(square, 3_000_000_000)
@@ -512,14 +511,27 @@ def test_probe_refuses_too_many_points_before_listing(monkeypatch):
     # per axis) with about 10^10 points; the probe reads N off the point
     # count and refuses the N(N+1)/2 pairs before any point is listed
     listed = []
-    monkeypatch.setattr(syzygy, "scaled_points_array",
-                        lambda *args: listed.append(args))
+    monkeypatch.setattr(syzygy, "_code_scales", lambda *args: listed.append(args))
     square = build_polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
     start = time.perf_counter()
     with pytest.raises(InvalidInputError, match="configuration too large to probe"):
         n1_probe(square, 10**5)
     assert time.perf_counter() - start < 1
     assert listed == []
+
+
+def test_sparse_code_sets_are_sorted(monkeypatch):
+    # conv{0, e1, e2, (1,1,q)} at q = 10485, ell 1 and cap 4 has 4 points
+    # in a box of 1,048,525 codes, within _DENSE_CODES, but its sets hold
+    # 3 * 10^4 codes a member or more, past _DENSE_SPREAD: none is a dense
+    # table, and the report is the one on forced sorted arrays
+    P = reeve_simplex(10485)
+    [calls] = _spied(monkeypatch, "_code_set", [(P, 1, 4)])
+    assert {box for (_, box), _ in calls} == {1_048_525} and 1_048_525 <= syzygy._DENSE_CODES
+    assert calls and all(type(out) is syzygy._SortedCodes for _, out in calls)
+    report = n1_probe(P, 1, 4).to_jsonable()
+    _bound(monkeypatch, 0)
+    assert n1_probe(P, 1, 4).to_jsonable() == report
 
 
 def test_probe_pair_limit_admits_exactly_its_pairs(monkeypatch, unit_square):
