@@ -55,15 +55,16 @@ and that of a (d-2)-sum in [0, (d-2)*span] (span the width of ell*P's
 box), so the two differ by at most d*span, below the radix, and equal codes
 mean equal vectors.
 
-Each set of codes (the pair sums, the sums of each degree) lives in one of
-two tables, chosen by the number of codes M and the set's size
-(`_code_set`). Up to _DENSE_CODES, and _DENSE_SPREAD a member, the tables
-are dense over [0, M): a count per code lists the fibers, and only the
-rows of colliding sums are sorted; the irreducible pair of each pair sum
-is a minimum per code over the pair indices; a lookup is one gather from a
-flag per code, clipped onto an empty slot when it falls outside the box.
-Above either (a long edge spreads few points over a large box), the codes
-are sorted arrays: one stable sort lists the fibers, and a lookup is a
+Each set of codes (the sums of each degree) is kept in one of two forms,
+chosen by the number of codes M of the box and the set's size (`_dense`).
+Up to _DENSE_CODES, and _DENSE_SPREAD a member, it is a table of a byte a
+code over [0, M) (0 absent, 1 once, 2 more): only the rows of colliding
+sums are sorted, and a lookup is one gather, clipped onto an empty slot
+outside the box. On such a box the N^2 ordered pair sums stream, a block
+of rows at a time, into one int32 table of the least pair index per code,
+which gives the irreducible pairs. Above either bound (a long edge spreads
+few points over a large box), the codes are sorted arrays: one stable sort
+lists the fibers (for the pair sums, their first pairs), and a lookup is a
 binary search. The cliques grow breadth-wise, one degree at a time
 (n1_probe). A disconnected fiber's sum, the witness, is its decoded code.
 """
@@ -71,7 +72,6 @@ binary search. The cliques grow breadth-wise, one degree at a time
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -84,23 +84,26 @@ _DISCONNECTED = "disconnected"
 
 # bytes of one chunk of array work: the packed candidate rows scanned for
 # nonzero bytes at once, the keys of a batch of colliding sums' points (8
-# bytes each), and the edge and mask lookups made at once (about 64 bytes
-# each); the mask rows gathered at once take an eighth of it (larger
+# bytes each), and the mask lookups made at once (about 64 bytes each).
+# The pair sums streamed at once (12 bytes each with their indices) take a
+# fifth of it, and the edge lookups of `_join` (about 80 bytes each) a
+# quarter; the mask rows gathered at once take an eighth of it (larger
 # gathers ran no faster, and left the process holding more memory after
 # the probe)
 _CHUNK_BYTES = 1 << 22
 # a code set is a dense table over the box [0, M) (`_DenseCodes`) when M is
 # at most _DENSE_CODES and _DENSE_SPREAD per code of the set, else a sorted
-# array: a table costs a pass over M whatever the set's size, and 9 bytes a
-# code (a count and a flag); at cap 4 the probe holds three. At 2^20 a pass
-# takes about a millisecond and three tables about 27 MB, below the pair
-# arrays of the largest configuration probed. The default corpus's probes at
-# ell = n hold at most 1,200 codes a member; reeve_simplex(10485)'s at ell = 1,
-# 3 * 10^4 and more, where sorting the few codes costs less than a pass
+# array: a table costs a pass over M whatever the set's size, and a byte a
+# code (built through a transient 8-byte count); at cap 4 the probe holds
+# three. At 2^20 a pass takes about a millisecond and three tables about 3
+# MB. The default corpus's probes at ell = n hold at most 1,200 codes a
+# member; reeve_simplex(10485)'s at ell = 1, 3 * 10^4 and more, where
+# sorting the few codes costs less than a pass
 _DENSE_CODES, _DENSE_SPREAD = 1 << 20, 1 << 12
-# point pairs N(N+1)/2 of the largest configuration probed (N = 2895): the
-# sums of its N^2 ordered pairs with their indices take about 24 bytes a
-# pair on dense tables, and with their sort order about 48 on sorted arrays
+# point pairs N(N+1)/2 of the largest configuration probed (N = 2895): on
+# a dense box the pair stage holds a 4-byte first-pair table over the box
+# and N^2 / 8 bytes of adjacency rows; on sorted arrays the N^2 ordered pair
+# sums with their sort order take about 48 bytes a pair
 _MAX_PAIRS = 1 << 22
 
 
@@ -130,42 +133,30 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
 
 
 class _DenseCodes:
-    """Sum codes in a box of at most _DENSE_CODES codes, looked up in
-    tables over the box, each built on first use (the pair sums read
-    neither). Code c sits at c + 1 of the count and flag tables, with an
-    empty slot at either end, so a query clipped into the table lands on
-    an empty slot when it lies outside the box."""
+    """Sum codes in a box of at most _DENSE_CODES codes, looked up in one
+    table of a byte a code: 0 for a code not in the set, 1 for a code held
+    once, 2 for one held more often. Code c sits at c + 1, with an empty
+    slot at either end, so a query clipped into the table lands on an
+    empty slot when it lies outside the box."""
 
     def __init__(self, codes: np.ndarray, box: int):
-        self.codes, self.box = codes, box
-
-    @cached_property
-    def counts(self) -> np.ndarray:
-        return np.bincount(self.codes + 1, minlength=self.box + 2)
-
-    @cached_property
-    def flags(self) -> np.ndarray:
-        # a byte a code: lookups gather several times faster than from the counts
-        return self.counts > 0
-
-    def first(self) -> np.ndarray:
-        """The first row of every distinct code, by a minimum per code."""
-        first = np.full(self.box, len(self.codes), dtype=np.int32)
-        np.minimum.at(first, self.codes, np.arange(len(self.codes), dtype=np.int32))
-        return first[first < len(self.codes)]
+        self.codes = codes
+        self.table = np.empty(box + 2, dtype=np.uint8)
+        np.minimum(np.bincount(codes + 1, minlength=box + 2), 2, out=self.table,
+                   casting="unsafe")
 
     def repeated(self) -> np.ndarray:
         """The rows of the codes that repeat, in stable code order. Only
         they are sorted, as keys code * 2^k + row: all distinct, so any
         sort keeps rows of one code in order, and np.sort orders them
         faster than a stable argsort of the codes."""
-        rows = np.flatnonzero(self.counts[1:][self.codes] > 1)
+        rows = np.flatnonzero(self.table[1:][self.codes] > 1)
         k = len(self.codes).bit_length()
         return np.sort(self.codes[rows] << k | rows) & ((1 << k) - 1)
 
     def holds(self, q: np.ndarray) -> np.ndarray:
         """Per int64 query code: is it one of the codes?"""
-        return np.take(self.flags, q + 1, mode="clip")
+        return np.take(self.table, q + 1, mode="clip") != 0
 
 
 class _SortedCodes:
@@ -179,6 +170,7 @@ class _SortedCodes:
         self.values = ordered[self.starts]
 
     def first(self) -> np.ndarray:
+        """The first row of every distinct code, in code order."""
         return self.order[self.starts]
 
     def repeated(self) -> np.ndarray:
@@ -190,24 +182,40 @@ class _SortedCodes:
         return self.values[at] == q
 
 
+def _dense(box: int, size: int) -> bool:
+    """Do `size` codes in [0, box) take a dense table over the box? Yes
+    when it holds at most _DENSE_CODES codes and _DENSE_SPREAD per code."""
+    return box <= min(_DENSE_CODES, _DENSE_SPREAD * size)
+
+
 def _code_set(codes: np.ndarray, box: int):
-    """The codes, each in [0, box), grouped by value: `_DenseCodes` when the
-    box holds at most _DENSE_CODES codes and _DENSE_SPREAD per code of the
-    set, else `_SortedCodes`; both answer first(), repeated() and holds()
+    """The codes, each in [0, box), grouped by value: `_DenseCodes` when
+    `_dense`, else `_SortedCodes`; both answer repeated() and holds()
     alike."""
-    dense = box <= min(_DENSE_CODES, _DENSE_SPREAD * len(codes))
-    return (_DenseCodes if dense else _SortedCodes)(codes, box)
+    return (_DenseCodes if _dense(box, len(codes)) else _SortedCodes)(codes, box)
 
 
 def _pair_fibers(codes: np.ndarray, box: int) -> tuple[np.ndarray, np.ndarray]:
     """(i, j), the irreducible pair (i <= j) of every pair sum of the point
     codes: the first pair with its sum in index-lex order, which matches
-    pair-lex order on the (lex sorted) points. It is read off all N^2
+    pair-lex order on the (lex sorted) points. It is read off the N^2
     ordered pairs in row-major order: a pair (i, j) with i > j comes after
     (j, i), which has the same sum, so the first pair with a sum has i <= j.
-    Pair indices are int32."""
-    first = _code_set((codes[:, None] + codes).reshape(-1), box).first()
-    return np.divmod(first.astype(np.int32), len(codes))
+    On a dense box (`_dense` for N^2 codes) the sums stream, _CHUNK_BYTES //
+    64 at a time, into an int32 table of the least pair index per code;
+    else one stable sort of all N^2 sums finds the first pairs. Pair
+    indices are int32."""
+    n = len(codes)
+    if _dense(box, n * n):
+        first = np.full(box, n * n, dtype=np.int32)
+        step = max(1, _CHUNK_BYTES // (64 * n))
+        for r0 in range(0, n, step):
+            sums = (codes[r0 : r0 + step, None] + codes).reshape(-1)
+            np.minimum.at(first, sums, np.arange(r0 * n, r0 * n + len(sums), dtype=np.int32))
+        first = first[first < n * n]
+    else:
+        first = _SortedCodes((codes[:, None] + codes).reshape(-1), box).first().astype(np.int32)
+    return np.divmod(first, np.int32(n))
 
 
 def _pair_masks(sums: np.ndarray, codes: np.ndarray, points) -> np.ndarray:
@@ -410,10 +418,10 @@ def _search(seen, keys, group, first, sums, codes, lower):
 
 def _join(seen, frontier, pool, sums, codes, lower):
     """Mark in `seen` each key of `pool` (ascending) that G_b joins to a
-    frontier key of its group: b - p - q among `lower`, _CHUNK_BYTES // 64
-    lookups at a time."""
+    frontier key of its group: b - p - q among `lower`, _CHUNK_BYTES // 320
+    lookups at a time (about ten 8-byte temporaries each)."""
     n, m = len(codes), len(sums)
-    step = max(1, _CHUNK_BYTES // 64)
+    step = max(1, _CHUNK_BYTES // 320)
     # group g's pool keys are pool[start[g]:start[g + 1]]; pair t joins
     # frontier key i to pool key stop[i] + t - ends[i]
     start = np.searchsorted(pool, np.arange(m + 1) * n)
@@ -496,9 +504,10 @@ def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
     if N * (N + 1) // 2 > _MAX_PAIRS:
         raise InvalidInputError(f"configuration too large to probe: {N} points")
     _, point_codes = _code_scales(P, (ell,), top)
-    adj = np.zeros((N, N), dtype=bool)
-    adj[_pair_fibers(point_codes, box)] = True
-    adj = np.packbits(adj, axis=1)
+    # the packed adjacency rows: bit j of row i for each irreducible pair (i, j)
+    i, j = _pair_fibers(point_codes, box)
+    adj = np.zeros((N, -(-N // 8)), dtype=np.uint8)
+    np.bitwise_or.at(adj, (i, j >> 3), (128 >> (j & 7)).astype(np.uint8))
     # lower[k]: the code set of the k-point sums
     lower = [None, _code_set(point_codes, box)]
     # per degree: each clique's parent clique of one degree less and last point
@@ -531,10 +540,13 @@ def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
             sinks[:, c] = ends[c - 1][row]
             row = parents[c - 1][row]
         sinks[:, 0] = row
-        bad, checked = _first_disconnected(sinks, group, sums[starts], point_codes,
-                                            lower)
         # the distinct codes: one per run of repeated rows, and every other row
         count = len(codes) - len(order) + len(starts)
+        if d == degree_cap:
+            # the last degree's cliques live on in its sinks alone
+            del codes, parents, ends, fibers, order, row, k, j
+        bad, checked = _first_disconnected(sinks, group, sums[starts], point_codes,
+                                            lower)
         summaries.append(DegreeSummary(d, count, checked, bad is None))
         if bad is not None:
             witness_fiber = (d, *_decode_point(P, top, d * ell, sums[starts[bad]]))

@@ -24,17 +24,20 @@ from polynorm import (
     REEVE_RANGE,
     BoundReport,
     CorollaryRecord,
+    CorpusSpec,
     InvalidInputError,
     build_polytope,
     generate_corpus,
     is_normal,
     normality_bound,
     reeve_simplex,
+    run_verification,
     scaled_count,
     verify_corollary,
     verify_witness,
 )
 from polynorm.geometry import HalfSpace, Polytope
+import polynorm.harness as harness
 import polynorm.normality as normality
 from conftest import random_polytope
 from test_normality import _sumset_verdict
@@ -260,3 +263,40 @@ def test_long_thin_triangle_scans_few_prefixes():
     assert rec.passed
     assert sum(rows) <= 2 * N + 100
     assert verify_corollary(P, normality_bound(P), 2) == rec
+
+
+@pytest.mark.parametrize("dims, candidates, computed", [((3,), 4, 64), ((4,), 5, 70)])
+def test_corpus_where_the_paper_says_more_than_the_lemma(dims, candidates, computed):
+    # the corollary makes ell*P normal from max(n - d, 1) up; below n - 1
+    # that is the paper's own claim, which the sweep computes as S_c for c
+    # in [max(n - d, 1), n - 2], a range that is nonempty iff d >= 2. The
+    # default corpus computes it on 4 of its 304 polytopes; these specs, on
+    # 64 of 104 in dim 3 (the Reeve fixtures ride along) and 70 of 100 in
+    # dim 4. The counts are pinned, so that a generator change cannot drop
+    # the coverage unseen
+    n = dims[0]
+    spec = CorpusSpec(seed=271828, dims=dims, coord_bound=2, count_per_dim=100,
+                      vertex_candidates=candidates)
+    ladders, sweeping = [], []
+    gap, sweep = normality._first_gap, harness.verify_corollary
+
+    def spied_sweep(*args, **kwargs):
+        sweeping.append(True)
+        try:
+            return sweep(*args, **kwargs)
+        finally:
+            sweeping.pop()
+
+    def spied_gap(P, c_lo, c_hi):
+        if sweeping:
+            ladders.append((c_lo, c_hi))
+        return gap(P, c_lo, c_hi)
+
+    with mock.patch.object(harness, "verify_corollary", spied_sweep), \
+            mock.patch.object(normality, "_first_gap", spied_gap):
+        report = run_verification(spec, threads=1)
+    assert report["summary"]["all_passed"]
+    assert len(ladders) == computed
+    assert all(1 <= c_lo <= c_hi == n - 2 for c_lo, c_hi in ladders)
+    bounds = [p["corollary"]["corollary_bound"] for p in report["polytopes"]]
+    assert sum(bound <= n - 2 for bound in bounds) == computed

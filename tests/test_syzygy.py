@@ -14,6 +14,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 from collections import Counter, deque
 from dataclasses import dataclass, replace
 
@@ -26,16 +27,19 @@ from polynorm import (
     REEVE_RANGE,
     InvalidInputError,
     LatticePoint,
+    NotFullDimensionalError,
     build_configuration,
     build_polytope,
     generate_corpus,
     n1_probe,
     reeve_simplex,
+    scaled_count,
 )
 from polynorm import syzygy
 from polynorm.geometry import _as_point
 from polynorm.syzygy import DegreeSummary, N1ProbeReport
 from conftest import random_polytope
+from test_metamorphic import apply, unimodular
 
 CONNECTED = "quadratically connected up to cap"
 # the code-set bounds the oracle tests run at: the default, whose dense
@@ -543,6 +547,25 @@ def test_probe_pair_limit_admits_exactly_its_pairs(monkeypatch, unit_square):
         n1_probe(unit_square, 2, 3)
 
 
+def test_probe_at_the_pair_limit_builds_no_pair_arrays():
+    # the unit cube at ell = 13 has N = 14^3 = 2,744 points, whose 3,766,140
+    # pairs _MAX_PAIRS admits; its degree-2 fibers are the 27^3 points of
+    # 26 * cube. Its N^2 = 7.5 million ordered pair sums alone would take
+    # 60 MB, and an N x N matrix 7.5 MB: streamed in blocks into a table over
+    # the box, the whole probe peaks under 8 MB traced
+    cube = build_polytope(list(itertools.product((0, 1), repeat=3)))
+    N = scaled_count(cube, 13)
+    assert N == 14**3 and N * (N + 1) // 2 <= syzygy._MAX_PAIRS
+    tracemalloc.start()
+    try:
+        report = n1_probe(cube, 13, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.per_degree == (DegreeSummary(2, 27**3, 0, True),)
+    assert peak <= 8 << 20, peak
+
+
 def test_probe_report_json(unit_square):
     data = n1_probe(unit_square, 2, 3).to_jsonable()
     assert data["ell"] == 2
@@ -603,6 +626,51 @@ def test_probe_matches_reference(bound, n, seed, ell, cap):
         _bound(mp, bound)
         rep = n1_probe(P, ell, cap)
     assert rep.to_jsonable() == reference_probe(P, ell, cap).to_jsonable()
+
+
+def random_polygon(rng):
+    """conv of 3 to 6 points drawn from [-s, s]^2 by `rng`, s from 3 to 10
+    (the default corpus draws from [0, 4]^2), drawn again until they span
+    the plane."""
+    spread = rng.randint(3, 10)
+    while True:
+        pts = [(rng.randint(-spread, spread), rng.randint(-spread, spread))
+               for _ in range(rng.randint(3, 6))]
+        try:
+            return build_polytope(pts)
+        except (InvalidInputError, NotFullDimensionalError):
+            continue
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+def test_probe_agrees_with_koelman_on_polygons(bound, seed):
+    # Koelman (Beitraege Algebra Geom. 34, 1993): the toric ideal of a lattice
+    # polygon P is generated by quadrics iff P has at least 4 boundary lattice
+    # points or is the unimodular triangle. P is normal and its regularity
+    # cap is 3 with an interior point and 2 without, so the probe at ell = 1
+    # and cap 3 decides it: disconnected, at degree 3, iff P has B = 3
+    # boundary points and an interior point. 2P has at least 6 boundary
+    # points, so it is connected. The image of P under a unimodular map and
+    # a translation (tests/test_metamorphic.py) has the same verdict and
+    # fibers
+    rng = random.Random(seed)
+    P = random_polygon(rng)
+    U = unimodular(rng, 2)
+    t = [rng.randint(-50, 50) for _ in range(2)]
+    image = build_polytope([apply(U, t, v) for v in P.vertices])
+    interior = scaled_count(P, 1, interior=True)
+    needs_cubic = scaled_count(P, 1) - interior == 3 and interior > 0
+    with pytest.MonkeyPatch.context() as mp:
+        _bound(mp, bound)
+        reports = [n1_probe(P, 1, 3), n1_probe(image, 1, 3)]
+        assert n1_probe(P, 2, 3).connected, P.vertices
+    for rep in reports:
+        assert rep.connected is not needs_cubic, P.vertices
+        assert rep.witness_degree == (3 if needs_cubic else None)
+    fibers = [[s.fibers for s in rep.per_degree] for rep in reports]
+    assert fibers[0] == fibers[1], (P.vertices, U, t)
 
 
 @pytest.mark.parametrize("bound", BOUNDS)
@@ -842,27 +910,41 @@ def chunk_cases():
 
 @pytest.mark.parametrize("chunk", [1, 1 << 10, 1 << 13])
 def test_chunk_bytes_do_not_change_reports(monkeypatch, chunk, chunk_cases):
-    # at 1 every batch of the search is one group, every chunk one lookup
-    # and every chunk of candidate rows one row; at 2^10 a batch holds
-    # several groups and a chunk 16 lookups. The dim-3 polytopes at ell = 3
-    # have 82 to 253 configuration points, so at 2^10 and 2^13 their packed
-    # candidate rows span many chunks while a search batch holds one group
-    # (2^10) or several (2^13); at 1 they would take seconds, and one-row
-    # chunks of candidate rows are checked against the oracle below
+    # at 1 every batch of the search is one group, every chunk one lookup,
+    # every block of pair sums one row and every chunk of candidate rows
+    # one row; at 2^10 a batch holds several groups and a chunk 3 edge
+    # lookups. The dim-3 polytopes at ell = 3 have 82 to 253 configuration
+    # points, so at 2^10 and 2^13 their packed candidate rows and pair sums
+    # span many chunks while a search batch holds one group (2^10) or
+    # several (2^13); at 1 they would take seconds, and one-row chunks of
+    # candidate rows are checked against the oracle below. Each chunked
+    # loop below must see inputs of more than one chunk
     every, large = chunk_cases
     cases = every + large if chunk > 1 else every
     default = [report for _, _, report in cases]
     monkeypatch.setattr(syzygy, "_CHUNK_BYTES", chunk)
-    split = []
-    real = syzygy._candidate_bits
+    split = Counter()
 
-    def spy(cand):
-        split.append(cand.size > chunk)
-        return real(cand)
+    def spy(name, splits):
+        real = getattr(syzygy, name)
 
-    monkeypatch.setattr(syzygy, "_candidate_bits", spy)
+        def wrapped(*args):
+            split[name] += splits(*args)
+            return real(*args)
+
+        monkeypatch.setattr(syzygy, name, wrapped)
+
+    def join_lookups(seen, frontier, pool, sums, codes, lower):
+        start = np.searchsorted(pool, np.arange(len(sums) + 1) * len(codes))
+        g = frontier // len(codes)
+        return (start[g + 1] - start[g]).sum()
+
+    spy("_candidate_bits", lambda cand: cand.size > chunk)
+    spy("_pair_fibers", lambda codes, box: syzygy._dense(box, len(codes) ** 2)
+        and len(codes) > max(1, chunk // (64 * len(codes))))
+    spy("_join", lambda *args: join_lookups(*args) > max(1, chunk // 320))
     assert [n1_probe(P, ell, 4).to_jsonable() for P, ell, _ in cases] == default
-    assert sum(split) >= 5
+    assert min(split[name] for name in ("_candidate_bits", "_pair_fibers", "_join")) >= 5, split
 
 
 @settings(max_examples=60, deadline=None)
@@ -888,12 +970,13 @@ def test_candidate_bits_match_unpacking_every_row(n, rows, density, seed):
 @given(st.sampled_from([2, 3, "reeve"]), st.integers(0, 10**6), st.integers(1, 2))
 def test_pair_fiber_masks_match_pair_table(kind, seed, ell):
     # the probe's pair fibers against the pair table, on both code sets:
-    # the irreducible pairs are the table's; the pair sums' code set holds
-    # exactly the table's sums, one first row per sum; and per distinct pair
-    # sum, in sum order, the mask row marks exactly the points of its pairs
-    # (both sides), at the default chunk size and at chunks of a few mask
-    # rows. At degree 3 the sinks of every colliding sum share no point (the
-    # lemma in the syzygy docstring)
+    # the irreducible pairs are the table's, one pair per distinct sum; the
+    # pair sums' code set holds exactly the table's sums; and per distinct
+    # pair sum, in sum order, the mask row marks exactly the points of its
+    # pairs (both sides), at the default chunk size and at chunks of a few
+    # mask rows (and of one row of pair sums on the dense table). At degree
+    # 3 the sinks of every colliding sum share no point (the lemma in the
+    # syzygy docstring)
     rng = random.Random(seed)
     if kind == "reeve":
         P = reeve_simplex(rng.choice(REEVE_RANGE))
@@ -917,7 +1000,7 @@ def test_pair_fiber_masks_match_pair_table(kind, seed, ell):
         assert irreducible[0].dtype == irreducible[1].dtype == np.int32
         assert sorted(zip(*(side.tolist() for side in irreducible))) == sorted(table.irreducible)
         assert len(sums) == len(want) and pair_sums.holds(sums).all()
-        assert sorted(every[pair_sums.first()].tolist()) == sums.tolist()
+        assert sorted((codes[irreducible[0]] + codes[irreducible[1]]).tolist()) == sums.tolist()
         assert not pair_sums.holds(np.setdiff1d(np.r_[sums - 1, sums + 1, -1, box], sums)).any()
         points = np.unpackbits(masks.view(np.uint8), axis=1, count=len(C))
         assert [np.flatnonzero(row).tolist() for row in points] == want, P.vertices
