@@ -55,12 +55,7 @@ from .normality import (
     verify_corollary,
     verify_witness,
 )
-from .syzygy import (
-    N1ProbeReport,
-    PointConfiguration,
-    build_configuration,
-    n1_probe,
-)
+from .syzygy import N1ProbeReport, n1_probe
 
 __version__ = "0.1.0"
 
@@ -70,10 +65,10 @@ __all__ = [
     "EhrhartPolynomial", "HalfSpace",
     "InternalInvariantError", "InvalidInputError", "LatticePoint",
     "N1ProbeReport", "NormalityReport", "NormalityWitness",
-    "NotFullDimensionalError", "PointConfiguration", "Polytope",
+    "NotFullDimensionalError", "Polytope",
     "PolynormError", "REEVE_RANGE", "affine_dim", "analyze",
     "autoregularity_from_definition",
-    "build_configuration", "build_polytope", "d_of_p", "default_cap",
+    "build_polytope", "d_of_p", "default_cap",
     "ehrhart_polynomial", "extrapolation_check",
     "generate_corpus", "h_table", "is_normal", "n1_probe", "normality_bound",
     "np_bound_from_regularity", "reciprocity_check", "reeve_simplex",

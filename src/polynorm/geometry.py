@@ -159,7 +159,7 @@ class Polytope:
     Use build_polytope(); the constructor trusts its arguments.
     """
 
-    __slots__ = ("dim", "vertices", "facets", "_hash", "_count_cache", "_frame")
+    __slots__ = ("dim", "vertices", "facets", "_hash", "_count_cache", "_frame", "_box", "_id")
 
     def __init__(self, dim: int, vertices: tuple[LatticePoint, ...],
                  facets: tuple[HalfSpace, ...]):
@@ -168,7 +168,7 @@ class Polytope:
         self.facets = facets
         self._hash = hash((dim, vertices))
         self._count_cache = {}
-        self._frame = None
+        self._frame = self._box = self._id = None
 
     def __eq__(self, other):
         if not isinstance(other, Polytope):
@@ -183,19 +183,23 @@ class Polytope:
 
     @property
     def polytope_id(self) -> str:
-        """Hex digest of the canonical vertex list; stable across runs."""
-        return vertices_id(self.vertices)
+        """Hex digest of the canonical vertex list; stable across runs, hashed once."""
+        if self._id is None:
+            self._id = vertices_id(self.vertices)
+        return self._id
 
     def bounding_box(self) -> tuple[LatticePoint, LatticePoint]:
-        n = self.dim
-        lo = tuple(min(v[j] for v in self.vertices) for j in range(n))
-        hi = tuple(max(v[j] for v in self.vertices) for j in range(n))
-        return lo, hi
+        """(lo, hi): each axis's least and greatest vertex coordinate, found once."""
+        if self._box is None:
+            axes = list(zip(*self.vertices))
+            self._box = tuple(map(min, axes)), tuple(map(max, axes))
+        return self._box
 
-    def contains(self, point) -> bool:
-        """Exact membership test."""
+    def contains(self, point, scale: int = 1) -> bool:
+        """Exact membership test in scale*P: <a, x> >= scale*b on every facet."""
         pt = _as_point(point, self.dim)
-        return all(h.evaluate(pt) >= 0 for h in self.facets)
+        scale = _as_int(scale, "scale", 1)
+        return all(_dot(h.normal, pt) >= scale * h.offset for h in self.facets)
 
     def dilate(self, k: int) -> "Polytope":
         """The dilate kP, without a scan frame: normals carry over, offsets times k."""
@@ -279,11 +283,12 @@ def build_polytope(points) -> Polytope:
 # -- lattice point enumeration ------------------------------------------------
 
 def _scan_frame(P: Polytope):
-    """Facet rows (normal, offset) bounding each coordinate, their reach, P's box.
+    """(groups, reach): facet rows (normal, offset) bounding each coordinate,
+    and their reach.
 
     Group k holds the facets of pi_{k+1}(P), the projection onto the first
     k + 1 coordinates (pi_n(P) = P; pi_1(P) spans the box). reach bounds
-    |<a, x>| + |b| over rows (a, b), x in the box. Built at P's first walk.
+    |<a, x>| + |b| over rows (a, b), x in P's box. Built at P's first walk.
     """
     if P._frame is None:
         lo, hi = P.bounding_box()
@@ -294,7 +299,7 @@ def _scan_frame(P: Polytope):
         reach = max(sum(abs(a) * x for a, x in zip(h.normal, far)) + abs(h.offset)
                     for group in facets for h in group)
         P._frame = (tuple(np.array([h.normal + (h.offset,) for h in g], dtype=object)
-                          for g in facets), reach, lo, hi)
+                          for g in facets), reach)
     return P._frame
 
 
@@ -307,7 +312,7 @@ def _scan_dtype(P: Polytope, scale: int):
     counts run in int64. 16 times the facet values fit, and so do the
     level-m checker's interval ends, sums of two last-coordinate bounds.
     """
-    _, reach, lo, hi = _scan_frame(P)
+    reach, (lo, hi) = _scan_frame(P)[1], P.bounding_box()
     box_points = math.prod(scale * (h - l) + 1 for l, h in zip(lo, hi))
     return _narrowest(max(4 * (scale * reach + 1), box_points))
 

@@ -31,6 +31,7 @@ tables.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,13 +269,6 @@ def _line_gap(table_p: _LineTable, table_m: _LineTable, z, low: int,
     return int(gap) if gap <= high else None
 
 
-def _contains_scaled(P: Polytope, scale: int, pt) -> bool:
-    return all(
-        sum(a * x for a, x in zip(h.normal, pt)) >= scale * h.offset
-        for h in P.facets
-    )
-
-
 def _cap(P: Polytope, cap) -> int:
     return _as_int(default_cap(P.dim) if cap is None else cap, "normality cap", 2)
 
@@ -285,7 +279,7 @@ def _line_ladder(P: Polytope, c_lo: int, c_hi: int) -> tuple[int, LatticePoint] 
     Scans P, and c_lo P when c_lo > 1, into tables; the scan of (c+1)P
     that checks S_c (_first_missing) fills the table S_{c+1} reads.
     """
-    far = (c_hi + 1) * max(abs(v[-1]) for v in P.vertices)
+    far = (c_hi + 1) * max(abs(corner[-1]) for corner in P.bounding_box())
     dtype, empty = _narrowest(4 * (far + 1)), 2 * far + 1
     U = _line_frame(P)
     table_p = _LineTable(P, U, 1, dtype, empty).scan(P, 1)
@@ -363,32 +357,20 @@ def verify_witness(P: Polytope, level: int, point) -> bool:
     """Independently re-verify a non-normality witness.
 
     True iff point lies in level*P and is not a sum of `level` lattice
-    points of P, decided by exhaustive search with memoization.
+    points of P. Walks down from k = level, keeping the rests in kP: what is
+    left of the point after taking off level - k lattice points of P (a sum
+    of k of them lies in kP). The point is a sum iff a rest is left at k = 1.
     """
     level = _as_int(level, "witness level", 2)
     z = _as_point(point, P.dim)
-    if not _contains_scaled(P, level, z):
+    if not P.contains(z, level):
         return False
-    A_list = P.lattice_points()
-    memo: dict = {}
-
-    def decomposable(w, k):
-        if k == 1:
-            return _contains_scaled(P, 1, w)
-        key = (w, k)
-        if key in memo:
-            return memo[key]
-        res = False
-        for a in A_list:
-            rest = tuple(x - y for x, y in zip(w, a))
-            # sums of k-1 points of P always lie in (k-1)P; prune by that
-            if _contains_scaled(P, k - 1, rest) and decomposable(rest, k - 1):
-                res = True
-                break
-        memo[key] = res
-        return res
-
-    return not decomposable(z, level)
+    points = P.lattice_points()
+    rests = {z}
+    for k in range(level - 1, 0, -1):
+        rests = {rest for w in rests for a in points
+                 if P.contains(rest := tuple(map(operator.sub, w, a)), k)}
+    return not rests
 
 
 @dataclass(frozen=True)

@@ -76,8 +76,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import (LatticePoint, Polytope, _as_int, _code_box, _code_scales,
-                       _decode_point, scaled_count, scaled_points_array)
+from .geometry import Polytope, _as_int, _code_box, _code_scales, _decode_point, scaled_count
 
 _CONNECTED = "quadratically connected up to cap"
 _DISCONNECTED = "disconnected"
@@ -105,24 +104,6 @@ _DENSE_CODES, _DENSE_SPREAD = 1 << 20, 1 << 12
 # and N^2 / 8 bytes of adjacency rows; on sorted arrays the N^2 ordered pair
 # sums with their sort order take about 48 bytes a pair
 _MAX_PAIRS = 1 << 22
-
-
-@dataclass(frozen=True)
-class PointConfiguration:
-    """Homogenized lattice points (1, u) of a dilate, lex ordered."""
-
-    points: tuple[LatticePoint, ...]
-    n_plus_1: int
-
-    def __len__(self):
-        return len(self.points)
-
-
-def build_configuration(P: Polytope, ell: int) -> PointConfiguration:
-    """Configuration of the embedding by ell*P."""
-    ell = _as_int(ell, "ell", 1)
-    pts = tuple((1, *u) for u in scaled_points_array(P, ell).tolist())
-    return PointConfiguration(points=pts, n_plus_1=P.dim + 1)
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Shared fixtures: a handful of small polytopes with known invariants,
-`random_polytope`, the seeded generator the test modules import, and
-`box_scan`, their reference enumeration."""
+`random_polytope`, the seeded generator the test modules import,
+`box_scan`, their reference enumeration, and `build_configuration`, the
+point configuration that the fiber oracles of test_syzygy.py enumerate."""
 
 import itertools
 import operator
 import os
+from dataclasses import dataclass
 
 import pytest
 
@@ -15,6 +17,7 @@ from polynorm import (
     reeve_simplex,
     scaled_count,
 )
+from polynorm.geometry import scaled_points_array
 
 _acceptance_lines: list[str] = []
 
@@ -44,6 +47,23 @@ def box_scan(P, k=1, strict=False):
         if all(v > 0 for v in vals) if strict else all(v >= 0 for v in vals):
             out.append(p)
     return out
+
+
+@dataclass(frozen=True)
+class PointConfiguration:
+    """Homogenized lattice points (1, u) of a dilate, lex ordered."""
+
+    points: tuple[tuple[int, ...], ...]
+    n_plus_1: int
+
+    def __len__(self):
+        return len(self.points)
+
+
+def build_configuration(P, ell):
+    """Configuration of the embedding by ell*P."""
+    pts = tuple((1, *u) for u in scaled_points_array(P, ell).tolist())
+    return PointConfiguration(points=pts, n_plus_1=P.dim + 1)
 
 
 def pytest_configure(config):

@@ -14,7 +14,6 @@ import pytest
 from polynorm import (
     CorpusSpec,
     InvalidInputError,
-    build_configuration,
     build_polytope,
     h_table,
     is_normal,
@@ -43,7 +42,7 @@ SITES = [
     ("dilate", "dilation factor", 1, lambda v: SQUARE.dilate(v)),
     ("scaled_count", "scale", 1, lambda v: scaled_count(SQUARE, v)),
     ("scaled_points_array", "scale", 1, lambda v: scaled_points_array(SQUARE, v)),
-    ("build_configuration", "ell", 1, lambda v: build_configuration(SQUARE, v)),
+    ("contains", "scale", 1, lambda v: SQUARE.contains((0, 0), v)),
     ("n1_probe_ell", "ell", 1, lambda v: n1_probe(SQUARE, v)),
     ("n1_probe_degree_cap", "degree cap", 2, lambda v: n1_probe(SQUARE, 1, v)),
     ("is_normal", "normality cap", 2, lambda v: is_normal(SQUARE, v)),

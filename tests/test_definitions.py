@@ -4,7 +4,10 @@ and every top-level function of a helper module in tests/ is used.
 Read from the source with ast: a function or class defined at the top
 level of a module under src/polynorm/ must be named somewhere in the
 package, as a name, an attribute or an imported name, or be listed in
-`polynorm.__all__`. Its own definition does not count. A function defined
+`polynorm.__all__`. Its own definition does not count. A name exported in
+`polynorm.__all__` must in turn be named by a module other than __init__,
+or be one of ENTRY_POINTS, the exports no module of the package calls,
+so the package exports nothing that only the tests use. A function defined
 at the top level of a helper module in tests/ (conftest.py and the oracle
 modules, any module there not named test_*) must be named by a test
 module, where a function parameter counts as a name, so a fixture counts as
@@ -41,6 +44,18 @@ def test_every_definition_is_named_or_exported(module):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
     dead = sorted(set(defs) - NAMED - set(polynorm.__all__))
     assert not dead, f"{module} defines names nothing uses: {dead}"
+
+
+# exports that are the library's own entry points: no module calls them
+ENTRY_POINTS = {"affine_dim"}
+
+
+def test_every_export_is_named_by_the_package():
+    used = {name for module, tree in TREES.items() if module != "__init__.py"
+            for name in named(tree)}
+    unused = sorted(set(polynorm.__all__) - used - ENTRY_POINTS)
+    assert not unused, f"polynorm exports names no module of it uses: {unused}"
+    assert ENTRY_POINTS <= set(polynorm.__all__) - used
 
 
 HELPERS = sorted(p.name for p in TESTS.glob("*.py") if not p.name.startswith("test_"))

@@ -6,6 +6,7 @@ inequality, and box_slabs walks every prefix of the box and keeps the
 feasible range of its line.
 """
 
+import itertools
 import random
 import time
 
@@ -168,11 +169,19 @@ def test_boolean_coordinates_rejected():
         build_polytope([[True, False], [False, True], [False, False]])
 
 
-def test_contains(unit_square):
+def test_contains(unit_square, t2):
     assert unit_square.contains((0, 0))
     assert unit_square.contains((1, 1))
     assert not unit_square.contains((2, 0))
     assert not unit_square.contains((-1, 0))
+    # scale*P: the facet offsets times scale, as in the dilate
+    assert unit_square.contains((2, 0), 2)
+    assert not unit_square.contains((3, 0), 2)
+    for P in (unit_square, t2, build_polytope([(0, 0), (3, 1), (1, 4)])):
+        for k in (1, 2, 3):
+            lo, hi = P.dilate(k).bounding_box()
+            box = itertools.product(*(range(a - 1, b + 2) for a, b in zip(lo, hi)))
+            assert [x for x in box if P.contains(x, k)] == box_scan(P, k)
 
 
 def test_dilate(unit_square):
@@ -226,6 +235,9 @@ def test_bounding_box(t2):
     lo, hi = t2.bounding_box()
     assert lo == (0, 0, 0)
     assert hi == (1, 1, 2)
+    # computed once and kept, as the id is
+    assert t2.bounding_box() is t2.bounding_box()
+    assert t2.polytope_id is t2.polytope_id
 
 
 @settings(max_examples=40, deadline=None)
@@ -311,12 +323,13 @@ def test_dilate_builds_the_scaled_frame(n, seed, k):
     P = random_polytope(random.Random(seed), n)
     kP = P.dilate(k)
     assert kP._frame is None
-    groups, reach, lo, hi = geometry._scan_frame(P)
-    k_groups, k_reach, k_lo, k_hi = geometry._scan_frame(kP)
+    groups, reach = geometry._scan_frame(P)
+    k_groups, k_reach = geometry._scan_frame(kP)
     assert [M.tolist() for M in k_groups] == [
         np.hstack((M[:, :-1], k * M[:, -1:])).tolist() for M in groups]
     assert k_reach == k * reach
-    assert (k_lo, k_hi) == (tuple(k * x for x in lo), tuple(k * x for x in hi))
+    lo, hi = P.bounding_box()
+    assert kP.bounding_box() == (tuple(k * x for x in lo), tuple(k * x for x in hi))
     assert normality._line_frame(kP) == normality._line_frame(P)
 
 

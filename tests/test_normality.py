@@ -181,6 +181,36 @@ def test_witness_reverification(t2):
     assert not verify_witness(t2, 2, (9, 9, 9))
 
 
+def test_witness_check_runs_at_deep_levels(t2):
+    # one pass per level, no recursion: the set of rests stays small here
+    segment = build_polytope([(0,), (1,)])
+    for level in (999, 1200):
+        assert not verify_witness(segment, level, (1,))
+        assert not verify_witness(segment, level, (level,))
+        assert not verify_witness(segment, level, (level + 1,))
+    # the lattice points of t2 sum to even last coordinates at every level
+    assert verify_witness(t2, 1500, (1, 1, 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 10**6), st.integers(2, 4),
+       st.sampled_from([None] + list(REEVE_RANGE)))
+def test_witness_check_matches_sumset(n, seed, level, q):
+    # every lattice point of level*P, and one just outside it, against the
+    # sumset definition: a witness is a point of level*P outside the sumset.
+    # The Reeve simplices have witnesses at every level
+    P = reeve_simplex(q) if q else random_polytope(random.Random(seed), n, spread=4 - n)
+    pts = P.lattice_points()
+    sums = set(pts)
+    for _ in range(level - 1):
+        sums = sum_of(sums, pts)
+    points = P.dilate(level).lattice_points()
+    for x in points:
+        assert verify_witness(P, level, x) == (x not in sums), (P.vertices, level, x)
+    outside = (points[-1][0] + 1,) + points[-1][1:]
+    assert not verify_witness(P, level, outside)
+
+
 def test_witness_is_lex_smallest_missing(t2):
     _, witness = is_normal_at_level(t2, 2)
     missing = sorted(
@@ -359,14 +389,16 @@ def test_multiplication_onto_matches_sumset(n, seed, q):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 4), st.integers(0, 10**6), st.integers(1, 2), st.integers(0, 2))
-def test_point_sums_match_line_tables_and_sumset(n, seed, c_lo, more):
+@given(st.integers(1, 4), st.integers(0, 10**6), st.integers(1, 2), st.integers(0, 2),
+       st.sampled_from([None, 1, 7]))
+def test_point_sums_match_line_tables_and_sumset(n, seed, c_lo, more, chunk):
     # both ladders of _first_gap, whichever its rule picks, find the gap of
-    # the sumset definition; so they do on P translated by 2^62, whose
-    # coordinates run in Python ints while the codes of its points, digits
-    # above the box's corner, stay int64. On both, the codes the sum ladder
-    # reads, here up to a top past its scales, ascend within each scale and
-    # decode to the points of each dilate
+    # the sumset definition, the sum ladder also when it marks `chunk` pair
+    # sums at a time (None keeps the default); so they do on P translated by
+    # 2^62, whose coordinates run in Python ints while the codes of its
+    # points, digits above the box's corner, stay int64. On both, the codes
+    # the sum ladder reads, here up to a top past its scales, ascend within
+    # each scale and decode to the points of each dilate
     c_hi = min(c_lo + more, 3)
     P = random_polytope(random.Random(seed), n, spread=2 if n < 4 else 1)
     scales = sorted({1, *range(c_lo, c_hi + 2)})
@@ -388,7 +420,8 @@ def test_point_sums_match_line_tables_and_sumset(n, seed, c_lo, more):
         # the witness lies in (c+1)P, so it moves by c + 1 times the shift
         gap = expected and (expected[0], tuple(x + (expected[0] + 1) * shift
                                                for x in expected[1]))
-        assert normality._sum_ladder(Q, c_lo, c_hi) == gap, (Q.vertices, c_lo, c_hi)
+        with mock.patch.object(normality, "_PAIR_CHUNK", chunk or normality._PAIR_CHUNK):
+            assert normality._sum_ladder(Q, c_lo, c_hi) == gap, (Q.vertices, c_lo, c_hi)
         assert normality._line_ladder(Q, c_lo, c_hi) == gap, (Q.vertices, c_lo, c_hi)
         top = c_hi + 2
         K, codes = geometry._code_scales(Q, tuple(scales), top)

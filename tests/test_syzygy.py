@@ -28,7 +28,6 @@ from polynorm import (
     InvalidInputError,
     LatticePoint,
     NotFullDimensionalError,
-    build_configuration,
     build_polytope,
     generate_corpus,
     n1_probe,
@@ -38,7 +37,7 @@ from polynorm import (
 from polynorm import syzygy
 from polynorm.geometry import _as_point
 from polynorm.syzygy import DegreeSummary, N1ProbeReport
-from conftest import random_polytope
+from conftest import build_configuration, random_polytope
 from test_metamorphic import apply, unimodular
 
 CONNECTED = "quadratically connected up to cap"
@@ -355,17 +354,6 @@ def test_configuration_is_homogenized_and_ordered(t2):
     assert all(p[0] == 1 for p in C.points)
     assert list(C.points) == sorted(C.points)
     assert C.n_plus_1 == 4
-
-
-def test_build_configuration_rejects_bad_ell(unit_square):
-    with pytest.raises(InvalidInputError):
-        build_configuration(unit_square, 0)
-
-
-def test_build_configuration_refuses_boolean_ell(unit_square):
-    # True is not the integer 1 here, as in n1_probe
-    with pytest.raises(InvalidInputError, match="ell"):
-        build_configuration(unit_square, True)
 
 
 def test_enumerate_fiber_square(unit_square):
