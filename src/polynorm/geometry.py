@@ -21,7 +21,6 @@ of Python ints, so results are exact for any coordinates.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import operator
@@ -29,6 +28,14 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+try:  # the interpreter's own SHA-256 module; the fallback loads OpenSSL's libcrypto
+    from _sha256 import sha256  # Python 3.10-3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import InvalidInputError, NotFullDimensionalError
 
@@ -142,15 +149,11 @@ class HalfSpace:
     normal: LatticePoint
     offset: int
 
-    def evaluate(self, point) -> int:
-        """Slack at the point; >= 0 inside, == 0 on the hyperplane."""
-        return _dot(self.normal, point) - self.offset
-
 
 def vertices_id(vertices) -> str:
     """polytope_id of the polytope whose sorted vertex list this is."""
     blob = json.dumps([list(v) for v in vertices], separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return sha256(blob.encode()).hexdigest()[:16]
 
 
 class Polytope:

@@ -357,20 +357,22 @@ def verify_witness(P: Polytope, level: int, point) -> bool:
     """Independently re-verify a non-normality witness.
 
     True iff point lies in level*P and is not a sum of `level` lattice
-    points of P. Walks down from k = level, keeping the rests in kP: what is
-    left of the point after taking off level - k lattice points of P (a sum
-    of k of them lies in kP). The point is a sum iff a rest is left at k = 1.
+    points of P: searches depth first, each once, through the rests w in kP
+    (the point less level - k points of P), and stops at the first k = 1.
     """
     level = _as_int(level, "witness level", 2)
     z = _as_point(point, P.dim)
     if not P.contains(z, level):
         return False
-    points = P.lattice_points()
-    rests = {z}
-    for k in range(level - 1, 0, -1):
-        rests = {rest for w in rests for a in points
-                 if P.contains(rest := tuple(map(operator.sub, w, a)), k)}
-    return not rests
+    points, stack, seen = P.lattice_points(), [(level, z)], set()
+    while stack and stack[-1][0] > 1:
+        k, w = stack.pop()
+        for a in points:
+            rest = (k - 1, tuple(map(operator.sub, w, a)))
+            if rest not in seen and P.contains(rest[1], k - 1):
+                seen.add(rest)
+                stack.append(rest)
+    return not stack
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,11 @@ package, as a name, an attribute or an imported name, or be listed in
 `polynorm.__all__`. Its own definition does not count. A name exported in
 `polynorm.__all__` must in turn be named by a module other than __init__,
 or be one of ENTRY_POINTS, the exports no module of the package calls,
-so the package exports nothing that only the tests use. A function defined
+so the package exports nothing that only the tests use. A public method or
+property of a class under src/polynorm/ must be named as an attribute by
+some module there, or be one of CALLED_FROM_OUTSIDE with its reason; the
+match is by name, so a method that shares its name with one in use passes.
+Dunder methods are exempt. A function defined
 at the top level of a helper module in tests/ (conftest.py and the oracle
 modules, any module there not named test_*) must be named by a test
 module, where a function parameter counts as a name, so a fixture counts as
@@ -56,6 +60,36 @@ def test_every_export_is_named_by_the_package():
     unused = sorted(set(polynorm.__all__) - used - ENTRY_POINTS)
     assert not unused, f"polynorm exports names no module of it uses: {unused}"
     assert ENTRY_POINTS <= set(polynorm.__all__) - used
+
+
+# public methods no module of the package names, each with its caller
+CALLED_FROM_OUTSIDE = {
+    ("cli.py", "_Parser", "error"): "argparse.ArgumentParser calls it on a bad command line",
+}
+ATTRIBUTES = {node.attr for tree in TREES.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)}
+
+
+def public_methods(module):
+    for cls in ast.walk(TREES[module]):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not node.name.startswith("_")):
+                    yield (module, cls.name, node.name)
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_every_public_method_is_named_by_the_package(module):
+    dead = sorted(key for key in public_methods(module)
+                  if key[2] not in ATTRIBUTES and key not in CALLED_FROM_OUTSIDE)
+    assert not dead, f"{module} defines methods no module of the package names: {dead}"
+
+
+def test_methods_called_from_outside_are_defined_and_unnamed():
+    defined = {key for module in TREES for key in public_methods(module)}
+    assert set(CALLED_FROM_OUTSIDE) <= defined
+    assert not {key[2] for key in CALLED_FROM_OUTSIDE} & ATTRIBUTES
 
 
 HELPERS = sorted(p.name for p in TESTS.glob("*.py") if not p.name.startswith("test_"))

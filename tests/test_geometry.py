@@ -6,13 +6,15 @@ inequality, and box_slabs walks every prefix of the box and keeps the
 feasible range of its line.
 """
 
+import hashlib
 import itertools
+import json
 import random
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import polynorm.geometry as geometry
 import polynorm.normality as normality
@@ -106,7 +108,8 @@ def test_build_unit_square(unit_square):
     assert len(unit_square.facets) == 4
     # support function: each facet tight at some vertex, valid on all
     for H in unit_square.facets:
-        vals = [H.evaluate(v) for v in unit_square.vertices]
+        vals = [sum(a * x for a, x in zip(H.normal, v)) - H.offset
+                for v in unit_square.vertices]
         assert min(vals) == 0
 
 
@@ -229,6 +232,20 @@ def test_polytope_id_stable_under_input_order():
     assert a.polytope_id == b.polytope_id
     c = build_polytope([(0, 0), (2, 0), (0, 1), (2, 1)])
     assert a.polytope_id != c.polytope_id
+
+
+COORDS = st.one_of(st.integers(-9, 9), st.integers(-2**80, 2**80))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.tuples(*[COORDS] * n), min_size=1, max_size=6)))
+@example([(-1, 2**63), (2**64, -(2**70))])
+def test_vertices_id_is_the_standard_sha256(vertices):
+    # the id is SHA-256 of the JSON vertex list, whichever module computes
+    # it, so report bytes do not depend on the interpreter's hash modules
+    blob = json.dumps([list(v) for v in vertices], separators=(",", ":"))
+    assert geometry.vertices_id(vertices) == hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def test_bounding_box(t2):

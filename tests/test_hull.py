@@ -190,7 +190,8 @@ def test_hull_of_200_random_points_passes_its_certificate():
     pts = sorted({tuple(rng.randint(0, 8) for _ in range(4)) for _ in range(200)})
     P = build_polytope(pts)
     assert len(set(P.facets)) == len(P.facets) > 8
-    slacks = [[h.evaluate(p) for p in pts] for h in P.facets]
+    slacks = [[sum(a * x for a, x in zip(h.normal, p)) - h.offset for p in pts]
+              for h in P.facets]
     for h, vals in zip(P.facets, slacks):
         assert math.gcd(*h.normal) == 1
         assert min(vals) == 0

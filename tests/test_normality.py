@@ -192,6 +192,24 @@ def test_witness_check_runs_at_deep_levels(t2):
     assert verify_witness(t2, 1500, (1, 1, 1))
 
 
+def test_witness_check_stops_at_the_first_decomposition(monkeypatch):
+    # level/2 is a sum of `level` points of the unit segment: the search goes
+    # down one path to k = 1, where a walk of every rest at every level
+    # tests about level^2 / 2 rests
+    segment = build_polytope([(0,), (1,)])
+    calls = 0
+    contains = geometry.Polytope.contains
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return contains(self, *args)
+
+    monkeypatch.setattr(geometry.Polytope, "contains", counted)
+    assert not verify_witness(segment, 800, (400,))
+    assert calls <= 4 * 800
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 3), st.integers(0, 10**6), st.integers(2, 4),
        st.sampled_from([None] + list(REEVE_RANGE)))
