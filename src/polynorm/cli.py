@@ -14,7 +14,7 @@ import json
 import sys
 
 from .counting import h_table, normality_bound
-from .errors import InternalInvariantError, PolynormError
+from .errors import InternalInvariantError, InvalidInputError, PolynormError
 from .geometry import Polytope, build_polytope
 from .harness import (
     DEFAULT_CORPUS_SPEC,
@@ -38,9 +38,18 @@ class SystemExit_1(Exception):
     pass
 
 
-def _load_polytope(path: str) -> Polytope:
+def _read_json(path: str):
+    """The JSON value of a file; one nested past the parser's recursion
+    limit is refused as invalid input."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise InvalidInputError(f"{path}: JSON nested too deeply") from None
+
+
+def _load_polytope(path: str) -> Polytope:
+    data = _read_json(path)
     if not isinstance(data, list):
         raise PolynormError(f"{path}: expected a JSON array of points")
     return build_polytope(data)
@@ -188,8 +197,7 @@ def _cmd_verify_corpus(args) -> int:
     if args.spec_file is None:
         spec = DEFAULT_CORPUS_SPEC
     else:
-        with open(args.spec_file, "r", encoding="utf-8") as fh:
-            spec = CorpusSpec.from_jsonable(json.load(fh))
+        spec = CorpusSpec.from_jsonable(_read_json(args.spec_file))
     report = run_verification(
         spec,
         extra_levels=args.extra_levels,

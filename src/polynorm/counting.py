@@ -22,6 +22,7 @@ N_p follow from d(P) and the autoregularity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,11 +36,17 @@ class EhrhartPolynomial:
 
     coefficients: tuple[Fraction, ...]
 
-    def evaluate(self, t) -> Fraction:
-        acc = Fraction(0)
+    def evaluate(self, t) -> int | Fraction:
+        """L_P(t) at an integer t: an int when integral, else a Fraction.
+
+        Horner's rule runs on the numerators over the coefficients' common
+        denominator, in integers, with one exact division at the end.
+        """
+        den = math.lcm(*(c.denominator for c in self.coefficients))
+        acc = 0
         for c in reversed(self.coefficients):
-            acc = acc * t + c
-        return acc
+            acc = acc * t + c.numerator * (den // c.denominator)
+        return acc // den if acc % den == 0 else Fraction(acc, den)
 
     def __str__(self):
         parts = []

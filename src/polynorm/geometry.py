@@ -13,10 +13,13 @@ P's projection onto the first n-1 coordinates, axis by axis, and solves each
 coordinate's range by the facets of a projection, found at P's first walk,
 with exact integer ceil/floor division. One walk takes a tuple of scales and
 solves each line closed and, if asked, strict too, so the counts of dilates
-that counting reads cost one. A computed overflow bound picks the narrowest
-of three element types: int32 or int64 while 4 times every facet value stays
-below 2^29 or 2^61, which leaves room for 16 times them, else object arrays
-of Python ints, so results are exact for any coordinates.
+that counting reads cost one. That walk keeps the lines of P, 2P and 3P on
+P, up to one expansion's worth of points, and the readers that list those
+dilates later take them from there (_slabs) instead of walking again. A
+computed overflow bound picks the narrowest of three element types: int32
+or int64 while 4 times every facet value stays below 2^29 or 2^61, which
+leaves room for 16 times them, else object arrays of Python ints, so
+results are exact for any coordinates.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ LatticePoint = tuple[int, ...]
 
 _NP32_SAFE_LIMIT, _NP_SAFE_LIMIT = 2**29, 2**61  # see _scan_dtype
 _CHUNK_ROWS = 1 << 18  # prefixes one expansion of _np_slabs takes at most
+_KEPT_TOP = 3  # count_scales keeps the lines of kP for k up to this scale
 _MAX_LIST_BYTES = 1 << 27  # bytes of coordinates scaled_points_array lists at most
 
 
@@ -162,7 +166,8 @@ class Polytope:
     Use build_polytope(); the constructor trusts its arguments.
     """
 
-    __slots__ = ("dim", "vertices", "facets", "_hash", "_count_cache", "_frame", "_box", "_id")
+    __slots__ = ("dim", "vertices", "facets", "_hash", "_count_cache", "_lines", "_frame",
+                 "_box", "_id")
 
     def __init__(self, dim: int, vertices: tuple[LatticePoint, ...],
                  facets: tuple[HalfSpace, ...]):
@@ -170,7 +175,7 @@ class Polytope:
         self.vertices = vertices
         self.facets = facets
         self._hash = hash((dim, vertices))
-        self._count_cache = {}
+        self._count_cache, self._lines = {}, {}
         self._frame = self._box = self._id = None
 
     def __eq__(self, other):
@@ -430,7 +435,7 @@ def _code_scales(P: Polytope, scales: tuple[int, ...], top: int):
     radix = _code_radix(P, top)
     corner = np.array(P.bounding_box()[0], dtype=object)
     codes = []
-    for K, X, L, counts, _ in _np_slabs(P, scales):
+    for K, X, L, counts, _ in _slabs(P, scales):
         counts = counts.astype(np.int64)
         points, K = _expand(X, L, counts), np.repeat(K, counts)
         digits = (points - K[:, None] * corner.astype(points.dtype)).astype(np.int64)
@@ -446,15 +451,57 @@ def _decode_point(P: Polytope, top: int, k: int, code) -> LatticePoint:
 
 def count_scales(P: Polytope, scales) -> None:
     """Memoize on P the counts of k*P and relint(k*P) for the scales k not
-    counted yet: one walk, exact sums (int64 or Python ints)."""
+    counted yet: one walk, exact sums (int64 or Python ints).
+
+    The walk also keeps on P the lines (prefixes, first last coordinates
+    and counts) of each kP it walks with k <= _KEPT_TOP, for _slabs, while
+    they hold at most _CHUNK_ROWS points in all: the scale that passes it
+    and those above are not kept. forget_lines drops them.
+    """
     scales = sorted({k for k in scales if (k, False) not in P._count_cache})
     counts = dict.fromkeys([(k, s) for k in scales for s in (False, True)], 0)
-    for K, _, _, closed, (_, inside) in _np_slabs(P, scales, True) if scales else ():
+    kept, room = {k: [] for k in scales if k <= _KEPT_TOP}, _CHUNK_ROWS
+    for K, X, lo, closed, (_, inside) in _np_slabs(P, scales, True) if scales else ():
         ends = np.searchsorted(K, scales, side="right").tolist()
         for k, start, end in zip(scales, [0] + ends, ends):
-            counts[k, False] += int(closed[start:end].sum())
+            points = int(closed[start:end].sum())
+            counts[k, False] += points
             counts[k, True] += int(inside[start:end].sum())
+            if k in kept and start < end:
+                room -= points
+                if room < 0:
+                    kept = {j: lines for j, lines in kept.items() if j < k}
+                else:
+                    kept[k].append((X[start:end], lo[start:end], closed[start:end]))
     P._count_cache.update(counts)
+    for k, lines in kept.items():
+        # one block a scale, so few small allocations outlive the walk
+        blocks = [np.column_stack(line) for line in lines]
+        rows = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        rows.flags.writeable = False  # the readers share it
+        P._lines[k] = (rows[:, :-2], rows[:, -2], rows[:, -1])
+
+
+def forget_lines(P: Polytope) -> None:
+    """Drop the lines count_scales kept on P; its counts stay."""
+    P._lines.clear()
+
+
+def _slabs(P: Polytope, scales: tuple[int, ...], interior: bool = False):
+    """The chunks of _np_slabs(P, scales, interior): one chunk of the lines
+    count_scales kept on P when it kept every scale and interior is false,
+    else the walk's. Either way the lines, their (scale, lex) order and
+    their element type are the walk's."""
+    if interior or any(k not in P._lines for k in scales):
+        return _np_slabs(P, scales, interior)
+    dtype = _scan_dtype(P, max(scales))
+    kept = [P._lines[k] for k in scales]
+    # one scale's lines are handed out as kept, read-only: a copy only adds
+    # to the probe's peak resident memory
+    X, lo, counts = ((a[0] if len(a) == 1 else np.concatenate(a)).astype(dtype, copy=False)
+                     for a in zip(*kept))
+    K = np.repeat(np.array(scales, dtype=dtype), [len(lines[0]) for lines in kept])
+    return [(K, X, lo, counts, None)]
 
 
 def scaled_count(P: Polytope, scale: int = 1, interior: bool = False) -> int:
@@ -483,7 +530,7 @@ def scaled_points_array(P: Polytope, scale: int = 1, interior: bool = False):
         item += sys.getsizeof(scale * max(map(abs, sum(P.bounding_box(), ()))))
     slabs = []
     listed = 0
-    for _, prefixes, lo_last, counts, inner in _np_slabs(P, (scale,), interior):
+    for _, prefixes, lo_last, counts, inner in _slabs(P, (scale,), interior):
         if interior:
             lo_last, counts = inner
         listed += int(counts.sum())

@@ -26,7 +26,7 @@ from .counting import (
 )
 from .errors import (CorpusGenerationError, InternalInvariantError, InvalidInputError,
                      NotFullDimensionalError)
-from .geometry import LatticePoint, Polytope, _as_int, build_polytope, count_scales
+from .geometry import LatticePoint, Polytope, _as_int, build_polytope, count_scales, forget_lines
 from .normality import NormalityReport, is_normal, verify_corollary, verify_witness
 from .syzygy import n1_probe
 
@@ -229,12 +229,17 @@ def thread_count(requested: int | None = None) -> int:
 def _check_one(P: Polytope, extra_levels: int, n1_cap: int, cap: int | None):
     """The records the report holds on P. Not P itself: a worker would send
     back its filled count memo and scan frame, which the report never reads.
+    The lines analyze's counting walk keeps on P for the ladder, the witness
+    check and the probe go when the check ends.
     """
-    record = analyze(P, cap)
-    sweep = verify_corollary(P, BoundReport(record.n, record.d), extra_levels, cap)
-    ehrhart_ok = (reciprocity_check(P, record.ehrhart)
-                  and extrapolation_check(P, record.ehrhart))
-    probe = n1_probe(P, P.dim, n1_cap) if P.dim <= 3 else None
+    try:
+        record = analyze(P, cap)
+        sweep = verify_corollary(P, BoundReport(record.n, record.d), extra_levels, cap)
+        ehrhart_ok = (reciprocity_check(P, record.ehrhart)
+                      and extrapolation_check(P, record.ehrhart))
+        probe = n1_probe(P, P.dim, n1_cap) if P.dim <= 3 else None
+    finally:
+        forget_lines(P)
     # ell = n >= n - 1 makes nP normal (the lemma verify_corollary rests on),
     # so every lattice point of its degree-k dilate is a fiber
     for s in probe.per_degree if probe else ():

@@ -39,7 +39,7 @@ import numpy as np
 from .counting import BoundReport
 from .errors import InvalidInputError
 from .geometry import (LatticePoint, Polytope, _as_int, _as_point, _code_box, _code_scales,
-                       _decode_point, _narrowest, _np_slabs, scaled_count, vertices_id)
+                       _decode_point, _narrowest, _slabs, scaled_count, vertices_id)
 from .linalg import lll_reduce
 
 
@@ -168,7 +168,7 @@ class _LineTable:
     def scan(self, P: Polytope, s: int):
         """Fill the lines of a scan of s*P and keep their z, lo and hi; self."""
         lines = []
-        for _, X, lo, counts, _ in _np_slabs(P, (s,)):
+        for _, X, lo, counts, _ in _slabs(P, (s,)):
             Z = _line_coords(P, self.U, s, X)
             lines.append((Z, *self.fill(Z, lo, lo + counts - 1)))
         self.lines = tuple(np.concatenate(a) for a in zip(*lines))
@@ -219,7 +219,7 @@ def _first_missing(P: Polytope, m: int, table_p: _LineTable, table_m: _LineTable
     """
     steps = list(zip((deltas @ table_p.strides).tolist(),
                      (-(deltas @ table_m.strides)).tolist()))
-    for _, X, L, counts, _ in _np_slabs(P, (m,)):
+    for _, X, L, counts, _ in _slabs(P, (m,)):
         H = L + counts - 1
         Z = _line_coords(P, table_p.U, m, X)
         if table_next is not None:

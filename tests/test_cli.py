@@ -227,6 +227,19 @@ def test_unenumerable_scan_exits_one(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify-corpus"])
+def test_deeply_nested_file_exits_one(tmp_path, command):
+    # json.load recurses once per array; past the recursion limit the file
+    # is refused as invalid input, with no traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    proc = subprocess.run(
+        [sys.executable, "-m", "polynorm.cli", command, str(path)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == f"polynorm: {path}: JSON nested too deeply\n"
+
+
 def test_probe_refuses_huge_dilate_before_listing(tmp_path):
     # the unit square at ell = 3e9 has about 9e18 points; the probe's radix
     # check refuses it before any of them is listed

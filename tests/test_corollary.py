@@ -64,7 +64,7 @@ def fewest_lines_frame(P):
     fewest moves last, a tie keeps P. A permutation maps facets to facets
     and keeps normals primitive, so no hull is needed.
     """
-    slabs = list(normality._np_slabs(P, (2,)))
+    slabs = list(normality._slabs(P, (2,)))
     X, lo, counts = (np.concatenate([slab[i] for slab in slabs]) for i in (1, 2, 3))
     hi = lo + counts - 1
     ranks = np.empty(X.shape, dtype=np.int64)
@@ -217,6 +217,18 @@ def test_forged_bound_falls_back_to_the_input_frame(make, q):
     assert (witness.level, witness.point) == _sumset_verdict(P, 2)
 
 
+@pytest.mark.parametrize("forged", [False, True], ids=["proved", "violated"])
+def test_sweep_checks_the_bound_alone_by_default(forged):
+    # extra_levels defaults to 0: one record, at the bound, whether the
+    # bound is proved or a forged one puts the non-normal P into the sweep
+    P = reeve_simplex(2)
+    bounds = BoundReport(3, 2) if forged else normality_bound(P)
+    rec = verify_corollary(P, bounds)
+    assert rec.extra_levels == 0
+    assert [ell for ell, _ in rec.levels] == [bounds.corollary_bound]
+    assert rec.passed != forged
+
+
 @pytest.mark.parametrize("bounds", [
     BoundReport(5, 0), BoundReport(2, 1), BoundReport(3, -4), BoundReport(3, -1),
     BoundReport(3, 4),
@@ -251,14 +263,14 @@ def test_long_thin_triangle_scans_few_prefixes():
     N = 10**4
     P = build_polytope([(0, 0), (N, 0), (0, 2)])
     rows = []
-    scan = normality._np_slabs
+    scan = normality._slabs
 
     def counted(*args, **kwargs):
         for K, X, lo, counts, inner in scan(*args, **kwargs):
             rows.append(len(X))
             yield K, X, lo, counts, inner
 
-    with mock.patch.object(normality, "_np_slabs", counted):
+    with mock.patch.object(normality, "_slabs", counted):
         rec = oracle_verify_corollary(P, normality_bound(P), 2)
     assert rec.passed
     assert sum(rows) <= 2 * N + 100

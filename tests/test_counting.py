@@ -119,6 +119,33 @@ def test_check_fails_on_a_polynomial_off_at_one_of_its_points(delta3, name, poin
     assert not check(delta3, poly)
 
 
+def fraction_horner(coefficients, t):
+    acc = Fraction(0)
+    for c in reversed(coefficients):
+        acc = acc * t + c
+    return acc
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.fractions(-100, 100, max_denominator=12), min_size=1, max_size=6),
+       st.integers(-10**6, 10**6))
+def test_evaluate_matches_fraction_horner(coefficients, t):
+    # the integer Horner pass and its one division give the Fraction rule's
+    # value, as an int exactly when that value is integral
+    value = EhrhartPolynomial(tuple(coefficients)).evaluate(t)
+    expected = fraction_horner(coefficients, t)
+    assert value == expected
+    assert type(value) is (int if expected.denominator == 1 else Fraction)
+
+
+def test_evaluate_keeps_non_integral_values():
+    E = EhrhartPolynomial((Fraction(1, 2), Fraction(0), Fraction(1, 3)))
+    assert E.evaluate(1) == Fraction(5, 6) and type(E.evaluate(1)) is Fraction
+    assert E.evaluate(-3) == Fraction(7, 2)
+    assert E.evaluate(0) == Fraction(1, 2)
+    assert type(EhrhartPolynomial((Fraction(1, 2), Fraction(1, 2))).evaluate(-3)) is int
+
+
 @pytest.mark.parametrize("name", CHECKS)
 def test_check_reads_no_point_but_its_own(delta3, name):
     check, points = CHECKS[name]

@@ -23,7 +23,10 @@ from polynorm import (
     NotFullDimensionalError,
     affine_dim,
     build_polytope,
+    is_normal,
+    n1_probe,
     scaled_count,
+    verify_witness,
 )
 from conftest import box_scan, random_polytope
 
@@ -452,3 +455,108 @@ def test_one_walk_counts_a_long_segment():
     for scales in ((1, 2, 3), (1, 1), (2, 1), (3, 1, 2)):
         segment = build_polytope([(0,), (2**55,)])
         assert_counts(segment, scales, {k: (k * 2**55 + 1, k * 2**55 - 1) for k in scales})
+
+
+# -- the lines the counting walk keeps ----------------------------------------
+
+def same_array(a, b):
+    """Equal values, order and element type."""
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+def translated(P, t):
+    """P moved by t along the first axis."""
+    return build_polytope([(v[0] + t,) + v[1:] for v in P.vertices])
+
+
+def kept_and_fresh(P):
+    """Two copies of P: one whose counting walk over 1..n+2 kept its lines,
+    and one that has walked nothing."""
+    kept = build_polytope(P.vertices)
+    geometry.count_scales(kept, range(1, P.dim + 3))
+    return kept, build_polytope(P.vertices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 10**6), st.sampled_from([0, 2**24, -2**62]))
+def test_kept_lines_read_as_a_fresh_walk(n, seed, shift):
+    # every reader gets the walk's rows, order and element type from the
+    # kept lines; at a shift of 2^24 the counting walk's top scale runs in a
+    # wider type than the readers' scales, past int64 all run on Python ints
+    P = translated(random_polytope(random.Random(seed), n, 2), shift)
+    kept, fresh = kept_and_fresh(P)
+    assert set(kept._lines) == {1, 2, 3}
+    for scales in ((1,), (2,), (3,), (1, 2), (2, 3), (1, 2, 3)):
+        top = 2 * max(scales)
+        for a, b in zip(geometry._code_scales(kept, scales, top),
+                        geometry._code_scales(fresh, scales, top)):
+            assert same_array(a, b)
+    for k, interior in itertools.product((1, 2, 3), (False, True)):
+        assert same_array(geometry.scaled_points_array(kept, k, interior),
+                          geometry.scaled_points_array(fresh, k, interior))
+    assert not fresh._lines
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 10**6), st.sampled_from([0, -2**62]))
+def test_kept_lines_give_a_fresh_walks_verdicts(n, seed, shift):
+    # with nothing kept, every reader walks; is_normal (either ladder),
+    # verify_witness and n1_probe answer the same from the kept lines
+    P = translated(random_polytope(random.Random(seed), n, 2), shift)
+    kept, fresh = kept_and_fresh(P)
+    ell = min(n, 2 if n == 4 else 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_KEPT_TOP", 0)
+        geometry.count_scales(fresh, range(1, n + 3))
+        assert not fresh._lines
+        expected = [is_normal(fresh), normality._line_ladder(fresh, 1, 2),
+                    n1_probe(fresh, ell, 3)]
+        witness = expected[0].witness
+        point = witness.point if witness else tuple(2 * x for x in P.vertices[0])
+        level = witness.level if witness else 2
+        expected.append(verify_witness(fresh, level, point))
+    assert [is_normal(kept), normality._line_ladder(kept, 1, 2), n1_probe(kept, ell, 3),
+            verify_witness(kept, level, point)] == expected
+    assert expected[-1] == bool(witness)
+
+
+def test_kept_lines_take_each_readers_type(t2):
+    # the counting walk of t2 + 2^24 e1 runs in int64 for its top scale 5;
+    # P's kept lines are read in int32, as a walk of P alone gives them
+    kept, fresh = kept_and_fresh(translated(t2, 2**24))
+    assert geometry._scan_dtype(kept, 1) is np.int32
+    assert geometry._scan_dtype(kept, 2) is geometry._scan_dtype(kept, 5) is np.int64
+    assert kept._lines[1][0].dtype == np.int64
+    for k in (1, 2, 3):
+        points = geometry.scaled_points_array(kept, k)
+        assert same_array(points, geometry.scaled_points_array(fresh, k))
+        assert points.dtype == geometry._scan_dtype(kept, k)
+
+
+def test_kept_lines_stop_at_chunk_rows_in_all(t2, monkeypatch):
+    # |P| = 4 and |2P| = 11 (L(t) = 1 + 5t/3 + t^2 + t^3/3 at 1 and 2): a
+    # scale is kept while the kept points stay within _CHUNK_ROWS, and the
+    # scale that passes it and every scale above are not
+    sizes = [scaled_count(t2, k) for k in (1, 2, 3)]
+    assert sizes == [4, 11, 24]
+    for rows, kept in ((39, {1, 2, 3}), (38, {1, 2}), (15, {1, 2}), (14, {1}), (3, set())):
+        monkeypatch.setattr(geometry, "_CHUNK_ROWS", rows)
+        P = build_polytope(t2.vertices)
+        geometry.count_scales(P, range(1, 6))
+        assert set(P._lines) == kept
+        for k in kept:
+            assert int(P._lines[k][2].sum()) == sizes[k - 1]
+        geometry.forget_lines(P)
+        assert not P._lines and P._count_cache
+
+
+def test_tall_simplex_keeps_no_line_of_its_dilates():
+    # 2P holds about 2^65 points: the counting walk keeps P's 4 and no
+    # line of a larger dilate, which its readers then walk by lines
+    from test_cli import TALL_SIMPLEX
+
+    P = build_polytope(TALL_SIMPLEX)
+    geometry.count_scales(P, range(1, 6))
+    assert set(P._lines) == {1}
+    assert scaled_count(P, 2) > 2**65
+    assert geometry._slabs(P, (2,)).__class__.__name__ == "generator"

@@ -284,6 +284,48 @@ def test_check_one_counts_in_one_walk(monkeypatch, make):
     assert walks[2:] == [(k,) for k in range(1, d + 2)]
 
 
+def spy_walks(monkeypatch):
+    """Record the polytope of each walk of geometry._np_slabs."""
+    walks, walk = [], geometry._np_slabs
+
+    def walked(P, *args):
+        walks.append(P)
+        return walk(P, *args)
+
+    monkeypatch.setattr(geometry, "_np_slabs", walked)
+    return walks
+
+
+def test_check_one_walks_each_polytope_once(monkeypatch):
+    # the counting walk keeps the lines of P, 2P and 3P: the ladder, the
+    # witness check, the sweep and the probe at ell = n read them, and the
+    # check drops them when it ends
+    corpus = generate_corpus(DEFAULT_CORPUS_SPEC)
+    sample = corpus[::10] + [reeve_simplex(q) for q in REEVE_RANGE]
+    assert Counter(P.dim for P in sample) == {2: 10, 3: 14, 4: 10}
+    walks = spy_walks(monkeypatch)
+    witnesses = 0
+    for P in sample:
+        record, _, _, probe = harness._check_one(P, extra_levels=2, n1_cap=4, cap=None)
+        witnesses += record.normality.witness is not None
+        assert (probe is not None) == (P.dim <= 3)
+        assert P._lines == {}
+    assert walks == sample
+    assert witnesses >= 10
+
+
+def test_reports_match_when_no_lines_are_kept(monkeypatch):
+    # at _CHUNK_ROWS 3 no dilate past a triangle's own points is kept, so
+    # the readers walk as they did before any line was kept, and the report
+    # is the same
+    spec = small_spec(dims=(2, 3, 4), count_per_dim=4)
+    report = run_verification(spec, threads=1)
+    walks = spy_walks(monkeypatch)
+    monkeypatch.setattr(geometry, "_CHUNK_ROWS", 3)
+    assert run_verification(spec, threads=1) == report
+    assert len(walks) > 3 * report["summary"]["polytope_count"]
+
+
 def spy_line_frames(monkeypatch):
     """Record each LLL reduction, wherever a polynorm module looks up
     lll_reduce, each S_c ladder, a call of normality._first_gap, and the

@@ -105,7 +105,7 @@ def test_large_corollary_sweep_matches_small_twin(twins):
     assert short_prefixes(fewest_lines_frame(big), 2)
     # the sweep runs the line ladder, which scans one scale per walk; the
     # point sums, which walk several at once, are checked in test_normality
-    with mock.patch.object(normality, "_np_slabs", wraps=normality._np_slabs) as scans, \
+    with mock.patch.object(normality, "_slabs", wraps=normality._slabs) as scans, \
             mock.patch.object(normality, "_first_gap", normality._line_ladder):
         rec_big = oracle_verify_corollary(big, normality_bound(big), 2)
     rec_small = oracle_verify_corollary(small, normality_bound(small), 2)
@@ -177,6 +177,20 @@ def test_listing_past_the_byte_budget_is_refused_before_expanding(monkeypatch):
         geometry.scaled_points_array(square, 3 * 10**9)
     assert time.perf_counter() - start < 1
     assert widths and set(widths) == {1}
+
+
+def test_listing_budget_is_two_to_the_27_bytes(monkeypatch):
+    # the segment [0, 2^25] lists int32 coordinates, 4 bytes a point: its
+    # 2^25 + 1 points pass 2^27 bytes by 4, so its one line is refused
+    # before it is expanded, and nothing is allocated for its points
+    expanded = []
+    monkeypatch.setattr(geometry, "_expand", lambda *args: expanded.append(args))
+    segment = build_polytope([(0,), (2**25,)])
+    assert geometry._scan_dtype(segment, 1) is np.int32
+    with pytest.raises(InvalidInputError,
+                       match=f"holds at least {2**25 + 1}, past {2**27} bytes"):
+        geometry.scaled_points_array(segment)
+    assert expanded == []
 
 
 def unit_square(t=0):
