@@ -10,8 +10,10 @@ import sys
 
 import pytest
 
+import polynorm.cli as cli
 import polynorm.harness as harness
 from polynorm import (
+    BoundReport,
     InternalInvariantError,
     InvalidInputError,
     normality_bound,
@@ -424,3 +426,101 @@ def test_analyze_text_bytes(capsys, tmp_path, name):
     path.write_text(json.dumps(vertices))
     assert main(["analyze", str(path)]) == 0
     assert capsys.readouterr().out == expected
+
+
+# the text output of the other commands, byte for byte. reeve_simplex(2) is
+# proved at its bound; a forged BoundReport(3, 2) puts it into its own sweep
+# at ell = 1, so the verify text renders a witness and the failure line
+REEVE2 = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 2]]
+COMMAND_TEXT = {
+    "verify": (
+        ["verify", "--extra-levels", "1"], 0,
+        'polytope         812cec011c61bf78\n'
+        'dim              3\n'
+        'd                1\n'
+        'corollary bound  2\n'
+        '  ell=2: normal-up-to-cap\n'
+        '  ell=3: normal-up-to-cap\n'
+        'PASS\n'
+    ),
+    "cohomology": (
+        ["cohomology", "--k-min", "-2", "--k-max", "2"], 0,
+        ' k  h^0  h^1  h^2  h^3\n'
+        '-2    0    0    0    1\n'
+        '-1    0    0    0    0\n'
+        ' 0    1    0    0    0\n'
+        ' 1    4    0    0    0\n'
+        ' 2   11    0    0    0\n'
+    ),
+    "np-probe": (
+        ["np-probe", "--ell", "1", "--cap", "3"], 0,
+        'polytope    812cec011c61bf78\n'
+        'ell         1\n'
+        'degree cap  3\n'
+        '  degree 2: 10 fibers, 0 checked by search, connected\n'
+        '  degree 3: 20 fibers, 0 checked by search, connected\n'
+        'quadratically connected up to cap\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("name", COMMAND_TEXT)
+def test_command_text_bytes(capsys, tmp_path, name):
+    (command, *flags), code, expected = COMMAND_TEXT[name]
+    path = tmp_path / "reeve2.json"
+    path.write_text(json.dumps(REEVE2))
+    assert main([command, str(path), *flags]) == code
+    assert capsys.readouterr().out == expected
+
+
+def test_verify_text_renders_a_violation(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "reeve2.json"
+    path.write_text(json.dumps(REEVE2))
+    monkeypatch.setattr(cli, "normality_bound", lambda P: BoundReport(3, 2))
+    assert main(["verify", str(path), "--extra-levels", "1"]) == 2
+    assert capsys.readouterr().out == (
+        'polytope         812cec011c61bf78\n'
+        'dim              3\n'
+        'd                2\n'
+        'corollary bound  1\n'
+        '  ell=1: non-normal  witness (1, 1, 1) at level 2\n'
+        '  ell=2: normal-up-to-cap\n'
+        'FAIL: theorem violation\n'
+    )
+
+
+def test_corpus_text_bytes(capsys):
+    assert main(["corpus", "--seed", "5", "--dims", "2", "--count", "2"]) == 0
+    assert capsys.readouterr().out == (
+        '   0  dim 2  40a13b4c269b19e6  (0, 3) (1, 0) (2, 4) (4, 2)\n'
+        '   1  dim 2  070188059ae36663  (0, 1) (1, 3) (3, 2) (4, 0) (4, 1)\n'
+        '2 polytopes\n'
+    )
+
+
+def test_verify_corpus_text_bytes(capsys, tmp_path):
+    # two polytopes per dimension; dim 3 brings the Reeve fixtures along
+    spec = {"seed": 11, "dims": [2, 3, 4], "coord_bound": 2, "count_per_dim": 2,
+            "vertex_candidates": 6}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["verify-corpus", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        ' idx  kind     dim  id                d  bound  autoreg  normality          sweep\n'
+        '   0  corpus     2  ae2850180fb86370  0      2        1  normal-up-to-cap   pass\n'
+        '   1  corpus     2  5ba5bcfb146917f7  1      1        0  normal-up-to-cap   pass\n'
+        '   2  corpus     3  5d1cddea87894950  0      3        2  normal-up-to-cap   pass\n'
+        '   3  corpus     3  00f4503ae78a75eb  2      1        0  normal-up-to-cap   pass\n'
+        '   4  corpus     4  700df0f716d40e2d  2      2        1  non-normal         pass\n'
+        '   5  corpus     4  fcd3a38aeb1426a5  1      3        2  non-normal         pass\n'
+        '   6  reeve-2    3  812cec011c61bf78  1      2        1  non-normal         pass\n'
+        '   7  reeve-3    3  e60cdc4efc0b35e6  1      2        1  non-normal         pass\n'
+        '   8  reeve-4    3  f09771ca67640dd7  1      2        1  non-normal         pass\n'
+        '   9  reeve-5    3  ce6be381238172b0  1      2        1  non-normal         pass\n'
+        'polytopes          10\n'
+        'sweep violations   0\n'
+        'ehrhart failures   0\n'
+        'consistency fails  0\n'
+        'n1 disconnected    0\n'
+        'PASS\n'
+    )
