@@ -487,13 +487,13 @@ def forget_lines(P: Polytope) -> None:
     P._lines.clear()
 
 
-def _slabs(P: Polytope, scales: tuple[int, ...], interior: bool = False):
-    """The chunks of _np_slabs(P, scales, interior): one chunk of the lines
-    count_scales kept on P when it kept every scale and interior is false,
-    else the walk's. Either way the lines, their (scale, lex) order and
-    their element type are the walk's."""
-    if interior or any(k not in P._lines for k in scales):
-        return _np_slabs(P, scales, interior)
+def _slabs(P: Polytope, scales: tuple[int, ...]):
+    """The chunks of _np_slabs(P, scales): one chunk of the lines
+    count_scales kept on P when it kept every scale, else the walk's.
+    Either way the lines, their (scale, lex) order and their element type
+    are the walk's."""
+    if any(k not in P._lines for k in scales):
+        return _np_slabs(P, scales)
     dtype = _scan_dtype(P, max(scales))
     kept = [P._lines[k] for k in scales]
     # one scale's lines are handed out as kept, read-only: a copy only adds
@@ -514,7 +514,7 @@ def scaled_count(P: Polytope, scale: int = 1, interior: bool = False) -> int:
     return P._count_cache[key]
 
 
-def scaled_points_array(P: Polytope, scale: int = 1, interior: bool = False):
+def scaled_points_array(P: Polytope, scale: int = 1):
     """All lattice points of scale*P as one lex-ordered (k, n) array.
 
     Its element type is the scan's: int32, int64 or object (exact Python
@@ -530,9 +530,7 @@ def scaled_points_array(P: Polytope, scale: int = 1, interior: bool = False):
         item += sys.getsizeof(scale * max(map(abs, sum(P.bounding_box(), ()))))
     slabs = []
     listed = 0
-    for _, prefixes, lo_last, counts, inner in _slabs(P, (scale,), interior):
-        if interior:
-            lo_last, counts = inner
+    for _, prefixes, lo_last, counts, _ in _slabs(P, (scale,)):
         listed += int(counts.sum())
         if listed * P.dim * item > _MAX_LIST_BYTES:
             raise InvalidInputError(

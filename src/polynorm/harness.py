@@ -55,7 +55,10 @@ class CorpusSpec:
                 f"coord_bound must lie in 1..8, got {self.coord_bound}"
             )
         _as_int(self.count_per_dim, "count_per_dim", 0)
-        _as_int(self.vertex_candidates, "vertex_candidates", max(self.dims) + 1)
+        # at most 9^4 distinct points fit coord_bound <= 8 and dims <= 4
+        if _as_int(self.vertex_candidates, "vertex_candidates", max(self.dims) + 1) > 2**16:
+            raise InvalidInputError(f"vertex_candidates must be at most {2**16}, "
+                                    f"got {self.vertex_candidates}")
 
     @classmethod
     def from_jsonable(cls, obj) -> "CorpusSpec":

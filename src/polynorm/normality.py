@@ -39,7 +39,7 @@ import numpy as np
 from .counting import BoundReport
 from .errors import InvalidInputError
 from .geometry import (LatticePoint, Polytope, _as_int, _as_point, _code_box, _code_scales,
-                       _decode_point, _narrowest, _slabs, scaled_count, vertices_id)
+                       _decode_point, _narrowest, _slabs, scaled_count)
 from .linalg import lll_reduce
 
 
@@ -381,7 +381,8 @@ class CorollaryRecord:
 
     Every dilate ell*P with ell >= corollary_bound = max(n - d(P), 1) must
     be normal; a non-normal verdict in that range signals a bug, not a
-    mathematical discovery, and lands in `violations`.
+    mathematical discovery, and lands in `violations`. levels pairs each
+    ell with ell*P's witness, None when ell*P is normal up to the cap.
     """
 
     polytope_id: str
@@ -389,8 +390,11 @@ class CorollaryRecord:
     d: int
     corollary_bound: int
     extra_levels: int
-    levels: tuple[tuple[int, NormalityReport], ...]
-    violations: tuple[int, ...]
+    levels: tuple[tuple[int, NormalityWitness | None], ...]
+
+    @property
+    def violations(self) -> tuple[int, ...]:
+        return tuple(ell for ell, witness in self.levels if witness)
 
     @property
     def passed(self) -> bool:
@@ -406,10 +410,10 @@ class CorollaryRecord:
             "levels": [
                 {
                     "ell": ell,
-                    "verdict": rep.verdict,
-                    "witness": rep.witness.to_jsonable() if rep.witness else None,
+                    "verdict": "non-normal" if witness else "normal-up-to-cap",
+                    "witness": witness.to_jsonable() if witness else None,
                 }
-                for ell, rep in self.levels
+                for ell, witness in self.levels
             ],
             "violations": list(self.violations),
             "passed": self.passed,
@@ -429,9 +433,9 @@ def verify_corollary(P: Polytope, bounds: BoundReport, extra_levels: int = 0,
     and Wessels (Results Math. 19, 1991) and of Bruns, Gubeladze and Trung
     (J. reine angew. Math. 485, 1997), so only c in [bound, n - 2], which
     the paper's regularity argument gives, is computed. When those hold,
-    each verdict is the "normal-up-to-cap" of is_normal and rests on the
-    lemma; else, which breaks the theorem, is_normal checks each ell*P in
-    the input frame, so a violation carries its lex-first witness.
+    every level's witness is None, and no dilate is built; else, which
+    breaks the theorem, is_normal checks each ell*P in the input frame, so
+    a violation carries its lex-first witness.
     """
     if bounds.n != P.dim or not 0 <= bounds.d <= P.dim:
         raise InvalidInputError(f"{bounds} cannot be the bounds of a {P.dim}-polytope")
@@ -439,18 +443,12 @@ def verify_corollary(P: Polytope, bounds: BoundReport, extra_levels: int = 0,
     cap = _cap(P, cap)
     lo = bounds.corollary_bound
     proved = lo > P.dim - 2 or _first_gap(P, lo, P.dim - 2) is None
-    levels = []
-    for ell in range(lo, lo + extra_levels + 1):
-        dilate_id = vertices_id(tuple(ell * x for x in v) for v in P.vertices)
-        levels.append((ell, NormalityReport(dilate_id, cap, tuple(range(2, cap + 1)),
-                                            "normal-up-to-cap", None)
-                       if proved else is_normal(P.dilate(ell), cap)))
     return CorollaryRecord(
         polytope_id=P.polytope_id,
         n=bounds.n,
         d=bounds.d,
         corollary_bound=lo,
         extra_levels=extra_levels,
-        levels=tuple(levels),
-        violations=tuple(ell for ell, rep in levels if not rep.is_normal),
+        levels=tuple((ell, None if proved else is_normal(P.dilate(ell), cap).witness)
+                     for ell in range(lo, lo + extra_levels + 1)),
     )

@@ -7,6 +7,7 @@ import json
 import multiprocessing
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -169,6 +170,20 @@ def test_boolean_spec_fields_exit_one(capsys, tmp_path):
                                 "count_per_dim": 1, "vertex_candidates": 5}))
     assert main(["verify-corpus", str(path)]) == 1
     assert "seed must be an integer >= 0, got True" in capsys.readouterr().err
+
+
+def test_vertex_candidates_past_the_ceiling_exit_one(capsys, tmp_path):
+    # 10^8 candidates would take minutes a polytope; the spec is refused
+    # before the corpus is sampled
+    spec = {"seed": 1, "dims": [2], "coord_bound": 2, "count_per_dim": 1,
+            "vertex_candidates": 10**8}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    start = time.monotonic()
+    assert main(["verify-corpus", str(path)]) == 1
+    assert time.monotonic() - start < 1
+    assert capsys.readouterr().err == (
+        "polynorm: vertex_candidates must be at most 65536, got 100000000\n")
 
 
 @pytest.mark.parametrize("exc, code", [(InternalInvariantError("bug"), 2),
@@ -430,11 +445,12 @@ def test_analyze_text_bytes(capsys, tmp_path, name):
 
 # the text output of the other commands, byte for byte. reeve_simplex(2) is
 # proved at its bound; a forged BoundReport(3, 2) puts it into its own sweep
-# at ell = 1, so the verify text renders a witness and the failure line
+# at ell = 1, so the verify text renders a witness and the failure line. The
+# skew triangle's degree-3 fibers disconnect at ell = 1
 REEVE2 = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 2]]
 COMMAND_TEXT = {
     "verify": (
-        ["verify", "--extra-levels", "1"], 0,
+        REEVE2, ["verify", "--extra-levels", "1"], 0,
         'polytope         812cec011c61bf78\n'
         'dim              3\n'
         'd                1\n'
@@ -444,7 +460,7 @@ COMMAND_TEXT = {
         'PASS\n'
     ),
     "cohomology": (
-        ["cohomology", "--k-min", "-2", "--k-max", "2"], 0,
+        REEVE2, ["cohomology", "--k-min", "-2", "--k-max", "2"], 0,
         ' k  h^0  h^1  h^2  h^3\n'
         '-2    0    0    0    1\n'
         '-1    0    0    0    0\n'
@@ -453,7 +469,7 @@ COMMAND_TEXT = {
         ' 2   11    0    0    0\n'
     ),
     "np-probe": (
-        ["np-probe", "--ell", "1", "--cap", "3"], 0,
+        REEVE2, ["np-probe", "--ell", "1", "--cap", "3"], 0,
         'polytope    812cec011c61bf78\n'
         'ell         1\n'
         'degree cap  3\n'
@@ -461,14 +477,23 @@ COMMAND_TEXT = {
         '  degree 3: 20 fibers, 0 checked by search, connected\n'
         'quadratically connected up to cap\n'
     ),
+    "np-probe-disconnected": (
+        SKEW_TRIANGLE, ["np-probe", "--ell", "1", "--cap", "3"], 0,
+        'polytope    05e103ecc057fec9\n'
+        'ell         1\n'
+        'degree cap  3\n'
+        '  degree 2: 10 fibers, 0 checked by search, connected\n'
+        '  degree 3: 19 fibers, 1 checked by search, DISCONNECTED\n'
+        'disconnected  witness fiber (3, 3, 3)\n'
+    ),
 }
 
 
 @pytest.mark.parametrize("name", COMMAND_TEXT)
 def test_command_text_bytes(capsys, tmp_path, name):
-    (command, *flags), code, expected = COMMAND_TEXT[name]
-    path = tmp_path / "reeve2.json"
-    path.write_text(json.dumps(REEVE2))
+    vertices, (command, *flags), code, expected = COMMAND_TEXT[name]
+    path = tmp_path / "vertices.json"
+    path.write_text(json.dumps(vertices))
     assert main([command, str(path), *flags]) == code
     assert capsys.readouterr().out == expected
 

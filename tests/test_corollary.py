@@ -12,7 +12,6 @@ reference_verify_corollary, are the oracle's own oracles.
 import itertools
 import operator
 import random
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -37,6 +36,7 @@ from polynorm import (
     verify_witness,
 )
 from polynorm.geometry import HalfSpace, Polytope
+import polynorm.geometry as geometry
 import polynorm.harness as harness
 import polynorm.normality as normality
 from conftest import random_polytope
@@ -46,12 +46,11 @@ from test_normality import _sumset_verdict
 def reference_verify_corollary(P, bounds, extra_levels=0, cap=None):
     """The sweep in the input frame: is_normal on each dilate ell*P of P itself."""
     lo = bounds.corollary_bound
-    levels = tuple((ell, is_normal(P.dilate(ell), cap))
+    levels = tuple((ell, is_normal(P.dilate(ell), cap).witness)
                    for ell in range(lo, lo + extra_levels + 1))
     return CorollaryRecord(
         polytope_id=P.polytope_id, n=bounds.n, d=bounds.d, corollary_bound=lo,
-        extra_levels=extra_levels, levels=levels,
-        violations=tuple(ell for ell, rep in levels if not rep.is_normal))
+        extra_levels=extra_levels, levels=levels)
 
 
 def fewest_lines_frame(P):
@@ -88,22 +87,20 @@ def fewest_lines_frame(P):
 
 def oracle_verify_corollary(P, bounds, extra_levels=0, cap=None):
     """The dilate sweep: is_normal on each ell*P in the frame of
-    fewest_lines_frame(P), under ell*P's id. A non-normal dilate is checked
-    again in the input frame, so its witness is the input frame's lex-first.
+    fewest_lines_frame(P). A non-normal dilate is checked again in the
+    input frame, so its witness is the input frame's lex-first.
     """
     lo = bounds.corollary_bound
     R = fewest_lines_frame(P)
     levels = []
     for ell in range(lo, lo + extra_levels + 1):
-        D = P.dilate(ell)
         rep = normality.is_normal(R.dilate(ell), cap)
         if not rep.is_normal:
-            rep = normality.is_normal(D, cap)
-        levels.append((ell, replace(rep, polytope_id=D.polytope_id)))
+            rep = normality.is_normal(P.dilate(ell), cap)
+        levels.append((ell, rep.witness))
     return CorollaryRecord(
         polytope_id=P.polytope_id, n=bounds.n, d=bounds.d, corollary_bound=lo,
-        extra_levels=extra_levels, levels=tuple(levels),
-        violations=tuple(ell for ell, rep in levels if not rep.is_normal))
+        extra_levels=extra_levels, levels=tuple(levels))
 
 
 def permuted(P, perm):
@@ -161,25 +158,29 @@ def test_sweep_matches_input_frame_sweep():
             rec = oracle_verify_corollary(P, bounds, 2)
             ref = reference_verify_corollary(P, bounds, 2)
             assert rec.to_jsonable() == ref.to_jsonable()
-            assert [r.polytope_id for _, r in rec.levels] == [
-                r.polytope_id for _, r in ref.levels]
             assert rec == ref
             assert verify_corollary(P, bounds, 2) == rec
             taken += frame_is_permuted(P)
     assert taken > 0  # some dilates were checked in a permuted frame
 
 
-def test_proved_levels_name_dilates_they_never_build():
-    # a proved bound names each ell*P by its vertices, ell times P's
+def test_proved_levels_build_no_dilate():
+    # a proved bound neither builds ell*P nor hashes its vertices: each
+    # level holds no witness, and the records match the dilate sweep's.
+    # Every vertices_id call, by any name, hashes with geometry.sha256. P's
+    # own id is hashed first, as the record names P by it
     corpus = generate_corpus(DEFAULT_CORPUS_SPEC)
     polytopes = [reeve_simplex(q) for q in REEVE_RANGE] + corpus[::30]
     assert len(polytopes) == 4 + 10
-    with mock.patch.object(Polytope, "dilate", side_effect=AssertionError("dilate built")):
-        records = [verify_corollary(P, normality_bound(P), 2) for P in polytopes]
-    for P, rec in zip(polytopes, records):
-        assert rec.passed
-        assert [rep.polytope_id for _, rep in rec.levels] == [
-            P.dilate(ell).polytope_id for ell, _ in rec.levels]
+    ids = [P.polytope_id for P in polytopes]
+    bounds = [normality_bound(P) for P in polytopes]
+    with mock.patch.object(Polytope, "dilate", side_effect=AssertionError("dilate built")), \
+            mock.patch.object(geometry, "sha256", side_effect=AssertionError("id hashed")):
+        records = [verify_corollary(P, b, 2) for P, b in zip(polytopes, bounds)]
+    for P, b, rec, id_ in zip(polytopes, bounds, records, ids):
+        assert rec.passed and rec.polytope_id == id_
+        assert [witness for _, witness in rec.levels] == [None] * 3
+        assert rec == oracle_verify_corollary(P, b, 2)
 
 
 @pytest.mark.parametrize("q", [5, 6])
@@ -195,7 +196,7 @@ def test_violation_reports_the_input_frames_witness(q):
     assert checked[0] != P and checked[1] == P and len(checked) == 3
     assert rec == reference_verify_corollary(P, bounds, 1)
     assert rec.violations == (1,)
-    witness = rec.levels[0][1].witness
+    witness = rec.levels[0][1]
     assert (witness.level, witness.point) == _sumset_verdict(P, 2)
     assert verify_witness(P, witness.level, witness.point)
     assert verify_corollary(P, bounds, 1) == rec
@@ -213,7 +214,7 @@ def test_forged_bound_falls_back_to_the_input_frame(make, q):
     rec = verify_corollary(P, bounds, 2)
     assert rec == reference_verify_corollary(P, bounds, 2)
     assert rec.violations == (1,)
-    witness = rec.levels[0][1].witness
+    witness = rec.levels[0][1]
     assert (witness.level, witness.point) == _sumset_verdict(P, 2)
 
 

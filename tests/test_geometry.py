@@ -302,13 +302,6 @@ def test_scaled_points_array_covers_dilate(t2):
     seen = [tuple(int(x) for x in row) for row in arr]
     assert len(arr) == scaled_count(t2, 2)
     assert sorted(seen) == t2.dilate(2).lattice_points()
-    # a unit triangle has no interior point: its listing is empty, in the
-    # scan's element type, int32 at the origin and object at (2^62, 2^62)
-    for t, dtype in ((0, np.int32), (2**62, object)):
-        P = build_polytope([(t, t), (t + 1, t), (t, t + 1)])
-        arr = geometry.scaled_points_array(P, 1, True)
-        assert arr.shape == (0, 2) and arr.dtype == dtype
-        assert geometry._scan_dtype(P, 1) is dtype
 
 
 def test_scaled_count_takes_integer_scales_only(unit_square):
@@ -360,8 +353,15 @@ SPREAD = {1: 4, 2: 3, 3: 2, 4: 1}
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 10**6), st.integers(1, 3), st.booleans())
 def test_scan_matches_box_scan(n, seed, k, strict):
+    # the closed points are scaled_points_array's listing; the interior ones
+    # expand the inner ranges of the counting walk, point by point
     P = random_polytope(random.Random(seed), n, SPREAD[n])
-    pts = [tuple(row) for row in geometry.scaled_points_array(P, k, strict).tolist()]
+    if strict:
+        rows = np.concatenate([geometry._expand(X, *inner)
+                               for _, X, _, _, inner in geometry._np_slabs(P, (k,), True)])
+    else:
+        rows = geometry.scaled_points_array(P, k)
+    pts = [tuple(row) for row in rows.tolist()]
     assert pts == box_scan(P, k, strict)
     assert scaled_count(P, k, strict) == len(pts)
 
@@ -491,9 +491,9 @@ def test_kept_lines_read_as_a_fresh_walk(n, seed, shift):
         for a, b in zip(geometry._code_scales(kept, scales, top),
                         geometry._code_scales(fresh, scales, top)):
             assert same_array(a, b)
-    for k, interior in itertools.product((1, 2, 3), (False, True)):
-        assert same_array(geometry.scaled_points_array(kept, k, interior),
-                          geometry.scaled_points_array(fresh, k, interior))
+    for k in (1, 2, 3):
+        assert same_array(geometry.scaled_points_array(kept, k),
+                          geometry.scaled_points_array(fresh, k))
     assert not fresh._lines
 
 

@@ -97,6 +97,17 @@ def test_spec_jsonable_round_trip():
             CorpusSpec.from_jsonable({**spec.to_jsonable(), field: value})
 
 
+def test_spec_vertex_candidates_have_a_ceiling():
+    # coord_bound <= 8 and dims <= 4 leave at most 9^4 distinct candidates;
+    # a spec asking for more is refused, not left to run for minutes a polytope
+    spec = small_spec(vertex_candidates=2**16).to_jsonable()
+    assert CorpusSpec.from_jsonable(spec).vertex_candidates == 2**16
+    for value in (2**16 + 1, 10**8):
+        with pytest.raises(InvalidInputError,
+                           match=f"^vertex_candidates must be at most 65536, got {value}$"):
+            CorpusSpec.from_jsonable({**spec, "vertex_candidates": value})
+
+
 def test_corpus_deterministic():
     a = generate_corpus(small_spec())
     b = generate_corpus(small_spec())

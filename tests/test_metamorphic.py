@@ -63,13 +63,13 @@ def invariants(P):
         "ehrhart": ehrhart_polynomial(P).coefficients,
         "autoregularity": autoregularity_from_definition(P),
         "normal": (report.verdict, report.witness and report.witness.level),
-        "sweep": [(ell, rep.verdict) for ell, rep in sweep.levels],
+        "sweep": [(ell, witness is None) for ell, witness in sweep.levels],
     }
     if n <= 3:
         probe = n1_probe(P, 1, 3)
         values["probe"] = (probe.verdict, probe.witness_degree,
                            [s.fibers for s in probe.per_degree])
-    witnesses = [report.witness] + [rep.witness for _, rep in sweep.levels]
+    witnesses = [report.witness] + [witness for _, witness in sweep.levels]
     return values, [w for w in witnesses if w is not None]
 
 
