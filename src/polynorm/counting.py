@@ -2,8 +2,8 @@
 
 Counting is exact: the counts are read from P's memo (`scaled_count`), which
 `count_scales` fills for many scales in one walk of the geometry engine, and
-Newton interpolation over Fractions recovers the Ehrhart polynomial with
-exact rational coefficients.
+Newton interpolation in integers, over n!, recovers the Ehrhart polynomial
+with exact rational coefficients.
 
 d(P) is the largest d >= 0 with relint(dP) lattice-point free. For the
 polarized toric variety attached to a full-dimensional lattice polytope P,
@@ -63,30 +63,29 @@ class EhrhartPolynomial:
 def ehrhart_polynomial(P: Polytope) -> EhrhartPolynomial:
     """Interpolate L_P from the exact counts at t = 0..dim.
 
-    L_P has degree dim with L_P(0) = 1, so dim+1 values pin it down. On the
-    nodes 0..n the divided differences of step j divide by j, and the
-    Newton form sum a_k t(t-1)...(t-k+1) expands by Horner from the top.
+    L_P has degree dim with L_P(0) = 1, so dim+1 values pin it down. The
+    forward differences D_j of the counts at 0 are integers, so the Newton
+    form n! L_P(t) = sum D_j (n!/j!) t(t-1)...(t-j+1) expands by Horner from
+    the top in integers, and each coefficient divides by n! once.
     """
     n = P.dim
-    a = [Fraction(1)] + [Fraction(scaled_count(P, k)) for k in range(1, n + 1)]
+    d = [1] + [scaled_count(P, k) for k in range(1, n + 1)]
     for j in range(1, n + 1):
         for i in range(n, j - 1, -1):
-            a[i] = (a[i] - a[i - 1]) / j
-    coeffs = [a[n]]
+            d[i] -= d[i - 1]
+    den, coeffs = 1, [d[n]]
     for k in range(n - 1, -1, -1):
-        # coeffs * (t - k) + a[k]
-        coeffs = [a[k] - k * coeffs[0]] + [
-            lower - k * c for lower, c in zip(coeffs, coeffs[1:] + [0])
-        ]
-    poly = EhrhartPolynomial(tuple(coeffs))
+        den *= k + 1  # n!/k!
+        # coeffs * (t - k) + D_k n!/k!
+        coeffs = [d[k] * den - k * coeffs[0]] + [
+            lower - k * c for lower, c in zip(coeffs, coeffs[1:] + [0])]
+    poly = EhrhartPolynomial(tuple(Fraction(c, den) for c in coeffs))
     if poly.coefficients[0] != 1:
         raise InternalInvariantError(
-            f"Ehrhart constant term is {poly.coefficients[0]}, expected 1"
-        )
+            f"Ehrhart constant term is {poly.coefficients[0]}, expected 1")
     if poly.coefficients[n] <= 0:
         raise InternalInvariantError(
-            f"Ehrhart leading coefficient {poly.coefficients[n]} is not positive"
-        )
+            f"Ehrhart leading coefficient {poly.coefficients[n]} is not positive")
     return poly
 
 
@@ -100,9 +99,7 @@ def d_of_p(P: Polytope) -> int:
     for k in range(1, n + 2):
         if scaled_count(P, k, interior=True) > 0:
             return k - 1
-    raise InternalInvariantError(
-        f"relint({n + 1}P) has no lattice point; counting is broken"
-    )
+    raise InternalInvariantError(f"relint({n + 1}P) has no lattice point; counting is broken")
 
 
 def reciprocity_check(P: Polytope, poly: EhrhartPolynomial) -> bool:
@@ -111,23 +108,16 @@ def reciprocity_check(P: Polytope, poly: EhrhartPolynomial) -> bool:
     poly is P's Ehrhart polynomial. A sharp cross-check of the interpolation
     and of the two enumeration modes, which share a walk but not its solves.
     """
-    n = P.dim
-    sign = (-1) ** n
-    for t in range(1, n + 2):
-        if poly.evaluate(-t) != sign * scaled_count(P, t, interior=True):
-            return False
-    return True
+    sign = (-1) ** P.dim
+    return all(poly.evaluate(-t) == sign * scaled_count(P, t, interior=True)
+               for t in range(1, P.dim + 2))
 
 
 def extrapolation_check(P: Polytope, poly: EhrhartPolynomial) -> bool:
     """Values of P's Ehrhart polynomial must match direct counts beyond the
     sample nodes: at k = dim+1 and dim+2, the first two uninterpolated levels.
     """
-    n = P.dim
-    for k in (n + 1, n + 2):
-        if poly.evaluate(k) != scaled_count(P, k):
-            return False
-    return True
+    return all(poly.evaluate(k) == scaled_count(P, k) for k in (P.dim + 1, P.dim + 2))
 
 
 # -- twist cohomology ------------------------------------------------------------
@@ -168,11 +158,7 @@ def h_table(P: Polytope, k_min: int, k_max: int) -> CohomologyTable:
 
 def _vanishes_at(P: Polytope, m: int) -> bool:
     """h^i at twist m+1-i zero for every i = 1..n, per the counting rules."""
-    n = P.dim
-    for i in range(1, n + 1):
-        if _h_row(P, m + 1 - i)[i] != 0:
-            return False
-    return True
+    return all(_h_row(P, m + 1 - i)[i] == 0 for i in range(1, P.dim + 1))
 
 
 def autoregularity_from_definition(P: Polytope) -> int:

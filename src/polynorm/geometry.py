@@ -11,11 +11,12 @@ C(N, n) point subsets. The split runs first, so a flat input has no ray.
 Lattice point enumeration is one numpy scan: it walks the lattice points of
 P's projection onto the first n-1 coordinates, axis by axis, and solves each
 coordinate's range by the facets of a projection, found at P's first walk,
-with exact integer ceil/floor division. One walk takes a tuple of scales and
-solves each line closed and, if asked, strict too, so the counts of dilates
-that counting reads cost one. That walk keeps the lines of P, 2P and 3P on
-P, up to one expansion's worth of points, and the readers that list those
-dilates later take them from there (_slabs) instead of walking again. A
+with exact integer ceil/floor division. One walk takes a tuple of scales,
+so the counts of dilates that counting reads cost one: counting solves each
+line closed and strict, every other reader gets the closed lines alone.
+That walk keeps the lines of P, 2P and 3P on P, up to one expansion's worth
+of points, and the readers that list those dilates later take them from
+there (_slabs) instead of walking again. A
 computed overflow bound picks the narrowest of three element types: int32
 or int64 while 4 times every facet value stays below 2^29 or 2^61, which
 leaves room for 16 times them, else object arrays of Python ints, so
@@ -45,7 +46,7 @@ from .errors import InvalidInputError, NotFullDimensionalError
 LatticePoint = tuple[int, ...]
 
 _NP32_SAFE_LIMIT, _NP_SAFE_LIMIT = 2**29, 2**61  # see _scan_dtype
-_CHUNK_ROWS = 1 << 18  # prefixes one expansion of _np_slabs takes at most
+_CHUNK_ROWS = 1 << 18  # prefixes one expansion of _walk takes at most
 _KEPT_TOP = 3  # count_scales keeps the lines of kP for k up to this scale
 _MAX_LIST_BYTES = 1 << 27  # bytes of coordinates scaled_points_array lists at most
 
@@ -83,9 +84,8 @@ def _as_points(objs) -> list[LatticePoint]:
     n = len(pts[0])
     if n == 0:
         raise InvalidInputError("points must have at least one coordinate")
-    for p in pts:
-        if len(p) != n:
-            raise InvalidInputError("points have mixed dimensions")
+    if any(len(p) != n for p in pts):
+        raise InvalidInputError("points have mixed dimensions")
     return pts
 
 
@@ -204,10 +204,8 @@ class Polytope:
         return self._box
 
     def contains(self, point, scale: int = 1) -> bool:
-        """Exact membership test in scale*P: <a, x> >= scale*b on every facet."""
-        pt = _as_point(point, self.dim)
-        scale = _as_int(scale, "scale", 1)
-        return all(_dot(h.normal, pt) >= scale * h.offset for h in self.facets)
+        """Exact membership test in scale*P: validates point and scale, then _inside."""
+        return _inside(self, _as_point(point, self.dim), _as_int(scale, "scale", 1))
 
     def dilate(self, k: int) -> "Polytope":
         """The dilate kP, without a scan frame: normals carry over, offsets times k."""
@@ -222,6 +220,11 @@ class Polytope:
         """All lattice points of the polytope, lex sorted."""
         rows = scaled_points_array(self).tolist()  # Python ints
         return list(map(tuple, rows))
+
+
+def _inside(P: Polytope, point: LatticePoint, scale: int) -> bool:
+    """<a, point> >= scale*b on every facet of P, for ints already validated."""
+    return all(_dot(h.normal, point) >= scale * h.offset for h in P.facets)
 
 
 def build_polytope(points) -> Polytope:
@@ -359,17 +362,18 @@ def _expand(prefixes, lo, counts):
                           dtype=prefixes.dtype)
 
 
-def _np_slabs(P: Polytope, scales: tuple[int, ...], interior: bool = False):
-    """Yield (scale, prefixes, lo_last, counts, inner) per chunk, feasible rows only.
+def _walk(P: Polytope, scales: tuple[int, ...]):
+    """Yield (K, X, r, a_last) per chunk of lines: the scale k and prefix of
+    the first n-1 coordinates of each line that meets the projection of kP,
+    and the residuals r of k*P's facets there, whose _last_range(r, a_last)
+    is the line's range.
 
     One walk serves all the scales, ascending: a stack row carries its scale
     k, the facet offsets times k give its residuals, and rows come out in
     (scale, lex) order. Coordinate j solves k*pi_{j+1}(P)'s facets by
     _last_range; a stack holds the ranges not yet expanded, deepest on top;
     an expansion takes at most _CHUNK_ROWS of them, splitting a long range.
-    With interior, inner is (lo_last, counts) of the same lines solved with
-    P's offsets + 1 (relint(k*P); no projection is strict), a count 0 where
-    a line misses it, else None. Arrays take the top scale's _scan_dtype.
+    Arrays take the top scale's _scan_dtype.
     """
     dtype = _scan_dtype(P, max(scales))
     groups = [(M[:, :-2].astype(dtype), M[:, -2].astype(dtype), M[:, -1:].astype(dtype))
@@ -378,16 +382,13 @@ def _np_slabs(P: Polytope, scales: tuple[int, ...], interior: bool = False):
     while True:
         A, a_last, b = groups[X.shape[1]]
         r = b * K - A @ X.T
-        lo, hi = _last_range(r, a_last)
-        keep = lo <= hi
-        if X.shape[1] == P.dim - 1 and keep.any():
-            inner = None
-            if interior:
-                lo_in, hi_in = _last_range(r[:, keep] + 1, a_last)
-                inner = lo_in, np.maximum(hi_in - lo_in + 1, 0)
-            yield K[keep], X[keep], lo[keep], (hi - lo + 1)[keep], inner
-        elif keep.any():
-            stack.append((K[keep], X[keep], lo[keep], hi[keep]))
+        if X.shape[1] == P.dim - 1:
+            yield K, X, r, a_last
+        else:
+            lo, hi = _last_range(r, a_last)
+            keep = lo <= hi
+            if keep.any():
+                stack.append((K[keep], X[keep], lo[keep], hi[keep]))
         if not stack:
             return
         K, X, lo, hi = stack.pop()
@@ -435,7 +436,7 @@ def _code_scales(P: Polytope, scales: tuple[int, ...], top: int):
     radix = _code_radix(P, top)
     corner = np.array(P.bounding_box()[0], dtype=object)
     codes = []
-    for K, X, L, counts, _ in _slabs(P, scales):
+    for K, X, L, counts in _slabs(P, scales):
         counts = counts.astype(np.int64)
         points, K = _expand(X, L, counts), np.repeat(K, counts)
         digits = (points - K[:, None] * corner.astype(points.dtype)).astype(np.int64)
@@ -453,15 +454,22 @@ def count_scales(P: Polytope, scales) -> None:
     """Memoize on P the counts of k*P and relint(k*P) for the scales k not
     counted yet: one walk, exact sums (int64 or Python ints).
 
-    The walk also keeps on P the lines (prefixes, first last coordinates
-    and counts) of each kP it walks with k <= _KEPT_TOP, for _slabs, while
-    they hold at most _CHUNK_ROWS points in all: the scale that passes it
-    and those above are not kept. forget_lines drops them.
+    The lines that meet k*P are solved again with k*P's offsets + 1, for
+    relint(k*P) (no projection is strict). The walk also keeps on P the
+    lines (prefixes, first last coordinates and counts) of each kP it walks
+    with k <= _KEPT_TOP, for _slabs, while they hold at most _CHUNK_ROWS
+    points in all: the scale that passes it and those above are not kept.
+    forget_lines drops them.
     """
     scales = sorted({k for k in scales if (k, False) not in P._count_cache})
     counts = dict.fromkeys([(k, s) for k in scales for s in (False, True)], 0)
     kept, room = {k: [] for k in scales if k <= _KEPT_TOP}, _CHUNK_ROWS
-    for K, X, lo, closed, (_, inside) in _np_slabs(P, scales, True) if scales else ():
+    for K, X, r, a_last in _walk(P, scales) if scales else ():
+        lo, hi = _last_range(r, a_last)
+        keep = lo <= hi
+        K, X, lo, closed = K[keep], X[keep], lo[keep], (hi - lo + 1)[keep]
+        lo_in, hi_in = _last_range(r[:, keep] + 1, a_last)
+        inside = np.maximum(hi_in - lo_in + 1, 0)
         ends = np.searchsorted(K, scales, side="right").tolist()
         for k, start, end in zip(scales, [0] + ends, ends):
             points = int(closed[start:end].sum())
@@ -488,12 +496,17 @@ def forget_lines(P: Polytope) -> None:
 
 
 def _slabs(P: Polytope, scales: tuple[int, ...]):
-    """The chunks of _np_slabs(P, scales): one chunk of the lines
-    count_scales kept on P when it kept every scale, else the walk's.
-    Either way the lines, their (scale, lex) order and their element type
-    are the walk's."""
+    """Yield (K, X, lo, counts) per chunk: the lines of _walk that meet
+    k*P, or in one chunk the lines count_scales kept on P when it kept
+    every scale. Either way the lines, their (scale, lex) order and their
+    element type are the walk's."""
     if any(k not in P._lines for k in scales):
-        return _np_slabs(P, scales)
+        for K, X, r, a_last in _walk(P, scales):
+            lo, hi = _last_range(r, a_last)
+            keep = lo <= hi
+            if keep.any():
+                yield K[keep], X[keep], lo[keep], (hi - lo + 1)[keep]
+        return
     dtype = _scan_dtype(P, max(scales))
     kept = [P._lines[k] for k in scales]
     # one scale's lines are handed out as kept, read-only: a copy only adds
@@ -501,7 +514,7 @@ def _slabs(P: Polytope, scales: tuple[int, ...]):
     X, lo, counts = ((a[0] if len(a) == 1 else np.concatenate(a)).astype(dtype, copy=False)
                      for a in zip(*kept))
     K = np.repeat(np.array(scales, dtype=dtype), [len(lines[0]) for lines in kept])
-    return [(K, X, lo, counts, None)]
+    yield K, X, lo, counts
 
 
 def scaled_count(P: Polytope, scale: int = 1, interior: bool = False) -> int:
@@ -528,9 +541,8 @@ def scaled_points_array(P: Polytope, scale: int = 1):
     item = np.dtype(dtype).itemsize
     if dtype is object:
         item += sys.getsizeof(scale * max(map(abs, sum(P.bounding_box(), ()))))
-    slabs = []
-    listed = 0
-    for _, prefixes, lo_last, counts, _ in _slabs(P, (scale,)):
+    slabs, listed = [], 0
+    for _, prefixes, lo_last, counts in _slabs(P, (scale,)):
         listed += int(counts.sum())
         if listed * P.dim * item > _MAX_LIST_BYTES:
             raise InvalidInputError(

@@ -39,7 +39,7 @@ import numpy as np
 from .counting import BoundReport
 from .errors import InvalidInputError
 from .geometry import (LatticePoint, Polytope, _as_int, _as_point, _code_box, _code_scales,
-                       _decode_point, _narrowest, _slabs, scaled_count)
+                       _decode_point, _inside, _narrowest, _slabs, scaled_count)
 from .linalg import lll_reduce
 
 
@@ -168,7 +168,7 @@ class _LineTable:
     def scan(self, P: Polytope, s: int):
         """Fill the lines of a scan of s*P and keep their z, lo and hi; self."""
         lines = []
-        for _, X, lo, counts, _ in _slabs(P, (s,)):
+        for _, X, lo, counts in _slabs(P, (s,)):
             Z = _line_coords(P, self.U, s, X)
             lines.append((Z, *self.fill(Z, lo, lo + counts - 1)))
         self.lines = tuple(np.concatenate(a) for a in zip(*lines))
@@ -219,7 +219,7 @@ def _first_missing(P: Polytope, m: int, table_p: _LineTable, table_m: _LineTable
     """
     steps = list(zip((deltas @ table_p.strides).tolist(),
                      (-(deltas @ table_m.strides)).tolist()))
-    for _, X, L, counts, _ in _slabs(P, (m,)):
+    for _, X, L, counts in _slabs(P, (m,)):
         H = L + counts - 1
         Z = _line_coords(P, table_p.U, m, X)
         if table_next is not None:
@@ -362,14 +362,14 @@ def verify_witness(P: Polytope, level: int, point) -> bool:
     """
     level = _as_int(level, "witness level", 2)
     z = _as_point(point, P.dim)
-    if not P.contains(z, level):
+    if not _inside(P, z, level):
         return False
     points, stack, seen = P.lattice_points(), [(level, z)], set()
     while stack and stack[-1][0] > 1:
         k, w = stack.pop()
         for a in points:
             rest = (k - 1, tuple(map(operator.sub, w, a)))
-            if rest not in seen and P.contains(rest[1], k - 1):
+            if rest not in seen and _inside(P, rest[1], k - 1):
                 seen.add(rest)
                 stack.append(rest)
     return not stack

@@ -325,10 +325,18 @@ def test_verify_corpus_report_hash(tmp_path):
         "fd8fd019ef0cfa8c10d160a9094daf9777dff4aaba40aeb330a4cee49823ed12")
 
 
-def test_wrong_shape_exits_one(capsys, tmp_path):
+@pytest.mark.parametrize("vertices, message", [
+    ({"vertices": SQUARE}, "expected a JSON array of points"),
+    ([[0, 0], 5, [1, 0]], "not a lattice point: 5"),
+    ([[0, 0], "ab", [1, 0]], "not a lattice point: 'ab'"),
+    ([[], []], "points must have at least one coordinate"),
+], ids=["object", "scalar-vertex", "string-vertex", "no-coordinate"])
+def test_wrong_shape_exits_one(capsys, tmp_path, vertices, message):
     path = tmp_path / "obj.json"
-    path.write_text(json.dumps({"vertices": SQUARE}))
+    path.write_text(json.dumps(vertices))
     assert main(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_unknown_command_exits_one(capsys):

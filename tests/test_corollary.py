@@ -267,9 +267,9 @@ def test_long_thin_triangle_scans_few_prefixes():
     scan = normality._slabs
 
     def counted(*args, **kwargs):
-        for K, X, lo, counts, inner in scan(*args, **kwargs):
+        for K, X, lo, counts in scan(*args, **kwargs):
             rows.append(len(X))
-            yield K, X, lo, counts, inner
+            yield K, X, lo, counts
 
     with mock.patch.object(normality, "_slabs", counted):
         rec = oracle_verify_corollary(P, normality_bound(P), 2)

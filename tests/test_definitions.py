@@ -70,6 +70,9 @@ CALLED_FROM_OUTSIDE = {
     ("cli.py", "_Parser", "error"): "argparse.ArgumentParser calls it on a bad command line",
     ("normality.py", "NormalityReport", "is_normal"):
         "bench/tracing.py counts the non-normal verdicts of a traced run by it",
+    ("geometry.py", "Polytope", "contains"):
+        "the public facet test, validated once; the package tests the points it built "
+        "by geometry._inside",
 }
 ATTRIBUTES = {node.attr for tree in TREES.values() for node in ast.walk(tree)
               if isinstance(node, ast.Attribute)}

@@ -68,33 +68,52 @@ def box_slabs(P, k=1, strict=False, chunk_rows=1 << 20):
 
 
 def walk_rows(P, scales, strict=False):
-    """{k: rows} of one geometry._np_slabs walk over the scales, which must
-    yield them in ascending order; in the strict mode, the lines that meet
-    relint(k*P), whose solve, the last before a yield, takes the lines that
-    meet k*P and no others."""
-    rows, widths = {k: [] for k in scales}, []
-
-    def solve(r, a_last):
-        widths.append(r.shape[1])
-        return last_range(r, a_last)
-
-    last_range, seen = geometry._last_range, []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "_last_range", solve)
-        for K, X, lo, counts, inner in geometry._np_slabs(P, tuple(scales), strict):
-            if strict:
-                assert widths[-1] == len(K)
-                lo, counts = inner
-            for k, x, a, c in zip(K.tolist(), X.tolist(), lo.tolist(), counts.tolist()):
-                seen.append(k)
-                if c > 0:
-                    rows[k].append((*x, a, c))
+    """{k: rows} of one walk over the scales, which must yield them in
+    ascending order: the lines geometry._slabs gives, each of which meets
+    k*P, or in the strict mode the ranges in relint(k*P) that count_scales
+    solves (relint_lines)."""
+    rows, seen = {k: [] for k in scales}, []
+    chunks = relint_lines(P, scales) if strict else geometry._slabs(P, tuple(scales))
+    for K, X, lo, counts in chunks:
+        for k, x, a, c in zip(K.tolist(), X.tolist(), lo.tolist(), counts.tolist()):
+            seen.append(k)
+            assert strict or c > 0
+            if c > 0:
+                rows[k].append((*x, a, c))
     assert seen == sorted(seen)
     return rows
 
 
+def relint_lines(P, scales):
+    """(K, X, lo, counts) per chunk of the ranges in relint(k*P) that
+    geometry.count_scales solves on a copy of P that has counted nothing:
+    per chunk of the walk, one closed solve and one strict solve, which
+    takes the lines that meet k*P and no others."""
+    chunks, solves = [], []
+    walk, last_range = geometry._walk, geometry._last_range
+
+    def solve(r, a_last):
+        solves.append(last_range(r, a_last))
+        return solves[-1]
+
+    def walked(Q, scales):
+        for K, X, r, a_last in walk(Q, scales):
+            solves.clear()
+            yield K, X, r, a_last
+            (lo, hi), (lo_in, hi_in) = solves  # count_scales' solves of this chunk
+            keep = lo <= hi
+            assert len(lo_in) == keep.sum()
+            chunks.append((K[keep], X[keep], lo_in, np.maximum(hi_in - lo_in + 1, 0)))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_walk", walked)
+        mp.setattr(geometry, "_last_range", solve)
+        geometry.count_scales(geometry.Polytope(P.dim, P.vertices, P.facets), scales)
+    return chunks
+
+
 def slab_rows(P, k=1, strict=False):
-    """The rows geometry._np_slabs yields at scale k alone, concatenated."""
+    """The rows walk_rows gives at scale k alone."""
     return walk_rows(P, (k,), strict)[k]
 
 
@@ -166,6 +185,18 @@ def test_invalid_inputs():
         build_polytope([(0, 0), (1, 0, 0)])
     with pytest.raises(InvalidInputError):
         build_polytope([(0.5, 0), (1, 0), (0, 1)])
+    with pytest.raises(InvalidInputError, match="points must have at least one coordinate"):
+        build_polytope([[], []])
+
+
+@pytest.mark.parametrize("call", [
+    lambda P: P.contains((0, 0, 0)),
+    lambda P: P.contains((0,), 2),
+    lambda P: verify_witness(P, 2, (0, 0, 0)),
+], ids=["contains", "contains-scaled", "verify_witness"])
+def test_point_of_the_wrong_dimension_refused(unit_square, call):
+    with pytest.raises(InvalidInputError, match="expected a point of dimension 2, got"):
+        call(unit_square)
 
 
 def test_boolean_coordinates_rejected():
@@ -357,8 +388,8 @@ def test_scan_matches_box_scan(n, seed, k, strict):
     # expand the inner ranges of the counting walk, point by point
     P = random_polytope(random.Random(seed), n, SPREAD[n])
     if strict:
-        rows = np.concatenate([geometry._expand(X, *inner)
-                               for _, X, _, _, inner in geometry._np_slabs(P, (k,), True)])
+        rows = np.concatenate([geometry._expand(X, lo, counts)
+                               for _, X, lo, counts in relint_lines(P, (k,))])
     else:
         rows = geometry.scaled_points_array(P, k)
     pts = [tuple(row) for row in rows.tolist()]
@@ -405,7 +436,7 @@ def test_first_slab_streams_from_a_long_range():
     # 2^40 + 1 prefixes: the first chunk comes back at once
     P = build_polytope([(0, 0), (2**40, 0), (0, 1)])
     start = time.perf_counter()
-    _, X, lo, counts, _ = next(geometry._np_slabs(P, (1,)))
+    _, X, lo, counts = next(geometry._slabs(P, (1,)))
     assert time.perf_counter() - start < 1.0
     assert 0 < len(X) <= geometry._CHUNK_ROWS
     assert X[:3, 0].tolist() == [0, 1, 2]
@@ -439,7 +470,7 @@ def test_one_walk_counts_exactly_past_int64(monkeypatch):
     # at 7 prefixes a chunk holds the 2 of scale 1 and the 3 of scale 2
     monkeypatch.setattr(geometry, "_CHUNK_ROWS", 7)
     assert any(len(set(K.tolist())) > 1
-               for K, *_ in geometry._np_slabs(square, (1, 2, 3, 4), True))
+               for K, *_ in geometry._walk(square, (1, 2, 3, 4)))
     assert_counts(square, (1, 2, 3, 4), {k: ((k + 1)**2, (k - 1)**2) for k in range(1, 5)})
 
 
@@ -487,6 +518,9 @@ def test_kept_lines_read_as_a_fresh_walk(n, seed, shift):
     kept, fresh = kept_and_fresh(P)
     assert set(kept._lines) == {1, 2, 3}
     for scales in ((1,), (2,), (3,), (1, 2), (2, 3), (1, 2, 3)):
+        # (K, X, lo, counts), kept or walked
+        for Q in (kept, fresh):
+            assert all(len(chunk) == 4 for chunk in geometry._slabs(Q, scales))
         top = 2 * max(scales)
         for a, b in zip(geometry._code_scales(kept, scales, top),
                         geometry._code_scales(fresh, scales, top)):
@@ -550,7 +584,7 @@ def test_kept_lines_stop_at_chunk_rows_in_all(t2, monkeypatch):
         assert not P._lines and P._count_cache
 
 
-def test_tall_simplex_keeps_no_line_of_its_dilates():
+def test_tall_simplex_keeps_no_line_of_its_dilates(monkeypatch):
     # 2P holds about 2^65 points: the counting walk keeps P's 4 and no
     # line of a larger dilate, which its readers then walk by lines
     from test_cli import TALL_SIMPLEX
@@ -559,4 +593,14 @@ def test_tall_simplex_keeps_no_line_of_its_dilates():
     geometry.count_scales(P, range(1, 6))
     assert set(P._lines) == {1}
     assert scaled_count(P, 2) > 2**65
-    assert geometry._slabs(P, (2,)).__class__.__name__ == "generator"
+    walks, walk = [], geometry._walk
+
+    def walked(P, scales):
+        walks.append(scales)
+        return walk(P, scales)
+
+    monkeypatch.setattr(geometry, "_walk", walked)
+    next(geometry._slabs(P, (1,)))
+    assert walks == []
+    assert len(next(geometry._slabs(P, (2,)))[1]) <= geometry._CHUNK_ROWS
+    assert walks == [(2,)]

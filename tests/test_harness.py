@@ -246,16 +246,15 @@ def test_probe_lists_no_configuration(monkeypatch):
 
 
 def spy_counting(monkeypatch):
-    """Record each counting walk, a walk of geometry._np_slabs that solves
-    the interior too, by its scales, and each scaled_count read of counting
-    and syzygy as (module, scale, interior, whether P's memo held it)."""
+    """Record each walk of geometry._walk by its scales, and each
+    scaled_count read of counting and syzygy as (module, scale, interior,
+    whether P's memo held it)."""
     walks, reads = [], []
-    walk = geometry._np_slabs
+    walk = geometry._walk
 
-    def walked(P, scales, interior=False):
-        if interior:
-            walks.append(tuple(scales))
-        return walk(P, scales, interior)
+    def walked(P, scales):
+        walks.append(tuple(scales))
+        return walk(P, scales)
 
     def recorder(module):
         read = module.scaled_count
@@ -266,7 +265,7 @@ def spy_counting(monkeypatch):
             return read(P, scale, interior)
         return recorded
 
-    monkeypatch.setattr(geometry, "_np_slabs", walked)
+    monkeypatch.setattr(geometry, "_walk", walked)
     for module in (counting, syzygy):
         monkeypatch.setattr(module, "scaled_count", recorder(module))
     return walks, reads
@@ -296,14 +295,14 @@ def test_check_one_counts_in_one_walk(monkeypatch, make):
 
 
 def spy_walks(monkeypatch):
-    """Record the polytope of each walk of geometry._np_slabs."""
-    walks, walk = [], geometry._np_slabs
+    """Record the polytope of each walk of geometry._walk."""
+    walks, walk = [], geometry._walk
 
     def walked(P, *args):
         walks.append(P)
         return walk(P, *args)
 
-    monkeypatch.setattr(geometry, "_np_slabs", walked)
+    monkeypatch.setattr(geometry, "_walk", walked)
     return walks
 
 

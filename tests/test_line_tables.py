@@ -107,7 +107,7 @@ def scanned_table(P, U, s, dtype, empty, chunk_rows):
     chunks of chunk_rows prefixes."""
     table = normality._LineTable(P, U, s, dtype, empty)
     with mock.patch.object(geometry, "_CHUNK_ROWS", chunk_rows):
-        for _, X, lo, counts, _ in geometry._np_slabs(P, (s,)):
+        for _, X, lo, counts in geometry._slabs(P, (s,)):
             table.fill(normality._line_coords(P, U, s, X), lo, lo + counts - 1)
     return table
 
@@ -191,7 +191,7 @@ def test_probes_stay_inside_their_tables(P):
     reads = {}
     for m, table_p, table_m, deltas in ladder_tables(P, 4):
         Z = np.concatenate([normality._line_coords(P, table_p.U, m, X)
-                            for _, X, _, _, _ in geometry._np_slabs(P, (m,))])
+                            for _, X, _, _ in geometry._slabs(P, (m,))])
         Q = Z // m
         for table, probes in ((table_p, Q[:, None, :] + deltas),
                               (table_m, (Z - Q)[:, None, :] - deltas)):

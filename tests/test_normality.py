@@ -3,6 +3,7 @@
 import itertools
 import operator
 import random
+import sys
 from unittest import mock
 
 import numpy as np
@@ -198,16 +199,48 @@ def test_witness_check_stops_at_the_first_decomposition(monkeypatch):
     # tests about level^2 / 2 rests
     segment = build_polytope([(0,), (1,)])
     calls = 0
-    contains = geometry.Polytope.contains
+    inside = normality._inside
 
-    def counted(self, *args):
+    def counted(*args):
         nonlocal calls
         calls += 1
-        return contains(self, *args)
+        return inside(*args)
 
-    monkeypatch.setattr(geometry.Polytope, "contains", counted)
+    monkeypatch.setattr(normality, "_inside", counted)
     assert not verify_witness(segment, 800, (400,))
-    assert calls <= 4 * 800
+    assert 800 <= calls <= 4 * 800
+
+
+def test_witness_check_validates_its_arguments_once(monkeypatch, t2):
+    # the level and the point are validated once, however many rests the
+    # search tests: a rest is a point the check built, so geometry._inside
+    # tests it as it is. Listing P validates its own scale once; P is
+    # counted first, which builds its frame, so no projection hull
+    # validates its points during the check
+    segment = build_polytope([(0,), (1,)])
+    calls, tests = [], 0
+    for module in (geometry, normality):
+        for name in ("_as_point", "_as_int"):
+            def spy(*args, _name=name, _real=getattr(module, name)):
+                calls.append((_name, sys._getframe(1).f_code.co_name))
+                return _real(*args)
+            monkeypatch.setattr(module, name, spy)
+    inside = normality._inside
+
+    def counted(*args):
+        nonlocal tests
+        tests += 1
+        return inside(*args)
+
+    monkeypatch.setattr(normality, "_inside", counted)
+    for P, level, point, verdict in ((t2, 300, (1, 1, 1), True), (segment, 800, (400,), False)):
+        geometry.scaled_count(P, 1)
+        calls.clear()
+        tests = 0
+        assert verify_witness(P, level, point) == verdict
+        assert tests > level
+        assert sorted(calls) == [("_as_int", "scaled_points_array"),
+                                 ("_as_int", "verify_witness"), ("_as_point", "verify_witness")]
 
 
 @settings(max_examples=30, deadline=None)
