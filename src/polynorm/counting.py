@@ -135,14 +135,19 @@ class CohomologyTable:
 
 
 def _h_row(P: Polytope, k: int) -> tuple[int, ...]:
+    """h^0..h^n at twist k, of which only h^i, i = 0 for k > 0 and n for
+    k < 0, can be nonzero. Up to |k| = n + 2 it is counted in |k|P; past
+    that it is (-1)^i L_P(k), read off the Ehrhart polynomial (for k < 0 by
+    reciprocity, L_P(k) = (-1)^n #relint(|k|P))."""
     n = P.dim
     h = [0] * (n + 1)
-    if k > 0:
-        h[0] = scaled_count(P, k)
-    elif k == 0:
+    i = 0 if k > 0 else n
+    if k == 0:
         h[0] = 1
+    elif abs(k) <= n + 2:
+        h[i] = scaled_count(P, abs(k), interior=k < 0)
     else:
-        h[n] = scaled_count(P, -k, interior=True)
+        h[i] = (-1) ** i * ehrhart_polynomial(P).evaluate(k)
     return tuple(h)
 
 

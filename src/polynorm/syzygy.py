@@ -42,10 +42,11 @@ of G_b, so the two sinks lie in one component. A group all of whose sinks
 reach its first sink in one hop is connected, after d * d lookups a sink.
 On the benchmark's probe3 corpus this settles 91 % of the colliding sums
 of degree 3 and every sum of degree 4 that point-linking leaves open. The
-groups left go on to breadth-first layers on G_b. At d = 3, G_b joins p
-and q iff q lies in a pair {q, r} of the pair fiber of b - p, so the
-neighbours of p are the points of one pair fiber: a mask row of the
-points q for which b - p - q is a point.
+groups left go on to breadth-first layers on G_b. They widen at every
+degree by one mask row per value b - p of the frontier: the points q with
+b - p - q a (d-2)-point sum, so each layer reads that one code set. A row
+holds the points of the degree-(d-1) fiber of b - p, never empty: it holds
+p's sink less p, or r + (b - p - r) for p reached from r.
 
 Points and sums are int64 codes up to the top cap*ell
 (geometry._code_scales). An edge of G_b is looked up by
@@ -199,17 +200,17 @@ def _pair_fibers(codes: np.ndarray, box: int) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(first, np.int32(n))
 
 
-def _pair_masks(sums: np.ndarray, codes: np.ndarray, points) -> np.ndarray:
-    """Mask rows of ceil(N/64) 64-bit words, one per pair sum: row r marks,
-    in np.packbits order, the points p for which sums[r] - p is a point
-    (`points` holds the point codes), that is the points of the pairs of
-    its pair fiber, both sides. Word rows let the search OR masks 8 bytes
-    at a time; the rows are looked up _CHUNK_BYTES // 64 points at a time."""
+def _masks(values: np.ndarray, codes: np.ndarray, lookup) -> np.ndarray:
+    """Mask rows of ceil(N/64) 64-bit words, one per value: row r marks, in
+    np.packbits order, the points q for which values[r] - q is in the code
+    set `lookup` (`codes` holds the point codes). Word rows let the search
+    OR masks 8 bytes at a time; the rows are looked up _CHUNK_BYTES // 64
+    points at a time."""
     n = len(codes)
-    masks = np.zeros((len(sums), -(-n // 64)), dtype=np.uint64)
+    masks = np.zeros((len(values), -(-n // 64)), dtype=np.uint64)
     step = max(1, _CHUNK_BYTES // (64 * n))
-    for r0 in range(0, len(sums), step):
-        held = points.holds(sums[r0 : r0 + step, None] - codes)
+    for r0 in range(0, len(values), step):
+        held = lookup.holds(values[r0 : r0 + step, None] - codes)
         masks[r0 : r0 + step].view(np.uint8)[:, : -(-n // 8)] = np.packbits(held, axis=1)
     return masks
 
@@ -277,7 +278,7 @@ def _any(hit: np.ndarray) -> np.ndarray:
 
 
 def _first_disconnected(sinks: np.ndarray, group: np.ndarray, sums: np.ndarray,
-                        codes: np.ndarray, lower) -> tuple[int | None, int]:
+                        codes: np.ndarray, lookup) -> tuple[int | None, int]:
     """The first group `_sinks_connected` (same arguments) finds disconnected,
     or None, and how many groups the point-linking layer left open up to
     and including it (all of them when None). Searched in batches of sums
@@ -287,7 +288,7 @@ def _first_disconnected(sinks: np.ndarray, group: np.ndarray, sums: np.ndarray,
     for g0 in range(0, len(sums), batch):
         rows = slice(*np.searchsorted(group, [g0, g0 + batch]))
         ok, linked = _sinks_connected(sinks[rows], group[rows] - g0,
-                                      sums[g0 : g0 + batch], codes, lower)
+                                      sums[g0 : g0 + batch], codes, lookup)
         if not ok.all():
             bad = int(np.argmin(ok))
             return g0 + bad, checked + int(np.count_nonzero(~linked[: bad + 1]))
@@ -296,17 +297,17 @@ def _first_disconnected(sinks: np.ndarray, group: np.ndarray, sums: np.ndarray,
 
 
 def _sinks_connected(sinks: np.ndarray, group: np.ndarray, sums: np.ndarray,
-                     codes: np.ndarray, lower) -> tuple[np.ndarray, np.ndarray]:
+                     codes: np.ndarray, lookup) -> tuple[np.ndarray, np.ndarray]:
     """For each group of degree-d sink rows: is the fiber of its sum b
     connected, and are its sinks point-linked?
 
     `sinks` holds one clique per row, `group` its group number, ascending
     from 0 without gaps, `sums` the groups' codes b, `codes` the point codes,
-    and lower[k] the code set (`_code_set`) of the k-point sums, for k up
-    to d - 2 and for the pair sums at d = 3. Exact once every fiber of
-    degree d-1 is connected: by the lemma in the module docstring, the
-    fiber is connected iff G_b joins the points of all its sinks. The
-    layers, each on the groups the layers before left open:
+    and `lookup` the code set (`_code_set`) of the (d-2)-point sums, the one
+    set every layer reads. Exact once every fiber of degree d-1 is
+    connected: by the lemma in the module docstring, the fiber is connected
+    iff G_b joins the points of all its sinks. The layers, each on the
+    groups the layers before left open:
 
     1. Point-linking, at d >= 4 only (at d = 3 no two sinks share a point,
        so none is point-linked): the points of one sink form a clique of
@@ -315,8 +316,8 @@ def _sinks_connected(sinks: np.ndarray, group: np.ndarray, sums: np.ndarray,
        sinks this layer all reaches is point-linked.
     2. One hop: a sink that this layer finds an edge p q of G_b for, p
        from the group's first sink and q from its own, joins the first
-       sink; the d * d lookups of b - p - q in `lower` per sink run at
-       once. A group all of whose sinks are joined is connected.
+       sink; the d * d lookups of b - p - q per sink run at once. A group
+       all of whose sinks are joined is connected.
     3. The search (`_search`), over keys group * N + point, from the
        points of the joined sinks, until every sink of a group holds a
        reached point or its frontier is empty.
@@ -337,7 +338,7 @@ def _sinks_connected(sinks: np.ndarray, group: np.ndarray, sums: np.ndarray,
     if linked.all():
         return linked, linked
     hop = np.flatnonzero(~lent & ~linked[group])
-    hop = hop[_one_hop(sinks, group, first, sums, codes, lower[d - 2], hop)]
+    hop = hop[_one_hop(sinks, group, first, sums, codes, lookup, hop)]
     lent[hop] = True
     connected = np.logical_and.reduceat(lent, first)
     # the search runs on the groups the first layers left open
@@ -350,30 +351,28 @@ def _sinks_connected(sinks: np.ndarray, group: np.ndarray, sums: np.ndarray,
     keys = group.astype(np.int64)[:, None] * n + sinks[rows]
     first, sums = _run_starts(group), sums[left]
     seen = seen.reshape(-1, n)[left].reshape(-1)
-    _search(seen, keys, group, first, sums, codes, lower)
+    _search(seen, keys, group, first, sums, codes, lookup)
     connected[left] = np.logical_and.reduceat(_any(seen[keys]), first)
     return connected, linked
 
 
-def _one_hop(sinks, group, first, sums, codes, lower, rows) -> np.ndarray:
-    """Per sink row of `rows`: is b - p - q a (d-2)-point sum for some point
-    p of its group's first sink and q of its own?"""
+def _one_hop(sinks, group, first, sums, codes, lookup, rows) -> np.ndarray:
+    """Per sink row of `rows`: is b - p - q in `lookup` for some point p of
+    its group's first sink and q of its own?"""
     head = codes[sinks[first[group[rows]]]]
     own = codes[sinks[rows]]
     pq = (head[:, :, None] + own[:, None, :]).reshape(len(rows), sinks.shape[1] ** 2)
-    return _any(lower.holds(sums[group[rows], None] - pq))
+    return _any(lookup.holds(sums[group[rows], None] - pq))
 
 
-def _search(seen, keys, group, first, sums, codes, lower):
+def _search(seen, keys, group, first, sums, codes, lookup):
     """The search of `_sinks_connected`, on `seen` in place: breadth-first
     layers on G_b. A layer tries the frontier (first every point reached so
     far, then the points the layer before reached) against the unseen
     points of the unreached sinks (`_join`), then, where a sink is still
-    unreached, widens the frontier to all its neighbours: `_grow_by_masks`
-    at d = 3, `_grow_by_lookups` at d >= 4. A phase with no live group is
-    skipped."""
+    unreached, widens the frontier to all its neighbours (`_grow_by_masks`).
+    A phase with no live group is skipped."""
     n, m = len(codes), len(sums)
-    lookup = lower[keys.shape[1] - 2]
     frontier = np.flatnonzero(seen)
     while len(frontier):
         layer = [frontier[:0]]
@@ -390,16 +389,14 @@ def _search(seen, keys, group, first, sums, codes, lower):
                 pool = np.flatnonzero(pool)
                 _join(seen, frontier, pool, sums, codes, lookup)
                 layer.append(pool[seen[pool]])
-            elif keys.shape[1] == 3:
-                layer.append(_grow_by_masks(seen, frontier, sums, codes, lower))
             else:
-                layer.append(_grow_by_lookups(seen, frontier, live, sums, codes, lookup))
+                layer.append(_grow_by_masks(seen, frontier, sums, codes, lookup))
         frontier = np.concatenate(layer)
 
 
-def _join(seen, frontier, pool, sums, codes, lower):
+def _join(seen, frontier, pool, sums, codes, lookup):
     """Mark in `seen` each key of `pool` (ascending) that G_b joins to a
-    frontier key of its group: b - p - q among `lower`, _CHUNK_BYTES // 320
+    frontier key of its group: b - p - q in `lookup`, _CHUNK_BYTES // 320
     lookups at a time (about ten 8-byte temporaries each)."""
     n, m = len(codes), len(sums)
     step = max(1, _CHUNK_BYTES // 320)
@@ -415,23 +412,20 @@ def _join(seen, frontier, pool, sums, codes, lower):
         t = np.arange(t0, min(t0 + step, ends[-1]))
         i = np.searchsorted(ends, t, side="right")
         j = stop[i] + t - ends[i]
-        seen[pool[j[lower.holds(base[i] - codes[pool[j] % n])]]] = True
+        seen[pool[j[lookup.holds(base[i] - codes[pool[j] % n])]]] = True
 
 
-def _grow_by_masks(seen, frontier, sums, codes, lower) -> np.ndarray:
-    """The wide phase of `_search` at d = 3, on `seen` in place; returns the
-    keys it reached first. The neighbours of p in G_b are the points of the
-    pair fiber of b - p: one mask row (`_pair_masks`) per distinct pair sum
+def _grow_by_masks(seen, frontier, sums, codes, lookup) -> np.ndarray:
+    """The wide phase of `_search`, on `seen` in place; returns the keys it
+    reached first. The neighbours of p in G_b are the points q with
+    b - p - q in `lookup`: one mask row (`_masks`) per distinct value
     b - p of the frontier, ORed into the row of each group that reads it,
     _CHUNK_BYTES // 8 bytes of mask rows at a time."""
     n, m = len(codes), len(sums)
     frontier = np.sort(frontier)
     g = frontier // n
-    rest = sums[g] - codes[frontier - g * n]
-    hit = lower[2].holds(rest)
-    wanted, at = np.unique(rest[hit], return_inverse=True)
-    g = g[hit]
-    masks = _pair_masks(wanted, codes, lower[1])
+    wanted, at = np.unique(sums[g] - codes[frontier - g * n], return_inverse=True)
+    masks = _masks(wanted, codes, lookup)
     step = max(1, _CHUNK_BYTES // (64 * masks.shape[1]))
     # row g ORs the masks of group g's frontier points
     grown = np.zeros((m, masks.shape[1]), dtype=np.uint64)
@@ -443,16 +437,6 @@ def _grow_by_masks(seen, frontier, sums, codes, lower) -> np.ndarray:
     new = np.flatnonzero(reached & ~seen)
     seen[new] = True
     return new
-
-
-def _grow_by_lookups(seen, frontier, live, sums, codes, lower) -> np.ndarray:
-    """The wide phase of `_search` at d >= 4, on `seen` in place; returns the
-    keys it reached first: the frontier against every unseen point of its
-    live group."""
-    n = len(codes)
-    pool = np.flatnonzero(~seen.reshape(-1, n) & live[:, None])
-    _join(seen, frontier, pool, sums, codes, lower)
-    return pool[seen[pool]]
 
 
 def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
@@ -506,8 +490,8 @@ def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
         ends.append(j)
         fibers = _code_set(codes, box)
         order = fibers.repeated()
-        # the search looks up the (d-2)-point sums and, at d = 3, the pair sums
-        lower.append(fibers if d == 2 or d + 2 <= degree_cap else None)
+        # each layer of the search at degree d reads the (d-2)-point sums
+        lower.append(fibers if d + 2 <= degree_cap else None)
         sums = codes[order]
         starts = _run_starts(sums)
         group = np.zeros(len(order), dtype=np.intp)
@@ -527,7 +511,7 @@ def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
             # the last degree's cliques live on in its sinks alone
             del codes, parents, ends, fibers, order, row, k, j
         bad, checked = _first_disconnected(sinks, group, sums[starts], point_codes,
-                                            lower)
+                                            lower[d - 2])
         summaries.append(DegreeSummary(d, count, checked, bad is None))
         if bad is not None:
             witness_fiber = (d, *_decode_point(P, top, d * ell, sums[starts[bad]]))

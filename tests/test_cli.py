@@ -98,6 +98,17 @@ def test_cohomology_table(capsys, square_file):
     assert rows[-2] == [0, 0, 1]
 
 
+def test_cohomology_at_a_far_twist(capsys, square_file):
+    # the row at -10^9 comes from the Ehrhart polynomial by reciprocity, not
+    # from a walk of 10^9 P
+    start = time.perf_counter()
+    code, data = run_json(capsys, "cohomology", square_file,
+                          "--k-min", "-1000000000", "--k-max", "-1000000000")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert data["rows"] == [{"k": -10**9, "h": [0, 0, (10**9 - 1) ** 2]}]
+
+
 def test_np_probe_connected(capsys, square_file):
     code, data = run_json(capsys, "np-probe", square_file,
                           "--ell", "1", "--cap", "4")

@@ -1,5 +1,6 @@
 """Cohomology counting rules and autoregularity."""
 
+import math
 import random
 
 import pytest
@@ -57,6 +58,32 @@ def test_h_zero_matches_counts(t2, delta3, interior_count):
                 assert h[-1] == interior_count(P, -k)
             # middle cohomology always vanishes under the counting rules
             assert all(x == 0 for x in h[1:-1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_h_table_far_twists_of_the_unit_simplex(n):
+    # past |k| = n + 2 the rows come from the Ehrhart polynomial, C(k + n, n)
+    # for the unit simplex, and for k < 0 from reciprocity: relint(|k| Delta_n)
+    # holds C(|k| - 1, n) points. Each row is exact and takes no walk of |k|P
+    simplex = build_polytope([(0,) * n] + [tuple(int(i == j) for j in range(n))
+                                           for i in range(n)])
+    for k in (10**6, 10**30, -(10**6), -(10**30)):
+        [(_, h)] = h_table(simplex, k, k).rows
+        want = [0] * (n + 1)
+        want[0 if k > 0 else n] = math.comb(k + n, n) if k > 0 else math.comb(-k - 1, n)
+        assert list(h) == want and all(type(x) is int for x in h), (n, k)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 10**6))
+def test_h_table_past_the_counted_twists_matches_counts(n, seed):
+    # the first rows read off the Ehrhart polynomial, |k| = n + 3..n + 5,
+    # against the walk's direct counts of kP and relint(kP)
+    P = random_polytope(random.Random(seed), n)
+    rows = dict(h_table(P, -(n + 5), n + 5).rows)
+    for k in range(n + 3, n + 6):
+        assert rows[k] == (scaled_count(P, k),) + (0,) * n, (P.vertices, k)
+        assert rows[-k] == (0,) * n + (scaled_count(P, k, interior=True),), (P.vertices, k)
 
 
 def test_h_table_row_range_validation(unit_square):

@@ -15,6 +15,7 @@ import json
 import random
 import time
 import tracemalloc
+import weakref
 from collections import Counter, deque
 from dataclasses import dataclass, replace
 
@@ -25,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 from polynorm import (
     DEFAULT_CORPUS_SPEC,
     REEVE_RANGE,
+    CorpusSpec,
     InvalidInputError,
     LatticePoint,
     NotFullDimensionalError,
@@ -774,22 +776,113 @@ def test_point_graph_search_matches_region_merge(monkeypatch, chunk, bound, regi
     assert {(True, False), (False, False), (False, True)} <= verdicts
 
 
-def test_one_hop_leaves_sums_to_both_wide_phases(monkeypatch):
+def _wide_phases(monkeypatch, cases):
+    """Run n1_probe(P, ell, cap) for each case with syzygy._grow_by_masks
+    spied on; per case, the (degree, arguments, result) of every call, the
+    degree read off the keys of the `_search` that called it."""
+    degree, calls = [], []
+    search, grow = syzygy._search, syzygy._grow_by_masks
+
+    def search_spy(seen, keys, *rest):
+        degree.append(keys.shape[1])
+        return search(seen, keys, *rest)
+
+    def grow_spy(*args):
+        out = grow(*args)
+        calls[-1].append((degree[-1], args, out))
+        return out
+
+    monkeypatch.setattr(syzygy, "_search", search_spy)
+    monkeypatch.setattr(syzygy, "_grow_by_masks", grow_spy)
+    for P, ell, cap in cases:
+        calls.append([])
+        n1_probe(P, ell, cap)
+    return calls
+
+
+def test_one_hop_leaves_sums_to_the_wide_phase(monkeypatch):
     # one hop settles most colliding sums before the search, and the
     # reference comparisons above exercise the search only on the sums it
     # leaves: degree 3 on the default corpus's dim-3 polytopes at ell 3,
-    # degree 4 on the seeded ell = 1 sample of
+    # degree 4 and above on the seeded ell = 1 sample of
     # test_probe_matches_reference_on_disconnections, must each still
-    # reach its wide phase
+    # reach the wide phase, the one at every degree
     spec = replace(DEFAULT_CORPUS_SPEC, dims=(2, 3))
     dim3 = [(P, 3, 4) for P in generate_corpus(spec) if P.dim == 3][:10]
     rng = random.Random(20261018)
     sample = [(random_polytope(rng, 3, spread=2), 1, 4) for _ in range(40)]
-    masks = _spied(monkeypatch, "_grow_by_masks", dim3)
-    lookups = _spied(monkeypatch, "_grow_by_lookups", sample)
+    masks = _wide_phases(monkeypatch, dim3 + sample)
     # (seen, frontier, ...) of each wide phase, and the keys it reached
-    assert sum(len(args[1]) > 0 and len(new) > 0 for calls in masks for args, new in calls) >= 5
-    assert sum(len(args[1]) > 0 for calls in lookups for args, _ in calls) >= 1
+    assert sum(d == 3 and len(args[1]) > 0 and len(new) > 0
+               for calls in masks[: len(dim3)] for d, args, new in calls) >= 5
+    assert sum(d >= 4 and len(args[1]) > 0
+               for calls in masks[len(dim3) :] for d, args, _ in calls) >= 1
+
+
+def test_wide_phase_reads_sums_of_one_point_less(monkeypatch):
+    # each value b - p the wide phase builds a mask row for is a sum of d - 1
+    # points, so its row marks the points of a nonempty fiber one degree
+    # down: a point of a sink is b less the rest of its sink, and a point q
+    # reached from p has b - q = p + (b - p - q). The (d-1)-point sums are
+    # listed by brute force from the point codes, which add as the points
+    # do; the ell = 1 polytopes have 4 to 13 points, and their searches
+    # widen at degrees 3, 4 and 5
+    cases = [(P, 1, 5) for P in generate_corpus(CorpusSpec(7, (3,), 3, 40, 5))]
+    degrees = set()
+    for calls in _wide_phases(monkeypatch, cases):
+        for d, (seen, frontier, sums, codes, lookup), _ in calls:
+            below = {sum(c) for c in itertools.combinations_with_replacement(codes.tolist(), d - 1)}
+            g, p = np.divmod(frontier, len(codes))
+            assert set((sums[g] - codes[p]).tolist()) <= below
+            degrees.add(d)
+    assert {3, 4, 5} <= degrees, degrees
+
+
+@pytest.mark.parametrize("cap", [3, 4, 5])
+def test_each_degree_reads_one_code_set(monkeypatch, cap):
+    # the search at degree d reads the code set of the (d-2)-point sums and
+    # no other, and the last degree's search runs with only the sets of 1 to
+    # cap - 2 points alive: the code set of each degree is dropped once no
+    # later degree reads it. The ell = 1 polytopes reach every degree
+    sets, searched = [], []  # weak references, by number of points from 1
+    code_set, first = syzygy._code_set, syzygy._first_disconnected
+
+    def code_set_spy(*args):
+        out = code_set(*args)
+        sets.append(weakref.ref(out))
+        return out
+
+    def first_spy(sinks, group, sums, codes, lookup):
+        d = sinks.shape[1]
+        assert d == 2 or lookup is sets[d - 3](), d
+        alive = [k for k, ref in enumerate(sets, 1) if ref() is not None]
+        searched.append((d, alive))
+        return first(sinks, group, sums, codes, lookup)
+
+    monkeypatch.setattr(syzygy, "_code_set", code_set_spy)
+    monkeypatch.setattr(syzygy, "_first_disconnected", first_spy)
+    for P in generate_corpus(CorpusSpec(7, (3,), 3, 40, 5))[:10]:
+        sets.clear()
+        n1_probe(P, 1, cap)
+    last = [alive for d, alive in searched if d == cap]
+    assert last and all(alive == list(range(1, cap - 1)) for alive in last), searched
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+def test_probe_matches_reference_at_degree_five(monkeypatch, bound):
+    # the whole report at ell = 1 and cap 5, where these polytopes' searches
+    # run at degrees 4 and 5; a spy on _search shows that degree 5 was
+    # searched, so the comparison keeps covering it
+    _bound(monkeypatch, bound)
+    corpus = generate_corpus(CorpusSpec(7, (3,), 3, 40, 5))
+    cases = [(corpus[i], 1, 5) for i in (2, 20, 29, 31, 33)]
+    searched = set()
+    search = syzygy._search
+    monkeypatch.setattr(syzygy, "_search", lambda seen, keys, *rest: searched.add(
+        keys.shape[1]) or search(seen, keys, *rest))
+    for P, ell, cap in cases:
+        assert n1_probe(P, ell, cap).to_jsonable() == reference_probe(P, ell, cap).to_jsonable()
+    assert 5 in searched, searched
 
 
 def test_search_stops_after_first_disconnected_batch(monkeypatch):
@@ -984,7 +1077,7 @@ def test_pair_fiber_masks_match_pair_table(kind, seed, ell):
             mp.setattr(syzygy, "_CHUNK_BYTES", chunk)
             irreducible = syzygy._pair_fibers(codes, box)
             pair_sums = syzygy._code_set(every, box)
-            masks = syzygy._pair_masks(sums, codes, syzygy._code_set(codes, box))
+            masks = syzygy._masks(sums, codes, syzygy._code_set(codes, box))
         assert irreducible[0].dtype == irreducible[1].dtype == np.int32
         assert sorted(zip(*(side.tolist() for side in irreducible))) == sorted(table.irreducible)
         assert len(sums) == len(want) and pair_sums.holds(sums).all()
