@@ -10,6 +10,7 @@ bytes at any worker count.
 from __future__ import annotations
 
 import os
+import pickle
 import random
 from dataclasses import dataclass
 from functools import partial
@@ -31,6 +32,7 @@ from .normality import NormalityReport, is_normal, verify_corollary, verify_witn
 from .syzygy import n1_probe
 
 _RESAMPLE_LIMIT = 1000
+_MAX_THREADS = 32
 
 
 @dataclass(frozen=True)
@@ -211,7 +213,7 @@ def analyze(P: Polytope, cap: int | None = None) -> AnalysisRecord:
 def thread_count(requested: int | None = None) -> int:
     """Resolve the worker process count: argument, else POLYNORM_THREADS, else 1.
 
-    0 means auto (one per CPU, capped at 32).
+    0 means auto (one per CPU); at most 32 either way, each a process of ~30 MB.
     """
     if requested is None:
         raw = os.environ.get("POLYNORM_THREADS")
@@ -224,9 +226,9 @@ def thread_count(requested: int | None = None) -> int:
                 f"POLYNORM_THREADS must be an integer, got {raw!r}"
             ) from None
     requested = _as_int(requested, "thread count", 0)
-    if requested == 0:
-        return min(32, os.cpu_count() or 1)
-    return requested
+    if requested > _MAX_THREADS:
+        raise InvalidInputError(f"thread count must be at most {_MAX_THREADS}, got {requested}")
+    return requested or min(_MAX_THREADS, os.cpu_count() or 1)
 
 
 def _check_one(P: Polytope, extra_levels: int, n1_cap: int, cap: int | None):
@@ -254,6 +256,45 @@ def _check_one(P: Polytope, extra_levels: int, n1_cap: int, cap: int | None):
     return record, sweep, ehrhart_ok, probe
 
 
+def _in_workers(check, polytopes: list, workers: int) -> list:
+    """[check(P) for P in polytopes] on forked children, child w taking polytopes[w::workers]."""
+    pids, pipes = [], []
+    try:
+        for w in range(workers):
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            with open(write, "wb") as sink:  # closed before the next fork: EOF = w is gone
+                if (pid := os.fork()) == 0:
+                    try:
+                        share = []
+                        try:
+                            for P in polytopes[w::workers]:
+                                share.append(check(P))
+                        except Exception as exc:  # the first error ends the share
+                            share.append(exc)
+                        sink.write(pickle.dumps(share))
+                        sink.flush()
+                        os._exit(0)
+                    finally:  # never back into the caller's stack
+                        os._exit(1)
+                pids.append(pid)
+        payloads = [pipe.read() for pipe in pipes]
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    results = [None] * len(polytopes)
+    for w, (payload, status) in enumerate(zip(payloads, statuses)):
+        if status:  # a worker exits 0 only once its whole payload is out
+            raise InternalInvariantError(f"worker {w} exited with status {status}, no results")
+        share = pickle.loads(payload)
+        results[w:w + len(share) * workers:workers] = share
+    # each share runs in index order, so the first error here is one worker's first
+    if error := next((r for r in results if isinstance(r, Exception)), None):
+        raise error
+    return results
+
+
 def run_verification(spec: CorpusSpec, extra_levels: int = 2, n1_cap: int = 4,
                      cap: int | None = None, include_fixtures: bool = True,
                      threads: int | None = None) -> dict:
@@ -266,12 +307,13 @@ def run_verification(spec: CorpusSpec, extra_levels: int = 2, n1_cap: int = 4,
     Violations are report content, never exceptions.
 
     One worker (see `thread_count`) runs in-process; k > 1 forks at most k
-    worker processes, which inherit this process's module state (fork is
-    unsafe while other threads run). Results are gathered in index order,
-    so the report bytes and the first exception match one worker's.
+    workers, which inherit this process's module state (fork is unsafe while
+    other threads run). Worker w checks polytopes w, w + k, ... in order and stops
+    at its first error while the others finish; the report and error match one worker's.
     """
     extra_levels = _as_int(extra_levels, "extra_levels", 0)
     n1_cap = _as_int(n1_cap, "n1_cap", 2)
+    workers = thread_count(threads)
     if cap is not None:
         cap = _as_int(cap, "normality cap", 2)
     corpus = generate_corpus(spec)
@@ -283,19 +325,9 @@ def run_verification(spec: CorpusSpec, extra_levels: int = 2, n1_cap: int = 4,
             items.append(("fixture", f"reeve-{q}", reeve_simplex(q)))
 
     check = partial(_check_one, extra_levels=extra_levels, n1_cap=n1_cap, cap=cap)
-    workers = min(thread_count(threads), len(items))
+    workers = min(workers, len(items))
     if workers > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # fork by name: Python 3.14 changes the Linux default
-        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
-        try:
-            futures = [pool.submit(check, P) for _, _, P in items]
-            results = [future.result() for future in futures]
-        finally:
-            # after a failure, drop the polytopes no worker has started
-            pool.shutdown(cancel_futures=True)
+        results = _in_workers(check, [P for _, _, P in items], workers)
     else:
         results = [check(P) for _, _, P in items]
 

@@ -1,7 +1,8 @@
 """Shared fixtures: a handful of small polytopes with known invariants,
 `random_polytope`, the seeded generator the test modules import,
-`box_scan`, their reference enumeration, and `build_configuration`, the
-point configuration that the fiber oracles of test_syzygy.py enumerate."""
+`box_scan`, their reference enumeration, `build_configuration`, the
+point configuration that the fiber oracles of test_syzygy.py enumerate, and
+`assert_no_child_left`, the check that a run reaped every worker it forked."""
 
 import itertools
 import operator
@@ -64,6 +65,13 @@ def build_configuration(P, ell):
     """Configuration of the embedding by ell*P."""
     pts = tuple((1, *u) for u in scaled_points_array(P, ell).tolist())
     return PointConfiguration(points=pts, n_plus_1=P.dim + 1)
+
+
+def assert_no_child_left():
+    """No child of this process is left, live or zombie: waitpid on any child
+    raises instead of returning (0, 0) for a live one or reaping a zombie."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def pytest_configure(config):

@@ -22,6 +22,7 @@ import itertools
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -106,7 +107,9 @@ def draw(path, seed, count):
 def survives(root, path, text):
     """Does tier-1 pass in a private copy of the tree at `root` in which the
     file at `path` (relative to root) reads `text`? A run past 15 minutes
-    counts as killed."""
+    counts as killed, and so does one whose pytest exits 0 without its
+    closing "N passed" line: a mutant can make the test process itself
+    leave early through a forked worker's os._exit(0)."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(root, tree, ignore=shutil.ignore_patterns(
@@ -114,10 +117,12 @@ def survives(root, path, text):
         (tree / path).write_text(text, encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(tree / "src"))
         try:
-            return subprocess.run(TIER1, cwd=tree, env=env, stdout=subprocess.DEVNULL,
-                                  stderr=subprocess.DEVNULL, timeout=900).returncode == 0
+            proc = subprocess.run(TIER1, cwd=tree, env=env, stdout=subprocess.PIPE,
+                                  stderr=subprocess.DEVNULL, text=True, timeout=900)
         except subprocess.TimeoutExpired:
             return False
+    closing = proc.stdout.strip().rsplit("\n", 1)[-1]
+    return proc.returncode == 0 and re.match(r"\d+ passed", closing) is not None
 
 
 def main(argv=None):

@@ -4,7 +4,6 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import multiprocessing
 import subprocess
 import sys
 import time
@@ -21,6 +20,7 @@ from polynorm import (
     verify_corollary,
 )
 from polynorm.cli import main
+from conftest import assert_no_child_left
 from test_corollary import (
     fewest_lines_frame,
     oracle_verify_corollary,
@@ -197,6 +197,19 @@ def test_vertex_candidates_past_the_ceiling_exit_one(capsys, tmp_path):
         "polynorm: vertex_candidates must be at most 65536, got 100000000\n")
 
 
+def test_thread_count_past_the_ceiling_exits_one(capsys, monkeypatch, tmp_path):
+    # each worker is a forked process of about 30 MB; the count is refused
+    # before any is forked (one polytope: code without the ceiling forks none)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"seed": 1, "dims": [2], "coord_bound": 2,
+                                "count_per_dim": 1, "vertex_candidates": 4}))
+    monkeypatch.setenv("POLYNORM_THREADS", "100000")
+    assert main(["verify-corpus", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "polynorm: thread count must be at most 32, got 100000\n")
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("exc, code", [(InternalInvariantError("bug"), 2),
                                        (InvalidInputError("bad input"), 1)])
 def test_worker_exception_keeps_its_exit_code(capsys, monkeypatch, tmp_path, exc, code):
@@ -212,7 +225,7 @@ def test_worker_exception_keeps_its_exit_code(capsys, monkeypatch, tmp_path, exc
         monkeypatch.setenv("POLYNORM_THREADS", workers)
         assert main(["verify-corpus", str(path), "--extra-levels", "0"]) == code
         assert str(exc) in capsys.readouterr().err
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_fiber_count_off_by_one_trips_the_check(capsys, monkeypatch, tmp_path):
@@ -221,7 +234,7 @@ def test_fiber_count_off_by_one_trips_the_check(capsys, monkeypatch, tmp_path):
     # InternalInvariantError, with exit code 2 (every other verify-corpus
     # run of the suite passes the check, and
     # test_worker_exception_keeps_its_exit_code carries the error through
-    # the worker pool)
+    # a forked worker)
     real = harness.n1_probe
 
     def forged(*args):

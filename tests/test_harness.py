@@ -1,10 +1,10 @@
 """Corpus generation, single-polytope analysis, batch verification."""
 
-import concurrent.futures
 import itertools
 import json
-import multiprocessing
+import os
 import pickle
+import signal
 import time
 from collections import Counter
 
@@ -35,6 +35,7 @@ import polynorm.geometry as geometry
 import polynorm.harness as harness
 import polynorm.normality as normality
 import polynorm.syzygy as syzygy
+from conftest import assert_no_child_left
 from test_cli import TALL_SIMPLEX
 
 
@@ -56,8 +57,9 @@ def test_spec_validation():
         small_spec(seed=-1)
     with pytest.raises(InvalidInputError):
         small_spec(seed=2**64)
-    with pytest.raises(InvalidInputError):
-        small_spec(dims=(5,))
+    # enough candidates for dimension 5, so that only the dimension is refused
+    with pytest.raises(InvalidInputError, match=r"^dims must lie in 1\.\.4, got \(5,\)$"):
+        small_spec(dims=(5,), vertex_candidates=6)
     with pytest.raises(InvalidInputError):
         small_spec(dims=())
     with pytest.raises(InvalidInputError):
@@ -455,16 +457,51 @@ def test_thread_count(monkeypatch):
     monkeypatch.setenv("POLYNORM_THREADS", "3")
     assert harness.thread_count() == 3
     monkeypatch.setenv("POLYNORM_THREADS", "0")
-    assert harness.thread_count() >= 1
+    assert 1 <= harness.thread_count() <= 32
     assert harness.thread_count(2) == 2
+    assert harness.thread_count(32) == 32
 
 
-def test_run_verification_threaded_matches_serial():
-    # dims 2, 3, 4 and the Reeve fixtures: the workers finish in any order,
-    # and the report must still come out in index order
+def test_thread_count_has_a_ceiling(monkeypatch):
+    # each worker is a forked process of about 30 MB
+    with pytest.raises(InvalidInputError, match="^thread count must be at most 32, got 33$"):
+        harness.thread_count(33)
+    monkeypatch.setenv("POLYNORM_THREADS", "100000")
+    with pytest.raises(InvalidInputError,
+                       match="^thread count must be at most 32, got 100000$"):
+        harness.thread_count()
+
+
+def fork_spy(monkeypatch):
+    """The pids os.fork returns to this process, with forking left to the real call."""
+    pids = []
+    real = os.fork
+
+    def spy():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+def test_too_many_threads_are_refused_before_any_fork(monkeypatch):
+    forks = fork_spy(monkeypatch)
+    with pytest.raises(InvalidInputError, match="^thread count must be at most 32"):
+        run_verification(small_spec(), extra_levels=0, n1_cap=2, threads=10**6)
+    assert forks == []
+
+
+@pytest.mark.parametrize("threads", [2, 3, 7])
+def test_run_verification_threaded_matches_serial(threads):
+    # dims 2, 3, 4 and the Reeve fixtures in strides of 2, 3 and 7 (uneven
+    # shares): the workers finish in any order, and the report must still
+    # come out in index order
     spec = small_spec(dims=(2, 3, 4), count_per_dim=2)
     serial = run_verification(spec, extra_levels=1, n1_cap=3, threads=1)
-    threaded = run_verification(spec, extra_levels=1, n1_cap=3, threads=2)
+    threaded = run_verification(spec, extra_levels=1, n1_cap=3, threads=threads)
     assert [e["dim"] for e in serial["polytopes"]] == [2, 2, 3, 3, 4, 4, 3, 3, 3, 3]
     assert json.dumps(serial, sort_keys=True) == json.dumps(threaded, sort_keys=True)
 
@@ -504,20 +541,73 @@ def test_worker_exception_keeps_its_type(monkeypatch, exc):
             run_verification(spec, extra_levels=0, n1_cap=2, threads=threads)
         assert type(caught.value) is type(exc)
         assert str(caught.value) == str(exc)
-    assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
 
-def test_pool_forks_no_more_workers_than_items(monkeypatch):
-    sizes = []
-
-    class Spy(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, *args, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+def test_forks_no_more_workers_than_items(monkeypatch):
+    forks = fork_spy(monkeypatch)
     rep = run_verification(small_spec(count_per_dim=2), extra_levels=0, n1_cap=2,
                            threads=8)
     assert rep["summary"]["polytope_count"] == 2
-    assert sizes == [2]
-    assert multiprocessing.active_children() == []
+    assert len(forks) == 2
+    assert_no_child_left()
+    run_verification(small_spec(count_per_dim=2), extra_levels=0, n1_cap=2, threads=1)
+    assert len(forks) == 2
+
+
+def fail_at(monkeypatch, spec, action):
+    """Make the corollary sweep call action(i) on corpus polytope i of spec."""
+    ids = [P.polytope_id for P in generate_corpus(spec)]
+    assert len(set(ids)) == len(ids)
+    real = harness.verify_corollary
+
+    def sweep(P, *args):
+        action(ids.index(P.polytope_id))
+        return real(P, *args)
+
+    # fork hands the patched module to the workers
+    monkeypatch.setattr(harness, "verify_corollary", sweep)
+
+
+@pytest.mark.parametrize("failing", [(3, 4), (2, 3)])
+def test_the_lowest_failing_index_wins(monkeypatch, failing):
+    # at 2 and 3 workers the two failing polytopes belong to different
+    # workers, and in one of the two cases the lower index is the later
+    # worker's: whichever worker is read first, the caller sees the error
+    # one worker would have met first
+    def action(i):
+        if i in failing:
+            kind = InvalidInputError if i == failing[0] else errors.InternalInvariantError
+            raise kind(f"polytope {i}")
+
+    spec = small_spec(count_per_dim=6)
+    fail_at(monkeypatch, spec, action)
+    for threads in (1, 2, 3):
+        if threads > 1:
+            assert failing[0] % threads != failing[1] % threads
+        with pytest.raises(InvalidInputError, match=f"^polytope {failing[0]}$"):
+            run_verification(spec, extra_levels=0, n1_cap=2, threads=threads)
+        assert_no_child_left()
+
+
+def test_a_worker_that_dies_is_an_internal_error(monkeypatch):
+    def action(i):
+        if i == 1:
+            os._exit(3)
+
+    def expire(signum, frame):
+        raise TimeoutError("the run did not return")
+
+    spec = small_spec(count_per_dim=3)
+    fail_at(monkeypatch, spec, action)
+    # a write end the dead worker left open would hang the read: fail instead
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    try:
+        with pytest.raises(errors.InternalInvariantError,
+                           match="^worker 1 exited with status 3, no results$"):
+            run_verification(spec, extra_levels=0, n1_cap=2, threads=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert_no_child_left()

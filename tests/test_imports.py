@@ -7,7 +7,8 @@ same module. A use as the root of an attribute, such as `np` in `np.int64`,
 counts. The package __init__ imports names to re-export them, so it is left
 out. The README's library layout table names every module. A fresh
 interpreter that imports the package and runs it at one worker loads none
-of the heavy modules it has no use for.
+of the heavy modules it has no use for, and neither does one that runs
+two workers.
 """
 
 import ast
@@ -56,27 +57,39 @@ def test_module_uses_every_import(module):
     assert not unused, f"{module} imports names it never uses: {unused}"
 
 
-# OpenSSL's libcrypto (through hashlib), the process pool, and the installed
-# but unused scientific stack
+# OpenSSL's libcrypto (through hashlib), a process pool's modules, and the
+# installed but unused scientific stack
 HEAVY = ["_hashlib", "ssl", "multiprocessing", "concurrent.futures", "scipy", "sympy",
          "networkx"]
 FOOTPRINT = """
 import sys
 from polynorm import CorpusSpec, analyze, build_polytope, run_verification
 analyze(build_polytope([(0, 0), (2, 0), (0, 1)]))
-spec = CorpusSpec(seed=1, dims=(2,), coord_bound=2, count_per_dim=1, vertex_candidates=4)
-assert run_verification(spec, threads=1, include_fixtures=False)["summary"]["all_passed"]
-print(" ".join(m for m in sys.argv[1:] if m in sys.modules))
+spec = CorpusSpec(seed=1, dims=(2,), coord_bound=2, count_per_dim=2, vertex_candidates=4)
+report = run_verification(spec, threads=int(sys.argv[1]), include_fixtures=False)
+assert report["summary"] == dict(report["summary"], polytope_count=2, all_passed=True)
+print(" ".join(m for m in sys.argv[2:] if m in sys.modules))
 """
 
 
-def test_one_worker_run_loads_no_heavy_module():
+def heavy_modules_loaded(threads):
+    """The HEAVY modules a fresh interpreter holds after analyze and a run
+    over two polytopes at `threads` workers."""
     # polytope ids are hashed by the interpreter's own SHA-256 module where it
     # has one (_sha256 up to 3.11, _sha2 from 3.12), not by hashlib's OpenSSL
     lean = any(importlib.util.find_spec(m) for m in ("_sha256", "_sha2"))
     heavy = [m for m in HEAVY if lean or m != "_hashlib"]
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *heavy], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, str(threads), *heavy],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    return proc.stdout.split()
+
+
+def test_one_worker_run_loads_no_heavy_module():
+    assert heavy_modules_loaded(1) == []
+
+
+def test_two_worker_run_loads_no_heavy_module():
+    # the workers are forked directly, without multiprocessing's pool
+    assert heavy_modules_loaded(2) == []

@@ -28,8 +28,9 @@ def test_a_seed_draws_the_same_parseable_mutants(capsys):
 
 def test_a_mutant_runs_in_a_private_tree(tmp_path, monkeypatch):
     # tier-1 -x on a copy of a two-file tree: the mutant that breaks its test
-    # is killed, and the tree itself is never written. Its test needs no
-    # plugin, so pytest loads none
+    # is killed, and so is one that ends the test process with status 0
+    # before pytest reports; the tree itself is never written. Its test
+    # needs no plugin, so pytest loads none
     monkeypatch.setenv("PYTEST_DISABLE_PLUGIN_AUTOLOAD", "1")
     (tmp_path / "src").mkdir()
     (tmp_path / "tests").mkdir()
@@ -39,6 +40,8 @@ def test_a_mutant_runs_in_a_private_tree(tmp_path, monkeypatch):
         "from m import f\n\n\ndef test_f():\n    assert f() == 1\n")
     assert mutants.survives(tmp_path, "src/m.py", source)
     assert not mutants.survives(tmp_path, "src/m.py", source.replace("1", "2"))
+    assert not mutants.survives(tmp_path, "src/m.py", source.replace(
+        "return 1", "__import__('os')._exit(0)"))
     assert (tmp_path / "src" / "m.py").read_text() == source
 
 
