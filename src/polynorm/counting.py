@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalInvariantError, InvalidInputError
-from .geometry import Polytope, _as_int, scaled_count
+from .geometry import _MAX_ROWS, Polytope, _as_int, scaled_count
 
 
 @dataclass(frozen=True)
@@ -152,11 +152,13 @@ def _h_row(P: Polytope, k: int) -> tuple[int, ...]:
 
 
 def h_table(P: Polytope, k_min: int, k_max: int) -> CohomologyTable:
-    """One row of h^0..h^n per twist k in [k_min, k_max]."""
+    """One row of h^0..h^n per twist k in [k_min, k_max], at most _MAX_ROWS rows."""
     k_min = _as_int(k_min, "k_min")
     k_max = _as_int(k_max, "k_max")
     if k_min > k_max:
         raise InvalidInputError(f"empty twist range [{k_min}, {k_max}]")
+    if k_max - k_min >= _MAX_ROWS:
+        raise InvalidInputError(f"twist range [{k_min}, {k_max}] holds over {_MAX_ROWS} twists")
     rows = tuple((k, _h_row(P, k)) for k in range(k_min, k_max + 1))
     return CohomologyTable(P.polytope_id, rows)
 

@@ -12,15 +12,14 @@ Lattice point enumeration is one numpy scan: it walks the lattice points of
 P's projection onto the first n-1 coordinates, axis by axis, and solves each
 coordinate's range by the facets of a projection, found at P's first walk,
 with exact integer ceil/floor division. One walk takes a tuple of scales,
-so the counts of dilates that counting reads cost one: counting solves each
-line closed and strict, every other reader gets the closed lines alone.
-That walk keeps the lines of P, 2P and 3P on P, up to one expansion's worth
-of points, and the readers that list those dilates later take them from
-there (_slabs) instead of walking again. A
-computed overflow bound picks the narrowest of three element types: int32
-or int64 while 4 times every facet value stays below 2^29 or 2^61, which
-leaves room for 16 times them, else object arrays of Python ints, so
-results are exact for any coordinates.
+so the counts of dilates that counting reads cost one (count_scales, which
+solves each line closed and strict); every other reader reads one dilate's
+closed lines (_slabs). The counting walk keeps the lines of P, 2P and 3P
+on P, up to one expansion's worth of points, for the readers of those
+dilates. A computed overflow bound picks the narrowest of three element
+types: int32 or int64 while 4 times every facet value stays below 2^29 or
+2^61, which leaves room for 16 times them, else object arrays of Python
+ints, so results are exact for any coordinates.
 """
 
 from __future__ import annotations
@@ -49,6 +48,7 @@ _NP32_SAFE_LIMIT, _NP_SAFE_LIMIT = 2**29, 2**61  # see _scan_dtype
 _CHUNK_ROWS = 1 << 18  # prefixes one expansion of _walk takes at most
 _KEPT_TOP = 3  # count_scales keeps the lines of kP for k up to this scale
 _MAX_LIST_BYTES = 1 << 27  # bytes of coordinates scaled_points_array lists at most
+_MAX_ROWS = 1 << 16  # dilates a sweep, or twists an h table, reports at most
 
 
 def _as_point(obj, n: int | None = None) -> LatticePoint:
@@ -68,12 +68,14 @@ def _as_point(obj, n: int | None = None) -> LatticePoint:
     return pt
 
 
-def _as_int(value, what: str, least: int | None = None) -> int:
-    """operator.index of an integer argument, >= least unless least is None;
-    a boolean is not one."""
+def _as_int(value, what: str, least: int | None = None, most: int | None = None) -> int:
+    """operator.index of an integer argument, >= least and <= most unless
+    they are None; a boolean is not one."""
     if isinstance(value, bool) or (least is not None and operator.index(value) < least):
         bound = "" if least is None else f" >= {least}"
         raise InvalidInputError(f"{what} must be an integer{bound}, got {value!r}")
+    if most is not None and operator.index(value) > most:
+        raise InvalidInputError(f"{what} must be at most {most}, got {value!r}")
     return operator.index(value)
 
 
@@ -413,39 +415,31 @@ def _code_radix(P: Polytope, top: int) -> list[int]:
 
 
 def _code_box(P: Polytope, top: int) -> int | None:
-    """The number of codes up to top (_code_scales), the radix product, or
-    None when it reaches 2^62, where int64 sums of two codes could overflow."""
+    """The number of codes up to top (_codes), the radix product, or None
+    when it reaches 2^62, where int64 sums of two codes could overflow."""
     box = math.prod(_code_radix(P, top))
     return box if box < 2**62 else None
 
 
-def _code_scales(P: Polytope, scales: tuple[int, ...], top: int):
-    """(K, codes): the scale k and the int64 code of every lattice point of
-    kP, k in scales (ascending, at most top), in (scale, lex) order, from
-    one walk; for a top whose _code_box is not None.
+def _codes(P: Polytope, k: int, top: int):
+    """The int64 codes of the rows of scaled_points_array(P, k), under its
+    refusal, for k <= top and a top whose _code_box is not None.
 
     The code of u in kP is its digits u - k lo (lo P's low corner) in the
     mixed radix _code_radix(P, top), the first axis the most significant;
     the radix comes from P's box, so no point is listed to choose it. Codes
-    of one scale ascend in lex order, a code determines its point
-    (_decode_point), and the code of a point of jP plus that of a point of
-    kP, j + k <= top, is the code of their sum. The corner is an object
-    array (a list mixing ints past 2^63 and below 0 would be float64), so
-    Python ints code exactly.
+    ascend in lex order, a code determines its point (_decode_point), and
+    the code of a point of jP plus that of a point of kP, j + k <= top, is
+    the code of their sum.
     """
-    radix = _code_radix(P, top)
-    corner = np.array(P.bounding_box()[0], dtype=object)
-    codes = []
-    for K, X, L, counts in _slabs(P, scales):
-        counts = counts.astype(np.int64)
-        points, K = _expand(X, L, counts), np.repeat(K, counts)
-        digits = (points - K[:, None] * corner.astype(points.dtype)).astype(np.int64)
-        codes.append((K.astype(np.int64), np.ravel_multi_index(tuple(digits.T), radix)))
-    return tuple(np.concatenate(a) for a in zip(*codes))
+    points = scaled_points_array(P, k)
+    corner = np.array(P.bounding_box()[0], dtype=points.dtype)
+    digits = (points - k * corner).astype(np.int64)
+    return np.ravel_multi_index(tuple(digits.T), _code_radix(P, top))
 
 
 def _decode_point(P: Polytope, top: int, k: int, code) -> LatticePoint:
-    """The point of kP whose code up to top (_code_scales) is code, in Python ints."""
+    """The point of kP whose code up to top (_codes) is code, in Python ints."""
     digits = np.unravel_index(int(code), _code_radix(P, top))
     return tuple(int(d) + k * l for d, l in zip(digits, P.bounding_box()[0]))
 
@@ -495,26 +489,19 @@ def forget_lines(P: Polytope) -> None:
     P._lines.clear()
 
 
-def _slabs(P: Polytope, scales: tuple[int, ...]):
-    """Yield (K, X, lo, counts) per chunk: the lines of _walk that meet
-    k*P, or in one chunk the lines count_scales kept on P when it kept
-    every scale. Either way the lines, their (scale, lex) order and their
-    element type are the walk's."""
-    if any(k not in P._lines for k in scales):
-        for K, X, r, a_last in _walk(P, scales):
-            lo, hi = _last_range(r, a_last)
-            keep = lo <= hi
-            if keep.any():
-                yield K[keep], X[keep], lo[keep], (hi - lo + 1)[keep]
+def _slabs(P: Polytope, k: int):
+    """Yield (X, lo, counts) per chunk: the prefixes, first last coordinates
+    and point counts of the lines of _walk that meet k*P, or in one chunk
+    the lines count_scales kept on P, read-only, as a copy only adds to peak
+    memory. Either way the lines, their lex order and type are the walk's."""
+    if k in P._lines:
+        yield tuple(a.astype(_scan_dtype(P, k), copy=False) for a in P._lines[k])
         return
-    dtype = _scan_dtype(P, max(scales))
-    kept = [P._lines[k] for k in scales]
-    # one scale's lines are handed out as kept, read-only: a copy only adds
-    # to the probe's peak resident memory
-    X, lo, counts = ((a[0] if len(a) == 1 else np.concatenate(a)).astype(dtype, copy=False)
-                     for a in zip(*kept))
-    K = np.repeat(np.array(scales, dtype=dtype), [len(lines[0]) for lines in kept])
-    yield K, X, lo, counts
+    for _, X, r, a_last in _walk(P, (k,)):
+        lo, hi = _last_range(r, a_last)
+        keep = lo <= hi
+        if keep.any():
+            yield X[keep], lo[keep], (hi - lo + 1)[keep]
 
 
 def scaled_count(P: Polytope, scale: int = 1, interior: bool = False) -> int:
@@ -542,7 +529,7 @@ def scaled_points_array(P: Polytope, scale: int = 1):
     if dtype is object:
         item += sys.getsizeof(scale * max(map(abs, sum(P.bounding_box(), ()))))
     slabs, listed = [], 0
-    for _, prefixes, lo_last, counts in _slabs(P, (scale,)):
+    for prefixes, lo_last, counts in _slabs(P, scale):
         listed += int(counts.sum())
         if listed * P.dim * item > _MAX_LIST_BYTES:
             raise InvalidInputError(

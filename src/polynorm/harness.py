@@ -27,7 +27,8 @@ from .counting import (
 )
 from .errors import (CorpusGenerationError, InternalInvariantError, InvalidInputError,
                      NotFullDimensionalError)
-from .geometry import LatticePoint, Polytope, _as_int, build_polytope, count_scales, forget_lines
+from .geometry import (_MAX_ROWS, LatticePoint, Polytope, _as_int, build_polytope, count_scales,
+                       forget_lines)
 from .normality import NormalityReport, is_normal, verify_corollary, verify_witness
 from .syzygy import n1_probe
 
@@ -58,9 +59,7 @@ class CorpusSpec:
             )
         _as_int(self.count_per_dim, "count_per_dim", 0)
         # at most 9^4 distinct points fit coord_bound <= 8 and dims <= 4
-        if _as_int(self.vertex_candidates, "vertex_candidates", max(self.dims) + 1) > 2**16:
-            raise InvalidInputError(f"vertex_candidates must be at most {2**16}, "
-                                    f"got {self.vertex_candidates}")
+        _as_int(self.vertex_candidates, "vertex_candidates", max(self.dims) + 1, 2**16)
 
     @classmethod
     def from_jsonable(cls, obj) -> "CorpusSpec":
@@ -225,9 +224,7 @@ def thread_count(requested: int | None = None) -> int:
             raise InvalidInputError(
                 f"POLYNORM_THREADS must be an integer, got {raw!r}"
             ) from None
-    requested = _as_int(requested, "thread count", 0)
-    if requested > _MAX_THREADS:
-        raise InvalidInputError(f"thread count must be at most {_MAX_THREADS}, got {requested}")
+    requested = _as_int(requested, "thread count", 0, _MAX_THREADS)
     return requested or min(_MAX_THREADS, os.cpu_count() or 1)
 
 
@@ -311,7 +308,7 @@ def run_verification(spec: CorpusSpec, extra_levels: int = 2, n1_cap: int = 4,
     other threads run). Worker w checks polytopes w, w + k, ... in order and stops
     at its first error while the others finish; the report and error match one worker's.
     """
-    extra_levels = _as_int(extra_levels, "extra_levels", 0)
+    extra_levels = _as_int(extra_levels, "extra_levels", 0, _MAX_ROWS)
     n1_cap = _as_int(n1_cap, "n1_cap", 2)
     workers = thread_count(threads)
     if cap is not None:

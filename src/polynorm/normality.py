@@ -7,26 +7,26 @@ z - a in T_{m-1} for some a in P cap Z^n}. By induction T_m is exactly the
 m-fold sumset of P cap Z^n, and whenever levels 2..m-1 all passed, T_{m-1}
 is all of (m-1)P cap Z^n. Level m thus checks S_{m-1}, where S_c is the
 multiplication statement (cP cap Z^n) + (P cap Z^n) = (c+1)P cap Z^n. One
-ladder (_first_gap) checks S_c for a run of c; semantics match the sumset
-definition exactly. is_normal climbs it from c = 1; the corollary sweep
-from max(n - d, 1) to n - 2, as S_c for c >= n - 1 is the lemma of
-Ewald-Wessels and Bruns-Gubeladze-Trung (see verify_corollary).
+ladder (_first_gap) checks S_c for a run of c, exactly as the sumset
+definition does, and computes c <= n - 2 alone: S_c for c >= n - 1 is the
+lemma of Ewald-Wessels and Bruns-Gubeladze-Trung, so no cost grows with a
+cap. is_normal climbs it from c = 1; the corollary sweep from max(n - d, 1).
 
 The ladder runs one of two ways, picked by the sizes of P's dilates alone.
-A small ladder sums points (_sum_ladder): one walk lists P and each dilate
-it reads as int64 codes that add as the points do, and the pair sums of
-cP x P mark the codes of (c+1)P. A ladder whose codes would pass int64, or
-whose pair sums outnumber the gathers of the probe loop (_first_missing,
-4^(n-1) per line of (c+1)P), sums intervals (_line_ladder): on lines
-(fixed prefixes of the first n-1 coordinates) the lattice points of P and
-of cP are integer intervals, and so are their sums. The intervals
-of P and cP are read from line tables: dense arrays of each line's
-last-coordinate range, keyed by line coordinates in a unimodular,
-LLL-reduced frame of the prefixes, so a thin or sheared P gets a small
-table. (c+1)P is walked in the input frame, which keeps lex order and the
-witnesses, one scan per scale: the walk of (c+1)P that checks S_c fills the
-table that S_{c+1} reads, and the line ladder alone builds the frame of its
-tables.
+A small ladder sums points (_sum_ladder): P and each dilate it reaches are
+listed, one at a time, as int64 codes that add as the points do, and the
+pair sums of cP x P mark the codes of (c+1)P. A ladder whose codes would
+pass int64, or whose pair sums outnumber the gathers of the probe loop
+(_first_missing, 4^(n-1) per line of (c+1)P), sums intervals
+(_line_ladder): on lines (fixed prefixes of the first n-1 coordinates) the
+lattice points of P and of cP are integer intervals, and so are their
+sums. The intervals of P and cP are read from line tables: dense arrays of
+each line's last-coordinate range, keyed by line coordinates in a
+unimodular, LLL-reduced frame of the prefixes, so a thin or sheared P gets
+a small table. (c+1)P is walked in the input frame, which keeps lex order
+and the witnesses, one scan per scale: the walk of (c+1)P that checks S_c
+fills the table that S_{c+1} reads, and the line ladder alone builds the
+frame of its tables.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 
 from .counting import BoundReport
 from .errors import InvalidInputError
-from .geometry import (LatticePoint, Polytope, _as_int, _as_point, _code_box, _code_scales,
+from .geometry import (_MAX_ROWS, LatticePoint, Polytope, _as_int, _as_point, _code_box, _codes,
                        _decode_point, _inside, _narrowest, _slabs, scaled_count)
 from .linalg import lll_reduce
 
@@ -61,6 +61,8 @@ class NormalityWitness:
 
 @dataclass(frozen=True)
 class NormalityReport:
+    """is_normal's verdict; of levels_checked, those up to n - 1 are computed."""
+
     polytope_id: str
     cap_used: int
     levels_checked: tuple[int, ...]
@@ -168,7 +170,7 @@ class _LineTable:
     def scan(self, P: Polytope, s: int):
         """Fill the lines of a scan of s*P and keep their z, lo and hi; self."""
         lines = []
-        for _, X, lo, counts in _slabs(P, (s,)):
+        for X, lo, counts in _slabs(P, s):
             Z = _line_coords(P, self.U, s, X)
             lines.append((Z, *self.fill(Z, lo, lo + counts - 1)))
         self.lines = tuple(np.concatenate(a) for a in zip(*lines))
@@ -219,7 +221,7 @@ def _first_missing(P: Polytope, m: int, table_p: _LineTable, table_m: _LineTable
     """
     steps = list(zip((deltas @ table_p.strides).tolist(),
                      (-(deltas @ table_m.strides)).tolist()))
-    for _, X, L, counts in _slabs(P, (m,)):
+    for X, L, counts in _slabs(P, m):
         H = L + counts - 1
         Z = _line_coords(P, table_p.U, m, X)
         if table_next is not None:
@@ -296,14 +298,14 @@ def _line_ladder(P: Polytope, c_lo: int, c_hi: int) -> tuple[int, LatticePoint] 
 
 def _sum_ladder(P: Polytope, c_lo: int, c_hi: int) -> tuple[int, LatticePoint] | None:
     """_first_gap on lattice points, for codes of (c_hi + 1)P that fit int64:
-    one walk codes P and kP, c_lo <= k <= c_hi + 1 (_code_scales), and the
+    P, c_lo P and each (c+1)P the climb reaches are coded (_codes), and the
     first code of (c+1)P that no sum of cP x P marks is the witness."""
     top = c_hi + 1
-    K, code = _code_scales(P, sorted({1, *range(c_lo, top + 1)}), top)
-    code_p, code_c = code[K == 1], code[K == c_lo]
+    code_p = _codes(P, 1, top)
+    code_c = code_p if c_lo == 1 else _codes(P, c_lo, top)
     step = max(1, _PAIR_CHUNK // len(code_p))
     for c in range(c_lo, top):
-        code_next = code[K == c + 1]
+        code_next = _codes(P, c + 1, top)
         hit = np.zeros(len(code_next), dtype=bool)
         for i in range(0, len(code_c), step):
             # every sum lies in (c+1)P, so searchsorted lands on its code
@@ -319,14 +321,20 @@ def _first_gap(P: Polytope, c_lo: int, c_hi: int) -> tuple[int, LatticePoint] | 
     (c+1)P cap Z^n, fails, with the lex-first point of (c+1)P it misses; None
     when every S_c in the range holds.
 
-    Small ladders sum points (_sum_ladder): those whose codes fit int64 and
-    whose pair sums, |P| |cP| for each c, are no more than the
-    4^(n-1) |(c+1)P| gathers of the probe loop (at most one line per point
-    of (c+1)P). The counts are read through P's memo, which analyze fills
-    first; alone, the rule walks each scale it reads, up to the first c it
-    rejects. Every other ladder, tall or fat, runs the line tables
+    S_c for c >= n - 1 is the lemma of Ewald and Wessels (Results Math. 19,
+    1991) and of Bruns, Gubeladze and Trung (J. reine angew. Math. 485,
+    1997), so c_hi is clamped to n - 2, and an empty range (every range in
+    dims 1 and 2) is None before any dilate is walked or counted.
+
+    A ladder sums points (_sum_ladder) where its codes fit int64 and, for
+    each c, |P| |cP| pair sums are at most the 4^(n-1) |(c+1)P| gathers of
+    the probe loop; the counts come from P's memo, which analyze fills
+    first. Every other ladder, tall or fat, runs the line tables
     (_line_ladder).
     """
+    c_hi = min(c_hi, P.dim - 2)
+    if c_lo > c_hi:
+        return None
     top = c_hi + 1
     if _code_box(P, top) is not None and all(
             scaled_count(P, 1) * scaled_count(P, c) <= 4 ** (P.dim - 1) * scaled_count(P, c + 1)
@@ -338,8 +346,9 @@ def _first_gap(P: Polytope, c_lo: int, c_hi: int) -> tuple[int, LatticePoint] | 
 def is_normal(P: Polytope, cap: int | None = None) -> NormalityReport:
     """Check levels m = 2..cap in order; stop at the first failure.
 
-    cap defaults to max(dim-1, 2). The verdict is explicitly capped:
-    "normal-up-to-cap" never claims normality at uncapped levels.
+    cap defaults to max(dim-1, 2). Level m is S_{m-1} (_first_gap), which
+    computes m <= n - 1 and leaves the rest to the lemma, so the cost does
+    not grow with cap. The verdict keeps its capped name, normal-up-to-cap.
     """
     cap = _cap(P, cap)
     gap = _first_gap(P, 1, cap - 1)
@@ -429,20 +438,19 @@ def verify_corollary(P: Polytope, bounds: BoundReport, extra_levels: int = 0,
     holds a lattice point). If S_c (_first_gap) holds for every c >= bound,
     every ell*P with ell >= bound is normal: a lattice point of k*ell*P
     sheds lattice points of P down to ell*P, and they sum, ell at a time,
-    to lattice points of ell*P. S_c for c >= n - 1 is the lemma of Ewald
-    and Wessels (Results Math. 19, 1991) and of Bruns, Gubeladze and Trung
-    (J. reine angew. Math. 485, 1997), so only c in [bound, n - 2], which
-    the paper's regularity argument gives, is computed. When those hold,
-    every level's witness is None, and no dilate is built; else, which
-    breaks the theorem, is_normal checks each ell*P in the input frame, so
-    a violation carries its lex-first witness.
+    to lattice points of ell*P. S_c for c >= n - 1 is the lemma, so only c
+    in [bound, n - 2], which the paper's regularity argument gives, is
+    computed (_first_gap). When those hold, every level's witness is None,
+    and no dilate is built; else, which breaks the theorem, is_normal checks
+    each ell*P in the input frame, so a violation carries its lex-first
+    witness.
     """
     if bounds.n != P.dim or not 0 <= bounds.d <= P.dim:
         raise InvalidInputError(f"{bounds} cannot be the bounds of a {P.dim}-polytope")
-    extra_levels = _as_int(extra_levels, "extra_levels", 0)
+    extra_levels = _as_int(extra_levels, "extra_levels", 0, _MAX_ROWS)
     cap = _cap(P, cap)
     lo = bounds.corollary_bound
-    proved = lo > P.dim - 2 or _first_gap(P, lo, P.dim - 2) is None
+    proved = _first_gap(P, lo, P.dim - 2) is None
     return CorollaryRecord(
         polytope_id=P.polytope_id,
         n=bounds.n,

@@ -49,7 +49,7 @@ holds the points of the degree-(d-1) fiber of b - p, never empty: it holds
 p's sink less p, or r + (b - p - r) for p reached from r.
 
 Points and sums are int64 codes up to the top cap*ell
-(geometry._code_scales). An edge of G_b is looked up by
+(geometry._codes). An edge of G_b is looked up by
 code(b) - code(p) - code(q) among the codes of (d-2)-point sums, with no
 digit check: on each axis the digit of b - p - q lies in [-2*span, d*span]
 and that of a (d-2)-sum in [0, (d-2)*span] (span the width of ell*P's
@@ -77,7 +77,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import Polytope, _as_int, _code_box, _code_scales, _decode_point, scaled_count
+from .geometry import Polytope, _as_int, _code_box, _codes, _decode_point, scaled_count
 
 _CONNECTED = "quadratically connected up to cap"
 _DISCONNECTED = "disconnected"
@@ -468,7 +468,7 @@ def n1_probe(P: Polytope, ell: int, degree_cap: int = 4) -> N1ProbeReport:
     N = scaled_count(P, ell)
     if N * (N + 1) // 2 > _MAX_PAIRS:
         raise InvalidInputError(f"configuration too large to probe: {N} points")
-    _, point_codes = _code_scales(P, (ell,), top)
+    point_codes = _codes(P, ell, top)
     # the packed adjacency rows: bit j of row i for each irreducible pair (i, j)
     i, j = _pair_fibers(point_codes, box)
     adj = np.zeros((N, -(-N // 8)), dtype=np.uint8)

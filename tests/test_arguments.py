@@ -4,7 +4,9 @@ A boolean is not an integer argument, and a value below the bound is
 refused; both raise InvalidInputError with the message
 "<name> must be an integer >= <bound>, got <value>", or
 "<name> must be an integer, got <value>" where there is no bound. The
-bound itself is accepted, and a float raises TypeError.
+bound itself is accepted, and a float raises TypeError. Arguments that
+size the output, a sweep's extra_levels and an h table's twist range, also
+have a ceiling, 2^16, checked before any polytope is walked.
 """
 
 import re
@@ -26,7 +28,8 @@ from polynorm import (
     verify_corollary,
     verify_witness,
 )
-from polynorm import harness
+from polynorm import geometry, harness
+from polynorm.counting import BoundReport
 from polynorm.geometry import scaled_points_array
 
 SQUARE = build_polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -90,3 +93,48 @@ def test_integer_argument_accepts_its_bound(name, least, call):
 def test_integer_argument_refuses_floats(name, least, call):
     with pytest.raises(TypeError):
         call(2.5)
+
+
+# -- ceilings on arguments that size the output --------------------------------
+
+# (id, message for a value v past the ceiling, the call taking v); h_table
+# lists the v twists 1..v
+CEILINGS = [
+    ("verify_corollary", "extra_levels must be at most 65536, got {}",
+     lambda v: verify_corollary(SQUARE, normality_bound(SQUARE), v)),
+    ("run_verification", "extra_levels must be at most 65536, got {}",
+     lambda v: run_verification(SPEC, extra_levels=v, include_fixtures=False)),
+    ("h_table", "twist range [1, {}] holds over 65536 twists", lambda v: h_table(SQUARE, 1, v)),
+]
+
+
+@pytest.mark.parametrize("message, call", [pytest.param(m, c, id=i) for i, m, c in CEILINGS])
+def test_output_sized_argument_has_a_ceiling(message, call):
+    assert geometry._MAX_ROWS == 2**16
+    call(2**16)
+    for value in (2**16 + 1, 10**9):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message.format(value))}$"):
+            call(value)
+
+
+def test_ceilings_are_checked_before_any_walk(monkeypatch):
+    # a forged d = 2 makes the sweep of a Reeve simplex climb S_1, which walks
+    walks, walk = [], geometry._walk
+    monkeypatch.setattr(geometry, "_walk",
+                        lambda P, scales: walks.append(scales) or walk(P, scales))
+    with pytest.raises(InvalidInputError, match="^extra_levels must be at most"):
+        verify_corollary(reeve_simplex(2), BoundReport(3, 2), 10**9)
+    with pytest.raises(InvalidInputError, match="^extra_levels must be at most"):
+        run_verification(SPEC, extra_levels=10**9)
+    with pytest.raises(InvalidInputError, match="^twist range"):
+        h_table(reeve_simplex(2), 1, 10**9)
+    assert walks == []
+    verify_corollary(reeve_simplex(2), BoundReport(3, 2), 0)
+    assert walks
+
+
+@pytest.mark.parametrize("k", [-10**9, 10**9])
+def test_far_single_twists_still_answer(k):
+    # one twist far out is read off the Ehrhart polynomial: L(t) = (t + 1)^2
+    h = (0, 0, (k + 1)**2) if k < 0 else ((k + 1)**2, 0, 0)
+    assert h_table(SQUARE, k, k).rows == ((k, h),)

@@ -210,6 +210,43 @@ def test_thread_count_past_the_ceiling_exits_one(capsys, monkeypatch, tmp_path):
     assert_no_child_left()
 
 
+def test_analyze_at_a_large_cap_computes_what_the_default_does(capsys, tmp_path):
+    # S_c for c >= n - 1 is the lemma, so cap 200 computes the levels the
+    # default cap does: the records differ in cap_used and levels_checked alone
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]))
+    start = time.monotonic()
+    assert main(["analyze", str(path), "--cap", "200", "--format", "json"]) == 0
+    assert time.monotonic() - start < 1
+    capped = json.loads(capsys.readouterr().out)
+    assert main(["analyze", str(path), "--format", "json"]) == 0
+    default = json.loads(capsys.readouterr().out)
+    for record, cap in ((capped, 200), (default, 2)):
+        levels = (record["normality"].pop("cap_used"), record["normality"].pop("levels_checked"))
+        assert levels == (cap, list(range(2, cap + 1)))
+    assert capped == default
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--extra-levels", "10000000"], "extra_levels must be at most 65536, got 10000000"),
+    (["cohomology", "--k-min", "1", "--k-max", "100000000"],
+     "twist range [1, 100000000] holds over 65536 twists"),
+], ids=["verify", "cohomology"])
+def test_output_sized_arguments_past_the_ceiling_exit_one(capsys, tmp_path, argv, message):
+    # 10^7 dilates or 10^8 twists would print gigabytes; both are refused
+    # with the message alone, and a far single twist still answers
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps([[0, 0], [1, 0], [0, 1]]))
+    start = time.monotonic()
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    assert time.monotonic() - start < 1
+    assert capsys.readouterr().err == f"polynorm: {message}\n"
+    assert main(["cohomology", str(path), "--k-min", "-1000000000", "--k-max",
+                 "-1000000000", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == [
+        {"k": -10**9, "h": [0, 0, (10**9 - 1) * (10**9 - 2) // 2]}]
+
+
 @pytest.mark.parametrize("exc, code", [(InternalInvariantError("bug"), 2),
                                        (InvalidInputError("bad input"), 1)])
 def test_worker_exception_keeps_its_exit_code(capsys, monkeypatch, tmp_path, exc, code):

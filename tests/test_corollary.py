@@ -63,8 +63,8 @@ def fewest_lines_frame(P):
     fewest moves last, a tie keeps P. A permutation maps facets to facets
     and keeps normals primitive, so no hull is needed.
     """
-    slabs = list(normality._slabs(P, (2,)))
-    X, lo, counts = (np.concatenate([slab[i] for slab in slabs]) for i in (1, 2, 3))
+    slabs = list(normality._slabs(P, 2))
+    X, lo, counts = (np.concatenate(a) for a in zip(*slabs))
     hi = lo + counts - 1
     ranks = np.empty(X.shape, dtype=np.int64)
     for j, column in enumerate(X.T):
@@ -267,9 +267,9 @@ def test_long_thin_triangle_scans_few_prefixes():
     scan = normality._slabs
 
     def counted(*args, **kwargs):
-        for K, X, lo, counts in scan(*args, **kwargs):
+        for X, lo, counts in scan(*args, **kwargs):
             rows.append(len(X))
-            yield K, X, lo, counts
+            yield X, lo, counts
 
     with mock.patch.object(normality, "_slabs", counted):
         rec = oracle_verify_corollary(P, normality_bound(P), 2)
@@ -291,7 +291,7 @@ def test_corpus_where_the_paper_says_more_than_the_lemma(dims, candidates, compu
     spec = CorpusSpec(seed=271828, dims=dims, coord_bound=2, count_per_dim=100,
                       vertex_candidates=candidates)
     ladders, sweeping = [], []
-    gap, sweep = normality._first_gap, harness.verify_corollary
+    sweep = harness.verify_corollary
 
     def spied_sweep(*args, **kwargs):
         sweeping.append(True)
@@ -300,13 +300,16 @@ def test_corpus_where_the_paper_says_more_than_the_lemma(dims, candidates, compu
         finally:
             sweeping.pop()
 
-    def spied_gap(P, c_lo, c_hi):
-        if sweeping:
-            ladders.append((c_lo, c_hi))
-        return gap(P, c_lo, c_hi)
+    def spied(ladder):
+        def run(P, c_lo, c_hi):
+            if sweeping:
+                ladders.append((c_lo, c_hi))
+            return ladder(P, c_lo, c_hi)
+        return run
 
     with mock.patch.object(harness, "verify_corollary", spied_sweep), \
-            mock.patch.object(normality, "_first_gap", spied_gap):
+            mock.patch.object(normality, "_sum_ladder", spied(normality._sum_ladder)), \
+            mock.patch.object(normality, "_line_ladder", spied(normality._line_ladder)):
         report = run_verification(spec, threads=1)
     assert report["summary"]["all_passed"]
     assert len(ladders) == computed

@@ -69,12 +69,11 @@ def box_slabs(P, k=1, strict=False, chunk_rows=1 << 20):
 
 def walk_rows(P, scales, strict=False):
     """{k: rows} of one walk over the scales, which must yield them in
-    ascending order: the lines geometry._slabs gives, each of which meets
-    k*P, or in the strict mode the ranges in relint(k*P) that count_scales
-    solves (relint_lines)."""
+    ascending order: the lines that meet k*P (closed_lines), or in the
+    strict mode the ranges in relint(k*P) that count_scales solves
+    (relint_lines)."""
     rows, seen = {k: [] for k in scales}, []
-    chunks = relint_lines(P, scales) if strict else geometry._slabs(P, tuple(scales))
-    for K, X, lo, counts in chunks:
+    for K, X, lo, counts in (relint_lines if strict else closed_lines)(P, scales):
         for k, x, a, c in zip(K.tolist(), X.tolist(), lo.tolist(), counts.tolist()):
             seen.append(k)
             assert strict or c > 0
@@ -82,6 +81,20 @@ def walk_rows(P, scales, strict=False):
                 rows[k].append((*x, a, c))
     assert seen == sorted(seen)
     return rows
+
+
+def closed_lines(P, scales):
+    """(K, X, lo, counts) per chunk of the lines that meet k*P: those
+    geometry._slabs gives at one scale, else those of one walk over the
+    scales, solved by _last_range as _slabs solves them."""
+    if len(scales) == 1:
+        for X, lo, counts in geometry._slabs(P, scales[0]):
+            yield np.full(len(X), scales[0]), X, lo, counts
+        return
+    for K, X, r, a_last in geometry._walk(P, tuple(scales)):
+        lo, hi = geometry._last_range(r, a_last)
+        keep = lo <= hi
+        yield K[keep], X[keep], lo[keep], (hi - lo + 1)[keep]
 
 
 def relint_lines(P, scales):
@@ -403,13 +416,15 @@ def test_scan_matches_box_scan(n, seed, k, strict):
 def test_slabs_match_box_walk(n, seed, k, strict, chunk_rows, more):
     # one walk over k and up to three more scales <= n + 2: at chunk sizes 2
     # and 7 a chunk mixes scales, and the memo count_scales fills from the
-    # same walk holds each scale's sum
+    # same walk holds each scale's sum; _slabs reads each scale alone, from
+    # the lines that walk kept or by a walk of its own
     P = random_polytope(random.Random(seed), n, SPREAD[n])
     scales = sorted({k} | {s for s in more if s <= n + 2})
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_CHUNK_ROWS", chunk_rows)
         rows = walk_rows(P, scales, strict)
         geometry.count_scales(P, scales)
+        assert {s: slab_rows(P, s, strict) for s in scales} == rows
     assert rows == {s: box_slabs(P, s, strict) for s in scales}
     assert {s: P._count_cache[s, strict] for s in scales} == {
         s: sum(row[-1] for row in rows[s]) for s in scales}
@@ -436,7 +451,7 @@ def test_first_slab_streams_from_a_long_range():
     # 2^40 + 1 prefixes: the first chunk comes back at once
     P = build_polytope([(0, 0), (2**40, 0), (0, 1)])
     start = time.perf_counter()
-    _, X, lo, counts = next(geometry._slabs(P, (1,)))
+    X, lo, counts = next(geometry._slabs(P, 1))
     assert time.perf_counter() - start < 1.0
     assert 0 < len(X) <= geometry._CHUNK_ROWS
     assert X[:3, 0].tolist() == [0, 1, 2]
@@ -517,15 +532,12 @@ def test_kept_lines_read_as_a_fresh_walk(n, seed, shift):
     P = translated(random_polytope(random.Random(seed), n, 2), shift)
     kept, fresh = kept_and_fresh(P)
     assert set(kept._lines) == {1, 2, 3}
-    for scales in ((1,), (2,), (3,), (1, 2), (2, 3), (1, 2, 3)):
-        # (K, X, lo, counts), kept or walked
-        for Q in (kept, fresh):
-            assert all(len(chunk) == 4 for chunk in geometry._slabs(Q, scales))
-        top = 2 * max(scales)
-        for a, b in zip(geometry._code_scales(kept, scales, top),
-                        geometry._code_scales(fresh, scales, top)):
-            assert same_array(a, b)
     for k in (1, 2, 3):
+        # (X, lo, counts), kept or walked
+        for Q in (kept, fresh):
+            assert all(len(chunk) == 3 for chunk in geometry._slabs(Q, k))
+        for top in (k, 2 * k):
+            assert same_array(geometry._codes(kept, k, top), geometry._codes(fresh, k, top))
         assert same_array(geometry.scaled_points_array(kept, k),
                           geometry.scaled_points_array(fresh, k))
     assert not fresh._lines
@@ -600,7 +612,7 @@ def test_tall_simplex_keeps_no_line_of_its_dilates(monkeypatch):
         return walk(P, scales)
 
     monkeypatch.setattr(geometry, "_walk", walked)
-    next(geometry._slabs(P, (1,)))
+    next(geometry._slabs(P, 1))
     assert walks == []
-    assert len(next(geometry._slabs(P, (2,)))[1]) <= geometry._CHUNK_ROWS
+    assert len(next(geometry._slabs(P, 2))[0]) <= geometry._CHUNK_ROWS
     assert walks == [(2,)]

@@ -239,12 +239,21 @@ def test_run_verification_computes_each_invariant_once(monkeypatch):
     assert calls == dict.fromkeys(INVARIANTS, 2)
 
 
-def test_probe_lists_no_configuration(monkeypatch):
-    # n1_probe codes the points of ell*P from one walk, without listing them
-    calls = count_invariant_calls(monkeypatch, ("scaled_points_array",), (geometry,))
+def test_probe_lists_the_configuration_once(monkeypatch):
+    # n1_probe codes the listing of ell*P, once, from the lines the counting
+    # walk of analyze kept: it walks nothing
+    listed, walks = [], []
+    listing, walk = geometry.scaled_points_array, geometry._walk
+    monkeypatch.setattr(geometry, "scaled_points_array",
+                        lambda P, k: listed.append((P, k)) or listing(P, k))
+    monkeypatch.setattr(geometry, "_walk",
+                        lambda P, scales: walks.append(scales) or walk(P, scales))
     for P in (reeve_simplex(2), build_polytope([(0, 0), (2, 0), (0, 3)])):
+        geometry.count_scales(P, range(1, P.dim + 3))
+        walks.clear()
         assert n1_probe(P, 2, 4).per_degree
-    assert calls == {}
+        assert listed == [(P, 2)] and walks == []
+        listed.clear()
 
 
 def spy_counting(monkeypatch):
@@ -379,12 +388,20 @@ def test_only_the_ladder_builds_a_line_frame(monkeypatch):
     assert len(ladders) == len(default) and reductions == tables == []
     ladders.clear()
     # fat: more pair sums than probe gathers; tall: codes past int64; the
-    # thin triangle conv{0, 2 e1, N e2}, N = 10^4: about N^2 pair sums
+    # thin triangle conv{0, 2 e1, N e2}, N = 10^4: about N^2 pair sums. In
+    # dim 2 is_normal leaves S_1 to the lemma, so its ladder is called here
     cube = build_polytope(list(itertools.product((0, 4), repeat=3)))
     thin = build_polytope([(0, 0), (2, 0), (0, 10**4)])
+    is_normal(thin)
+    assert reductions == tables == []
+    ladders.clear()
     for P in (cube, build_polytope(TALL_SIMPLEX), thin):
-        is_normal(P)
-        assert len(reductions) == len(ladders) == 1, P.vertices
+        if P is thin:
+            normality._line_ladder(P, 1, 1)
+        else:
+            is_normal(P)
+            assert len(ladders) == 1, P.vertices
+        assert len(reductions) == 1, P.vertices
         assert tables == [1], P.vertices  # P's table: at the cap 2 S_1 fills none
         reductions.clear()
         ladders.clear()

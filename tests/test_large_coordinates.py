@@ -104,7 +104,7 @@ def test_large_corollary_sweep_matches_small_twin(twins):
     # estimate would make it a prefix axis, whose scan does not end
     assert short_prefixes(fewest_lines_frame(big), 2)
     # the sweep runs the line ladder, which scans one scale per walk; the
-    # point sums, which walk several at once, are checked in test_normality
+    # point sums are checked in test_normality
     with mock.patch.object(normality, "_slabs", wraps=normality._slabs) as scans, \
             mock.patch.object(normality, "_first_gap", normality._line_ladder):
         rec_big = oracle_verify_corollary(big, normality_bound(big), 2)
@@ -116,7 +116,7 @@ def test_large_corollary_sweep_matches_small_twin(twins):
         (ell, w and w.level) for ell, w in rec_small.levels]
     # every scan, the frame choice's scan of 2P too, runs on exact ints
     for call in scans.call_args_list:
-        Q, (scale,) = call.args[:2]
+        Q, scale = call.args[:2]
         assert geometry._scan_dtype(Q, scale) is object
         assert short_prefixes(Q, scale)
 

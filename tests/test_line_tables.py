@@ -13,6 +13,7 @@ small ones among them to point sums.
 
 import itertools
 import random
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -107,7 +108,7 @@ def scanned_table(P, U, s, dtype, empty, chunk_rows):
     chunks of chunk_rows prefixes."""
     table = normality._LineTable(P, U, s, dtype, empty)
     with mock.patch.object(geometry, "_CHUNK_ROWS", chunk_rows):
-        for _, X, lo, counts in geometry._slabs(P, (s,)):
+        for X, lo, counts in geometry._slabs(P, s):
             table.fill(normality._line_coords(P, U, s, X), lo, lo + counts - 1)
     return table
 
@@ -191,7 +192,7 @@ def test_probes_stay_inside_their_tables(P):
     reads = {}
     for m, table_p, table_m, deltas in ladder_tables(P, 4):
         Z = np.concatenate([normality._line_coords(P, table_p.U, m, X)
-                            for _, X, _, _ in geometry._slabs(P, (m,))])
+                            for X, _, _ in geometry._slabs(P, m)])
         Q = Z // m
         for table, probes in ((table_p, Q[:, None, :] + deltas),
                               (table_m, (Z - Q)[:, None, :] - deltas)):
@@ -240,3 +241,15 @@ def test_tables_of_large_twins_match_facet_solver(name):
     (_, table_p, _, _), (_, _, table_2p, _) = ladder_tables(P, 3)
     assert_table_matches(P, 1, table_p)
     assert_table_matches(P, 2, table_2p)
+
+
+@pytest.mark.parametrize("start, high, gap", [(2, 9, None), (2, 10, 10), (5, 9, 4)])
+def test_line_gap_sweeps_the_union_of_every_pair(start, high, gap):
+    # stand-ins for P's kept lines at z = 0, 1 and for (m-1)P's ranges at
+    # z - z_a: the sums [0, 3] and [start, 9] in start order, so the line
+    # [0, high] is covered only where the last sum, which reaches furthest,
+    # joins the first
+    table_p = SimpleNamespace(lines=(np.array([[0], [1]]), np.array([0, start]),
+                                     np.array([3, 5])))
+    table_m = SimpleNamespace(ranges=lambda Z: (np.zeros(len(Z), dtype=int), np.array([0, 4])))
+    assert normality._line_gap(table_p, table_m, np.array([1]), 0, high) == gap

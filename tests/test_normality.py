@@ -4,6 +4,7 @@ import itertools
 import operator
 import random
 import sys
+import time
 from unittest import mock
 
 import numpy as np
@@ -11,10 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polynorm import (
+    CorpusSpec,
     InvalidInputError,
     REEVE_RANGE,
+    analyze,
     build_polytope,
     default_cap,
+    generate_corpus,
     is_normal,
     normality_bound,
     reeve_simplex,
@@ -23,6 +27,7 @@ from polynorm import (
 )
 import polynorm.geometry as geometry
 import polynorm.normality as normality
+from polynorm.counting import BoundReport
 from polynorm.geometry import _as_points, scaled_points_array
 from conftest import random_polytope
 
@@ -389,14 +394,68 @@ def test_is_normal_matches_sumset_definition_on_reeve_dilates():
             _assert_matches_definition(reeve_simplex(q).dilate(k), 3)
 
 
+# -- the lemma: no ladder computes S_c for c >= n - 1 ----------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 10**6), st.integers(-1, 1))
+def test_lemma_levels_match_sumset_definition(n, seed, past):
+    # is_normal computes the levels up to n - 1 and leaves the rest to the
+    # lemma; at the caps n - 1, n and n + 1 (2 at least) its verdict and
+    # witness are still the definition's
+    P = random_polytope(random.Random(seed), n, spread=2 if n < 4 else 1)
+    _assert_matches_definition(P, max(n + past, 2))
+
+
+def spy_ladders(monkeypatch):
+    """Record (dim, c_lo, c_hi) of each call of either ladder."""
+    calls = []
+    for name in ("_sum_ladder", "_line_ladder"):
+        def spied(P, c_lo, c_hi, ladder=getattr(normality, name)):
+            calls.append((P.dim, c_lo, c_hi))
+            return ladder(P, c_lo, c_hi)
+        monkeypatch.setattr(normality, name, spied)
+    return calls
+
+
+def test_no_ladder_runs_past_the_lemma(monkeypatch):
+    # at caps up to 8, and in sweeps that fail (a forged d sends each Reeve
+    # dilate to is_normal), every ladder stops at n - 2; dims 1 and 2 run none
+    calls = spy_ladders(monkeypatch)
+    corpus = generate_corpus(CorpusSpec(seed=5, dims=(1, 2, 3, 4), coord_bound=2,
+                                        count_per_dim=3, vertex_candidates=6))
+    for P in [*corpus, reeve_simplex(2), reeve_simplex(4)]:
+        for cap in (None, max(P.dim, 2), P.dim + 1, 8):
+            is_normal(P, cap)
+            analyze(build_polytope(P.vertices), cap)
+            verify_corollary(P, normality_bound(P), 2, cap)
+    for q in (2, 3):
+        assert not verify_corollary(reeve_simplex(q), BoundReport(3, 2), 2, 8).passed
+    assert {n for n, _, _ in calls} == {3, 4}
+    assert all(1 <= c_lo <= c_hi <= n - 2 for n, c_lo, c_hi in calls)
+
+
+def test_a_large_cap_costs_what_the_default_does():
+    cube = build_polytope(list(itertools.product((0, 1), repeat=4)))
+    start = time.perf_counter()
+    rep = is_normal(cube, 1000)
+    assert time.perf_counter() - start < 1
+    assert (rep.cap_used, rep.levels_checked) == (1000, tuple(range(2, 1001)))
+    default = is_normal(cube)
+    assert (rep.verdict, rep.witness) == (default.verdict, default.witness)
+    assert default.verdict == "normal-up-to-cap"
+
+
 @pytest.mark.parametrize("N", [10, 100])
 def test_thin_triangles_match_sumset_definition(N):
     # conv{(0,0),(N,0),(0,2)}: half its lines are left open by the probes
-    # and reach _line_gap, which reads the lines kept on P's table
+    # and reach _line_gap, which reads the lines kept on P's table. is_normal
+    # runs no ladder in dim 2 (the lemma), so the line ladder is called here
     P = build_polytope([(0, 0), (N, 0), (0, 2)])
     with mock.patch.object(normality, "_line_gap", wraps=normality._line_gap) as gap:
-        _assert_matches_definition(P, 3)
+        assert normality._line_ladder(P, 1, 2) is None
     assert gap.call_count > 0
+    assert _sumset_verdict(P, 3) is None
+    _assert_matches_definition(P, 3)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
@@ -430,7 +489,9 @@ def test_multiplication_onto_matches_sumset(n, seed, q):
         gaps[c] = (c, min(missing)) if missing else None
         assert normality._first_gap(P, c, c) == gaps[c]
         if c >= P.dim - 1:
+            # _first_gap leaves these to the lemma; the ladder still agrees
             assert not missing, (P.vertices, c)
+            assert normality._line_ladder(P, c, c) is None
         elif q:
             assert c > 1 or missing  # Reeve's simplices are not normal
     # a ladder from c_lo hands each walk's table on to the next c
@@ -475,9 +536,8 @@ def test_point_sums_match_line_tables_and_sumset(n, seed, c_lo, more, chunk):
             assert normality._sum_ladder(Q, c_lo, c_hi) == gap, (Q.vertices, c_lo, c_hi)
         assert normality._line_ladder(Q, c_lo, c_hi) == gap, (Q.vertices, c_lo, c_hi)
         top = c_hi + 2
-        K, codes = geometry._code_scales(Q, tuple(scales), top)
         for k in scales:
-            at_k = codes[K == k]
+            at_k = geometry._codes(Q, k, top)
             assert (np.diff(at_k) > 0).all()
             assert [geometry._decode_point(Q, top, k, code) for code in at_k] == [
                 tuple(x + k * shift for x in u) for u in listed[k]]

@@ -63,3 +63,23 @@ def test_large_volume_simplices(vertices, h):
     P = build_polytope(vertices)
     assert h_star(P.vertices) == h
     assert_matches_box_points(P, h)
+
+
+@pytest.mark.parametrize("p, q", [(1, 2), (2, 5), (13, 64), (101, 997)])
+def test_white_empty_tetrahedra(p, q):
+    # conv{0, e1, e3, (p, q, 1)}, gcd(p, q) = 1, holds no lattice point but
+    # its vertices (White, Canad. J. Math. 16, 1964): h* = (1, 0, q - 1, 0),
+    # so for q >= 2 level 2 fails
+    P = build_polytope([(0, 0, 0), (1, 0, 0), (0, 0, 1), (p, q, 1)])
+    h = (1, 0, q - 1, 0)
+    assert h_star(P.vertices) == h
+    assert_matches_box_points(P, h)
+    assert is_normal(P).witness.level == 2
+
+
+def test_volume_300_simplex_with_box_points_at_every_height():
+    P = build_polytope([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                        (5, 7, 11, 300)])
+    h = (1, 2, 150, 145, 2)
+    assert h_star(P.vertices) == h
+    assert_matches_box_points(P, h)

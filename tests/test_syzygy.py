@@ -493,7 +493,7 @@ def test_probe_refuses_spread_before_listing_points(monkeypatch):
     # the unit square at ell = 3e9 has about 9e18 lattice points; the radix
     # check reads the box of ell*P off P's vertices and refuses it first
     listed = []
-    monkeypatch.setattr(syzygy, "_code_scales", lambda *args: listed.append(args))
+    monkeypatch.setattr(syzygy, "_codes", lambda *args: listed.append(args))
     square = build_polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
     with pytest.raises(InvalidInputError, match="spread too large"):
         n1_probe(square, 3_000_000_000)
@@ -505,7 +505,7 @@ def test_probe_refuses_too_many_points_before_listing(monkeypatch):
     # per axis) with about 10^10 points; the probe reads N off the point
     # count and refuses the N(N+1)/2 pairs before any point is listed
     listed = []
-    monkeypatch.setattr(syzygy, "_code_scales", lambda *args: listed.append(args))
+    monkeypatch.setattr(syzygy, "_codes", lambda *args: listed.append(args))
     square = build_polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
     start = time.perf_counter()
     with pytest.raises(InvalidInputError, match="configuration too large to probe"):
