@@ -15,7 +15,7 @@ import sys
 
 from .counting import h_table, normality_bound
 from .errors import InternalInvariantError, InvalidInputError, PolynormError
-from .geometry import Polytope, build_polytope
+from .geometry import _MAX_ROWS, Polytope, _as_int, build_polytope
 from .harness import (
     DEFAULT_CORPUS_SPEC,
     CorpusSpec,
@@ -23,7 +23,7 @@ from .harness import (
     generate_corpus,
     run_verification,
 )
-from .normality import verify_corollary
+from .normality import _cap, verify_corollary
 from .syzygy import n1_probe
 
 
@@ -100,7 +100,9 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_verify(args) -> int:
     P = _load_polytope(args.file)
-    record = verify_corollary(P, normality_bound(P), args.extra_levels, args.cap)
+    # the output-sized arguments are refused before normality_bound walks P
+    extra, cap = _as_int(args.extra_levels, "extra_levels", 0, _MAX_ROWS), _cap(P, args.cap)
+    record = verify_corollary(P, normality_bound(P), extra, cap)
     obj = record.to_jsonable()
 
     def render(obj):

@@ -422,8 +422,9 @@ def _code_box(P: Polytope, top: int) -> int | None:
 
 
 def _codes(P: Polytope, k: int, top: int):
-    """The int64 codes of the rows of scaled_points_array(P, k), under its
-    refusal, for k <= top and a top whose _code_box is not None.
+    """The int64 codes of kP's lattice points in lex order, for k <= top and
+    _code_box(P, top) not None, from the digits of one slab (_slabs) at a
+    time: no listing of kP's coordinates is held, so none is refused.
 
     The code of u in kP is its digits u - k lo (lo P's low corner) in the
     mixed radix _code_radix(P, top), the first axis the most significant;
@@ -432,10 +433,12 @@ def _codes(P: Polytope, k: int, top: int):
     the code of a point of jP plus that of a point of kP, j + k <= top, is
     the code of their sum.
     """
-    points = scaled_points_array(P, k)
-    corner = np.array(P.bounding_box()[0], dtype=points.dtype)
-    digits = (points - k * corner).astype(np.int64)
-    return np.ravel_multi_index(tuple(digits.T), _code_radix(P, top))
+    radix, codes = _code_radix(P, top), []
+    for X, L, counts in _slabs(P, k):
+        corner = k * np.array(P.bounding_box()[0], dtype=X.dtype)
+        digits = _expand(X - corner[:-1], L - corner[-1], counts).astype(np.int64)
+        codes.append(np.ravel_multi_index(tuple(digits.T), radix))
+    return np.concatenate(codes)
 
 
 def _decode_point(P: Polytope, top: int, k: int, code) -> LatticePoint:

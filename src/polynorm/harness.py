@@ -29,7 +29,7 @@ from .errors import (CorpusGenerationError, InternalInvariantError, InvalidInput
                      NotFullDimensionalError)
 from .geometry import (_MAX_ROWS, LatticePoint, Polytope, _as_int, build_polytope, count_scales,
                        forget_lines)
-from .normality import NormalityReport, is_normal, verify_corollary, verify_witness
+from .normality import NormalityReport, _cap, is_normal, verify_corollary, verify_witness
 from .syzygy import n1_probe
 
 _RESAMPLE_LIMIT = 1000
@@ -176,6 +176,7 @@ class AnalysisRecord:
 
 def analyze(P: Polytope, cap: int | None = None) -> AnalysisRecord:
     """Run counting, normality, and regularity on P and cross-check them."""
+    cap = _cap(P, cap)  # refused before any walk
     count_scales(P, range(1, P.dim + 3))  # every count read here and in _check_one
     d = d_of_p(P)
     bounds = BoundReport(P.dim, d)
@@ -311,8 +312,7 @@ def run_verification(spec: CorpusSpec, extra_levels: int = 2, n1_cap: int = 4,
     extra_levels = _as_int(extra_levels, "extra_levels", 0, _MAX_ROWS)
     n1_cap = _as_int(n1_cap, "n1_cap", 2)
     workers = thread_count(threads)
-    if cap is not None:
-        cap = _as_int(cap, "normality cap", 2)
+    cap = None if cap is None else _as_int(cap, "normality cap", 2, _MAX_ROWS)
     corpus = generate_corpus(spec)
     items: list[tuple[str, str | None, Polytope]] = [
         ("corpus", None, P) for P in corpus

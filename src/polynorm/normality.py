@@ -14,10 +14,10 @@ cap. is_normal climbs it from c = 1; the corollary sweep from max(n - d, 1).
 
 The ladder runs one of two ways, picked by the sizes of P's dilates alone.
 A small ladder sums points (_sum_ladder): P and each dilate it reaches are
-listed, one at a time, as int64 codes that add as the points do, and the
+coded, one at a time, as int64 codes that add as the points do, and the
 pair sums of cP x P mark the codes of (c+1)P. A ladder whose codes would
-pass int64, or whose pair sums outnumber the gathers of the probe loop
-(_first_missing, 4^(n-1) per line of (c+1)P), sums intervals
+pass int64 or _MAX_LIST_BYTES, or whose pair sums outnumber the gathers of
+the probe loop (_first_missing, 4^(n-1) per line of (c+1)P), sums intervals
 (_line_ladder): on lines (fixed prefixes of the first n-1 coordinates) the
 lattice points of P and of cP are integer intervals, and so are their
 sums. The intervals of P and cP are read from line tables: dense arrays of
@@ -38,8 +38,9 @@ import numpy as np
 
 from .counting import BoundReport
 from .errors import InvalidInputError
-from .geometry import (_MAX_ROWS, LatticePoint, Polytope, _as_int, _as_point, _code_box, _codes,
-                       _decode_point, _inside, _narrowest, _slabs, scaled_count)
+from .geometry import (_MAX_LIST_BYTES, _MAX_ROWS, LatticePoint, Polytope, _as_int, _as_point,
+                       _code_box, _codes, _decode_point, _inside, _narrowest, _slabs,
+                       scaled_count)
 from .linalg import lll_reduce
 
 
@@ -272,7 +273,7 @@ def _line_gap(table_p: _LineTable, table_m: _LineTable, z, low: int,
 
 
 def _cap(P: Polytope, cap) -> int:
-    return _as_int(default_cap(P.dim) if cap is None else cap, "normality cap", 2)
+    return _as_int(default_cap(P.dim) if cap is None else cap, "normality cap", 2, _MAX_ROWS)
 
 
 def _line_ladder(P: Polytope, c_lo: int, c_hi: int) -> tuple[int, LatticePoint] | None:
@@ -297,8 +298,8 @@ def _line_ladder(P: Polytope, c_lo: int, c_hi: int) -> tuple[int, LatticePoint] 
 
 
 def _sum_ladder(P: Polytope, c_lo: int, c_hi: int) -> tuple[int, LatticePoint] | None:
-    """_first_gap on lattice points, for codes of (c_hi + 1)P that fit int64:
-    P, c_lo P and each (c+1)P the climb reaches are coded (_codes), and the
+    """_first_gap on lattice points, for the ladders its rule admits: P,
+    c_lo P and each (c+1)P the climb reaches are coded (_codes), and the
     first code of (c+1)P that no sum of cP x P marks is the witness."""
     top = c_hi + 1
     code_p = _codes(P, 1, top)
@@ -326,11 +327,10 @@ def _first_gap(P: Polytope, c_lo: int, c_hi: int) -> tuple[int, LatticePoint] | 
     1997), so c_hi is clamped to n - 2, and an empty range (every range in
     dims 1 and 2) is None before any dilate is walked or counted.
 
-    A ladder sums points (_sum_ladder) where its codes fit int64 and, for
-    each c, |P| |cP| pair sums are at most the 4^(n-1) |(c+1)P| gathers of
-    the probe loop; the counts come from P's memo, which analyze fills
-    first. Every other ladder, tall or fat, runs the line tables
-    (_line_ladder).
+    A ladder sums points (_sum_ladder) where its codes fit int64 and take at
+    most _MAX_LIST_BYTES, and |P| |cP| pair sums are at most the 4^(n-1)
+    |(c+1)P| gathers of the probe loop, each c; the counts come from P's
+    memo, which analyze fills first. Others run the line tables (_line_ladder).
     """
     c_hi = min(c_hi, P.dim - 2)
     if c_lo > c_hi:
@@ -338,7 +338,7 @@ def _first_gap(P: Polytope, c_lo: int, c_hi: int) -> tuple[int, LatticePoint] | 
     top = c_hi + 1
     if _code_box(P, top) is not None and all(
             scaled_count(P, 1) * scaled_count(P, c) <= 4 ** (P.dim - 1) * scaled_count(P, c + 1)
-            for c in range(c_lo, top)):
+            for c in range(c_lo, top)) and 8 * scaled_count(P, top) <= _MAX_LIST_BYTES:
         return _sum_ladder(P, c_lo, c_hi)
     return _line_ladder(P, c_lo, c_hi)
 

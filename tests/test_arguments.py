@@ -5,8 +5,9 @@ refused; both raise InvalidInputError with the message
 "<name> must be an integer >= <bound>, got <value>", or
 "<name> must be an integer, got <value>" where there is no bound. The
 bound itself is accepted, and a float raises TypeError. Arguments that
-size the output, a sweep's extra_levels and an h table's twist range, also
-have a ceiling, 2^16, checked before any polytope is walked.
+size the output, a sweep's extra_levels, a normality cap (levels_checked
+lists its levels) and an h table's twist range, also have a ceiling, 2^16,
+checked before any polytope is walked.
 """
 
 import re
@@ -16,6 +17,7 @@ import pytest
 from polynorm import (
     CorpusSpec,
     InvalidInputError,
+    analyze,
     build_polytope,
     h_table,
     is_normal,
@@ -105,6 +107,13 @@ CEILINGS = [
     ("run_verification", "extra_levels must be at most 65536, got {}",
      lambda v: run_verification(SPEC, extra_levels=v, include_fixtures=False)),
     ("h_table", "twist range [1, {}] holds over 65536 twists", lambda v: h_table(SQUARE, 1, v)),
+    ("is_normal_cap", "normality cap must be at most 65536, got {}",
+     lambda v: is_normal(SQUARE, v)),
+    ("analyze_cap", "normality cap must be at most 65536, got {}", lambda v: analyze(SQUARE, v)),
+    ("verify_corollary_cap", "normality cap must be at most 65536, got {}",
+     lambda v: verify_corollary(SQUARE, normality_bound(SQUARE), 0, v)),
+    ("run_verification_cap", "normality cap must be at most 65536, got {}",
+     lambda v: run_verification(SPEC, cap=v, include_fixtures=False)),
 ]
 
 
@@ -128,6 +137,10 @@ def test_ceilings_are_checked_before_any_walk(monkeypatch):
         run_verification(SPEC, extra_levels=10**9)
     with pytest.raises(InvalidInputError, match="^twist range"):
         h_table(reeve_simplex(2), 1, 10**9)
+    with pytest.raises(InvalidInputError, match="^normality cap must be at most"):
+        analyze(reeve_simplex(2), 10**9)
+    with pytest.raises(InvalidInputError, match="^normality cap must be at most"):
+        run_verification(SPEC, cap=10**9)
     assert walks == []
     verify_corollary(reeve_simplex(2), BoundReport(3, 2), 0)
     assert walks

@@ -229,18 +229,26 @@ def test_analyze_at_a_large_cap_computes_what_the_default_does(capsys, tmp_path)
 
 @pytest.mark.parametrize("argv, message", [
     (["verify", "--extra-levels", "10000000"], "extra_levels must be at most 65536, got 10000000"),
+    (["verify", "--cap", "100000000"], "normality cap must be at most 65536, got 100000000"),
+    (["analyze", "--cap", "100000000"], "normality cap must be at most 65536, got 100000000"),
     (["cohomology", "--k-min", "1", "--k-max", "100000000"],
      "twist range [1, 100000000] holds over 65536 twists"),
-], ids=["verify", "cohomology"])
+], ids=["verify", "verify-cap", "analyze-cap", "cohomology"])
 def test_output_sized_arguments_past_the_ceiling_exit_one(capsys, tmp_path, argv, message):
-    # 10^7 dilates or 10^8 twists would print gigabytes; both are refused
-    # with the message alone, and a far single twist still answers
-    path = tmp_path / "triangle.json"
-    path.write_text(json.dumps([[0, 0], [1, 0], [0, 1]]))
+    # 10^7 dilates, 10^8 levels or 10^8 twists would print gigabytes; each is
+    # refused with the message alone before the polytope is walked: counting
+    # the lines of conv{0, 300 e1, 300 e2, 300 e3, e4} and its dilates, as
+    # normality_bound and analyze do, takes seconds. A far single twist still
+    # answers
+    path = tmp_path / "slab.json"
+    path.write_text(json.dumps([[0, 0, 0, 0], [300, 0, 0, 0], [0, 300, 0, 0], [0, 0, 300, 0],
+                                [0, 0, 0, 1]]))
     start = time.monotonic()
     assert main([argv[0], str(path), *argv[1:]]) == 1
     assert time.monotonic() - start < 1
     assert capsys.readouterr().err == f"polynorm: {message}\n"
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps([[0, 0], [1, 0], [0, 1]]))
     assert main(["cohomology", str(path), "--k-min", "-1000000000", "--k-max",
                  "-1000000000", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["rows"] == [

@@ -543,6 +543,19 @@ def test_kept_lines_read_as_a_fresh_walk(n, seed, shift):
     assert not fresh._lines
 
 
+@pytest.mark.parametrize("chunk", [16, 64])
+def test_lines_kept_over_several_expansions_read_as_a_fresh_walk(monkeypatch, chunk):
+    # a lattice point of a projection may lift to no point of P, so a kept
+    # scale's prefixes can outnumber its points and its lines come from
+    # several expansions of the counting walk: every block is kept, in order
+    monkeypatch.setattr(geometry, "_CHUNK_ROWS", chunk)
+    for seed in range(20):
+        kept, fresh = kept_and_fresh(random_polytope(random.Random(seed), 1 + seed % 4, 3))
+        for k in kept._lines:
+            assert same_array(geometry.scaled_points_array(kept, k),
+                              geometry.scaled_points_array(fresh, k)), (seed, k)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 10**6), st.sampled_from([0, -2**62]))
 def test_kept_lines_give_a_fresh_walks_verdicts(n, seed, shift):

@@ -239,11 +239,12 @@ def test_run_verification_computes_each_invariant_once(monkeypatch):
     assert calls == dict.fromkeys(INVARIANTS, 2)
 
 
-def test_probe_lists_the_configuration_once(monkeypatch):
-    # n1_probe codes the listing of ell*P, once, from the lines the counting
-    # walk of analyze kept: it walks nothing
-    listed, walks = [], []
-    listing, walk = geometry.scaled_points_array, geometry._walk
+def test_probe_codes_the_configuration_once(monkeypatch):
+    # n1_probe codes the lines of ell*P, once, as the counting walk of
+    # analyze kept them: it walks nothing and lists no coordinates
+    read, listed, walks = [], [], []
+    slabs, listing, walk = geometry._slabs, geometry.scaled_points_array, geometry._walk
+    monkeypatch.setattr(geometry, "_slabs", lambda P, k: read.append((P, k)) or slabs(P, k))
     monkeypatch.setattr(geometry, "scaled_points_array",
                         lambda P, k: listed.append((P, k)) or listing(P, k))
     monkeypatch.setattr(geometry, "_walk",
@@ -252,8 +253,8 @@ def test_probe_lists_the_configuration_once(monkeypatch):
         geometry.count_scales(P, range(1, P.dim + 3))
         walks.clear()
         assert n1_probe(P, 2, 4).per_degree
-        assert listed == [(P, 2)] and walks == []
-        listed.clear()
+        assert read == [(P, 2)] and listed == walks == []
+        read.clear()
 
 
 def spy_counting(monkeypatch):

@@ -445,6 +445,44 @@ def test_a_large_cap_costs_what_the_default_does():
     assert default.verdict == "normal-up-to-cap"
 
 
+def sum_ladder_calls(monkeypatch):
+    """Record (dim, c_lo, c_hi) of each call of _sum_ladder alone."""
+    calls, ladder = [], normality._sum_ladder
+    monkeypatch.setattr(normality, "_sum_ladder",
+                        lambda P, c_lo, c_hi: calls.append((P.dim, c_lo, c_hi))
+                        or ladder(P, c_lo, c_hi))
+    return calls
+
+
+def test_long_ladder_runs_the_line_tables(monkeypatch):
+    # 2P of the Reeve simplex at q = 2^24 holds q + 9 points, whose codes
+    # pass 2^27 bytes: the line tables answer it, with the same witness
+    calls = sum_ladder_calls(monkeypatch)
+    P = reeve_simplex(2**24)
+    assert geometry.scaled_count(P, 2) == 2**24 + 9
+    start = time.perf_counter()
+    rep = is_normal(P)
+    assert time.perf_counter() - start < 1
+    assert (rep.witness.level, rep.witness.point) == (2, (1, 1, 1)) and calls == []
+    assert verify_witness(P, 2, (1, 1, 1))
+
+
+def test_sum_ladder_takes_codes_up_to_the_byte_budget(monkeypatch):
+    # the rule admits a ladder whose codes of (c_hi + 1)P take at most
+    # _MAX_LIST_BYTES, 8 bytes a code, whatever the listing budget of
+    # scaled_points_array: _codes holds no listing of coordinates
+    calls = sum_ladder_calls(monkeypatch)
+    P = reeve_simplex(3)
+    codes = 8 * geometry.scaled_count(P, 2)
+    expected = normality._line_ladder(P, 1, 1)
+    monkeypatch.setattr(geometry, "_MAX_LIST_BYTES", 0)
+    for budget, ran in ((codes, [(3, 1, 1)]), (codes - 1, [])):
+        monkeypatch.setattr(normality, "_MAX_LIST_BYTES", budget)
+        assert normality._first_gap(P, 1, 5) == expected
+        assert calls == ran
+        calls.clear()
+
+
 @pytest.mark.parametrize("N", [10, 100])
 def test_thin_triangles_match_sumset_definition(N):
     # conv{(0,0),(N,0),(0,2)}: half its lines are left open by the probes

@@ -36,7 +36,7 @@ from polynorm import (
     reeve_simplex,
     scaled_count,
 )
-from polynorm import syzygy
+from polynorm import geometry, syzygy
 from polynorm.geometry import _as_point
 from polynorm.syzygy import DegreeSummary, N1ProbeReport
 from conftest import build_configuration, random_polytope
@@ -487,6 +487,18 @@ def test_corner_past_int64_beside_negative_axis_stays_exact(unit_square, ell):
     # fits only uint64 and one only int64, so the digits stay Python ints
     far = translated(unit_square, (-1, 2**63 // ell))
     assert n1_probe(far, ell, 4).per_degree == n1_probe(unit_square, ell, 4).per_degree
+
+
+def test_probe_answers_with_no_listing_budget(monkeypatch):
+    # the codes come from the digits of one slab of ell*P at a time, and no
+    # listing of its coordinates is held: with scaled_points_array's budget
+    # at 0 bytes the probe of a far translate still answers, as P's moved
+    P = build_polytope([(-1, 1, -1), (0, -2, -1), (0, 0, 0), (2, -1, -1), (2, 1, -2)])
+    t = (2**64, -(2**64), 2**63)
+    rep = n1_probe(P, 2, 3)
+    monkeypatch.setattr(geometry, "_MAX_LIST_BYTES", 0)
+    for Q in (P, translated(P, t)):
+        assert n1_probe(Q, 2, 3).per_degree == rep.per_degree
 
 
 def test_probe_refuses_spread_before_listing_points(monkeypatch):
